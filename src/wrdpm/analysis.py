@@ -17,6 +17,7 @@ from .graph import WeightedGraph, total_weight
 from .model import (
     DrawnVectors,
     EdgeDistribution,
+    derive_seed,
     dot_product_grid,
     draw_vectors,
     log_likelihood,
@@ -114,8 +115,9 @@ def null_compare(
 
     The dot-product null preserves the pairwise grid of the supplied
     vectors (clamped into the Poisson domain); the Poisson Erdos-Renyi
-    null preserves only the expected total weight. Each sample uses the
-    derived seed (seed xor sample index), so reports are reproducible.
+    null preserves only the expected total weight. Sample i draws from
+    derive_seed(seed, i), so reports are reproducible and ensembles of
+    different seeds are independent.
     """
     if n_samples < 1:
         raise ValueError("need at least one null sample")
@@ -149,7 +151,7 @@ def null_compare(
     observed = score(g)
     samples = []
     for i in range(n_samples):
-        sample = sample_from_grids(dist, [grid], seed=seed ^ i, clamp=True)
+        sample = sample_from_grids(dist, [grid], seed=derive_seed(seed, i), clamp=True)
         samples.append(score(sample))
     return NullEnsembleReport(
         statistic=statistic,

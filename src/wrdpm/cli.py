@@ -61,7 +61,8 @@ def _default_seed(value):
     return 0
 
 
-def _write_manifest(out_dir, subcommand, config, seed, inputs, outputs, started):
+def _write_manifest(out_dir, subcommand, config, seed, inputs, outputs, started,
+                    solver=None):
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -71,6 +72,8 @@ def _write_manifest(out_dir, subcommand, config, seed, inputs, outputs, started)
         "version": _version(),
         "duration_seconds": time.perf_counter() - started,
     }
+    if solver is not None:
+        manifest["solver"] = solver
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2)
@@ -232,6 +235,7 @@ def cmd_embed(args):
     _write_manifest(
         args.out, "embed", config, args.seed, [args.graph],
         ["embedding.csv", "embedding.json"], started,
+        solver={"eigensolver": emb.eigensolver},
     )
     return 0
 
@@ -258,7 +262,7 @@ def cmd_cluster(args):
     _write_manifest(
         args.out, "cluster", config, args.seed, [args.graph],
         ["embedding.csv", "embedding.json", "partition.csv", "centrality.csv", "cluster.json"],
-        started,
+        started, solver={"eigensolver": emb.eigensolver},
     )
     return 0
 

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .embedding import Embedding, SolverConfig, embed, residual
 from .graph import WeightedGraph
-
-# Direction used only to give zero rows a deterministic home cluster.
-_ZERO_ROW_TIEBREAK = "ones"
+from .model import derive_seed
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ def dimension_sweep(
     squeezed low-d geometry keeps inter-community cosines cheap), while the
     raw stress pays the full inter-community weight.
 
-    Each dimension derives its own clustering seed (seed xor d) so sweep
+    Each dimension clusters with its own seed, derive_seed(seed, d), so sweep
     entries are independent; ties in the argmin go to the smallest d.
     """
     ds = sorted(set(int(d) for d in d_values))
@@ -228,7 +226,7 @@ def dimension_sweep(
     records = []
     for d in ds:
         emb = embed(g, d, config)
-        part = angular_kmeans(emb.X, k=d, seed=seed ^ d)
+        part = angular_kmeans(emb.X, k=d, seed=derive_seed(seed, d))
         s = stress(emb.X, part, normalize_rows=normalize_rows)
         sf = (
             stress_penalized(emb.X, part, g, lam1, lam2, normalize_rows)

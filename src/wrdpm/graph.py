@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,6 +32,8 @@ class WeightedGraph:
             raise GraphFormatError(f"weight matrix must be square, got shape {w.shape}")
         if w.shape[0] < 1:
             raise GraphFormatError("graph must have at least one node")
+        if not np.isfinite(w).all():
+            raise GraphFormatError("edge weights must be finite")
         asym = np.abs(w - w.T).max() if w.size else 0.0
         if asym > SYMMETRY_TOL:
             raise GraphFormatError(f"weight matrix asymmetric (max |A - A^T| = {asym:g})")
@@ -132,6 +135,8 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
             raise GraphFormatError(f"line {lineno}: negative node id")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u}")
+        if not math.isfinite(w):
+            raise GraphFormatError(f"line {lineno}: non-finite weight {parts[2]!r}")
         if w < 0:
             raise GraphFormatError(f"line {lineno}: negative weight {w}")
         key = (min(u, v), max(u, v))

@@ -378,6 +378,16 @@ class DrawnVectors:
         return len(self.matrices)
 
 
+def derive_seed(seed: int, index: int) -> int:
+    """Seed of the independent stream ``index`` under ``seed``.
+
+    Hashing ``[seed, index]`` through a SeedSequence keeps the streams of
+    different seeds apart; ``seed ^ index`` does not (seeds 0 and 1 give the
+    same set of streams).
+    """
+    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
+
+
 def draw_vectors(model: LatentModel, seed: int) -> DrawnVectors:
     """Draw n latent vectors per parameter space; deterministic given seed."""
     rng = np.random.default_rng(seed)

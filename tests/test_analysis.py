@@ -109,6 +109,12 @@ class TestNullCompare:
         assert a.observed == b.observed
         assert a.quantile == b.quantile
 
+    def test_seeds_draw_different_ensembles(self):
+        g = simple_community_graph(0)
+        a = null_compare(g, n_samples=10, seed=0)
+        b = null_compare(g, n_samples=10, seed=1)
+        assert sorted(a.samples) != sorted(b.samples)
+
     def test_poisson_er_preserves_total_weight(self):
         g = simple_community_graph(1, n=80)
         report = null_compare(g, statistic="total_weight", n_samples=200, seed=3)

@@ -108,6 +108,13 @@ class TestEmbed:
         assert run("embed", "--graph", str(bad), "--d", "1",
                    "--out", str(tmp_path / "x")) == 2
 
+    def test_non_finite_weight_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.edgelist"
+        bad.write_text("0 1 1\n1 2 nan\n")
+        assert run("embed", "--graph", str(bad), "--d", "1",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "line 2: non-finite weight" in capsys.readouterr().err
+
     def test_strict_nonconvergence_is_numerical_error(self, tmp_path, clique_path):
         assert run("embed", "--graph", str(clique_path), "--d", "3",
                    "--max-iter", "1", "--strict", "--out", str(tmp_path / "x")) == 3
@@ -135,6 +142,21 @@ class TestCluster:
         assert np.allclose(lengths, 1.0, atol=1e-4)
         doc = json.loads((out / "cluster.json").read_text())
         assert doc["stress"] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("command, sizes, d, solver", [
+    ("embed", [5, 5, 5], 3, "dense"),
+    ("cluster", [5, 5, 5], 3, "dense"),
+    ("cluster", [90, 100, 110], 3, "arpack"),
+    ("embed", [100] * 8, 8, "arpack+dense-fallback"),
+])
+def test_manifest_records_eigensolver(tmp_path, command, sizes, d, solver):
+    path = tmp_path / "g.edgelist"
+    save_graph(disjoint_cliques(sizes), path)
+    out = tmp_path / "run"
+    assert run(command, "--graph", str(path), "--d", str(d), "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["solver"] == {"eigensolver": solver}
 
 
 class TestSweep:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wrdpm import SolverConfig, WeightedGraph, embed, residual
+from wrdpm import SolverConfig, WeightedGraph, embed, embedding, residual
 from conftest import bridge_graph, disjoint_cliques, random_integer_graph
 
 
@@ -123,3 +123,56 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(diagonal_init="bogus")
+
+
+def poisson_graph(seed, n, mean=0.5):
+    w = np.triu(np.random.default_rng(seed).poisson(mean, (n, n)), 1).astype(float)
+    return WeightedGraph(w + w.T)
+
+
+class TestLargeGraphPath:
+    """Graphs above the size crossover, where embed asks ARPACK for the top d."""
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_matches_dense_path(self, monkeypatch, d):
+        g = poisson_graph(1, 300)
+        fast = embed(g, d)
+        monkeypatch.setattr(embedding, "_ARPACK_MIN_N", 10**9)
+        full = embed(g, d)
+        assert fast.eigensolver == "arpack"
+        assert full.eigensolver == "dense"
+        assert fast.converged and full.converged
+        assert fast.iterations == full.iterations
+        assert fast.residual == pytest.approx(full.residual, rel=1e-9)
+
+    @pytest.mark.parametrize("sizes, d, solvers", [
+        ([100] * 4, 4, {"arpack", "arpack+dense-fallback"}),
+        ([100] * 8, 8, {"arpack+dense-fallback"}),
+        ([100, 100, 60], 3, {"arpack+dense-fallback"}),
+    ])
+    def test_repeated_top_eigenvalue_matches_dense_path(self, monkeypatch, sizes, d, solvers):
+        # Equal cliques repeat the top eigenvalue; a single Krylov space holds
+        # one vector of that eigenspace, so ARPACK alone can miss copies.
+        g = disjoint_cliques(sizes)
+        a_hat = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
+        top = np.linalg.eigvalsh(a_hat)[-2:]
+        assert top[1] - top[0] < 1e-9 * top[1]
+        fast = embed(g, d)
+        monkeypatch.setattr(embedding, "_ARPACK_MIN_N", 10**9)
+        full = embed(g, d)
+        assert fast.eigensolver in solvers
+        assert fast.converged
+        scale = np.linalg.norm(g.weights)
+        assert abs(fast.residual - full.residual) < 1e-9 * scale
+
+    @pytest.mark.parametrize("graph", [poisson_graph(2, 300), disjoint_cliques([100] * 4)])
+    def test_reruns_are_bit_identical(self, graph):
+        a = embed(graph, 4)
+        b = embed(graph, 4)
+        assert a.eigensolver.startswith("arpack")
+        assert np.array_equal(a.X, b.X)
+        assert a.residual_history == b.residual_history
+
+    @pytest.mark.parametrize("n, d", [(320, 11), (255, 3)])
+    def test_small_or_high_rank_takes_dense_path(self, n, d):
+        assert embed(poisson_graph(3, n), d, SolverConfig(max_iterations=2)).eigensolver == "dense"

@@ -1,0 +1,67 @@
+"""Property tests: embed respects the symmetries of the dot-product model.
+
+X is defined only up to an orthogonal map, so the tests compare Gram
+matrices X X^T, which that map leaves unchanged.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wrdpm import WeightedGraph, embed
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def graphs_dims_perms(draw):
+    """A small integer-weighted graph, an embedding dimension, a node permutation."""
+    n = draw(st.integers(4, 9))
+    upper = draw(st.lists(st.integers(0, 5), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, k=1)] = upper
+    d = draw(st.integers(1, 3))
+    perm = np.array(draw(st.permutations(range(n))))
+    return WeightedGraph(w + w.T), d, perm
+
+
+def gram(x):
+    return x @ x.T
+
+
+def has_unique_truncation(g, emb):
+    """True when the top-d eigenspace at the fixed point is well separated.
+
+    With a tie between the d-th and (d+1)-th positive eigenvalue the rank-d
+    truncation, and so the Gram matrix, is not unique.
+    """
+    x = emb.X
+    a_hat = g.weights + np.diag(np.einsum("ij,ij->i", x, x))
+    vals = np.linalg.eigvalsh(a_hat)[::-1]
+    scale = max(abs(vals).max(), 1.0)
+    return emb.converged and (vals[emb.d] <= 0 or vals[emb.d - 1] - vals[emb.d] > 1e-3 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(graphs_dims_perms())
+def test_permuting_nodes_permutes_the_gram(case):
+    g, d, perm = case
+    base = embed(g, d)
+    assume(has_unique_truncation(g, base))
+    permuted = embed(WeightedGraph(g.weights[np.ix_(perm, perm)]), d)
+    expected = gram(base.X)[np.ix_(perm, perm)]
+    scale = max(np.abs(expected).max(), 1.0)
+    np.testing.assert_allclose(gram(permuted.X), expected, atol=1e-5 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(graphs_dims_perms(), st.floats(0.1, 10.0))
+def test_scaling_weights_scales_the_gram(case, c):
+    g, d, _ = case
+    base = embed(g, d)
+    assume(has_unique_truncation(g, base))
+    scaled = embed(WeightedGraph(c * g.weights), d)
+    expected = c * gram(base.X)
+    scale = max(np.abs(expected).max(), 1.0)
+    np.testing.assert_allclose(gram(scaled.X), expected, atol=1e-5 * scale)

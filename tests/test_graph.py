@@ -40,6 +40,11 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match="negative"):
             load_graph(write(tmp_path, "0 1 -2\n"))
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        with pytest.raises(GraphFormatError, match="line 2: non-finite"):
+            load_graph(write(tmp_path, f"0 1 2\n1 2 {weight}\n"))
+
     def test_parse_error_reports_line(self, tmp_path):
         with pytest.raises(GraphFormatError, match="line 3"):
             load_graph(write(tmp_path, "0 1 2\n1 2 3\nnot an edge\n"))
@@ -58,6 +63,11 @@ class TestDense:
     def test_nonzero_diagonal_rejected(self, tmp_path):
         path = write(tmp_path, "1,0\n0,0\n", "g.csv")
         with pytest.raises(GraphFormatError, match="diagonal"):
+            load_graph(path, "dense")
+
+    def test_non_finite_rejected(self, tmp_path):
+        path = write(tmp_path, "0,nan\nnan,0\n", "g.csv")
+        with pytest.raises(GraphFormatError, match="finite"):
             load_graph(path, "dense")
 
     def test_clique_roundtrip(self, tmp_path):
@@ -104,6 +114,12 @@ class TestInvariants:
     def test_constructor_rejects_negative(self):
         w = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(GraphFormatError):
+            WeightedGraph(w)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_constructor_rejects_non_finite(self, value):
+        w = np.array([[0.0, value], [value, 0.0]])
+        with pytest.raises(GraphFormatError, match="finite"):
             WeightedGraph(w)
 
     def test_loaded_graphs_satisfy_invariants(self, tmp_path, rng):

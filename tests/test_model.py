@@ -22,6 +22,7 @@ from wrdpm import (
     sample_network,
     total_weight,
 )
+from wrdpm.model import derive_seed
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -215,6 +216,12 @@ class TestLogLikelihood:
             for scale in diffs:
                 diffs[scale] += base - log_likelihood(POISSON, [grid * scale], g)
         assert all(total > 0 for total in diffs.values())
+
+
+def test_derive_seed_streams_are_distinct_across_seeds():
+    seeds = {derive_seed(s, i) for s in range(8) for i in range(8)}
+    assert len(seeds) == 64
+    assert derive_seed(3, 5) == derive_seed(3, 5)
 
 
 def test_model_json_roundtrip():
