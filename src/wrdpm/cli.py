@@ -320,7 +320,14 @@ def cmd_sweep(args):
     config = {"d_range": args.d_range, "penalized": args.penalized,
               "l1": args.l1, "l2": args.l2, "max_iter": args.max_iter,
               "tol": args.tol, "init": args.init, "format": args.format}
-    _write_manifest(args.out, "sweep", config, args.seed, [args.graph], outputs, started)
+    solver = {
+        str(rec.d): {"eigensolver": rec.embedding.eigensolver,
+                     "iterations": rec.embedding.iterations,
+                     "converged": rec.embedding.converged}
+        for rec in report.records
+    }
+    _write_manifest(args.out, "sweep", config, args.seed, [args.graph], outputs, started,
+                    solver=solver)
     return 0
 
 

@@ -7,6 +7,7 @@ diagonal update (the free quantity in the fixed point iteration).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,49 +124,115 @@ def _truncated_factor(
     return eigvecs[:, ::-1] * np.sqrt(eigvals), "arpack"
 
 
+# Anderson acceleration of the diagonal map (Walker & Ni 2011, "Anderson
+# acceleration for fixed-point iterations", SIAM J. Numer. Anal. 49).
+# Depth m of the history: over d = 2..8 on the 19 three-block n = 150 graphs
+# of the sweep-150 benchmark the solves took 3236 iterations in all at m = 3,
+# 2565 at m = 5 and 2556 at m = 8 (9362 without acceleration).
+_ANDERSON_DEPTH = 5
+# Largest accelerated step as a multiple of the plain step. Some graphs have
+# no minimizer: the residual keeps falling as a diagonal entry grows without
+# bound (edges 1-3 and 2-3 plus an isolated node, at d = 1). Unbounded steps
+# race along that ray and meet the stopping rule at a point that rounding
+# picks, so relabelling the nodes changed the Gram matrix; bounded steps
+# leave the solve at the iteration cap, as without acceleration. On the
+# sweep-150 graphs a bound of 10 left 3 of 133 solves at the cap and took
+# 3408 iterations; 30 left none and took 2565.
+_ANDERSON_MAX_STEP = 30.0
+# Singular values of the residual differences below this share of the
+# largest are dropped from the least-squares solve. Symmetric or isolated
+# nodes make the differences rank-deficient, and rounding noise in the null
+# directions otherwise steers the step: on the graph above, over all 24 node
+# orders, the Gram matrices at the cap differed by up to 29 % of their
+# largest entry, and by 1.4 % with this cutoff.
+_ANDERSON_RCOND = 1e-10
+# Near the fixed point the residual is flat to second order and rounding
+# moves it by about 1e-14 of its size, so a rise smaller than this share of
+# it is noise, not ascent; rejecting on it made the dense and ARPACK paths
+# take different numbers of steps on the same graph.
+_DESCENT_SLACK = 1e-12
+
+
 def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embedding:
     """Iteratively factor the adjacency matrix at rank d.
 
-    Each step eigentruncates the diagonal-completed matrix to the best
-    rank-d PSD approximation, then feeds the resulting diagonal back in.
-    Convergence is declared when the diagonal stops moving; on hitting the
-    iteration cap the best X seen so far is returned with converged=False.
+    Each step eigentruncates the diagonal-completed matrix A + diag(delta)
+    to the best rank-d PSD approximation X X^T (Scheinerman & Tucker 2010);
+    the plain fixed point map sends delta to g(delta), the squared row norms
+    of X. Anderson acceleration keeps the plain steps f = g(delta) - delta
+    and images g of the last few accepted points, solves a small least-
+    squares problem on their differences and proposes the mixed diagonal;
+    with an empty history the step is the plain one. Two safeguards keep it
+    a descent method: an accelerated step is at most _ANDERSON_MAX_STEP
+    times as long as the plain step |f|, and its point is accepted only if
+    its residual is no higher than the last accepted one (up to a rounding
+    slack of _DESCENT_SLACK of it). Otherwise the history is cleared and the
+    plain step is taken from the last accepted point, whose image is known.
+
+    ``iterations`` counts every eigensolve, rejected steps included, so
+    ``max_iterations`` caps eigensolves. ``residual_history`` holds the
+    residuals of accepted points only, and so does not rise. Convergence is
+    declared at an accepted point whose plain step |f| is below the
+    tolerance; on hitting the iteration cap the best X seen so far is
+    returned with converged=False.
     """
     if config is None:
         config = SolverConfig()
     n = g.n
     if not 1 <= d <= n:
         raise ValueError(f"embedding dimension d={d} outside [1, {n}]")
-    a_hat = g.weights.copy()
     if config.diagonal_init == "degree-mean":
-        diag = g.weights.sum(axis=1) / max(n - 1, 1)
+        trial = g.weights.sum(axis=1) / max(n - 1, 1)
     else:
-        diag = np.zeros(n)
-    np.fill_diagonal(a_hat, diag)
+        trial = np.zeros(n)
+    a_hat = g.weights.copy()
 
-    x = None
     eigensolver = None
     best_x = None
     best_res = np.inf
     history = []
     converged = False
+    # The last accepted point: its diagonal, factor, residual, image g and
+    # plain step f = g - diagonal; and the differences of f and g between
+    # consecutive accepted points, newest last.
+    diag = x = res = image = step = None
+    d_steps = deque(maxlen=_ANDERSON_DEPTH)
+    d_images = deque(maxlen=_ANDERSON_DEPTH)
+    accelerated = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        x, solver = _truncated_factor(a_hat, d, x)
+        np.fill_diagonal(a_hat, trial)
+        trial_x, solver = _truncated_factor(a_hat, d, x)
         # One fallback marks the whole solve.
         if eigensolver != "arpack+dense-fallback":
             eigensolver = solver
-        res = residual(g, x)
+        trial_res = residual(g, trial_x)
+        if accelerated and trial_res > res * (1.0 + _DESCENT_SLACK):
+            d_steps.clear()
+            d_images.clear()
+            trial, accelerated = image, False
+            continue
+        trial_image = np.einsum("ij,ij->i", trial_x, trial_x)
+        trial_step = trial_image - trial
+        if diag is not None:
+            d_steps.append(trial_step - step)
+            d_images.append(trial_image - image)
+        diag, x, res, image, step = trial, trial_x, trial_res, trial_image, trial_step
         history.append(res)
         if res < best_res:
             best_res = res
             best_x = x
-        new_diag = np.einsum("ij,ij->i", x, x)
-        change = np.linalg.norm(new_diag - np.diag(a_hat))
-        np.fill_diagonal(a_hat, new_diag)
+        change = np.linalg.norm(step)
         if change < config.tolerance:
             converged = True
             break
+        trial, accelerated = image, bool(d_steps)
+        if accelerated:
+            gamma = np.linalg.lstsq(np.column_stack(d_steps), step, rcond=_ANDERSON_RCOND)[0]
+            trial = image - np.column_stack(d_images) @ gamma
+            reach = np.linalg.norm(trial - diag) / (_ANDERSON_MAX_STEP * change)
+            if reach > 1.0:
+                trial = diag + (trial - diag) / reach
 
     return Embedding(
         X=canonical_orientation(best_x),

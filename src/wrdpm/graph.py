@@ -9,10 +9,28 @@ from typing import Optional, Sequence
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+# Largest node count a graph file may declare or reference. Graphs are held
+# as dense n x n float64 matrices: at this size one takes 3.2 GB, and embed
+# works on about three of them. The edge-list parser refuses larger graphs
+# before it allocates anything.
+MAX_NODES = 20_000
 
 
 class GraphFormatError(ValueError):
     """A graph file failed to parse or an input violates a graph invariant."""
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the first NaN or infinite entry of ``values``.
+
+    Comparisons with NaN are False, so range and symmetry checks alone let
+    NaN through.
+    """
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        index = tuple(int(i) for i in bad[0])
+        label = ", ".join(map(str, index))
+        raise ValueError(f"{name}[{label}] is {float(values[index])}; entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,7 @@ class SymmetricOffDiagonal:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected square matrix, got shape {m.shape}")
+        _require_finite(m, "entries")
         if np.abs(m - m.T).max() > SYMMETRY_TOL:
             raise ValueError("off-diagonal entries must be symmetric")
         m = (m + m.T) / 2.0
@@ -120,6 +139,10 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
                 declared_n = int(line[2:])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad node-count header {line!r}")
+            if declared_n > MAX_NODES:
+                raise GraphFormatError(
+                    f"line {lineno}: n={declared_n} exceeds the limit of {MAX_NODES} nodes"
+                )
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -135,6 +158,10 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
             raise GraphFormatError(f"line {lineno}: negative node id")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop on node {u}")
+        if max(u, v) >= MAX_NODES:
+            raise GraphFormatError(
+                f"line {lineno}: node id {max(u, v)} exceeds the limit of {MAX_NODES} nodes"
+            )
         if not math.isfinite(w):
             raise GraphFormatError(f"line {lineno}: non-finite weight {parts[2]!r}")
         if w < 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymmetricOffDiagonal, WeightedGraph, total_weight
+from .graph import SymmetricOffDiagonal, WeightedGraph, _require_finite, total_weight
 from .model import (
     Constant,
     DomainError,
@@ -130,6 +130,7 @@ class BlockModelSpec:
         b_mat = np.atleast_2d(np.asarray(self.B, dtype=float))
         if b_mat.shape[0] != b_mat.shape[1]:
             raise ValueError("B must be square")
+        _require_finite(b_mat, "B")
         if np.abs(b_mat - b_mat.T).max() > 1e-12:
             raise ValueError("B must be symmetric")
         sizes = tuple(int(z) for z in self.community_sizes)
@@ -185,6 +186,7 @@ class ChungLuSpec:
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        _require_finite(w, "weights")
         if np.any(w <= 0):
             raise ValueError("Chung-Lu weights must be positive")
         w.setflags(write=False)

@@ -64,6 +64,19 @@ class TestGenerate:
                    "--out", str(out), "--seed", "1") == 0
         assert load_graph(out / "graph.edgelist").n == 8
 
+    @pytest.mark.parametrize("builtin, doc, entry", [
+        ("sbm", {"B": [[1.0, float("nan")], [float("nan"), 1.0]], "sizes": [4, 4]}, "B[0, 1]"),
+        ("sbm", {"B": [[float("inf"), 0.1], [0.1, 1.0]], "sizes": [4, 4]}, "B[0, 0]"),
+        ("chung-lu", {"weights": [1.0, float("nan"), 2.0]}, "weights[1]"),
+    ])
+    def test_non_finite_spec_is_data_error(self, tmp_path, capsys, builtin, doc, entry):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+        assert run("generate", "--builtin", builtin, "--spec", str(spec),
+                   "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert entry in err and "finite" in err
+
     def test_model_roundtrip(self, tmp_path):
         out1 = tmp_path / "a"
         assert run("generate", "--builtin", "simple-community", "--n", "15",
@@ -114,6 +127,13 @@ class TestEmbed:
         assert run("embed", "--graph", str(bad), "--d", "1",
                    "--out", str(tmp_path / "x")) == 2
         assert "line 2: non-finite weight" in capsys.readouterr().err
+
+    def test_oversized_graph_is_data_error(self, tmp_path, capsys):
+        big = tmp_path / "big.edgelist"
+        big.write_text("n=99999999999\n0 1 1\n")
+        assert run("embed", "--graph", str(big), "--d", "1",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "line 1: n=99999999999 exceeds" in capsys.readouterr().err
 
     def test_strict_nonconvergence_is_numerical_error(self, tmp_path, clique_path):
         assert run("embed", "--graph", str(clique_path), "--d", "3",
@@ -171,6 +191,17 @@ class TestSweep:
         assert len(lines) == 4
         for d in (2, 3, 4):
             assert (out / f"partition_d{d}.csv").exists()
+
+    def test_manifest_records_solver_per_d(self, tmp_path, clique_path):
+        out = tmp_path / "run"
+        assert run("sweep", "--graph", str(clique_path), "--d-range", "2..4",
+                   "--out", str(out)) == 0
+        solver = json.loads((out / "manifest.json").read_text())["solver"]
+        assert sorted(solver) == ["2", "3", "4"]
+        for entry in solver.values():
+            assert entry["eigensolver"] == "dense"
+            assert entry["iterations"] >= 1
+            assert entry["converged"] is True
 
     def test_singleton_range(self, tmp_path, clique_path):
         out = tmp_path / "run"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wrdpm import SolverConfig, WeightedGraph, embed, embedding, residual
+from wrdpm import SolverConfig, WeightedGraph, dimension_sweep, embed, embedding, residual
 from conftest import bridge_graph, disjoint_cliques, random_integer_graph
 
 
@@ -114,6 +114,70 @@ class TestResidual:
         g = random_integer_graph(rng, 5)
         with pytest.raises(ValueError):
             residual(g, np.zeros((4, 2)))
+
+
+def three_block_sbm(seed, block_size, within=1.0, between=0.1):
+    """Poisson block model with three equal blocks."""
+    b = np.full((3, 3), between)
+    np.fill_diagonal(b, within)
+    z = np.repeat(np.arange(3), block_size)
+    w = np.triu(np.random.default_rng(seed).poisson(b[np.ix_(z, z)]), 1).astype(float)
+    return WeightedGraph(w + w.T)
+
+
+class TestAcceleration:
+    """The Anderson-accelerated diagonal fixed point and its safeguards."""
+
+    def test_star_without_minimizer_stays_unconverged(self):
+        # Edges 1-3 and 2-3 plus an isolated node: at d = 1 the residual keeps
+        # falling as the center's diagonal grows, so there is no fixed point.
+        # Unbounded extrapolation met the stopping rule far out on that ray
+        # at a point rounding picked: converged=True after 54 to 133 steps,
+        # with the center's squared norm anywhere from 623 to 1113 across
+        # the 24 node orders. The step bound keeps every order at the cap,
+        # as the plain iteration does. The position reached on the ray still
+        # carries amplified rounding, so the orders agree to a few percent
+        # (1.4 % over all 24 orders when written), not to rounding.
+        w = np.zeros((4, 4))
+        w[1, 3] = w[3, 1] = w[2, 3] = w[3, 2] = 1.0
+        grams = []
+        for perm in [(0, 1, 2, 3), (3, 2, 1, 0), (1, 2, 0, 3), (0, 3, 1, 2)]:
+            p = np.array(perm)
+            emb = embed(WeightedGraph(w[np.ix_(p, p)]), 1)
+            assert not emb.converged
+            assert emb.iterations == SolverConfig().max_iterations
+            back = np.argsort(p)
+            grams.append((emb.X @ emb.X.T)[np.ix_(back, back)])
+        for gram in grams[1:]:
+            np.testing.assert_allclose(gram, grams[0], atol=3e-2 * np.abs(grams[0]).max())
+
+    def test_residual_monotone_on_arpack_path(self):
+        # On this graph one accelerated step raises the residual and is
+        # rejected, so the history skips it.
+        g = three_block_sbm(4, 100)
+        emb = embed(g, 6)
+        assert emb.eigensolver == "arpack"
+        assert emb.converged
+        assert emb.iterations > len(emb.residual_history)
+        hist = np.array(emb.residual_history)
+        assert (np.diff(hist) <= 1e-9).all()
+
+    def test_rejected_steps_count_against_the_cap(self):
+        # The full solve rejects one step, so a cap one below its count
+        # stops it short of convergence only if rejected steps count.
+        g = three_block_sbm(4, 100)
+        full = embed(g, 6)
+        capped = embed(g, 6, SolverConfig(max_iterations=full.iterations - 1))
+        assert not capped.converged
+        assert capped.iterations == full.iterations - 1
+
+    def test_sweep_takes_at_most_half_the_plain_iterations(self):
+        # Without acceleration this sweep took 276 iterations
+        # (18, 9, 21, 43, 65, 69, 51 for d = 2..8).
+        report = dimension_sweep(three_block_sbm(0, 50), range(2, 9))
+        assert all(rec.embedding.converged for rec in report.records)
+        assert sum(rec.embedding.iterations for rec in report.records) <= 276 // 2
+        assert report.selected_d == 3
 
 
 def test_solver_config_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wrdpm import GraphFormatError, WeightedGraph, load_graph, save_graph, total_weight
+from wrdpm import GraphFormatError, WeightedGraph, graph, load_graph, save_graph, total_weight
 from conftest import disjoint_cliques, random_integer_graph
 
 
@@ -48,6 +48,25 @@ class TestLoadEdgeList:
     def test_parse_error_reports_line(self, tmp_path):
         with pytest.raises(GraphFormatError, match="line 3"):
             load_graph(write(tmp_path, "0 1 2\n1 2 3\nnot an edge\n"))
+
+    # Sizes far past the limit, so a parser without the guard fails at once
+    # rather than allocating.
+    def test_oversized_header_rejected(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="line 2: n=10000000000 exceeds"):
+            load_graph(write(tmp_path, "# big\nn=10000000000\n0 1 1\n"))
+
+    @pytest.mark.parametrize("edge", ["0 10000000000 1", "10000000000 3 1"])
+    def test_oversized_node_id_rejected(self, tmp_path, edge):
+        with pytest.raises(GraphFormatError, match="line 2: node id 10000000000 exceeds"):
+            load_graph(write(tmp_path, f"0 1 2\n{edge}\n"))
+
+    def test_limit_is_inclusive_of_max_nodes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_NODES", 5)
+        assert load_graph(write(tmp_path, "n=5\n0 4 1\n")).n == 5
+        with pytest.raises(GraphFormatError, match="line 1: n=6 exceeds the limit of 5"):
+            load_graph(write(tmp_path, "n=6\n"))
+        with pytest.raises(GraphFormatError, match="line 1: node id 5 exceeds"):
+            load_graph(write(tmp_path, "0 5 1\n"))
 
     def test_declared_n_too_small(self, tmp_path):
         with pytest.raises(GraphFormatError):

@@ -224,6 +224,29 @@ class TestMakeChungLu:
         assert np.abs(grid - expected).max() < 1e-12
 
 
+class TestNonFiniteEntries:
+    """NaN fails every comparison, so range and symmetry checks let it through."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_off_diagonal(self, bad):
+        m = np.zeros((3, 3))
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(ValueError, match=r"entries\[1, 2\] is (nan|inf); entries must be finite"):
+            SymmetricOffDiagonal(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_matrix(self, bad):
+        b = B_EXAMPLE.copy()
+        b[0, 2] = b[2, 0] = bad
+        with pytest.raises(ValueError, match=r"B\[0, 2\] is (nan|inf)"):
+            BlockModelSpec(b, (2, 2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_chung_lu_weights(self, bad):
+        with pytest.raises(ValueError, match=r"weights\[1\] is (nan|inf)"):
+            ChungLuSpec(np.array([1.0, bad, 2.0]))
+
+
 def test_corollary_roundtrip_random_parameters(rng):
     # arbitrary in-domain edge parameters are reproduced exactly off-diagonal
     for _ in range(30):
