@@ -29,7 +29,6 @@ from .model import (
     AxisNoise,
     Constant,
     DomainError,
-    DrawnVectors,
     EdgeDistribution,
     FiniteSupport,
     LatentModel,

@@ -15,7 +15,6 @@ import numpy as np
 
 from .graph import WeightedGraph, total_weight
 from .model import (
-    DrawnVectors,
     EdgeDistribution,
     derive_seed,
     dot_product_grid,
@@ -94,13 +93,20 @@ class NullEnsembleReport:
         )
 
 
+def _node_vectors(x: np.ndarray, g: WeightedGraph) -> np.ndarray:
+    """The vectors x as an n x d matrix, one row per node of g."""
+    xm = np.atleast_2d(np.asarray(x, dtype=float))
+    if xm.shape[0] != g.n:
+        raise ValueError(f"embedding has {xm.shape[0]} rows for a {g.n}-node graph")
+    return xm
+
+
 def evaluate_null_likelihood(
     g: WeightedGraph, x: np.ndarray, family: str = "poisson", clamp: bool = False
 ) -> float:
     """Log-likelihood of g under the dot-product grid of the vectors x."""
-    vectors = DrawnVectors((np.atleast_2d(np.asarray(x, dtype=float)),))
-    grid = dot_product_grid(vectors, 0)
-    return log_likelihood(EdgeDistribution(family), [grid], g, clamp=clamp)
+    grid = dot_product_grid(_node_vectors(x, g))
+    return log_likelihood(EdgeDistribution(family), grid, g, clamp=clamp)
 
 
 def null_compare(
@@ -130,28 +136,24 @@ def null_compare(
 
     dist = EdgeDistribution("poisson")
     if null == "poisson_er":
-        model = fit_poisson_er(g)
-        vectors = draw_vectors(model, seed)
+        vectors = draw_vectors(fit_poisson_er(g), seed)
+    elif x is None:
+        raise ValueError("dot_product null requires embedding vectors")
     else:
-        if x is None:
-            raise ValueError("dot_product null requires embedding vectors")
-        xm = np.atleast_2d(np.asarray(x, dtype=float))
-        if xm.shape[0] != g.n:
-            raise ValueError("embedding rows must match the node count")
-        vectors = DrawnVectors((xm,))
-    grid = dist.clamp(dot_product_grid(vectors, 0))
+        vectors = _node_vectors(x, g)
+    grid = dist.clamp(dot_product_grid(vectors))
 
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
             return weighted_clustering(graph)[1]
         if statistic == "total_weight":
             return total_weight(graph)
-        return log_likelihood(dist, [grid], graph, clamp=True)
+        return log_likelihood(dist, grid, graph, clamp=True)
 
     observed = score(g)
     samples = []
     for i in range(n_samples):
-        sample = sample_from_grids(dist, [grid], seed=derive_seed(seed, i), clamp=True)
+        sample = sample_from_grids(dist, grid, seed=derive_seed(seed, i), clamp=True)
         samples.append(score(sample))
     return NullEnsembleReport(
         statistic=statistic,

@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import hashlib
+import itertools
 import json
 import os
 import sys
@@ -61,77 +63,112 @@ def _default_seed(value):
     return 0
 
 
-def _write_manifest(out_dir, subcommand, config, seed, inputs, outputs, started,
-                    solver=None):
-    manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": outputs,
-        "version": _version(),
-        "duration_seconds": time.perf_counter() - started,
-    }
-    if solver is not None:
-        manifest["solver"] = solver
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+def _sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
-def _save_matrix(path, m):
-    np.savetxt(path, np.atleast_2d(m), delimiter=",", fmt="%.17g")
+class _RunFiles:
+    """The files one command reads and writes, as its manifest lists them.
+
+    Commands write data files only through `save`, which makes the output
+    directory and records the name, so the manifest's outputs are exactly
+    the files written. Each writer streams to the path it is given.
+    """
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.inputs = []
+        self.outputs = []
+
+    def read(self, path):
+        """Record ``path`` as an input of the run and return it."""
+        self.inputs.append(path)
+        return path
+
+    def save(self, name, writer):
+        """Write data file ``name`` by calling ``writer(path)``."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        writer(os.path.join(self.out_dir, name))
+        self.outputs.append(name)
+
+    def save_lines(self, name, lines):
+        def write(path):
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(lines)
+
+        self.save(name, write)
+
+    def save_json(self, name, doc):
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        self.save_lines(name, itertools.chain(chunks, ["\n"]))
+
+    def save_matrix(self, name, m):
+        self.save(name, lambda path: np.savetxt(
+            path, np.atleast_2d(m), delimiter=",", fmt="%.17g"))
+
+    def write_manifest(self, subcommand, seed, fields, started):
+        """Write manifest.json; ``fields`` holds the command's config (and solver)."""
+        manifest = {
+            "subcommand": subcommand,
+            **fields,
+            "seed": seed,
+            "inputs": self.inputs,
+            "input_sha256": {path: _sha256(path) for path in self.inputs},
+            "outputs": self.outputs,
+            "version": _version(),
+            "duration_seconds": time.perf_counter() - started,
+        }
+        with open(os.path.join(self.out_dir, "manifest.json"), "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2)
+            f.write("\n")
 
 
-def _graph_filename(fmt: str) -> str:
-    return "graph.edgelist" if fmt == "edge-list" else "graph.csv"
-
-
-def _load_graph_arg(args) -> graph.WeightedGraph:
-    return graph.load_graph(args.graph, args.format)
+def _load_graph_arg(args, files) -> graph.WeightedGraph:
+    return graph.load_graph(files.read(args.graph), args.format)
 
 
 def _load_embedding_csv(path) -> np.ndarray:
     return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
-def _write_partition_csv(path, part: community.Partition):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("node,community\n")
-        for j, c in enumerate(part.assignment):
-            f.write(f"{j},{int(c)}\n")
+def _partition_rows(part: community.Partition):
+    yield "node,community\n"
+    for j, c in enumerate(part.assignment):
+        yield f"{j},{int(c)}\n"
+
+
+def _require_dims(ds, g: graph.WeightedGraph, flag: str):
+    if not all(1 <= d <= g.n for d in ds):
+        raise UsageError(f"{flag} must be in [1, {g.n}]")
 
 
 # ---------------------------------------------------------------------------
 # Builtin model construction
 
-def _builtin_model(args) -> model.LatentModel:
+def _builtin_model(args, files) -> model.LatentModel:
     name = args.builtin
-    n = args.n
-    if name == "simple-community":
-        return model.LatentModel(
-            model.EdgeDistribution("poisson"),
-            n if n else 150,
-            (model.AxisNoise(d=args.d or 3, sigma2=args.sigma2),),
-        )
-    if name == "multiresolution":
-        return model.LatentModel(
-            model.EdgeDistribution("poisson"),
-            n if n else 150,
-            (model.MultiresolutionAxis(
-                d=args.d or 3, sigma2=args.sigma2, exp_mean=args.exp_mean
-            ),),
-        )
+    n = 150 if args.n is None else args.n
+    if name in ("simple-community", "multiresolution"):
+        d = 3 if args.d is None else args.d
+        if name == "simple-community":
+            source = model.AxisNoise(d=d, sigma2=args.sigma2)
+        else:
+            source = model.MultiresolutionAxis(d=d, sigma2=args.sigma2, exp_mean=args.exp_mean)
+        return model.LatentModel(model.EdgeDistribution("poisson"), n, source)
+    d = 1 if args.d is None else args.d
     if name in ("er", "poisson-er"):
         if args.param is None:
             raise UsageError(f"builtin {name!r} requires --param")
         family = "poisson" if name == "poisson-er" else (args.family or "bernoulli")
-        return specialize.make_er(n if n else 150, family, args.param, d=args.d or 1)
+        return specialize.make_er(n, family, args.param, d=d)
     if name in ("sbm", "chung-lu"):
         if not args.spec:
             raise UsageError(f"builtin {name!r} requires --spec <json file>")
-        with open(args.spec, encoding="utf-8") as f:
+        with open(files.read(args.spec), encoding="utf-8") as f:
             doc = json.load(f)
         family = args.family or doc.get("family", "poisson")
         if name == "sbm":
@@ -142,40 +179,30 @@ def _builtin_model(args) -> model.LatentModel:
                 spec, family, magnitude_normalization=bool(doc.get("normalize", False))
             )
         spec = specialize.ChungLuSpec(np.array(doc["weights"], dtype=float))
-        return specialize.make_chung_lu(spec, family, d=int(doc.get("d", args.d or 1)))
+        return specialize.make_chung_lu(spec, family, d=int(doc.get("d", d)))
     raise UsageError(f"unknown builtin {name!r}; valid: {', '.join(BUILTINS)}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its data files through ``files`` and returns the
+# manifest fields it adds: its config, and for solves the solver trace.
 
-def cmd_generate(args):
-    started = time.perf_counter()
+def cmd_generate(args, files):
     if bool(args.model) == bool(args.builtin):
         raise UsageError("generate needs exactly one of --model or --builtin")
     if args.model:
-        with open(args.model, encoding="utf-8") as f:
+        with open(files.read(args.model), encoding="utf-8") as f:
             m = model.LatentModel.from_json(f.read())
     else:
-        m = _builtin_model(args)
-    seed = args.seed
-    vectors = model.draw_vectors(m, seed)
-    g = model.sample_network(m, vectors, seed + 1, clamp=args.clamp)
+        m = _builtin_model(args, files)
+    vectors = model.draw_vectors(m, args.seed)
+    g = model.sample_network(m, vectors, args.seed + 1, clamp=args.clamp)
 
-    os.makedirs(args.out, exist_ok=True)
-    graph_file = _graph_filename(args.format)
-    graph.save_graph(g, os.path.join(args.out, graph_file), args.format)
-    outputs = [graph_file, "model.json"]
-    with open(os.path.join(args.out, "model.json"), "w", encoding="utf-8") as f:
-        f.write(m.to_json())
-        f.write("\n")
-    for i, mat in enumerate(vectors.matrices):
-        name = f"vectors_{i}.csv"
-        _save_matrix(os.path.join(args.out, name), mat)
-        outputs.append(name)
-        grid_name = f"grid_{i}.csv"
-        _save_matrix(os.path.join(args.out, grid_name), model.dot_product_grid(vectors, i))
-        outputs.append(grid_name)
+    files.save("graph.edgelist" if args.format == "edge-list" else "graph.csv",
+               lambda path: graph.save_graph(g, path, args.format))
+    files.save_lines("model.json", [m.to_json(), "\n"])
+    files.save_matrix("vectors_0.csv", vectors)
+    files.save_matrix("grid_0.csv", model.dot_product_grid(vectors))
     config = {
         "model": args.model,
         "builtin": args.builtin,
@@ -183,8 +210,7 @@ def cmd_generate(args):
         "format": args.format,
         "clamp": args.clamp,
     }
-    _write_manifest(args.out, "generate", config, seed, [args.model or args.spec], outputs, started)
-    return 0
+    return {"config": config}
 
 
 def _solver_config(args) -> embedding.SolverConfig:
@@ -195,6 +221,10 @@ def _solver_config(args) -> embedding.SolverConfig:
     )
 
 
+def _solver_flags(args) -> dict:
+    return {"max_iter": args.max_iter, "tol": args.tol, "init": args.init}
+
+
 def _check_convergence(emb: embedding.Embedding, strict: bool):
     if not emb.converged:
         msg = f"embedding did not converge in {emb.iterations} iterations"
@@ -203,68 +233,40 @@ def _check_convergence(emb: embedding.Embedding, strict: bool):
         print(f"warning: {msg}", file=sys.stderr)
 
 
-def _write_embedding(out_dir, emb: embedding.Embedding):
-    _save_matrix(os.path.join(out_dir, "embedding.csv"), emb.X)
-    sidecar = {
+def _save_embedding(files, emb: embedding.Embedding):
+    files.save_matrix("embedding.csv", emb.X)
+    files.save_json("embedding.json", {
         "d": emb.d,
         "residual": emb.residual,
         "iterations": emb.iterations,
         "converged": emb.converged,
-    }
-    with open(os.path.join(out_dir, "embedding.json"), "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2)
-        f.write("\n")
+    })
 
 
-def cmd_embed(args):
-    started = time.perf_counter()
-    g = _load_graph_arg(args)
-    if not 1 <= args.d <= g.n:
-        raise UsageError(f"--d must be in [1, {g.n}]")
+def cmd_embed(args, files):
+    g = _load_graph_arg(args, files)
+    _require_dims([args.d], g, "--d")
     emb = embedding.embed(g, args.d, _solver_config(args))
     _check_convergence(emb, args.strict)
-    os.makedirs(args.out, exist_ok=True)
-    _write_embedding(args.out, emb)
-    config = {
-        "d": args.d,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "init": args.init,
-        "format": args.format,
-    }
-    _write_manifest(
-        args.out, "embed", config, args.seed, [args.graph],
-        ["embedding.csv", "embedding.json"], started,
-        solver={"eigensolver": emb.eigensolver},
-    )
-    return 0
+    _save_embedding(files, emb)
+    config = {"d": args.d, **_solver_flags(args), "format": args.format}
+    return {"config": config, "solver": {"eigensolver": emb.eigensolver}}
 
 
-def cmd_cluster(args):
-    started = time.perf_counter()
-    g = _load_graph_arg(args)
-    if not 1 <= args.d <= g.n:
-        raise UsageError(f"--d must be in [1, {g.n}]")
-    k = args.k if args.k else args.d
+def cmd_cluster(args, files):
+    g = _load_graph_arg(args, files)
+    _require_dims([args.d], g, "--d")
+    k = args.d if args.k is None else args.k
     emb = embedding.embed(g, args.d, _solver_config(args))
     _check_convergence(emb, args.strict)
     part = community.angular_kmeans(emb.X, k, seed=args.seed)
     s = community.stress(emb.X, part)
-    os.makedirs(args.out, exist_ok=True)
-    _write_embedding(args.out, emb)
-    _write_partition_csv(os.path.join(args.out, "partition.csv"), part)
-    _save_matrix(os.path.join(args.out, "centrality.csv"), community.centrality(emb.X)[:, None])
-    with open(os.path.join(args.out, "cluster.json"), "w", encoding="utf-8") as f:
-        json.dump({"d": args.d, "k": k, "stress": s, "residual": emb.residual}, f, indent=2)
-        f.write("\n")
-    config = {"d": args.d, "k": k, "max_iter": args.max_iter, "tol": args.tol,
-              "init": args.init, "format": args.format}
-    _write_manifest(
-        args.out, "cluster", config, args.seed, [args.graph],
-        ["embedding.csv", "embedding.json", "partition.csv", "centrality.csv", "cluster.json"],
-        started, solver={"eigensolver": emb.eigensolver},
-    )
-    return 0
+    _save_embedding(files, emb)
+    files.save_lines("partition.csv", _partition_rows(part))
+    files.save_matrix("centrality.csv", community.centrality(emb.X)[:, None])
+    files.save_json("cluster.json", {"d": args.d, "k": k, "stress": s, "residual": emb.residual})
+    config = {"d": args.d, "k": k, **_solver_flags(args), "format": args.format}
+    return {"config": config, "solver": {"eigensolver": emb.eigensolver}}
 
 
 def _parse_d_range(text: str) -> list[int]:
@@ -280,10 +282,10 @@ def _parse_d_range(text: str) -> list[int]:
         raise UsageError(f"bad --d-range {text!r}; expected 'lo..hi' or 'd1,d2,...'")
 
 
-def cmd_sweep(args):
-    started = time.perf_counter()
-    g = _load_graph_arg(args)
+def cmd_sweep(args, files):
+    g = _load_graph_arg(args, files)
     ds = _parse_d_range(args.d_range)
+    _require_dims(ds, g, "every --d-range value")
     if args.penalized and (args.l1 is None or args.l2 is None):
         raise UsageError("--penalized requires explicit --l1 and --l2")
     report = community.dimension_sweep(
@@ -294,93 +296,77 @@ def cmd_sweep(args):
     )
     if args.strict and any(not r.embedding.converged for r in report.records):
         raise NumericalError("one or more sweep embeddings did not converge")
-    os.makedirs(args.out, exist_ok=True)
-    outputs = ["stress.csv", "report.json", "centrality.csv"]
-    with open(os.path.join(args.out, "stress.csv"), "w", encoding="utf-8") as f:
-        f.write("d,stress,penalized_stress,residual\n")
+
+    def stress_rows():
+        yield "d,stress,penalized_stress,residual\n"
         for rec in report.records:
             sf = "" if rec.penalized_stress is None else repr(rec.penalized_stress)
-            f.write(f"{rec.d},{rec.stress!r},{sf},{rec.residual!r}\n")
+            yield f"{rec.d},{rec.stress!r},{sf},{rec.residual!r}\n"
+
+    files.save_lines("stress.csv", stress_rows())
     for rec in report.records:
-        name = f"partition_d{rec.d}.csv"
-        _write_partition_csv(os.path.join(args.out, name), rec.partition)
-        outputs.append(name)
+        files.save_lines(f"partition_d{rec.d}.csv", _partition_rows(rec.partition))
     sel = report.selected
-    _save_matrix(
-        os.path.join(args.out, "centrality.csv"),
-        community.centrality(sel.embedding.X)[:, None],
-    )
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
-        json.dump(
-            {"selected_d": report.selected_d, "stress": sel.stress,
-             "penalized_stress": sel.penalized_stress, "residual": sel.residual},
-            f, indent=2,
-        )
-        f.write("\n")
+    files.save_matrix("centrality.csv", community.centrality(sel.embedding.X)[:, None])
+    files.save_json("report.json", {
+        "selected_d": report.selected_d, "stress": sel.stress,
+        "penalized_stress": sel.penalized_stress, "residual": sel.residual,
+    })
     config = {"d_range": args.d_range, "penalized": args.penalized,
-              "l1": args.l1, "l2": args.l2, "max_iter": args.max_iter,
-              "tol": args.tol, "init": args.init, "format": args.format}
+              "l1": args.l1, "l2": args.l2, **_solver_flags(args), "format": args.format}
     solver = {
         str(rec.d): {"eigensolver": rec.embedding.eigensolver,
                      "iterations": rec.embedding.iterations,
                      "converged": rec.embedding.converged}
         for rec in report.records
     }
-    _write_manifest(args.out, "sweep", config, args.seed, [args.graph], outputs, started,
-                    solver=solver)
-    return 0
+    return {"config": config, "solver": solver}
 
 
-def cmd_null(args):
-    started = time.perf_counter()
-    g = _load_graph_arg(args)
+def cmd_null(args, files):
+    g = _load_graph_arg(args, files)
     x = None
     if args.null == "dot_product":
         if not args.embedding:
             raise UsageError("--null dot_product requires --embedding <csv>")
-        x = _load_embedding_csv(args.embedding)
-    try:
-        report = analysis.null_compare(
-            g, null=args.null, statistic=args.statistic,
-            n_samples=args.samples, seed=args.seed, x=x,
-        )
-    except ValueError as exc:
-        if "unknown statistic" in str(exc) or "unknown null" in str(exc):
-            raise UsageError(str(exc))
-        raise
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "null.json"), "w", encoding="utf-8") as f:
-        f.write(report.to_json())
-        f.write("\n")
+        x = _load_embedding_csv(files.read(args.embedding))
+    report = analysis.null_compare(
+        g, null=args.null, statistic=args.statistic,
+        n_samples=args.samples, seed=args.seed, x=x,
+    )
+    files.save_lines("null.json", [report.to_json(), "\n"])
     config = {"null": args.null, "statistic": args.statistic,
               "samples": args.samples, "format": args.format,
               "embedding": args.embedding}
-    _write_manifest(args.out, "null", config, args.seed, [args.graph], ["null.json"], started)
-    return 0
+    return {"config": config}
 
 
-def cmd_likelihood(args):
-    started = time.perf_counter()
-    g = _load_graph_arg(args)
-    x = _load_embedding_csv(args.embedding)
+def cmd_likelihood(args, files):
+    g = _load_graph_arg(args, files)
+    x = _load_embedding_csv(files.read(args.embedding))
     value = analysis.evaluate_null_likelihood(g, x, family=args.family, clamp=args.clamp)
     print(value)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "likelihood.json"), "w", encoding="utf-8") as f:
-            json.dump({"family": args.family, "log_likelihood": value}, f, indent=2)
-            f.write("\n")
-        config = {"family": args.family, "clamp": args.clamp, "format": args.format}
-        _write_manifest(args.out, "likelihood", config, args.seed,
-                        [args.graph, args.embedding], ["likelihood.json"], started)
-    return 0
+        files.save_json("likelihood.json", {"family": args.family, "log_likelihood": value})
+    config = {"family": args.family, "clamp": args.clamp, "format": args.format}
+    return {"config": config}
 
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, need_graph=True):
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_common(p, need_graph=True, out_required=True):
     p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: WRDPM_SEED, then 0)")
-    p.add_argument("--out", required=not p.prog.endswith("likelihood"), default=None)
+    p.add_argument("--out", required=out_required, default=None)
     p.add_argument("--format", choices=["edge-list", "dense"], default="edge-list")
     if need_graph:
         p.add_argument("--graph", required=True, help="input graph file")
@@ -402,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, need_graph=False)
     p.add_argument("--model", help="latent model JSON file")
     p.add_argument("--builtin", choices=BUILTINS)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--d", type=_positive_int, default=None)
     p.add_argument("--family", choices=["bernoulli", "poisson"], default=None)
     p.add_argument("--param", type=float, default=None, help="ER edge parameter")
     p.add_argument("--sigma2", type=float, default=0.01,
@@ -417,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="fit latent vectors to a graph")
     _add_common(p)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     _add_solver(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("cluster", help="embed and cluster by vector direction")
     _add_common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="cluster count (default: d)")
+    p.add_argument("--d", type=_positive_int, required=True)
+    p.add_argument("--k", type=_positive_int, default=None, help="cluster count (default: d)")
     _add_solver(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -440,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("null", help="compare a graph against a null ensemble")
     _add_common(p)
     p.add_argument("--null", choices=list(analysis.NULL_KINDS), default="poisson_er")
-    p.add_argument("--statistic", default="avg_weighted_clustering",
-                   help=f"one of: {', '.join(analysis.STATISTICS)}")
+    p.add_argument("--statistic", choices=analysis.STATISTICS,
+                   default="avg_weighted_clustering")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--embedding", help="embedding CSV for the dot_product null")
     p.set_defaults(func=cmd_null)
 
     p = sub.add_parser("likelihood", help="log-likelihood of a graph under an embedding")
-    _add_common(p)
+    _add_common(p, out_required=False)
     p.add_argument("--embedding", required=True)
     p.add_argument("--family", choices=["bernoulli", "poisson"], default="poisson")
     p.add_argument("--clamp", action="store_true")
@@ -461,7 +447,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.seed = _default_seed(args.seed)
-        return args.func(args)
+        started = time.perf_counter()
+        files = _RunFiles(args.out)
+        fields = args.func(args, files)
+        if args.out:
+            files.write_manifest(args.command, args.seed, fields, started)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import WeightedGraph
-from .specialize import canonical_orientation
+from .specialize import _eigentruncate, canonical_orientation
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,6 @@ _ARPACK_MIN_N = 256
 _ARPACK_MAX_D_SHARE = 32
 
 
-def _dense_factor(a_hat: np.ndarray, d: int) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(a_hat)
-    eigvals = np.clip(eigvals, 0.0, None)
-    order = np.argsort(eigvals)[::-1][:d]
-    return eigvecs[:, order] * np.sqrt(eigvals[order])
-
-
 def _truncated_factor(
     a_hat: np.ndarray, d: int, prev_x: np.ndarray | None
 ) -> tuple[np.ndarray, str]:
@@ -92,7 +85,7 @@ def _truncated_factor(
     """
     n = a_hat.shape[0]
     if n < _ARPACK_MIN_N or d > n // _ARPACK_MAX_D_SHARE:
-        return _dense_factor(a_hat, d), "dense"
+        return _eigentruncate(a_hat, d)[0], "dense"
     # Imported here: a module-level import costs every small run start-up
     # time and memory.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -115,11 +108,11 @@ def _truncated_factor(
             tol=0.1, v0=rng.standard_normal(n), rng=rng, return_eigenvectors=False,
         )[0]
     except ArpackError:
-        return _dense_factor(a_hat, d), "arpack+dense-fallback"
+        return _eigentruncate(a_hat, d)[0], "arpack+dense-fallback"
     # eigvals is ascending. An eigenvalue of the rest above the smallest one
     # found, and above zero, where the clip makes ties harmless, was missed.
     if rest_top > max(eigvals[0], 0.0) + 1e-9 * np.abs(eigvals).max():
-        return _dense_factor(a_hat, d), "arpack+dense-fallback"
+        return _eigentruncate(a_hat, d)[0], "arpack+dense-fallback"
     eigvals = np.clip(eigvals[::-1], 0.0, None)
     return eigvecs[:, ::-1] * np.sqrt(eigvals), "arpack"
 

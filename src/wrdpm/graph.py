@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class WeightedGraph:
     """
 
     weights: np.ndarray
-    node_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -64,23 +63,10 @@ class WeightedGraph:
             raise GraphFormatError("negative edge weight")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if self.node_labels is not None:
-            labels = tuple(str(s) for s in self.node_labels)
-            if len(labels) != w.shape[0]:
-                raise GraphFormatError(
-                    f"{len(labels)} labels for {w.shape[0]} nodes"
-                )
-            object.__setattr__(self, "node_labels", labels)
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-    def labels(self) -> tuple[str, ...]:
-        """Node labels, defaulting to stringified indices."""
-        if self.node_labels is not None:
-            return self.node_labels
-        return tuple(str(j) for j in range(self.n))
 
     def is_integer_valued(self) -> bool:
         return bool(np.all(self.weights == np.round(self.weights)))
@@ -111,14 +97,6 @@ class SymmetricOffDiagonal:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "SymmetricOffDiagonal":
-        """Take the off-diagonal part of ``m``, discarding its diagonal."""
-        m = np.array(m, dtype=float)
-        out = m.copy()
-        np.fill_diagonal(out, 0.0)
-        return cls(out)
 
 
 def total_weight(g: WeightedGraph) -> float:

@@ -1,18 +1,18 @@
 """Latent vector models and the weighted dot-product generative process.
 
-A model couples an edge-weight distribution family (Bernoulli or Poisson)
-with one vector source per distribution parameter. Sampling proceeds by
-drawing one latent vector per node from each source, forming the pairwise
+A model couples an edge-weight distribution family (Bernoulli or Poisson,
+each with one parameter) with one latent vector source. Sampling proceeds
+by drawing one latent vector per node from the source, forming the pairwise
 dot-product grid, and drawing each edge weight from the distribution
-parametrized by the corresponding grid entries.
+parametrized by the corresponding grid entry.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,10 +39,6 @@ class EdgeDistribution:
     def __post_init__(self):
         if self.family not in ("bernoulli", "poisson"):
             raise ModelError(f"unknown edge distribution family {self.family!r}")
-
-    @property
-    def parameter_count(self) -> int:
-        return 1
 
     def domain_violations(self, params: np.ndarray) -> np.ndarray:
         """Boolean mask of parameter values outside the legal domain.
@@ -318,64 +314,38 @@ def source_from_dict(d: dict):
 
 @dataclass(frozen=True)
 class LatentModel:
-    """Full parameter set: distribution family, node count, one source per parameter."""
+    """Full parameter set: distribution family, node count, vector source.
+
+    The JSON form keeps the source in a one-entry ``sources`` list.
+    """
 
     distribution: EdgeDistribution
     n: int
-    sources: tuple
+    source: Constant | FiniteSupport | AxisNoise | MultiresolutionAxis | Ray
 
     def __post_init__(self):
         if self.n < 1:
             raise ModelError("node count must be positive")
-        srcs = tuple(self.sources)
-        if len(srcs) != self.distribution.parameter_count:
-            raise ModelError(
-                f"{self.distribution.family} needs "
-                f"{self.distribution.parameter_count} sources, got {len(srcs)}"
-            )
-        object.__setattr__(self, "sources", srcs)
 
     def to_json(self) -> str:
         doc = {
             "distribution": {"family": self.distribution.family},
             "n": self.n,
-            "sources": [s.to_dict() for s in self.sources],
+            "sources": [self.source.to_dict()],
         }
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "LatentModel":
         doc = json.loads(text)
+        sources = doc["sources"]
+        if len(sources) != 1:
+            raise ModelError(f"a model has one vector source, got {len(sources)}")
         return cls(
             EdgeDistribution(doc["distribution"]["family"]),
             int(doc["n"]),
-            tuple(source_from_dict(s) for s in doc["sources"]),
+            source_from_dict(sources[0]),
         )
-
-
-@dataclass(frozen=True)
-class DrawnVectors:
-    """One n x d_i matrix per distribution parameter; row j is node j's vector."""
-
-    matrices: tuple
-
-    def __post_init__(self):
-        ms = tuple(np.atleast_2d(np.asarray(m, dtype=float)) for m in self.matrices)
-        if not ms:
-            raise ModelError("at least one vector matrix required")
-        if len({m.shape[0] for m in ms}) != 1:
-            raise ModelError("all vector matrices must share the node count")
-        for m in ms:
-            m.setflags(write=False)
-        object.__setattr__(self, "matrices", ms)
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def k(self) -> int:
-        return len(self.matrices)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -388,52 +358,50 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-def draw_vectors(model: LatentModel, seed: int) -> DrawnVectors:
-    """Draw n latent vectors per parameter space; deterministic given seed."""
-    rng = np.random.default_rng(seed)
-    return DrawnVectors(tuple(s.draw(model.n, rng) for s in model.sources))
+def draw_vectors(model: LatentModel, seed: int) -> np.ndarray:
+    """Draw the read-only n x d vector matrix, row j for node j; deterministic given seed."""
+    x = model.source.draw(model.n, np.random.default_rng(seed))
+    x.setflags(write=False)
+    return x
 
 
-def dot_product_grid(vectors: DrawnVectors, i: int = 0) -> np.ndarray:
-    """Pairwise dot products for parameter space i; diagonal = squared norms."""
-    x = vectors.matrices[i]
+def dot_product_grid(x: np.ndarray) -> np.ndarray:
+    """Pairwise dot products of the rows of x; diagonal = squared norms."""
+    x = np.asarray(x, dtype=float)
     grid = x @ x.T
     return (grid + grid.T) / 2.0
 
 
-def _validate_grids(
-    distribution: EdgeDistribution, grids: Sequence[np.ndarray], clamp: bool
-) -> list[np.ndarray]:
-    out = []
-    for i, grid in enumerate(grids):
-        grid = np.asarray(grid, dtype=float)
-        if clamp:
-            out.append(distribution.clamp(grid))
-            continue
-        off = ~np.eye(grid.shape[0], dtype=bool)
-        bad = distribution.domain_violations(grid) & off
-        if bad.any():
-            j, l = np.argwhere(bad)[0]
-            raise DomainError(
-                f"parameter {i} grid entry ({j},{l}) = {grid[j, l]:g} outside "
-                f"the {distribution.family} domain"
-            )
-        out.append(grid)
-    return out
+def _checked_grid(
+    distribution: EdgeDistribution, grid: np.ndarray, clamp: bool
+) -> np.ndarray:
+    """The grid clamped into the domain, or checked off the diagonal."""
+    grid = np.asarray(grid, dtype=float)
+    if clamp:
+        return distribution.clamp(grid)
+    off = ~np.eye(grid.shape[0], dtype=bool)
+    bad = distribution.domain_violations(grid) & off
+    if bad.any():
+        j, l = np.argwhere(bad)[0]
+        raise DomainError(
+            f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
+            f"the {distribution.family} domain"
+        )
+    return grid
 
 
 def sample_from_grids(
     distribution: EdgeDistribution,
-    grids: Sequence[np.ndarray],
+    grid: np.ndarray,
     seed: int,
     clamp: bool = False,
 ) -> WeightedGraph:
-    """Draw one weighted network with per-edge parameters from the grids."""
-    grids = _validate_grids(distribution, grids, clamp)
-    n = grids[0].shape[0]
+    """Draw one weighted network with per-edge parameters from the grid."""
+    grid = _checked_grid(distribution, grid, clamp)
+    n = grid.shape[0]
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    draws = distribution.sample(grids[0][iu, ju], rng)
+    draws = distribution.sample(grid[iu, ju], rng)
     weights = np.zeros((n, n))
     weights[iu, ju] = draws
     weights += weights.T
@@ -442,39 +410,34 @@ def sample_from_grids(
 
 def sample_network(
     model: LatentModel,
-    vectors: DrawnVectors,
+    vectors: np.ndarray,
     seed: int,
     clamp: bool = False,
 ) -> WeightedGraph:
-    """Draw one weighted network from the dot-product grids of ``vectors``."""
-    if vectors.n != model.n:
-        raise ModelError(f"vectors for {vectors.n} nodes, model has n={model.n}")
-    return sample_from_grids(
-        model.distribution,
-        [dot_product_grid(vectors, i) for i in range(vectors.k)],
-        seed,
-        clamp,
-    )
+    """Draw one weighted network from the dot-product grid of ``vectors``."""
+    if vectors.shape[0] != model.n:
+        raise ModelError(f"vectors for {vectors.shape[0]} nodes, model has n={model.n}")
+    return sample_from_grids(model.distribution, dot_product_grid(vectors), seed, clamp)
 
 
 def log_likelihood(
     distribution: EdgeDistribution,
-    grids: Sequence[np.ndarray],
+    grid: np.ndarray,
     g: WeightedGraph,
     clamp: bool = False,
 ) -> float:
-    """Log probability of the observed weights under the given parameter grids.
+    """Log probability of the observed weights under the given parameter grid.
 
     Returns -inf (with a warning) when any observed edge weight has zero
     probability under its grid entry.
     """
-    if distribution.family in ("bernoulli", "poisson") and not g.is_integer_valued():
+    if not g.is_integer_valued():
         raise ModelError(f"{distribution.family} likelihood needs integer weights")
     if distribution.family == "bernoulli" and np.any(g.weights > 1):
         raise ModelError("bernoulli likelihood needs 0/1 weights")
-    grids = _validate_grids(distribution, grids, clamp)
+    grid = _checked_grid(distribution, grid, clamp)
     iu, ju = np.triu_indices(g.n, k=1)
-    terms = distribution.log_pmf(grids[0][iu, ju], g.weights[iu, ju])
+    terms = distribution.log_pmf(grid[iu, ju], g.weights[iu, ju])
     if np.any(np.isneginf(terms)):
         warnings.warn("zero-probability observation; log-likelihood is -inf")
         return float("-inf")

@@ -64,6 +64,20 @@ def canonical_orientation(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _eigentruncate(m: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """Best rank-d PSD approximation X X^T of the symmetric matrix m.
+
+    Returns X, whose columns are the top d eigenvectors scaled by the square
+    roots of their eigenvalues (negative ones clipped to zero) in descending
+    order, and the smallest eigenvalue of m before clipping.
+    """
+    eigvals, eigvecs = np.linalg.eigh(m)
+    lowest = eigvals[0]
+    eigvals = np.clip(eigvals, 0.0, None)
+    order = np.argsort(eigvals)[::-1][:d]
+    return eigvecs[:, order] * np.sqrt(eigvals[order]), lowest
+
+
 def factor_psd(
     m: np.ndarray, d: int | None = None, tol: float | None = None
 ) -> np.ndarray:
@@ -83,14 +97,11 @@ def factor_psd(
         raise ValueError(f"rank cap d={d} outside [1, {n}]")
     if tol is None:
         tol = 1e-9 * max(np.linalg.norm(m), 1.0)
-    eigvals, eigvecs = np.linalg.eigh(m)
-    if eigvals[0] < -tol:
+    x, lowest = _eigentruncate(m, d)
+    if lowest < -tol:
         raise NotPSDError(
-            f"matrix is not PSD within tolerance: min eigenvalue {eigvals[0]:g}"
+            f"matrix is not PSD within tolerance: min eigenvalue {lowest:g}"
         )
-    eigvals = np.clip(eigvals, 0.0, None)
-    order = np.argsort(eigvals)[::-1][:d]
-    x = eigvecs[:, order] * np.sqrt(eigvals[order])
     return canonical_orientation(x)
 
 
@@ -107,7 +118,7 @@ def make_er(
         raise DomainError(f"parameter {theta} must be nonnegative")
     v = np.zeros(d)
     v[0] = np.sqrt(theta)
-    return LatentModel(dist, n, (Constant(v),))
+    return LatentModel(dist, n, Constant(v))
 
 
 def fit_poisson_er(g: WeightedGraph) -> LatentModel:
@@ -175,7 +186,7 @@ def make_sbm(
     x = factor_psd(b_mat)
     probs = np.asarray(spec.community_sizes, dtype=float) / spec.n
     src = FiniteSupport(x, probs, assignment=spec.assignment())
-    return LatentModel(dist, spec.n, (src,))
+    return LatentModel(dist, spec.n, src)
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,4 @@ def make_chung_lu(
             )
     x0 = np.zeros(d)
     x0[0] = np.sqrt(1.0 / w_sum)
-    return LatentModel(
-        EdgeDistribution(family), spec.n, (Ray(x0, magnitudes=w),)
-    )
+    return LatentModel(EdgeDistribution(family), spec.n, Ray(x0, magnitudes=w))

@@ -130,7 +130,7 @@ def test_criterion_05_completion_roundtrip(theorem_instances):
 
 def test_criterion_06_sbm_grid_law():
     model = make_sbm(BlockModelSpec(B_PAPER, (2, 2, 2)), "poisson")
-    x = model.sources[0].vectors
+    x = model.source.vectors
     report(6, "SBM grid law",
            np.abs(x @ x.T - B_PAPER).max() < 1e-10
            and np.linalg.norm(x @ x.T - B_PAPER) < 1e-10)
@@ -170,7 +170,7 @@ def test_criterion_08_poisson_er_mle():
         n = int(rng.integers(2, 25))
         a = np.triu(rng.integers(0, 7, (n, n)).astype(float), 1)
         g = WeightedGraph(a + a.T)
-        v = fit_poisson_er(g).sources[0].vector
+        v = fit_poisson_er(g).source.vector
         exact = Fraction(int(total_weight(g)), n * (n - 1) // 2)
         # lambda-hat must equal the rational ratio rounded once to float;
         # the model encodes it as sqrt(lambda), so compare on that side
@@ -185,7 +185,7 @@ def test_criterion_09_clustering_direction():
     for seed in range(20):
         for source, counter in ((AxisNoise(3, 0.01), "above"),
                                 (MultiresolutionAxis(3, 0.01, 2.0), "below")):
-            model = LatentModel(dist, 150, (source,))
+            model = LatentModel(dist, 150, source)
             g = sample_network(model, draw_vectors(model, seed), seed + 500)
             rep = null_compare(g, n_samples=100, seed=seed)
             if counter == "above" and rep.observed > rep.null_mean:
@@ -224,15 +224,15 @@ def test_criterion_10_weighted_clustering_oracle():
 
 def test_criterion_11_likelihood_sanity():
     dist = EdgeDistribution("poisson")
-    model = LatentModel(dist, 50, (AxisNoise(3, 0.01),))
+    model = LatentModel(dist, 50, AxisNoise(3, 0.01))
     vectors = draw_vectors(model, seed=11)
     grid = dot_product_grid(vectors)
     wins = 0
     for seed in range(200):
-        g = sample_from_grids(dist, [grid], seed=seed, clamp=True)
-        base = log_likelihood(dist, [grid], g)
-        if (base > log_likelihood(dist, [grid * 1.25], g)
-                and base > log_likelihood(dist, [grid * 0.75], g)):
+        g = sample_from_grids(dist, grid, seed=seed, clamp=True)
+        base = log_likelihood(dist, grid, g)
+        if (base > log_likelihood(dist, grid * 1.25, g)
+                and base > log_likelihood(dist, grid * 0.75, g)):
             wins += 1
     report(11, "likelihood sanity", wins >= 190)
 

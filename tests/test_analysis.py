@@ -96,7 +96,7 @@ class TestWeightedClustering:
 
 
 def simple_community_graph(seed, n=60):
-    m = LatentModel(EdgeDistribution("poisson"), n, (AxisNoise(3, 0.01),))
+    m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
     return sample_network(m, draw_vectors(m, seed), seed + 1)
 
 
@@ -123,13 +123,13 @@ class TestNullCompare:
         assert abs(report.null_mean - lam_total) < 4 * se
 
     def test_dot_product_null_preserves_grid(self):
-        m = LatentModel(EdgeDistribution("poisson"), 20, (AxisNoise(3, 0.01),))
+        m = LatentModel(EdgeDistribution("poisson"), 20, AxisNoise(3, 0.01))
         vecs = draw_vectors(m, seed=7)
         grid = dot_product_grid(vecs)
         g = sample_network(m, vecs, seed=8)
         report = null_compare(
             g, null="dot_product", statistic="total_weight",
-            n_samples=400, seed=2, x=vecs.matrices[0],
+            n_samples=400, seed=2, x=vecs,
         )
         expected = grid[np.triu_indices(20, k=1)].sum()
         se = math.sqrt(expected / 400)
@@ -142,7 +142,7 @@ class TestNullCompare:
 
         model = fit_poisson_er(g)
         grid = dot_product_grid(draw_vectors(model, 0))
-        null_draw = sample_from_grids(EdgeDistribution("poisson"), [grid], seed=99, clamp=True)
+        null_draw = sample_from_grids(EdgeDistribution("poisson"), grid, seed=99, clamp=True)
         report = null_compare(null_draw, n_samples=100, seed=11)
         assert 0.01 < report.quantile < 0.99
 
@@ -182,7 +182,7 @@ class TestNullCompare:
         from wrdpm import fit_poisson_er
 
         grid = dot_product_grid(draw_vectors(fit_poisson_er(g), 1))
-        direct = log_likelihood(EdgeDistribution("poisson"), [grid], g, clamp=True)
+        direct = log_likelihood(EdgeDistribution("poisson"), grid, g, clamp=True)
         assert report.observed == pytest.approx(direct)
 
 

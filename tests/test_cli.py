@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -95,6 +96,13 @@ class TestGenerate:
         bad.write_text("{not json")
         assert run("generate", "--model", str(bad), "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    def test_zero_size_is_usage_error(self, tmp_path, flag):
+        out = tmp_path / "x"
+        assert run("generate", "--builtin", "simple-community", flag, "0",
+                   "--out", str(out)) == 1
+        assert not out.exists()
+
 
 class TestEmbed:
     def test_writes_embedding_and_sidecar(self, tmp_path, clique_path):
@@ -163,6 +171,10 @@ class TestCluster:
         doc = json.loads((out / "cluster.json").read_text())
         assert doc["stress"] == pytest.approx(0.0, abs=1e-6)
 
+    def test_k_zero_is_usage_error(self, tmp_path, clique_path):
+        assert run("cluster", "--graph", str(clique_path), "--d", "3", "--k", "0",
+                   "--out", str(tmp_path / "x")) == 1
+
 
 @pytest.mark.parametrize("command, sizes, d, solver", [
     ("embed", [5, 5, 5], 3, "dense"),
@@ -224,6 +236,15 @@ class TestSweep:
     def test_bad_range_is_usage_error(self, tmp_path, clique_path):
         assert run("sweep", "--graph", str(clique_path), "--d-range", "4..2",
                    "--out", str(tmp_path / "x")) == 1
+
+    @pytest.mark.parametrize("d_range", ["2..40", "0..3"])
+    def test_range_beyond_node_count_is_usage_error(self, tmp_path, clique_path, capsys,
+                                                    d_range):
+        out = tmp_path / "x"
+        assert run("sweep", "--graph", str(clique_path), "--d-range", d_range,
+                   "--out", str(out)) == 1
+        assert "must be in [1, 15]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNull:
@@ -288,6 +309,42 @@ class TestLikelihood:
         assert doc["log_likelihood"] == pytest.approx(
             float(capsys.readouterr().out.strip())
         )
+
+    @pytest.mark.parametrize("rows", [10, 20])
+    def test_embedding_rows_must_match_graph(self, tmp_path, clique_path, capsys, rows):
+        emb = tmp_path / "emb.csv"
+        np.savetxt(emb, np.full((rows, 3), 0.5), delimiter=",")
+        assert run("likelihood", "--graph", str(clique_path),
+                   "--embedding", str(emb), "--clamp") == 2
+        captured = capsys.readouterr()
+        assert f"embedding has {rows} rows for a 15-node graph" in captured.err
+        assert captured.out == ""
+
+
+class TestManifest:
+    def test_embed_records_input_digest(self, tmp_path, clique_path):
+        out = tmp_path / "run"
+        assert run("embed", "--graph", str(clique_path), "--d", "3",
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == [str(clique_path)]
+        digest = hashlib.sha256(clique_path.read_bytes()).hexdigest()
+        assert manifest["input_sha256"] == {str(clique_path): digest}
+
+    def test_generate_builtin_lists_no_input(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("generate", "--builtin", "simple-community", "--n", "10",
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == []
+        assert manifest["input_sha256"] == {}
+
+    def test_outputs_are_the_data_files(self, tmp_path, clique_path):
+        out = tmp_path / "run"
+        assert run("sweep", "--graph", str(clique_path), "--d-range", "2..4",
+                   "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(data_files(out))
 
 
 class TestSeedHandling:

@@ -157,9 +157,6 @@ class TestInvariants:
         with pytest.raises(ValueError):
             g.weights[0, 1] = 7
 
-    def test_default_labels(self):
-        assert disjoint_cliques([3]).labels() == ("0", "1", "2")
-
 
 def test_total_weight_examples():
     assert total_weight(disjoint_cliques([3])) == 3

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from wrdpm import (
     AxisNoise,
     Constant,
     DomainError,
-    DrawnVectors,
     EdgeDistribution,
     FiniteSupport,
     LatentModel,
@@ -29,27 +29,27 @@ BERNOULLI = EdgeDistribution("bernoulli")
 
 
 def poisson_model(source, n):
-    return LatentModel(POISSON, n, (source,))
+    return LatentModel(POISSON, n, source)
 
 
 class TestDrawVectors:
     def test_constant_source(self):
         v = np.array([0.3, 0.4])
         drawn = draw_vectors(poisson_model(Constant(v), 10), seed=1)
-        assert np.array_equal(drawn.matrices[0], np.tile(v, (10, 1)))
+        assert np.array_equal(drawn, np.tile(v, (10, 1)))
 
     def test_degenerate_finite_support_equals_constant(self):
         v = np.array([1.0, 2.0])
         src = FiniteSupport(np.array([v]), np.array([1.0]))
         drawn = draw_vectors(poisson_model(src, 7), seed=3)
-        assert np.array_equal(drawn.matrices[0], np.tile(v, (7, 1)))
+        assert np.array_equal(drawn, np.tile(v, (7, 1)))
 
     def test_axis_noise_clusters_around_basis(self):
         # half-normal mean for scale sqrt(sigma2)
         sigma2 = 0.01
         hmean = math.sqrt(sigma2) * math.sqrt(2 / math.pi)
         drawn = draw_vectors(poisson_model(AxisNoise(3, sigma2), 150), seed=5)
-        x = drawn.matrices[0]
+        x = drawn
         peak = x.max(axis=1)
         rest = (x.sum(axis=1) - peak) / 2
         assert abs(peak.mean() - (1 + hmean)) < 0.05
@@ -61,7 +61,7 @@ class TestDrawVectors:
     def test_multiresolution_axis_magnitudes(self):
         src = MultiresolutionAxis(3, sigma2=0.01, exp_mean=2.0)
         drawn = draw_vectors(poisson_model(src, 4000), seed=11)
-        x = drawn.matrices[0]
+        x = drawn
         # noise coordinates stay below ~0.5, so large entries are axis magnitudes
         noise = np.sort(x, axis=1)[:, :2]
         assert noise.max() < 0.6
@@ -72,14 +72,14 @@ class TestDrawVectors:
         m = poisson_model(AxisNoise(3, 0.01), 50)
         a = draw_vectors(m, seed=42)
         b = draw_vectors(m, seed=42)
-        assert np.array_equal(a.matrices[0], b.matrices[0])
+        assert np.array_equal(a, b)
         c = draw_vectors(m, seed=43)
-        assert not np.array_equal(a.matrices[0], c.matrices[0])
+        assert not np.array_equal(a, c)
 
     def test_ray_fixed_magnitudes(self):
         src = Ray(np.array([0.5]), magnitudes=np.array([1.0, 2.0, 3.0]))
         drawn = draw_vectors(poisson_model(src, 3), seed=0)
-        assert np.allclose(drawn.matrices[0][:, 0], [0.5, 1.0, 1.5])
+        assert np.allclose(drawn[:, 0], [0.5, 1.0, 1.5])
 
     def test_finite_support_probabilities_must_sum_to_one(self):
         with pytest.raises(ModelError):
@@ -88,7 +88,7 @@ class TestDrawVectors:
 
 class TestDotProductGrid:
     def test_orthogonal_unit_vectors(self):
-        vecs = DrawnVectors((np.eye(2),))
+        vecs = np.eye(2)
         grid = dot_product_grid(vecs)
         assert np.allclose(grid, np.eye(2))
 
@@ -96,19 +96,19 @@ class TestDotProductGrid:
         w = np.array([1.0, 2.0, 3.0])
         x0_norm2 = 1.0 / w.sum()
         x = np.outer(w, [np.sqrt(x0_norm2)])
-        grid = dot_product_grid(DrawnVectors((x,)))
+        grid = dot_product_grid(x)
         expected = np.outer(w, w) / w.sum()
         assert np.allclose(grid, expected, atol=1e-14)
 
     def test_symmetry_exact(self, rng):
         x = rng.normal(size=(20, 4))
-        grid = dot_product_grid(DrawnVectors((x,)))
+        grid = dot_product_grid(x)
         assert np.array_equal(grid, grid.T)
 
 
 class TestSampleNetwork:
     def test_bernoulli_near_one_is_nearly_complete(self):
-        m = LatentModel(BERNOULLI, 10, (Constant(np.array([np.sqrt(0.999)])),))
+        m = LatentModel(BERNOULLI, 10, Constant(np.array([np.sqrt(0.999)])))
         vecs = draw_vectors(m, seed=0)
         missing = 0
         for seed in range(100):
@@ -132,7 +132,7 @@ class TestSampleNetwork:
         vecs = draw_vectors(m, seed=9)
         grid = dot_product_grid(vecs)
         g = sample_network(m, vecs, seed=10)
-        x = vecs.matrices[0]
+        x = vecs
         comm = x.argmax(axis=1)
         for a in range(3):
             for b in range(3):
@@ -161,13 +161,13 @@ class TestSampleNetwork:
 
     def test_domain_violation_names_pair(self):
         x = np.array([[1.0], [2.0]])  # bernoulli p = 2 for the pair
-        m = LatentModel(BERNOULLI, 2, (Constant(np.array([1.0])),))
+        m = LatentModel(BERNOULLI, 2, Constant(np.array([1.0])))
         with pytest.raises(DomainError, match=r"\(0,1\) = 2 outside the bernoulli"):
-            sample_network(m, DrawnVectors((x,)), seed=0)
+            sample_network(m, x, seed=0)
 
     def test_clamp_recovers_from_negative_rates(self):
         x = np.array([[1.0], [-1.0], [0.5]])
-        g = sample_from_grids(POISSON, [x @ x.T], seed=3, clamp=True)
+        g = sample_from_grids(POISSON, x @ x.T, seed=3, clamp=True)
         assert g.weights[0, 1] == 0  # rate clamped to zero
 
 
@@ -179,29 +179,29 @@ class TestLogLikelihood:
         g = WeightedGraph(w)
         grid = np.full((n, n), 0.5)
         expected = math.comb(n, 2) * math.log(0.5)
-        assert log_likelihood(BERNOULLI, [grid], g) == pytest.approx(expected)
+        assert log_likelihood(BERNOULLI, grid, g) == pytest.approx(expected)
 
     def test_poisson_zero_weight_unit_rate(self):
         g = WeightedGraph(np.zeros((2, 2)))
         grid = np.ones((2, 2))
-        assert log_likelihood(POISSON, [grid], g) == pytest.approx(-1.0)
+        assert log_likelihood(POISSON, grid, g) == pytest.approx(-1.0)
 
     def test_poisson_weight_three_rate_two(self):
         w = np.array([[0.0, 3.0], [3.0, 0.0]])
         grid = np.full((2, 2), 2.0)
         expected = math.log(4 / 3) - 2  # ln(2^3 e^-2 / 3!)
-        assert log_likelihood(POISSON, [grid], WeightedGraph(w)) == pytest.approx(expected)
+        assert log_likelihood(POISSON, grid, WeightedGraph(w)) == pytest.approx(expected)
 
     def test_impossible_observation_is_neg_inf(self):
         w = np.array([[0.0, 2.0], [2.0, 0.0]])
         grid = np.zeros((2, 2))
         with pytest.warns(UserWarning, match="zero-probability"):
-            assert log_likelihood(POISSON, [grid], WeightedGraph(w), clamp=True) == -np.inf
+            assert log_likelihood(POISSON, grid, WeightedGraph(w), clamp=True) == -np.inf
 
     def test_non_integer_weights_rejected(self):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ModelError):
-            log_likelihood(POISSON, [np.ones((2, 2))], WeightedGraph(w))
+            log_likelihood(POISSON, np.ones((2, 2)), WeightedGraph(w))
 
     def test_mle_consistency_one_parameter_family(self):
         # average log-likelihood is maximized near the sampling rate
@@ -212,9 +212,9 @@ class TestLogLikelihood:
         diffs = {scale: 0.0 for scale in (0.6, 0.8, 1.25, 1.6)}
         for seed in range(50):
             g = sample_network(m, vecs, seed)
-            base = log_likelihood(POISSON, [grid], g)
+            base = log_likelihood(POISSON, grid, g)
             for scale in diffs:
-                diffs[scale] += base - log_likelihood(POISSON, [grid * scale], g)
+                diffs[scale] += base - log_likelihood(POISSON, grid * scale, g)
         assert all(total > 0 for total in diffs.values())
 
 
@@ -234,9 +234,16 @@ def test_model_json_roundtrip():
         Ray(np.array([1.0]), rate=0.5),
     ]
     for src in sources:
-        m = LatentModel(POISSON, 3, (src,))
+        m = LatentModel(POISSON, 3, src)
         restored = LatentModel.from_json(m.to_json())
         assert restored.to_json() == m.to_json()
-        a = draw_vectors(m, seed=8).matrices[0]
-        b = draw_vectors(restored, seed=8).matrices[0]
+        a = draw_vectors(m, seed=8)
+        b = draw_vectors(restored, seed=8)
         assert np.array_equal(a, b)
+
+
+def test_model_json_needs_exactly_one_source():
+    doc = json.loads(poisson_model(AxisNoise(3, 0.01), 3).to_json())
+    for sources in ([], doc["sources"] * 2):
+        with pytest.raises(ModelError, match="one vector source"):
+            LatentModel.from_json(json.dumps({**doc, "sources": sources}))

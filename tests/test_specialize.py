@@ -103,11 +103,11 @@ class TestFactorPsd:
 class TestMakeEr:
     def test_bernoulli_quarter(self):
         m = make_er(5, "bernoulli", 0.25, d=1)
-        assert m.sources[0].vector[0] == pytest.approx(0.5)
+        assert m.source.vector[0] == pytest.approx(0.5)
 
     def test_poisson_norm(self):
         m = make_er(5, "poisson", 4.0, d=2)
-        v = m.sources[0].vector
+        v = m.source.vector
         assert np.dot(v, v) == pytest.approx(4.0)
 
     def test_grid_is_constant(self):
@@ -128,7 +128,7 @@ class TestFitPoissonEr:
         w[1, 2] = w[2, 1] = 3
         w[0, 2] = w[2, 0] = 1
         m = fit_poisson_er(WeightedGraph(w))
-        v = m.sources[0].vector
+        v = m.source.vector
         assert np.dot(v, v) == pytest.approx(2.0)
 
     def test_empty_graph_degenerate(self):
@@ -145,7 +145,7 @@ class TestFitPoissonEr:
             w = np.triu(w, 1)
             g = WeightedGraph(w + w.T)
             m = fit_poisson_er(g)
-            v = m.sources[0].vector
+            v = m.source.vector
             lam = float(np.dot(v, v))
             exact = Fraction(int(total_weight(g)), n * (n - 1) // 2)
             assert lam == pytest.approx(float(exact), rel=1e-15)
@@ -155,7 +155,7 @@ class TestMakeSbm:
     def test_paper_block_matrix_grid(self):
         spec = BlockModelSpec(B_EXAMPLE, (2, 2, 2))
         m = make_sbm(spec, "poisson")
-        vecs = m.sources[0].vectors
+        vecs = m.source.vectors
         assert np.abs(vecs @ vecs.T - B_EXAMPLE).max() < 1e-10
 
     def test_all_ones_collapses_to_er(self):
@@ -191,7 +191,7 @@ class TestMakeSbm:
     def test_magnitude_normalization_equalizes_lengths(self):
         spec = BlockModelSpec(np.array([[0.0, 1.0], [1.0, 0.0]]), (3, 3))
         m = make_sbm(spec, "poisson", magnitude_normalization=True)
-        vecs = m.sources[0].vectors
+        vecs = m.source.vectors
         lengths = np.linalg.norm(vecs, axis=1)
         assert np.allclose(lengths, lengths[0])
         grid = dot_product_grid(draw_vectors(m, 0))
