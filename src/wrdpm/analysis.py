@@ -35,10 +35,18 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     triangle of (w_jl + w_jh)/2, with s_j the strength and k_j the binary
     degree. Nodes of degree < 2 get zero. Reduces to the classical local
     clustering coefficient on 0/1 weights.
+
+    The 0/1 adjacency is held in float32, so its square runs as a
+    single-precision product at half the memory traffic. It is still exact:
+    each entry of A^2 counts common neighbors, an integer at most n, and
+    float32 represents every integer up to 2^24, above ``graph.MAX_NODES``;
+    the partial sums of that product are such integers as well. So the
+    counts, and the float64 arithmetic after them, match a float64 product
+    bit for bit.
     """
     w = g.weights
-    a = (w > 0).astype(float)
-    degree = a.sum(axis=1)
+    a = (w > 0).astype(np.float32)
+    degree = a.sum(axis=1, dtype=float)
     strength = w.sum(axis=1)
     # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
     # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.

@@ -75,11 +75,18 @@ def _lloyd_spherical(
     for _ in range(max_iter):
         sims = xn @ centroids.T
         new_assignment = np.argmax(sims, axis=1)
-        # Re-seed empty clusters with the point farthest from its centroid.
-        for c in range(k):
-            if not np.any(new_assignment == c):
-                worst = int(np.argmin(sims[np.arange(len(xn)), new_assignment]))
-                new_assignment[worst] = c
+        # Re-seed each empty cluster with the point farthest from its
+        # centroid, among points whose cluster keeps another member. A moved
+        # point is then a singleton, so no later move takes it. Some cluster
+        # holds two points whenever one is empty, since n >= k.
+        sizes = np.bincount(new_assignment, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            fit = sims[np.arange(len(xn)), new_assignment]
+            fit[sizes[new_assignment] < 2] = np.inf
+            worst = int(np.argmin(fit))
+            sizes[new_assignment[worst]] -= 1
+            sizes[c] = 1
+            new_assignment[worst] = c
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+# Largest asymmetry |A - A^T| accepted and averaged away, relative to max |A|.
 SYMMETRY_TOL = 1e-12
 # Largest node count a graph file may declare or reference. Graphs are held
 # as dense n x n float64 matrices: at this size one takes 3.2 GB, and embed
@@ -33,6 +35,26 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name}[{label}] is {float(values[index])}; entries must be finite")
 
 
+def _symmetrize(m: np.ndarray) -> float | None:
+    """Make the finite square matrix ``m`` exactly symmetric, in place.
+
+    Entries that differ from their transpose by at most ``SYMMETRY_TOL``
+    times max |m| are replaced by their mean, so downstream eigensolves see a
+    bit-symmetric matrix. Returns None on success; otherwise leaves ``m`` as
+    it is and returns max |m - m^T|.
+    """
+    if np.array_equal(m, m.T):
+        return None
+    # Halved first, so that entries near the float maximum cannot overflow.
+    half, half_t = m / 2, m.T / 2
+    asym = 2 * float(np.abs(half - half_t).max())
+    if asym > SYMMETRY_TOL * np.abs(m).max():
+        return asym
+    differ = m != m.T
+    m[differ] = (half + half_t)[differ]
+    return None
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Symmetric, nonnegative, zero-diagonal weighted adjacency matrix.
@@ -51,12 +73,9 @@ class WeightedGraph:
             raise GraphFormatError("graph must have at least one node")
         if not np.isfinite(w).all():
             raise GraphFormatError("edge weights must be finite")
-        asym = np.abs(w - w.T).max() if w.size else 0.0
-        if asym > SYMMETRY_TOL:
+        asym = _symmetrize(w)
+        if asym is not None:
             raise GraphFormatError(f"weight matrix asymmetric (max |A - A^T| = {asym:g})")
-        # Exact symmetry after the tolerance check, so downstream eigensolves
-        # see a bit-symmetric matrix.
-        w = (w + w.T) / 2.0
         if np.any(np.diag(w) != 0):
             raise GraphFormatError("diagonal entries must all be zero")
         if np.any(w < 0):
@@ -87,10 +106,9 @@ class SymmetricOffDiagonal:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected square matrix, got shape {m.shape}")
         _require_finite(m, "entries")
-        if np.abs(m - m.T).max() > SYMMETRY_TOL:
-            raise ValueError("off-diagonal entries must be symmetric")
-        m = (m + m.T) / 2.0
         np.fill_diagonal(m, 0.0)
+        if _symmetrize(m) is not None:
+            raise ValueError("off-diagonal entries must be symmetric")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -164,11 +182,59 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
     return weights
 
 
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _parse_edge_array(lines: list[str]) -> np.ndarray | None:
+    """Parse a valid edge list as one array; None for anything else.
+
+    Accepts an optional ``n=`` header on the first line and ``u v w`` rows
+    with comments. A file it returns None for, malformed or merely unusual
+    (a header further down, ``1_0`` as an id), goes to ``_parse_edge_list``,
+    which names the offending line. On every file this one accepts, both
+    give the same matrix.
+    """
+    declared_n = None
+    head = lines[0].split("#", 1)[0].strip() if lines else ""
+    if head.startswith("n="):
+        try:
+            declared_n = int(head[2:])
+        except ValueError:
+            return None
+    with warnings.catch_warnings():
+        # A body without rows ("input contained no data") goes to the slow path.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(lines, dtype=_EDGE_ROW, comments="#",
+                              skiprows=0 if declared_n is None else 1, ndmin=1)
+        except ValueError:
+            return None
+    if rows.size == 0:
+        return None
+    lo = np.minimum(rows["u"], rows["v"])
+    hi = np.maximum(rows["u"], rows["v"])
+    w = rows["w"]
+    n = int(hi.max()) + 1 if declared_n is None else declared_n
+    if (lo.min() < 0 or hi.max() >= n or n > MAX_NODES or (lo == hi).any()
+            or not (np.isfinite(w).all() and (w >= 0).all())):
+        return None
+    keys = np.sort(lo * n + hi)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    weights = np.zeros((n, n))
+    weights[lo, hi] = w
+    weights[hi, lo] = w
+    return weights
+
+
 def load_graph(path, format: str = "edge-list") -> WeightedGraph:
     """Load a weighted graph from ``path`` in `edge-list` or `dense` format."""
     if format == "edge-list":
         with open(path, encoding="utf-8") as f:
-            weights = _parse_edge_list(f.readlines())
+            lines = f.readlines()
+        weights = _parse_edge_array(lines)
+        if weights is None:
+            weights = _parse_edge_list(lines)
         return WeightedGraph(weights)
     if format == "dense":
         try:
@@ -190,11 +256,16 @@ def save_graph(g: WeightedGraph, path, format: str = "edge-list") -> None:
     if format == "edge-list":
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"n={g.n}\n")
-            for j in range(g.n):
-                for l in range(j + 1, g.n):
-                    w = g.weights[j, l]
-                    if w != 0:
-                        f.write(f"{j} {l} {_fmt_weight(w)}\n")
+            rows, cols = np.nonzero(np.triu(g.weights, 1))
+            # Each node id and each distinct weight is formatted once: lines
+            # repeat ids, and sampled graphs repeat a few small weights.
+            ids = [f"{j} " for j in range(g.n)]
+            values, which = np.unique(g.weights[rows, cols], return_inverse=True)
+            text = [f"{_fmt_weight(w)}\n" for w in values.tolist()]
+            f.writelines(
+                ids[j] + ids[l] + text[i]
+                for j, l, i in zip(rows.tolist(), cols.tolist(), which.tolist())
+            )
     elif format == "dense":
         np.savetxt(path, g.weights, delimiter=",", fmt="%.17g")
     else:

@@ -90,6 +90,13 @@ class TestAngularKmeans:
         with pytest.raises(ValueError):
             angular_kmeans(np.zeros((5, 2)), 2, seed=0)
 
+    def test_more_clusters_than_directions_leaves_none_empty(self):
+        # Three directions: farthest-point seeding repeats a point for k > 3,
+        # so empty clusters must be re-seeded without emptying another.
+        for k in range(4, 16):
+            p = angular_kmeans(repeated_basis(3, 5), k, seed=0)
+            assert p.sizes.min() >= 1, k
+
     def test_zero_rows_assigned_deterministically(self):
         x = np.vstack([repeated_basis(2, 3), np.zeros((1, 2))])
         a = angular_kmeans(x, 2, seed=5)
@@ -192,6 +199,10 @@ class TestDimensionSweep:
         report = dimension_sweep(g, [2, 3, 4], seed=7)
         assert report.selected_d == 3
         assert report.record_for(3).stress == pytest.approx(0.0, abs=1e-6)
+
+    def test_range_past_the_communities(self):
+        report = dimension_sweep(disjoint_cliques([5, 5, 5]), range(2, 16), seed=7)
+        assert report.selected_d == 3
 
     def test_singleton_range(self):
         g = disjoint_cliques([4, 4])

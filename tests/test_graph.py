@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from wrdpm import GraphFormatError, WeightedGraph, graph, load_graph, save_graph, total_weight
+from wrdpm import (
+    GraphFormatError,
+    SymmetricOffDiagonal,
+    WeightedGraph,
+    graph,
+    load_graph,
+    save_graph,
+    total_weight,
+)
 from conftest import disjoint_cliques, random_integer_graph
 
 
@@ -73,6 +83,107 @@ class TestLoadEdgeList:
             load_graph(write(tmp_path, "n=2\n0 5 1\n"))
 
 
+# Weights both parsers read alike; then tokens where Python's int()/float()
+# and numpy's text parser differ, or that the format forbids.
+WEIGHTS = st.one_of(
+    st.integers(0, 5).map(str),
+    st.floats(0, 1e308).map(repr),
+    st.sampled_from(["+1", "3.", ".5", "1e1", "-0", "1e308", "1e-320"]),
+)
+ODD_IDS = ["1_0", "3.", ".5", "1e1", "inf", "nan", "1.0", "-1"]
+ODD_WEIGHTS = ["1_0", "inf", "nan", "-2"]
+SEPARATORS = [" ", "  ", "\t", "\x0c", " \x0c "]
+ENDINGS = ["\n", "\r\n"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list files: mostly valid rows, with every kind of line the parser meets."""
+
+    def token(valid, odd):
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, 19)) == 0 else valid
+
+    def spell(u):
+        return draw(st.sampled_from([str(u), f"+{u}", f"0{u}"] + ["-0"] * (u == 0)))
+
+    lines, pairs = [], []
+    if draw(st.booleans()):
+        lines.append(f"n={draw(st.sampled_from(['15', ' 16', '3', '0', 'x']))}")
+    kinds = ["edge"] * 20 + ["reversed", "loop", "comment", "blank", "header"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        if kind == "reversed" and pairs:
+            v, u = draw(st.sampled_from(pairs))
+        elif kind in ("edge", "reversed", "loop"):
+            u = draw(st.integers(0, 14))
+            v = u if kind == "loop" else draw(st.integers(0, 14).filter(lambda x: x != u))
+        elif kind == "comment":
+            lines.append("# comment")
+            continue
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\x0c"])))
+            continue
+        else:
+            lines.append(f"n={draw(st.sampled_from(['15', '17', '2']))}")
+            continue
+        pairs.append((u, v))
+        fields = [token(spell(u), ODD_IDS), token(spell(v), ODD_IDS),
+                  token(draw(WEIGHTS), ODD_WEIGHTS)]
+        comment = draw(st.sampled_from(["", " # note", "#"]))
+        lines.append(draw(st.sampled_from(SEPARATORS)).join(fields) + comment)
+    endings = [draw(st.sampled_from(ENDINGS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class TestArrayParser:
+    """The array parser against the line parser, its reference."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=edge_list_texts())
+    @example(text="")
+    @example(text="# no rows\n")
+    @example(text="n=4\n")
+    @example(text="n=3\n0 1 -2\n")
+    @example(text="0 1 nan\n")
+    @example(text="0 1 inf\r\n")
+    @example(text="n=5\n-1 2 1\n")
+    @example(text="0 1 1\n1 0 1\n")
+    def test_agrees_with_line_parser(self, tmp_path, text):
+        path = tmp_path / "g.edgelist"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+        fast = graph._parse_edge_array(lines)
+        try:
+            expected = graph._parse_edge_list(lines)
+        except GraphFormatError as exc:
+            assert fast is None
+            with pytest.raises(GraphFormatError) as got:
+                load_graph(path)
+            assert str(got.value) == str(exc)
+            return
+        if fast is not None:
+            assert fast.shape == expected.shape
+            assert fast.tobytes() == expected.tobytes()
+        assert load_graph(path).weights.tobytes() == expected.tobytes()
+
+    def test_valid_files_skip_the_line_parser(self, tmp_path, rng, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("line parser called on a valid file")
+
+        monkeypatch.setattr(graph, "_parse_edge_list", refuse)
+        g = random_integer_graph(rng, 9)
+        path = tmp_path / "g.edgelist"
+        save_graph(g, path)
+        assert np.array_equal(load_graph(path).weights, g.weights)
+        text = "n=4  # nodes\r\n# comment\r\n0\t1\t2.5\r\n\r\n3 1 1e1 # trailing\r\n"
+        loaded = load_graph(write(tmp_path, text))
+        assert loaded.n == 4
+        assert loaded.weights[1, 0] == 2.5 and loaded.weights[1, 3] == 10
+
+
 class TestDense:
     def test_asymmetric_rejected(self, tmp_path):
         path = write(tmp_path, "0,2,0\n3,0,0\n0,0,0\n", "g.csv")
@@ -116,8 +227,12 @@ class TestSave:
             assert np.array_equal(loaded.weights, g.weights)
 
     def test_roundtrip_fractional_weights(self, tmp_path):
-        w = np.zeros((3, 3))
+        w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 0.1234567891234567
+        w[0, 2] = w[2, 0] = 2.5
+        w[0, 3] = w[3, 0] = 5e-324
+        w[1, 3] = w[3, 1] = 1e308
+        w[2, 3] = w[3, 2] = 1 / 3
         g = WeightedGraph(w)
         for fmt in ("edge-list", "dense"):
             path = tmp_path / "g"
@@ -140,6 +255,30 @@ class TestInvariants:
         w = np.array([[0.0, value], [value, 0.0]])
         with pytest.raises(GraphFormatError, match="finite"):
             WeightedGraph(w)
+
+    def test_weight_near_float_max_stays_finite(self, tmp_path):
+        g = load_graph(write(tmp_path, "n=3\n0 1 1e308\n1 2 1\n"))
+        assert g.weights[0, 1] == g.weights[1, 0] == 1e308
+        top = np.finfo(float).max
+        below = np.nextafter(top, 0)
+        w = WeightedGraph(np.array([[0.0, top], [below, 0.0]])).weights
+        assert w[0, 1] == w[1, 0] and below <= w[0, 1] <= top
+        m = SymmetricOffDiagonal(np.array([[0.0, -top], [-below, 0.0]])).entries
+        assert m[0, 1] == m[1, 0] and -top <= m[0, 1] <= -below
+
+    def test_symmetry_tolerance_is_relative_to_the_weights(self, rng):
+        w = random_integer_graph(rng, 8).weights * 1e6
+        noisy = w + rng.uniform(-1e-9, 1e-9, w.shape) * (w > 0)
+        for matrix in (WeightedGraph(noisy).weights, SymmetricOffDiagonal(noisy).entries):
+            assert np.array_equal(matrix, matrix.T)
+            assert np.abs(matrix - w).max() <= 1e-9
+
+    def test_unit_scale_asymmetry_rejected(self):
+        w = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
+        with pytest.raises(GraphFormatError, match="asymmetric"):
+            WeightedGraph(w)
+        with pytest.raises(ValueError, match="symmetric"):
+            SymmetricOffDiagonal(w)
 
     def test_loaded_graphs_satisfy_invariants(self, tmp_path, rng):
         for trial in range(30):
