@@ -227,7 +227,7 @@ def _solver_flags(args) -> dict:
 
 def _check_convergence(emb: embedding.Embedding, strict: bool):
     if not emb.converged:
-        msg = f"embedding did not converge in {emb.iterations} iterations"
+        msg = f"embedding did not converge in {emb.iterations} iterations ({emb.stop_reason})"
         if strict:
             raise NumericalError(msg)
         print(f"warning: {msg}", file=sys.stderr)
@@ -250,7 +250,7 @@ def cmd_embed(args, files):
     _check_convergence(emb, args.strict)
     _save_embedding(files, emb)
     config = {"d": args.d, **_solver_flags(args), "format": args.format}
-    return {"config": config, "solver": {"eigensolver": emb.eigensolver}}
+    return {"config": config, "solver": {"stop_reason": emb.stop_reason}}
 
 
 def cmd_cluster(args, files):
@@ -266,7 +266,7 @@ def cmd_cluster(args, files):
     files.save_matrix("centrality.csv", community.centrality(emb.X)[:, None])
     files.save_json("cluster.json", {"d": args.d, "k": k, "stress": s, "residual": emb.residual})
     config = {"d": args.d, "k": k, **_solver_flags(args), "format": args.format}
-    return {"config": config, "solver": {"eigensolver": emb.eigensolver}}
+    return {"config": config, "solver": {"stop_reason": emb.stop_reason}}
 
 
 def _parse_d_range(text: str) -> list[int]:
@@ -315,9 +315,9 @@ def cmd_sweep(args, files):
     config = {"d_range": args.d_range, "penalized": args.penalized,
               "l1": args.l1, "l2": args.l2, **_solver_flags(args), "format": args.format}
     solver = {
-        str(rec.d): {"eigensolver": rec.embedding.eigensolver,
-                     "iterations": rec.embedding.iterations,
-                     "converged": rec.embedding.converged}
+        str(rec.d): {"iterations": rec.embedding.iterations,
+                     "converged": rec.embedding.converged,
+                     "stop_reason": rec.embedding.stop_reason}
         for rec in report.records
     }
     return {"config": config, "solver": solver}
@@ -373,8 +373,9 @@ def _add_common(p, need_graph=True, out_required=True):
 
 
 def _add_solver(p):
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--max-iter", type=int, default=500, help="cap on L-BFGS steps")
+    p.add_argument("--tol", type=float, default=1e-7, help="converged when |grad f| <= "
+                   "TOL ||A||_F ||X||_F, f = ||offdiag(X X^T - A)||_F^2 (default: 1e-7)")
     p.add_argument("--init", choices=["degree-mean", "zeros"], default="degree-mean")
     p.add_argument("--strict", action="store_true",
                    help="treat non-convergence as a failure (exit 3)")

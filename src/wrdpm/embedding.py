@@ -1,13 +1,13 @@
 """Inverse problem: fit latent vectors to an observed weighted network.
 
-Minimizes the off-diagonal Frobenius discrepancy between X X^T and the
-adjacency matrix by alternating a rank-d PSD eigentruncation with a
-diagonal update (the free quantity in the fixed point iteration).
+Minimizes the off-diagonal discrepancy ||offdiag(X X^T - A)||_F^2 over X by
+L-BFGS (Liu & Nocedal 1989), from one eigentruncation, as Fiori et al. fit
+random dot product graphs by gradient descent with the diagonal masked out
+(IEEE TSIPN 2024).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +19,8 @@ from .specialize import _eigentruncate, canonical_orientation
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 500
-    tolerance: float = 1e-8
+    # Largest gradient norm of a converged X, relative to ||A||_F ||X||_F.
+    tolerance: float = 1e-7
     diagonal_init: str = "degree-mean"  # or "zeros"
 
     def __post_init__(self):
@@ -40,9 +41,7 @@ class Embedding:
     residual: float
     iterations: int
     converged: bool
-    # "dense", "arpack", or "arpack+dense-fallback" when ARPACK failed or
-    # missed an eigenvalue on some iteration and a full eigh stood in.
-    eigensolver: str
+    stop_reason: str  # "tolerance" when converged, "cap" or "no-minimiser"
     residual_history: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -68,37 +67,29 @@ _ARPACK_MIN_N = 256
 _ARPACK_MAX_D_SHARE = 32
 
 
-def _truncated_factor(
-    a_hat: np.ndarray, d: int, prev_x: np.ndarray | None
-) -> tuple[np.ndarray, str]:
-    """Best rank-d PSD factor of a_hat, and the eigensolver that produced it.
+def _truncated_factor(dense, product, n: int, d: int) -> np.ndarray:
+    """Best rank-d PSD factor of the symmetric matrix ``dense()`` builds.
 
-    Large matrices need only their top d eigenpairs: implicitly restarted
-    Lanczos (ARPACK), started from the row sums of the previous iterate so
-    that it converges in few restarts and stays a pure function of its
-    input. A single-vector Krylov space holds one vector per eigenspace, so
-    ARPACK can report convergence while missing copies of a repeated
-    eigenvalue; a Lanczos run on a_hat with the found eigenvectors projected
-    out finds any such copy. If ARPACK fails or missed an eigenvalue, the
-    full eigendecomposition stands in. The label is "dense", "arpack" or
-    "arpack+dense-fallback".
+    Large ones need only their top d eigenpairs, from ARPACK on ``product``.
+    One Krylov space holds one vector per eigenspace, so ARPACK can miss a
+    copy of a repeated eigenvalue; a Lanczos run with the found eigenvectors
+    projected out finds it, and then, or if ARPACK fails, eigh stands in.
     """
-    n = a_hat.shape[0]
     if n < _ARPACK_MIN_N or d > n // _ARPACK_MAX_D_SHARE:
-        return _eigentruncate(a_hat, d)[0], "dense"
+        return _eigentruncate(dense(), d)[0]
     # Imported here: a module-level import costs every small run start-up
     # time and memory.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     # ARPACK draws a new start vector when its Krylov space becomes invariant;
-    # a fixed generator keeps that draw, and so X, a function of a_hat alone.
+    # a fixed generator keeps that draw, and so X, a function of the matrix.
     rng = np.random.default_rng(0)
-    v0 = np.ones(n) if prev_x is None else prev_x.sum(axis=1)
+    op = LinearOperator((n, n), matvec=product, matmat=product, dtype=float)
     try:
-        eigvals, eigvecs = eigsh(a_hat, k=d, which="LA", tol=0, v0=v0, rng=rng)
+        eigvals, eigvecs = eigsh(op, k=d, which="LA", tol=0, v0=np.ones(n), rng=rng)
 
         def deflated(v):
-            v = a_hat @ (v - eigvecs @ (eigvecs.T @ v))
+            v = product(v - eigvecs @ (eigvecs.T @ v))
             return v - eigvecs @ (eigvecs.T @ v)
 
         # Ritz values never exceed the top eigenvalue, so a loose tolerance
@@ -108,131 +99,154 @@ def _truncated_factor(
             tol=0.1, v0=rng.standard_normal(n), rng=rng, return_eigenvectors=False,
         )[0]
     except ArpackError:
-        return _eigentruncate(a_hat, d)[0], "arpack+dense-fallback"
+        return _eigentruncate(dense(), d)[0]
     # eigvals is ascending. An eigenvalue of the rest above the smallest one
     # found, and above zero, where the clip makes ties harmless, was missed.
     if rest_top > max(eigvals[0], 0.0) + 1e-9 * np.abs(eigvals).max():
-        return _eigentruncate(a_hat, d)[0], "arpack+dense-fallback"
+        return _eigentruncate(dense(), d)[0]
     eigvals = np.clip(eigvals[::-1], 0.0, None)
-    return eigvecs[:, ::-1] * np.sqrt(eigvals), "arpack"
+    return eigvecs[:, ::-1] * np.sqrt(eigvals)
 
 
-# Anderson acceleration of the diagonal map (Walker & Ni 2011, "Anderson
-# acceleration for fixed-point iterations", SIAM J. Numer. Anal. 49).
-# Depth m of the history: over d = 2..8 on the 19 three-block n = 150 graphs
-# of the sweep-150 benchmark the solves took 3236 iterations in all at m = 3,
-# 2565 at m = 5 and 2556 at m = 8 (9362 without acceleration).
-_ANDERSON_DEPTH = 5
-# Largest accelerated step as a multiple of the plain step. Some graphs have
-# no minimizer: the residual keeps falling as a diagonal entry grows without
-# bound (edges 1-3 and 2-3 plus an isolated node, at d = 1). Unbounded steps
-# race along that ray and meet the stopping rule at a point that rounding
-# picks, so relabelling the nodes changed the Gram matrix; bounded steps
-# leave the solve at the iteration cap, as without acceleration. On the
-# sweep-150 graphs a bound of 10 left 3 of 133 solves at the cap and took
-# 3408 iterations; 30 left none and took 2565.
-_ANDERSON_MAX_STEP = 30.0
-# Singular values of the residual differences below this share of the
-# largest are dropped from the least-squares solve. Symmetric or isolated
-# nodes make the differences rank-deficient, and rounding noise in the null
-# directions otherwise steers the step: on the graph above, over all 24 node
-# orders, the Gram matrices at the cap differed by up to 29 % of their
-# largest entry, and by 1.4 % with this cutoff.
-_ANDERSON_RCOND = 1e-10
-# Near the fixed point the residual is flat to second order and rounding
-# moves it by about 1e-14 of its size, so a rise smaller than this share of
-# it is noise, not ascent; rejecting on it made the dense and ARPACK paths
-# take different numbers of steps on the same graph.
-_DESCENT_SLACK = 1e-12
+# Below this share of ||A||_F^2, f is summed from the n x n difference: the
+# closed form's terms cancel to rounding noise near an exact fit. On cliques
+# of 100, 100 and 60 nodes at d = 3 it ended at residual 2.6e-5, the sum at
+# 1.5e-7.
+_DIRECT_SHARE = 1e-3
+# A squared row norm above this multiple of max |A| marks a graph with no
+# minimizer: f nears its infimum only as a row grows without bound (edges
+# 1-3 and 2-3 at d = 1). The largest ratio over 1878 converged fixed-point
+# fits of random graphs (n = 4..11, weights 0..5) was 10.3.
+_RUNAWAY = 1e2
+# Squared singular values of X below this share of the largest are rounding
+# (eigh returns a zero eigenvalue as about 1e-16 of the largest).
+_NULL_SHARE = 1e-12
+# L-BFGS memory: the 133 sweep-150 solves took 2.84 s with 5 pairs, 2.99 s
+# with 10 and 3.28 s with 20.
+_MEMORY = 5
 
 
 def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embedding:
-    """Iteratively factor the adjacency matrix at rank d.
+    """Fit n x d latent vectors X minimizing f = ||offdiag(X X^T - A)||_F^2.
 
-    Each step eigentruncates the diagonal-completed matrix A + diag(delta)
-    to the best rank-d PSD approximation X X^T (Scheinerman & Tucker 2010);
-    the plain fixed point map sends delta to g(delta), the squared row norms
-    of X. Anderson acceleration keeps the plain steps f = g(delta) - delta
-    and images g of the last few accepted points, solves a small least-
-    squares problem on their differences and proposes the mixed diagonal;
-    with an empty history the step is the plain one. Two safeguards keep it
-    a descent method: an accelerated step is at most _ANDERSON_MAX_STEP
-    times as long as the plain step |f|, and its point is accepted only if
-    its residual is no higher than the last accepted one (up to a rounding
-    slack of _DESCENT_SLACK of it). Otherwise the history is cleared and the
-    plain step is taken from the last accepted point, whose image is known.
+    With r the squared row norms of X, f = ||X^T X||_F^2 - sum(r^2)
+    - 2 tr(X^T A X) + ||A||_F^2 and grad f = 4 (X X^T X - A X - diag(r) X):
+    O(n^2 d) and no n x n matrix, until f falls below _DIRECT_SHARE of
+    ||A||_F^2 and is summed directly. The start is the rank-d eigentruncation
+    of A + diag(degree mean, or zero). The fit runs on A / 4^m (4^m near
+    max |A|) over its norm: the power of two is exact, so embed(4 A).X is
+    2 embed(A).X bit for bit, and the norm makes the path scale-free. X is
+    returned on its principal axes, canonically oriented.
 
-    ``iterations`` counts every eigensolve, rejected steps included, so
-    ``max_iterations`` caps eigensolves. ``residual_history`` holds the
-    residuals of accepted points only, and so does not rise. Convergence is
-    declared at an accepted point whose plain step |f| is below the
-    tolerance; on hitting the iteration cap the best X seen so far is
-    returned with converged=False.
+    Stop reasons: "tolerance" (converged) when |grad f| <= ``tolerance``
+    ||A||_F ||X||_F, sqrt(_DIRECT_SHARE) times that where f is summed
+    directly; "no-minimiser" when a squared row norm passes _RUNAWAY max |A|;
+    "cap" after ``max_iterations`` steps or when the line search finds no
+    descent. A null column of X never moves under descent, so where f falls
+    along it the column is filled, as one step. ``iterations`` counts steps
+    (L-BFGS iterations and fills); ``residual_history`` holds sqrt(f) at
+    the start and after each step, and never rises.
     """
     if config is None:
         config = SolverConfig()
     n = g.n
     if not 1 <= d <= n:
         raise ValueError(f"embedding dimension d={d} outside [1, {n}]")
-    if config.diagonal_init == "degree-mean":
-        trial = g.weights.sum(axis=1) / max(n - 1, 1)
-    else:
-        trial = np.zeros(n)
-    a_hat = g.weights.copy()
+    # Imported here for the reason given in _truncated_factor.
+    from scipy.optimize import minimize
 
-    eigensolver = None
-    best_x = None
-    best_res = np.inf
-    history = []
-    converged = False
-    # The last accepted point: its diagonal, factor, residual, image g and
-    # plain step f = g - diagonal; and the differences of f and g between
-    # consecutive accepted points, newest last.
-    diag = x = res = image = step = None
-    d_steps = deque(maxlen=_ANDERSON_DEPTH)
-    d_images = deque(maxlen=_ANDERSON_DEPTH)
-    accelerated = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        np.fill_diagonal(a_hat, trial)
-        trial_x, solver = _truncated_factor(a_hat, d, x)
-        # One fallback marks the whole solve.
-        if eigensolver != "arpack+dense-fallback":
-            eigensolver = solver
-        trial_res = residual(g, trial_x)
-        if accelerated and trial_res > res * (1.0 + _DESCENT_SLACK):
-            d_steps.clear()
-            d_images.clear()
-            trial, accelerated = image, False
-            continue
-        trial_image = np.einsum("ij,ij->i", trial_x, trial_x)
-        trial_step = trial_image - trial
-        if diag is not None:
-            d_steps.append(trial_step - step)
-            d_images.append(trial_image - image)
-        diag, x, res, image, step = trial, trial_x, trial_res, trial_image, trial_step
-        history.append(res)
-        if res < best_res:
-            best_res = res
-            best_x = x
-        change = np.linalg.norm(step)
-        if change < config.tolerance:
-            converged = True
+    # A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1 below.
+    m = int(np.frexp(np.abs(g.weights).max())[1]) // 2
+    a = np.ldexp(g.weights, -2 * m)
+    scale = np.linalg.norm(a)
+    if scale:
+        a /= scale
+    a_top, a_sq = np.abs(a).max(), np.einsum("ij,ij->", a, a)
+    start = a.sum(axis=1) / max(n - 1, 1) if config.diagonal_init == "degree-mean" else np.zeros(n)
+    x = _truncated_factor(lambda: a + np.diag(start), lambda v: a @ v + (start * v.T).T, n, d)
+    # A directly summed f is accurate to its own size, so the rounding floor
+    # of the gradient falls with sqrt(f) there.
+    tight = config.tolerance * np.sqrt(_DIRECT_SHARE)
+    last = None  # the last evaluation: (x, f, gradient, largest squared row norm)
+    history, iterations = [], 0
+
+    def evaluate(flat):
+        nonlocal last
+        x = flat.reshape(n, d)
+        ax, gram, r = a @ x, x.T @ x, np.einsum("ij,ij->i", x, x)
+        f = np.einsum("ij,ij->", gram, gram) - r @ r - 2.0 * np.einsum("ij,ij->", x, ax) + a_sq
+        if f >= _DIRECT_SHARE * a_sq:
+            grad = x @ gram - ax - r[:, None] * x
+        else:
+            diff = x @ x.T - a
+            np.fill_diagonal(diff, 0.0)
+            f, grad = np.einsum("ij,ij->", diff, diff), diff @ x
+        last = (flat.copy(), f, 4.0 * grad.ravel(), r.max())
+        return last[1], last[2]
+
+    def accept():
+        """Take the last evaluation as the iterate x; return its stop reason."""
+        nonlocal x
+        flat, f, grad, r_max = last
+        x = flat.reshape(n, d)
+        history.append(f)
+        if r_max > _RUNAWAY * a_top:
+            return "no-minimiser"
+        tol = config.tolerance if f >= _DIRECT_SHARE * a_sq else tight
+        return "tolerance" if np.linalg.norm(grad) <= tol * np.linalg.norm(flat) else None
+
+    def step(intermediate_result):
+        nonlocal reason
+        # L-BFGS evaluates each iterate it accepts last; this only checks it.
+        if intermediate_result.fun != last[1]:
+            evaluate(intermediate_result.x)
+        reason = accept()
+        if reason is not None:
+            raise StopIteration
+
+    def escape():
+        """Fill a null column of x along which f falls; False if there is none."""
+        nonlocal x
+        _, sing, vt = np.linalg.svd(x, full_matrices=False)
+        null = sing**2 <= _NULL_SHARE * sing[0] ** 2
+        if not null.any():
+            return False
+        # Along u in a null column on the principal axes, f(t) = f + 2 t u^T D u
+        # + t^2 ||offdiag(u u^T)||^2 with t = eps^2 and D = offdiag(X X^T - A).
+        y = x @ vt.T
+        y[:, null] = 0.0
+        r = np.einsum("ij,ij->i", y, y)
+        u = _truncated_factor(lambda: a - y @ y.T + np.diag(r),
+                              lambda v: a @ v + (r * v.T).T - y @ (y.T @ v), n, 1)
+        lam = np.einsum("ij,ij->", u, u)
+        if lam <= config.tolerance:
+            return False
+        y[:, np.argmax(null)] = u[:, 0] / np.sqrt(1.0 - np.sum(u**4) / lam**2)
+        x = y
+        return True
+
+    evaluate(x.ravel())
+    reason = accept()
+    while iterations < config.max_iterations:
+        if reason in (None, "tolerance") and escape():
+            iterations += 1
+            evaluate(x.ravel())
+            reason = accept()
+        elif reason is None:
+            iterations += minimize(
+                evaluate, x.ravel(), jac=True, method="L-BFGS-B", callback=step,
+                # maxfun never binds: an iteration makes at most maxls + 1 calls.
+                options={"maxiter": config.max_iterations - iterations, "maxcor": _MEMORY,
+                         "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},
+            ).nit
+            if reason is None:  # the cap, or a line search that found no descent
+                break
+        else:
             break
-        trial, accelerated = image, bool(d_steps)
-        if accelerated:
-            gamma = np.linalg.lstsq(np.column_stack(d_steps), step, rcond=_ANDERSON_RCOND)[0]
-            trial = image - np.column_stack(d_images) @ gamma
-            reach = np.linalg.norm(trial - diag) / (_ANDERSON_MAX_STEP * change)
-            if reach > 1.0:
-                trial = diag + (trial - diag) / reach
 
-    return Embedding(
-        X=canonical_orientation(best_x),
-        d=d,
-        residual=best_res,
-        iterations=iterations,
-        converged=converged,
-        eigensolver=eigensolver,
-        residual_history=tuple(history),
-    )
+    # Adding 0.0 turns the -0.0 of rotated exact zeros into 0.0.
+    x = canonical_orientation(x @ np.linalg.svd(x, full_matrices=False)[2].T) + 0.0
+    history = tuple(float(np.ldexp(np.sqrt(max(f, 0.0)) * scale, 2 * m)) for f in history)
+    return Embedding(X=np.ldexp(x * np.sqrt(scale), m), d=d, residual=history[-1],
+                     iterations=iterations, converged=reason == "tolerance",
+                     stop_reason=reason or "cap", residual_history=history)

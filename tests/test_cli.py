@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from wrdpm import load_graph, save_graph, total_weight
+from wrdpm import WeightedGraph, load_graph, save_graph, total_weight
 from wrdpm.cli import main
 from conftest import disjoint_cliques
 
@@ -176,19 +176,46 @@ class TestCluster:
                    "--out", str(tmp_path / "x")) == 1
 
 
-@pytest.mark.parametrize("command, sizes, d, solver", [
-    ("embed", [5, 5, 5], 3, "dense"),
-    ("cluster", [5, 5, 5], 3, "dense"),
-    ("cluster", [90, 100, 110], 3, "arpack"),
-    ("embed", [100] * 8, 8, "arpack+dense-fallback"),
+def star_with_isolated_node():
+    """Edges 1-3 and 2-3 plus node 0: at d = 1 no X minimizes the residual."""
+    w = np.zeros((4, 4))
+    w[1, 3] = w[3, 1] = w[2, 3] = w[3, 2] = 1.0
+    return WeightedGraph(w)
+
+
+@pytest.mark.parametrize("command, graph, d, reason", [
+    ("embed", disjoint_cliques([5, 5, 5]), 3, "tolerance"),
+    ("cluster", disjoint_cliques([5, 5, 5]), 3, "tolerance"),
+    ("cluster", disjoint_cliques([90, 100, 110]), 3, "tolerance"),
+    ("embed", star_with_isolated_node(), 1, "no-minimiser"),
 ])
-def test_manifest_records_eigensolver(tmp_path, command, sizes, d, solver):
+def test_manifest_records_stop_reason(tmp_path, command, graph, d, reason):
     path = tmp_path / "g.edgelist"
-    save_graph(disjoint_cliques(sizes), path)
+    save_graph(graph, path)
     out = tmp_path / "run"
     assert run(command, "--graph", str(path), "--d", str(d), "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["solver"] == {"eigensolver": solver}
+    assert manifest["solver"] == {"stop_reason": reason}
+    sidecar = json.loads((out / "embedding.json").read_text())
+    assert sidecar["converged"] is (reason == "tolerance")
+
+
+def test_cap_is_recorded_as_the_stop_reason(tmp_path, clique_path):
+    out = tmp_path / "run"
+    assert run("embed", "--graph", str(clique_path), "--d", "3", "--max-iter", "1",
+               "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["solver"] == {"stop_reason": "cap"}
+
+
+def test_weight_near_float_max_embeds(tmp_path, capsys):
+    path = tmp_path / "huge.edgelist"
+    path.write_text("n=3\n0 1 1e308\n1 2 1\n")
+    out = tmp_path / "run"
+    assert run("embed", "--graph", str(path), "--d", "1", "--out", str(out)) == 0
+    x = np.loadtxt(out / "embedding.csv", delimiter=",")
+    assert np.isfinite(x).all()
+    assert x[0] * x[1] == pytest.approx(1e308, rel=1e-9)
+    assert capsys.readouterr().err == ""
 
 
 class TestSweep:
@@ -211,7 +238,7 @@ class TestSweep:
         solver = json.loads((out / "manifest.json").read_text())["solver"]
         assert sorted(solver) == ["2", "3", "4"]
         for entry in solver.values():
-            assert entry["eigensolver"] == "dense"
+            assert entry["stop_reason"] == "tolerance"
             assert entry["iterations"] >= 1
             assert entry["converged"] is True
 
