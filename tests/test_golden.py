@@ -33,35 +33,35 @@ GOLDEN = {
     },
     "embed": {
         "embedding.csv":
-            "35dcc423e0dd96e2e35fd6a7abbbf5d9c0ab0d30eb72feaca60d14e89a497fb2",
+            "06ff5ac5e13c183abe2e93fbed071ff503805d16b635225e5799cf4cdd9f1598",
         "embedding.json":
-            "f9d687bc6d50f964bbcc51edeeb888c3e1a17fe02209f88d47658568b5ff20a4",
+            "3d1e1f3f3d6168e9f3846836c603264338c25c53e02d8167a49ebdf533022fae",
     },
     "cluster": {
         "centrality.csv":
-            "5df653051ee72a7a6443b945ad8ae447b08de044fc906cc79da9338239fc66e9",
+            "41c39c6c05adfb4f6630437a39f869bb86858771863b76596e0383362cd75d64",
         "cluster.json":
-            "393d71963f64b582182320941ca890c2a55ba32d94ad39e27665ccb042436ff6",
+            "01b965285718a9422cfec2ca4490b8a26bb43ae20af3634d8b92d02b8a678770",
         "embedding.csv":
-            "35dcc423e0dd96e2e35fd6a7abbbf5d9c0ab0d30eb72feaca60d14e89a497fb2",
+            "06ff5ac5e13c183abe2e93fbed071ff503805d16b635225e5799cf4cdd9f1598",
         "embedding.json":
-            "f9d687bc6d50f964bbcc51edeeb888c3e1a17fe02209f88d47658568b5ff20a4",
+            "3d1e1f3f3d6168e9f3846836c603264338c25c53e02d8167a49ebdf533022fae",
         "partition.csv":
             "1ab812069ba9fd88640da55a99412058a0c2344a535b380d9fc757ea552fed65",
     },
     "sweep": {
         "centrality.csv":
-            "5df653051ee72a7a6443b945ad8ae447b08de044fc906cc79da9338239fc66e9",
+            "41c39c6c05adfb4f6630437a39f869bb86858771863b76596e0383362cd75d64",
         "partition_d2.csv":
             "68843462f4ba2ea9e27eb803294a887eaff25bdde2e769e238f6a303ba390bd1",
         "partition_d3.csv":
             "1ab812069ba9fd88640da55a99412058a0c2344a535b380d9fc757ea552fed65",
         "partition_d4.csv":
-            "ed665cd7e9e5bdcd49c72e696ef3904b8768334795833005abcc1d576e9d8e28",
+            "f98cc0f567c28b06df7bacc6421bbe48c9754cac0830eb56dbfa2f440faea450",
         "report.json":
-            "3d745836a7db9385c0012c5f6255a56f6876b42cee2ae385296912dd51d12a66",
+            "1b7c42e4cd26d39897ca72856d5e4470efb8d9650cb3aef5db8c308a06739198",
         "stress.csv":
-            "5ceae639a9eb1681ce8c5cb42e2923a094f0635c2583aab052ef0781800c7881",
+            "e84ca2d97df8fc39e00ed7e98e78722ec03b3687694dc4757262f1471050cdc3",
     },
     "null": {
         "null.json":
