@@ -196,10 +196,8 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
         return "tolerance" if np.linalg.norm(grad) <= tol * np.linalg.norm(flat) else None
 
     def step(intermediate_result):
+        # L-BFGS evaluates each iterate it accepts last, so that is ``last``.
         nonlocal reason
-        # L-BFGS evaluates each iterate it accepts last; this only checks it.
-        if intermediate_result.fun != last[1]:
-            evaluate(intermediate_result.x)
         reason = accept()
         if reason is not None:
             raise StopIteration
