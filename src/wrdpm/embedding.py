@@ -41,7 +41,7 @@ class Embedding:
     residual: float
     iterations: int
     converged: bool
-    stop_reason: str  # "tolerance" when converged, "cap" or "no-minimiser"
+    stop_reason: str  # "tolerance" when converged, or "no-minimiser", "cap", "stalled"
     residual_history: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -113,11 +113,11 @@ def _truncated_factor(dense, product, n: int, d: int) -> np.ndarray:
 # of 100, 100 and 60 nodes at d = 3 it ended at residual 2.6e-5, the sum at
 # 1.5e-7.
 _DIRECT_SHARE = 1e-3
-# A squared row norm above this multiple of max |A| marks a graph with no
-# minimizer: f nears its infimum only as a row grows without bound (edges
-# 1-3 and 2-3 at d = 1). The largest ratio over 1878 converged fixed-point
-# fits of random graphs (n = 4..11, weights 0..5) was 10.3.
-_RUNAWAY = 1e2
+# An unconverged solve whose largest squared row norm grew more than this
+# factor over its second half (as fast as the step count) ran away, as where
+# no minimizer exists: 2.4 to 3.1 on the star (edges 1-3, 2-3, d = 1) capped
+# at 20 to 1000 steps, 1.18 at most on three Poisson blocks of 100 at d = 6.
+_RUNAWAY = 2.0
 # Squared singular values of X below this share of the largest are rounding
 # (eigh returns a zero eigenvalue as about 1e-16 of the largest).
 _NULL_SHARE = 1e-12
@@ -140,12 +140,14 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
 
     Stop reasons: "tolerance" (converged) when |grad f| <= ``tolerance``
     ||A||_F ||X||_F, sqrt(_DIRECT_SHARE) times that where f is summed
-    directly; "no-minimiser" when a squared row norm passes _RUNAWAY max |A|;
-    "cap" after ``max_iterations`` steps or when the line search finds no
-    descent. A null column of X never moves under descent, so where f falls
-    along it the column is filled, as one step. ``iterations`` counts steps
-    (L-BFGS iterations and fills); ``residual_history`` holds sqrt(f) at
-    the start and after each step, and never rises.
+    directly; for an unconverged solve, "no-minimiser" when its largest
+    squared row norm grew _RUNAWAY-fold over the second half of its steps,
+    else "cap" after ``max_iterations`` steps, or "stalled" when the line
+    search found no lower f before that. A null column of X never moves
+    under descent, so where f falls along it the column is filled, as one
+    step. ``iterations`` counts steps (L-BFGS iterations and fills);
+    ``residual_history`` holds sqrt(f) at the start and after each step,
+    and never rises.
     """
     if config is None:
         config = SolverConfig()
@@ -161,14 +163,14 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
     scale = np.linalg.norm(a)
     if scale:
         a /= scale
-    a_top, a_sq = np.abs(a).max(), np.einsum("ij,ij->", a, a)
+    a_sq = np.einsum("ij,ij->", a, a)
     start = a.sum(axis=1) / max(n - 1, 1) if config.diagonal_init == "degree-mean" else np.zeros(n)
     x = _truncated_factor(lambda: a + np.diag(start), lambda v: a @ v + (start * v.T).T, n, d)
     # A directly summed f is accurate to its own size, so the rounding floor
     # of the gradient falls with sqrt(f) there.
     tight = config.tolerance * np.sqrt(_DIRECT_SHARE)
-    last = None  # the last evaluation: (x, f, gradient, largest squared row norm)
-    history, iterations = [], 0
+    last, done = None, False  # last: (x, f, gradient, largest squared row norm)
+    history, row_max, iterations = [], [], 0
 
     def evaluate(flat):
         nonlocal last
@@ -185,26 +187,24 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
         return last[1], last[2]
 
     def accept():
-        """Take the last evaluation as the iterate x; return its stop reason."""
-        nonlocal x
+        """Take the last evaluation as the iterate x; set done if it converged."""
+        nonlocal x, done
         flat, f, grad, r_max = last
         x = flat.reshape(n, d)
         history.append(f)
-        if r_max > _RUNAWAY * a_top:
-            return "no-minimiser"
+        row_max.append(r_max)
         tol = config.tolerance if f >= _DIRECT_SHARE * a_sq else tight
-        return "tolerance" if np.linalg.norm(grad) <= tol * np.linalg.norm(flat) else None
+        done = np.linalg.norm(grad) <= tol * np.linalg.norm(flat)
 
     def step(intermediate_result):
         # L-BFGS evaluates each iterate it accepts last, so that is ``last``.
-        nonlocal reason
-        reason = accept()
-        if reason is not None:
+        accept()
+        if done:
             raise StopIteration
 
-    def escape():
-        """Fill a null column of x along which f falls; False if there is none."""
-        nonlocal x
+    def fill():
+        """Fill a null column of x along which f falls, as one step; False if none."""
+        nonlocal iterations
         _, sing, vt = np.linalg.svd(x, full_matrices=False)
         null = sing**2 <= _NULL_SHARE * sing[0] ** 2
         if not null.any():
@@ -220,31 +220,33 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
         if lam <= config.tolerance:
             return False
         y[:, np.argmax(null)] = u[:, 0] / np.sqrt(1.0 - np.sum(u**4) / lam**2)
-        x = y
+        evaluate(y.ravel())
+        accept()
+        iterations += 1
         return True
 
     evaluate(x.ravel())
-    reason = accept()
+    accept()
     while iterations < config.max_iterations:
-        if reason in (None, "tolerance") and escape():
-            iterations += 1
-            evaluate(x.ravel())
-            reason = accept()
-        elif reason is None:
-            iterations += minimize(
-                evaluate, x.ravel(), jac=True, method="L-BFGS-B", callback=step,
-                # maxfun never binds: an iteration makes at most maxls + 1 calls.
-                options={"maxiter": config.max_iterations - iterations, "maxcor": _MEMORY,
-                         "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},
-            ).nit
-            if reason is None:  # the cap, or a line search that found no descent
-                break
-        else:
+        if fill():
+            continue
+        if done:
+            break
+        iterations += minimize(
+            evaluate, x.ravel(), jac=True, method="L-BFGS-B", callback=step,
+            # maxfun never binds: an iteration makes at most maxls + 1 calls.
+            options={"maxiter": config.max_iterations - iterations, "maxcor": _MEMORY,
+                     "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},
+        ).nit
+        if not done:  # the cap, or a line search that found no lower f
             break
 
     # Adding 0.0 turns the -0.0 of rotated exact zeros into 0.0.
     x = canonical_orientation(x @ np.linalg.svd(x, full_matrices=False)[2].T) + 0.0
     history = tuple(float(np.ldexp(np.sqrt(max(f, 0.0)) * scale, 2 * m)) for f in history)
+    reason = ("tolerance" if done else "no-minimiser"
+              if row_max[-1] > _RUNAWAY * row_max[len(row_max) // 2]
+              else "cap" if iterations == config.max_iterations else "stalled")
     return Embedding(X=np.ldexp(x * np.sqrt(scale), m), d=d, residual=history[-1],
                      iterations=iterations, converged=reason == "tolerance",
-                     stop_reason=reason or "cap", residual_history=history)
+                     stop_reason=reason, residual_history=history)
