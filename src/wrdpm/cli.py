@@ -2,7 +2,7 @@
 
 Every subcommand writes its data files plus a run manifest into --out.
 Data files are a pure function of (inputs, flags, seed); the manifest
-additionally records wall-clock duration.
+records every parsed flag as its config, and the wall-clock duration.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 numerical failure (non-convergence under --strict).
@@ -110,11 +110,12 @@ class _RunFiles:
         self.save(name, lambda path: np.savetxt(
             path, np.atleast_2d(m), delimiter=",", fmt="%.17g"))
 
-    def write_manifest(self, subcommand, seed, fields, started):
-        """Write manifest.json; ``fields`` holds the command's config (and solver)."""
+    def write_manifest(self, subcommand, config, solver, seed, started):
+        """Write manifest.json; ``solver`` is the command's solver trace, or None."""
         manifest = {
             "subcommand": subcommand,
-            **fields,
+            "config": config,
+            **({} if solver is None else {"solver": solver}),
             "seed": seed,
             "inputs": self.inputs,
             "input_sha256": {path: _sha256(path) for path in self.inputs},
@@ -170,22 +171,23 @@ def _builtin_model(args, files) -> model.LatentModel:
             raise UsageError(f"builtin {name!r} requires --spec <json file>")
         with open(files.read(args.spec), encoding="utf-8") as f:
             doc = json.load(f)
+        what = f"the {name} spec"
+        values = np.array(model._json_key(doc, "B" if name == "sbm" else "weights", what),
+                          dtype=float)
         family = args.family or doc.get("family", "poisson")
         if name == "sbm":
-            spec = specialize.BlockModelSpec(
-                np.array(doc["B"], dtype=float), tuple(doc["sizes"])
-            )
+            spec = specialize.BlockModelSpec(values, tuple(model._json_key(doc, "sizes", what)))
             return specialize.make_sbm(
                 spec, family, magnitude_normalization=bool(doc.get("normalize", False))
             )
-        spec = specialize.ChungLuSpec(np.array(doc["weights"], dtype=float))
+        spec = specialize.ChungLuSpec(values)
         return specialize.make_chung_lu(spec, family, d=int(doc.get("d", d)))
     raise UsageError(f"unknown builtin {name!r}; valid: {', '.join(BUILTINS)}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each writes its data files through ``files`` and returns the
-# manifest fields it adds: its config, and for solves the solver trace.
+# Subcommands: each writes its data files through ``files``; those that
+# embed return their solver trace for the manifest.
 
 def cmd_generate(args, files):
     if bool(args.model) == bool(args.builtin):
@@ -203,31 +205,16 @@ def cmd_generate(args, files):
     files.save_lines("model.json", [m.to_json(), "\n"])
     files.save_matrix("vectors_0.csv", vectors)
     files.save_matrix("grid_0.csv", model.dot_product_grid(vectors))
-    config = {
-        "model": args.model,
-        "builtin": args.builtin,
-        "n": m.n,
-        "format": args.format,
-        "clamp": args.clamp,
-    }
-    return {"config": config}
 
 
 def _solver_config(args) -> embedding.SolverConfig:
-    return embedding.SolverConfig(
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-        diagonal_init=args.init,
-    )
-
-
-def _solver_flags(args) -> dict:
-    return {"max_iter": args.max_iter, "tol": args.tol, "init": args.init}
+    return embedding.SolverConfig(max_iterations=args.max_iter, tolerance=args.tol)
 
 
 def _check_convergence(emb: embedding.Embedding, strict: bool):
     if not emb.converged:
-        msg = f"embedding did not converge in {emb.iterations} iterations ({emb.stop_reason})"
+        msg = (f"embedding at d={emb.d} did not converge in {emb.iterations} iterations "
+               f"({emb.stop_reason})")
         if strict:
             raise NumericalError(msg)
         print(f"warning: {msg}", file=sys.stderr)
@@ -249,8 +236,7 @@ def cmd_embed(args, files):
     emb = embedding.embed(g, args.d, _solver_config(args))
     _check_convergence(emb, args.strict)
     _save_embedding(files, emb)
-    config = {"d": args.d, **_solver_flags(args), "format": args.format}
-    return {"config": config, "solver": {"stop_reason": emb.stop_reason}}
+    return {"stop_reason": emb.stop_reason}
 
 
 def cmd_cluster(args, files):
@@ -265,8 +251,7 @@ def cmd_cluster(args, files):
     files.save_lines("partition.csv", _partition_rows(part))
     files.save_matrix("centrality.csv", community.centrality(emb.X)[:, None])
     files.save_json("cluster.json", {"d": args.d, "k": k, "stress": s, "residual": emb.residual})
-    config = {"d": args.d, "k": k, **_solver_flags(args), "format": args.format}
-    return {"config": config, "solver": {"stop_reason": emb.stop_reason}}
+    return {"stop_reason": emb.stop_reason}
 
 
 def _parse_d_range(text: str) -> list[int]:
@@ -286,22 +271,19 @@ def cmd_sweep(args, files):
     g = _load_graph_arg(args, files)
     ds = _parse_d_range(args.d_range)
     _require_dims(ds, g, "every --d-range value")
-    if args.penalized and (args.l1 is None or args.l2 is None):
-        raise UsageError("--penalized requires explicit --l1 and --l2")
+    if (args.l1 is None) != (args.l2 is None):
+        raise UsageError("--l1 and --l2 go together: give both for penalized stress")
+    penalty = None if args.l1 is None else (args.l1, args.l2)
     report = community.dimension_sweep(
-        g, ds, config=_solver_config(args), seed=args.seed,
-        penalized=args.penalized,
-        lam1=args.l1 if args.l1 is not None else 1.0,
-        lam2=args.l2 if args.l2 is not None else 1.0,
-    )
-    if args.strict and any(not r.embedding.converged for r in report.records):
-        raise NumericalError("one or more sweep embeddings did not converge")
+        g, ds, config=_solver_config(args), seed=args.seed, penalty=penalty)
+    for rec in report.records:
+        _check_convergence(rec.embedding, args.strict)
 
     def stress_rows():
         yield "d,stress,penalized_stress,residual\n"
         for rec in report.records:
             sf = "" if rec.penalized_stress is None else repr(rec.penalized_stress)
-            yield f"{rec.d},{rec.stress!r},{sf},{rec.residual!r}\n"
+            yield f"{rec.d},{rec.stress!r},{sf},{rec.embedding.residual!r}\n"
 
     files.save_lines("stress.csv", stress_rows())
     for rec in report.records:
@@ -310,17 +292,14 @@ def cmd_sweep(args, files):
     files.save_matrix("centrality.csv", community.centrality(sel.embedding.X)[:, None])
     files.save_json("report.json", {
         "selected_d": report.selected_d, "stress": sel.stress,
-        "penalized_stress": sel.penalized_stress, "residual": sel.residual,
+        "penalized_stress": sel.penalized_stress, "residual": sel.embedding.residual,
     })
-    config = {"d_range": args.d_range, "penalized": args.penalized,
-              "l1": args.l1, "l2": args.l2, **_solver_flags(args), "format": args.format}
-    solver = {
+    return {
         str(rec.d): {"iterations": rec.embedding.iterations,
                      "converged": rec.embedding.converged,
                      "stop_reason": rec.embedding.stop_reason}
         for rec in report.records
     }
-    return {"config": config, "solver": solver}
 
 
 def cmd_null(args, files):
@@ -335,10 +314,6 @@ def cmd_null(args, files):
         n_samples=args.samples, seed=args.seed, x=x,
     )
     files.save_lines("null.json", [report.to_json(), "\n"])
-    config = {"null": args.null, "statistic": args.statistic,
-              "samples": args.samples, "format": args.format,
-              "embedding": args.embedding}
-    return {"config": config}
 
 
 def cmd_likelihood(args, files):
@@ -348,8 +323,6 @@ def cmd_likelihood(args, files):
     print(value)
     if args.out:
         files.save_json("likelihood.json", {"family": args.family, "log_likelihood": value})
-    config = {"family": args.family, "clamp": args.clamp, "format": args.format}
-    return {"config": config}
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +346,9 @@ def _add_common(p, need_graph=True, out_required=True):
 
 
 def _add_solver(p):
-    p.add_argument("--max-iter", type=int, default=500, help="cap on L-BFGS steps")
+    p.add_argument("--max-iter", type=_positive_int, default=500, help="cap on L-BFGS steps")
     p.add_argument("--tol", type=float, default=1e-7, help="converged when |grad f| <= "
                    "TOL ||A||_F ||X||_F, f = ||offdiag(X X^T - A)||_F^2 (default: 1e-7)")
-    p.add_argument("--init", choices=["degree-mean", "zeros"], default="degree-mean")
     p.add_argument("--strict", action="store_true",
                    help="treat non-convergence as a failure (exit 3)")
 
@@ -418,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="stress-driven dimension selection")
     _add_common(p)
     p.add_argument("--d-range", required=True, help="'lo..hi' or comma list")
-    p.add_argument("--penalized", action="store_true")
-    p.add_argument("--l1", type=float, default=None)
+    p.add_argument("--l1", type=float, default=None,
+                   help="with --l2, select d by L1 * stress + L2 * residual")
     p.add_argument("--l2", type=float, default=None)
     _add_solver(p)
     p.set_defaults(func=cmd_sweep)
@@ -429,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null", choices=list(analysis.NULL_KINDS), default="poisson_er")
     p.add_argument("--statistic", choices=analysis.STATISTICS,
                    default="avg_weighted_clustering")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--embedding", help="embedding CSV for the dot_product null")
     p.set_defaults(func=cmd_null)
 
@@ -448,11 +420,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.seed = _default_seed(args.seed)
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "seed")}
         started = time.perf_counter()
         files = _RunFiles(args.out)
-        fields = args.func(args, files)
+        solver = args.func(args, files)
         if args.out:
-            files.write_manifest(args.command, args.seed, fields, started)
+            files.write_manifest(args.command, config, solver, args.seed, started)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

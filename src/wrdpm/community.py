@@ -171,8 +171,8 @@ def stress_penalized(
     normalize_rows: bool = True,
 ) -> float:
     """Stress plus a Frobenius fit penalty: lam1*s + lam2*residual."""
-    if lam1 < 0 or lam2 < 0:
-        raise ValueError("penalty weights must be nonnegative")
+    if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
+        raise ValueError(f"penalty weights must be finite and nonnegative, got {lam1}, {lam2}")
     return lam1 * stress(x, p, normalize_rows) + lam2 * residual(g, x)
 
 
@@ -187,7 +187,6 @@ class StressRecord:
     stress: float
     penalized_stress: Optional[float]
     partition: Partition
-    residual: float
     embedding: Embedding
 
 
@@ -212,17 +211,17 @@ def dimension_sweep(
     d_values: Iterable[int],
     config: SolverConfig | None = None,
     seed: int = 0,
-    penalized: bool = False,
-    lam1: float = 1.0,
-    lam2: float = 1.0,
-    normalize_rows: bool = False,
+    penalty: tuple[float, float] | None = None,
 ) -> StressReport:
     """Embed, cluster (k=d), and score every dimension; pick the stress argmin.
 
-    The sweep scores partitions on raw dot products by default: on weighted
-    block models the normalized variant systematically under-selects (the
+    The sweep scores partitions on raw dot products: on weighted block
+    models the normalized variant systematically under-selects (the
     squeezed low-d geometry keeps inter-community cosines cheap), while the
     raw stress pays the full inter-community weight.
+
+    With ``penalty = (lam1, lam2)`` each record also holds the penalized
+    stress lam1 * stress + lam2 * residual, and the argmin is taken over it.
 
     Each dimension clusters with its own seed, derive_seed(seed, d), so sweep
     entries are independent; ties in the argmin go to the smallest d.
@@ -234,11 +233,11 @@ def dimension_sweep(
     for d in ds:
         emb = embed(g, d, config)
         part = angular_kmeans(emb.X, k=d, seed=derive_seed(seed, d))
-        s = stress(emb.X, part, normalize_rows=normalize_rows)
+        s = stress(emb.X, part, normalize_rows=False)
         sf = (
-            stress_penalized(emb.X, part, g, lam1, lam2, normalize_rows)
-            if penalized
-            else None
+            None
+            if penalty is None
+            else stress_penalized(emb.X, part, g, *penalty, normalize_rows=False)
         )
         records.append(
             StressRecord(
@@ -246,11 +245,10 @@ def dimension_sweep(
                 stress=s,
                 penalized_stress=sf,
                 partition=part,
-                residual=emb.residual,
                 embedding=emb,
             )
         )
-    key = (lambda r: r.penalized_stress) if penalized else (lambda r: r.stress)
+    key = (lambda r: r.stress) if penalty is None else (lambda r: r.penalized_stress)
     best = records[0]
     for rec in records[1:]:
         if key(rec) < key(best):

@@ -21,15 +21,12 @@ class SolverConfig:
     max_iterations: int = 500
     # Largest gradient norm of a converged X, relative to ||A||_F ||X||_F.
     tolerance: float = 1e-7
-    diagonal_init: str = "degree-mean"  # or "zeros"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.diagonal_init not in ("degree-mean", "zeros"):
-            raise ValueError(f"unknown diagonal_init {self.diagonal_init!r}")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +130,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
     - 2 tr(X^T A X) + ||A||_F^2 and grad f = 4 (X X^T X - A X - diag(r) X):
     O(n^2 d) and no n x n matrix, until f falls below _DIRECT_SHARE of
     ||A||_F^2 and is summed directly. The start is the rank-d eigentruncation
-    of A + diag(degree mean, or zero). The fit runs on A / 4^m (4^m near
+    of A + diag(degree mean). The fit runs on A / 4^m (4^m near
     max |A|) over its norm: the power of two is exact, so embed(4 A).X is
     2 embed(A).X bit for bit, and the norm makes the path scale-free. X is
     returned on its principal axes, canonically oriented.
@@ -164,7 +161,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
     if scale:
         a /= scale
     a_sq = np.einsum("ij,ij->", a, a)
-    start = a.sum(axis=1) / max(n - 1, 1) if config.diagonal_init == "degree-mean" else np.zeros(n)
+    start = a.sum(axis=1) / max(n - 1, 1)
     x = _truncated_factor(lambda: a + np.diag(start), lambda v: a @ v + (start * v.T).T, n, d)
     # A directly summed f is accurate to its own size, so the rounding floor
     # of the gradient falls with sqrt(f) there.

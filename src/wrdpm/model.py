@@ -179,8 +179,11 @@ class AxisNoise:
     sigma2: float = 0.01
 
     def __post_init__(self):
-        if self.d < 1 or self.sigma2 < 0:
-            raise ModelError("axis-noise source needs d >= 1 and sigma2 >= 0")
+        if self.d < 1 or not 0 <= self.sigma2 < np.inf:
+            raise ModelError(
+                f"axis-noise source needs d >= 1 and finite sigma2 >= 0, "
+                f"got d={self.d}, sigma2={self.sigma2}"
+            )
 
     @property
     def dim(self) -> int:
@@ -210,9 +213,11 @@ class MultiresolutionAxis:
     exp_mean: float = 2.0
 
     def __post_init__(self):
-        if self.d < 1 or self.sigma2 < 0 or self.exp_mean <= 0:
+        if self.d < 1 or not 0 <= self.sigma2 < np.inf or not 0 < self.exp_mean < np.inf:
             raise ModelError(
-                "multiresolution source needs d >= 1, sigma2 >= 0, exp_mean > 0"
+                "multiresolution source needs d >= 1, finite sigma2 >= 0 and "
+                f"finite exp_mean > 0, got d={self.d}, sigma2={self.sigma2}, "
+                f"exp_mean={self.exp_mean}"
             )
 
     @property
@@ -258,8 +263,8 @@ class Ray:
                 raise ModelError("ray magnitudes must be nonnegative")
             m.setflags(write=False)
             object.__setattr__(self, "magnitudes", m)
-        elif self.rate <= 0:
-            raise ModelError("ray magnitude rate must be positive")
+        elif not 0 < self.rate < np.inf:
+            raise ModelError(f"ray magnitude rate must be finite and positive, got {self.rate}")
 
     @property
     def dim(self) -> int:
@@ -302,11 +307,23 @@ _SOURCE_KINDS = {
 }
 
 
+def _json_key(doc, key: str, what: str):
+    """``doc[key]`` of a parsed JSON object, or a ModelError naming what is missing."""
+    if not isinstance(doc, dict):
+        raise ModelError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ModelError(f"{what} has no {key!r} key")
+    return doc[key]
+
+
 def source_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = _json_key(d, "kind", "a vector source")
     if kind not in _SOURCE_KINDS:
         raise ModelError(f"unknown vector source kind {kind!r}")
-    return _SOURCE_KINDS[kind](d)
+    try:
+        return _SOURCE_KINDS[kind](d)
+    except KeyError as exc:
+        raise ModelError(f"{kind} source has no {exc.args[0]!r} key") from None
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +355,13 @@ class LatentModel:
     @classmethod
     def from_json(cls, text: str) -> "LatentModel":
         doc = json.loads(text)
-        sources = doc["sources"]
-        if len(sources) != 1:
-            raise ModelError(f"a model has one vector source, got {len(sources)}")
+        sources = _json_key(doc, "sources", "a model")
+        if not isinstance(sources, list) or len(sources) != 1:
+            raise ModelError(f"a model has one vector source, got {sources!r}")
         return cls(
-            EdgeDistribution(doc["distribution"]["family"]),
-            int(doc["n"]),
+            EdgeDistribution(_json_key(_json_key(doc, "distribution", "a model"),
+                                       "family", "a model's distribution")),
+            int(_json_key(doc, "n", "a model")),
             source_from_dict(sources[0]),
         )
 

@@ -110,12 +110,8 @@ def make_er(
 ) -> LatentModel:
     """Erdos-Renyi style model: one constant vector with squared norm theta."""
     dist = EdgeDistribution(family)
-    if dist.domain_violations(np.array([theta])).any() and not (
-        family == "poisson" and theta == 0
-    ):
-        raise DomainError(f"parameter {theta} outside the {family} domain")
-    if theta < 0:
-        raise DomainError(f"parameter {theta} must be nonnegative")
+    if not np.isfinite(theta) or dist.domain_violations(np.array([theta])).any():
+        raise DomainError(f"ER parameter {theta} is outside the {family} domain")
     v = np.zeros(d)
     v[0] = np.sqrt(theta)
     return LatentModel(dist, n, Constant(v))

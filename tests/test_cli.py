@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wrdpm import WeightedGraph, load_graph, save_graph, total_weight
-from wrdpm.cli import main
+from wrdpm.cli import build_parser, main
 from conftest import disjoint_cliques
 
 
@@ -96,6 +96,36 @@ class TestGenerate:
         bad.write_text("{not json")
         assert run("generate", "--model", str(bad), "--out", str(tmp_path / "x")) == 2
 
+    @pytest.mark.parametrize("source, builtin, doc, missing", [
+        ("--model", None, {}, "'sources'"),
+        ("--model", None, {"distribution": {"family": "poisson"}, "n": 3,
+                           "sources": [{"kind": "axis_noise", "d": 2}]}, "'sigma2'"),
+        ("--model", None, [1], "must be a JSON object"),
+        ("--spec", "sbm", {"sizes": [4, 4]}, "'B'"),
+        ("--spec", "chung-lu", {"d": 1}, "'weights'"),
+    ])
+    def test_malformed_model_or_spec_is_data_error(self, tmp_path, capsys, source, builtin,
+                                                   doc, missing):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["generate", source, str(path), "--out", str(tmp_path / "x")]
+        assert run(*argv, *(["--builtin", builtin] if builtin else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--builtin", "er", "--param", "nan"], "ER parameter nan"),
+        (["--builtin", "poisson-er", "--param", "nan"], "ER parameter nan"),
+        (["--builtin", "simple-community", "--sigma2", "nan"], "sigma2=nan"),
+        (["--builtin", "multiresolution", "--exp-mean", "nan"], "exp_mean=nan"),
+    ])
+    def test_non_finite_setting_is_named(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "x"
+        assert run("generate", *argv, "--out", str(out)) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--n", "--d"])
     def test_zero_size_is_usage_error(self, tmp_path, flag):
         out = tmp_path / "x"
@@ -117,6 +147,10 @@ class TestEmbed:
 
     def test_d_zero_is_usage_error(self, tmp_path, clique_path):
         assert run("embed", "--graph", str(clique_path), "--d", "0",
+                   "--out", str(tmp_path / "x")) == 1
+
+    def test_zero_max_iter_is_usage_error(self, tmp_path, clique_path):
+        assert run("embed", "--graph", str(clique_path), "--d", "3", "--max-iter", "0",
                    "--out", str(tmp_path / "x")) == 1
 
     def test_missing_graph_is_data_error(self, tmp_path):
@@ -142,6 +176,11 @@ class TestEmbed:
         assert run("embed", "--graph", str(big), "--d", "1",
                    "--out", str(tmp_path / "x")) == 2
         assert "line 1: n=99999999999 exceeds" in capsys.readouterr().err
+
+    def test_non_finite_tolerance_is_named(self, tmp_path, clique_path, capsys):
+        assert run("embed", "--graph", str(clique_path), "--d", "3", "--tol", "nan",
+                   "--out", str(tmp_path / "x")) == 2
+        assert "tolerance must be finite and positive, got nan" in capsys.readouterr().err
 
     def test_strict_nonconvergence_is_numerical_error(self, tmp_path, clique_path):
         assert run("embed", "--graph", str(clique_path), "--d", "3",
@@ -249,16 +288,28 @@ class TestSweep:
         assert json.loads((out / "report.json").read_text())["selected_d"] == 3
 
     def test_penalized_requires_weights(self, tmp_path, clique_path):
-        assert run("sweep", "--graph", str(clique_path), "--d-range", "2..3",
-                   "--penalized", "--out", str(tmp_path / "x")) == 1
+        for flag in ("--l1", "--l2"):
+            out = tmp_path / flag
+            assert run("sweep", "--graph", str(clique_path), "--d-range", "2..3",
+                       flag, "1.0", "--out", str(out)) == 1
+            assert not out.exists()
 
     def test_penalized_populates_column(self, tmp_path, clique_path):
         out = tmp_path / "run"
         assert run("sweep", "--graph", str(clique_path), "--d-range", "2..3",
-                   "--penalized", "--l1", "1.0", "--l2", "0.5",
-                   "--out", str(out)) == 0
+                   "--l1", "1.0", "--l2", "0.5", "--out", str(out)) == 0
         for line in (out / "stress.csv").read_text().splitlines()[1:]:
             assert line.split(",")[2] != ""
+
+    def test_unconverged_solves_are_reported_per_d(self, tmp_path, clique_path, capsys):
+        argv = ("sweep", "--graph", str(clique_path), "--d-range", "2..3", "--max-iter", "1")
+        assert run(*argv, "--out", str(tmp_path / "a")) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: embedding at d={d} did not converge in 1 iterations (cap)"
+            for d in (2, 3)]
+        assert run(*argv, "--strict", "--out", str(tmp_path / "b")) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: embedding at d=2 did not converge in 1 iterations (cap)\n")
 
     def test_bad_range_is_usage_error(self, tmp_path, clique_path):
         assert run("sweep", "--graph", str(clique_path), "--d-range", "4..2",
@@ -292,6 +343,10 @@ class TestNull:
         assert run("null", "--graph", str(clique_path), "--samples", "1",
                    "--out", str(out)) == 0
         assert json.loads((out / "null.json").read_text())["null_std"] is None
+
+    def test_zero_samples_is_usage_error(self, tmp_path, clique_path):
+        assert run("null", "--graph", str(clique_path), "--samples", "0",
+                   "--out", str(tmp_path / "x")) == 1
 
     def test_unknown_statistic_is_usage_error(self, tmp_path, clique_path):
         assert run("null", "--graph", str(clique_path), "--statistic", "bogus",
@@ -365,6 +420,38 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["inputs"] == []
         assert manifest["input_sha256"] == {}
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--builtin", "multiresolution", "--n", "12", "--d", "2",
+         "--sigma2", "0.02", "--exp-mean", "1.5"],
+        ["embed", "--graph", "{graph}", "--d", "3", "--tol", "1e-6"],
+        ["cluster", "--graph", "{graph}", "--d", "3", "--k", "2", "--max-iter", "300"],
+        ["sweep", "--graph", "{graph}", "--d-range", "2..3", "--l1", "1", "--l2", "0.5"],
+        ["null", "--graph", "{graph}", "--samples", "3", "--statistic", "total_weight"],
+        ["likelihood", "--graph", "{graph}", "--embedding", "{embedding}", "--clamp"],
+    ])
+    def test_config_is_every_parsed_flag(self, tmp_path, clique_path, argv):
+        embedding = tmp_path / "emb.csv"
+        np.savetxt(embedding, np.full((15, 3), 0.5), delimiter=",")
+        out = tmp_path / "run"
+        argv = [arg.format(graph=clique_path, embedding=embedding) for arg in argv]
+        argv += ["--seed", "4", "--out", str(out)]
+        assert run(*argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        parsed = vars(build_parser().parse_args(argv))
+        assert manifest["config"] == {
+            k: v for k, v in parsed.items() if k not in ("func", "command", "seed")}
+        assert manifest["seed"] == 4
+
+    def test_generate_config_records_model_settings(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("generate", "--builtin", "er", "--param", "0.3", "--family", "bernoulli",
+                   "--n", "10", "--d", "2", "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"] == {
+            "out": str(out), "format": "edge-list", "model": None, "builtin": "er",
+            "n": 10, "d": 2, "family": "bernoulli", "param": 0.3, "sigma2": 0.01,
+            "exp_mean": 2.0, "spec": None, "clamp": False,
+        }
 
     def test_outputs_are_the_data_files(self, tmp_path, clique_path):
         out = tmp_path / "run"

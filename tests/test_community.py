@@ -175,8 +175,9 @@ class TestStressPenalized:
         g = disjoint_cliques([3])
         x = np.ones((3, 1))
         p = Partition(np.zeros(3, dtype=int), 1)
-        with pytest.raises(ValueError):
-            stress_penalized(x, p, g, -1.0, 1.0)
+        for lam1, lam2 in ((-1.0, 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                stress_penalized(x, p, g, lam1, lam2)
 
 
 class TestCentrality:
@@ -223,7 +224,7 @@ class TestDimensionSweep:
 
     def test_penalized_column(self):
         g = disjoint_cliques([4, 4])
-        report = dimension_sweep(g, [2, 3], seed=0, penalized=True, lam1=1.0, lam2=1.0)
+        report = dimension_sweep(g, [2, 3], seed=0, penalty=(1.0, 1.0))
         for rec in report.records:
             assert rec.penalized_stress is not None
             assert rec.penalized_stress >= rec.stress - 1e-9

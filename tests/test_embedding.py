@@ -58,11 +58,6 @@ class TestEmbed:
         assert a.residual == b.residual
         assert a.iterations == b.iterations
 
-    def test_zeros_init_also_converges(self):
-        g = disjoint_cliques([5, 5])
-        emb = embed(g, 2, SolverConfig(diagonal_init="zeros"))
-        assert emb.residual < 1e-6
-
     def test_iteration_cap_returns_best_so_far(self, rng):
         g = random_integer_graph(rng, 15)
         capped = embed(g, 3, SolverConfig(max_iterations=2))
@@ -207,7 +202,7 @@ class TestDescent:
         report = dimension_sweep(three_block_sbm(0, 50), range(2, 9))
         assert all(rec.embedding.converged for rec in report.records)
         for rec, old in zip(report.records, fixed_point):
-            assert rec.residual <= old * (1 + 1e-9)
+            assert rec.embedding.residual <= old * (1 + 1e-9)
         assert report.selected_d == 3
 
     def test_zero_column_is_filled_where_the_residual_falls(self):
@@ -243,8 +238,9 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(diagonal_init="bogus")
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            SolverConfig(tolerance=tol)
 
 
 def poisson_graph(seed, n, mean=0.5):

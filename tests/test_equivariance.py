@@ -34,13 +34,30 @@ def has_unique_truncation(g, emb):
     """True when the top-d eigenspace at the fixed point is well separated.
 
     With a tie between the d-th and (d+1)-th positive eigenvalue the rank-d
-    truncation, and so the Gram matrix, is not unique.
+    truncation, and so the Gram matrix, is not unique. Neither is it when the
+    d-th eigenvalue is not positive: X is then rank-deficient, and another
+    diagonal can fit as exactly (see the test below).
     """
     x = emb.X
     a_hat = g.weights + np.diag(np.einsum("ij,ij->i", x, x))
     vals = np.linalg.eigvalsh(a_hat)[::-1]
     scale = max(abs(vals).max(), 1.0)
-    return emb.converged and (vals[emb.d] <= 0 or vals[emb.d - 1] - vals[emb.d] > 1e-3 * scale)
+    return emb.converged and vals[emb.d - 1] - max(vals[emb.d], 0.0) > 1e-3 * scale
+
+
+def test_rank_deficient_fit_is_not_unique():
+    # Node 0 isolated; edges 1-2 (1), 1-3 (2), 2-3 (1). At d = 3 both Gram
+    # diagonals (2, 2/3, 2) and (2, 1/2, 2) for nodes 1-3 make A + diag PSD,
+    # and a PSD 4 x 4 matrix with a zero row has rank at most 3: two exact fits.
+    w = np.zeros((4, 4))
+    w[1, 2] = w[2, 1] = w[2, 3] = w[3, 2] = 1.0
+    w[1, 3] = w[3, 1] = 2.0
+    for diag in ([0, 2, 2 / 3, 2], [0, 2, 1 / 2, 2]):
+        assert np.linalg.eigvalsh(w + np.diag(diag)).min() > -1e-12
+    g = WeightedGraph(w)
+    emb = embed(g, 3)
+    assert emb.converged
+    assert not has_unique_truncation(g, emb)
 
 
 @PROPERTY_SETTINGS

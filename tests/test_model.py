@@ -85,6 +85,17 @@ class TestDrawVectors:
         with pytest.raises(ModelError):
             FiniteSupport(np.eye(2), np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: AxisNoise(3, v), "sigma2"),
+        (lambda v: MultiresolutionAxis(3, v, 2.0), "sigma2"),
+        (lambda v: MultiresolutionAxis(3, 0.01, v), "exp_mean"),
+        (lambda v: Ray(np.array([1.0]), rate=v), "rate"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_source_parameter_is_named(self, make, name, value):
+        with pytest.raises(ModelError, match=f"finite {name}|{name} must be finite"):
+            make(value)
+
 
 class TestDotProductGrid:
     def test_orthogonal_unit_vectors(self):
