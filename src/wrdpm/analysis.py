@@ -149,7 +149,7 @@ def null_compare(
         raise ValueError("dot_product null requires embedding vectors")
     else:
         vectors = _node_vectors(x, g)
-    grid = dist.clamp(dot_product_grid(vectors))
+    grid = dot_product_grid(vectors)
 
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":

@@ -172,16 +172,16 @@ def _builtin_model(args, files) -> model.LatentModel:
         with open(files.read(args.spec), encoding="utf-8") as f:
             doc = json.load(f)
         what = f"the {name} spec"
-        values = np.array(model._json_key(doc, "B" if name == "sbm" else "weights", what),
-                          dtype=float)
+        values = model._json_key(doc, "B" if name == "sbm" else "weights", what,
+                                 lambda v: np.array(v, dtype=float))
         family = args.family or doc.get("family", "poisson")
         if name == "sbm":
-            spec = specialize.BlockModelSpec(values, tuple(model._json_key(doc, "sizes", what)))
-            return specialize.make_sbm(
-                spec, family, magnitude_normalization=bool(doc.get("normalize", False))
-            )
+            sizes = model._json_key(doc, "sizes", what, lambda v: tuple(int(z) for z in v))
+            return specialize.make_sbm(specialize.BlockModelSpec(values, sizes), family,
+                                       magnitude_normalization=bool(doc.get("normalize", False)))
         spec = specialize.ChungLuSpec(values)
-        return specialize.make_chung_lu(spec, family, d=int(doc.get("d", d)))
+        d = model._json_key(doc, "d", what, int) if "d" in doc else d
+        return specialize.make_chung_lu(spec, family, d=d)
     raise UsageError(f"unknown builtin {name!r}; valid: {', '.join(BUILTINS)}")
 
 
@@ -204,7 +204,6 @@ def cmd_generate(args, files):
                lambda path: graph.save_graph(g, path, args.format))
     files.save_lines("model.json", [m.to_json(), "\n"])
     files.save_matrix("vectors_0.csv", vectors)
-    files.save_matrix("grid_0.csv", model.dot_product_grid(vectors))
 
 
 def _solver_config(args) -> embedding.SolverConfig:
@@ -421,6 +420,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.seed = _default_seed(args.seed)
         config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "seed")}
+        for key, value in config.items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
         started = time.perf_counter()
         files = _RunFiles(args.out)
         solver = args.func(args, files)
@@ -433,8 +435,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (graph.GraphFormatError, model.DomainError, model.ModelError,
-            specialize.NotPSDError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -14,9 +14,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .embedding import Embedding, SolverConfig, embed, residual
+from .embedding import Embedding, SolverConfig, embed
 from .graph import WeightedGraph
 from .model import derive_seed
+
+_KMEANS_MAX_ITER = 100  # Lloyd steps per restart
+_KMEANS_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,11 @@ def _farthest_point_init(
 
 
 def _lloyd_spherical(
-    xn: np.ndarray, centroids: np.ndarray, max_iter: int
+    xn: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     k = centroids.shape[0]
     assignment = np.full(xn.shape[0], -1)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         sims = xn @ centroids.T
         new_assignment = np.argmax(sims, axis=1)
         # Re-seed each empty cluster with the point farthest from its
@@ -100,14 +103,13 @@ def _lloyd_spherical(
     return assignment, centroids, objective
 
 
-def angular_kmeans(
-    x: np.ndarray, k: int, seed: int = 0, max_iter: int = 100, restarts: int = 10
-) -> Partition:
+def angular_kmeans(x: np.ndarray, k: int, seed: int = 0) -> Partition:
     """Cluster rows of x by direction, maximizing within-cluster cosine similarity.
 
     Rows are unit-normalized first; zero rows are excluded from the fit and
     then attached to the cluster whose centroid best matches a fixed
-    tie-break direction. Deterministic given the seed.
+    tie-break direction. The best of ``_KMEANS_RESTARTS`` farthest-point
+    starts is kept. Deterministic given the seed.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -123,12 +125,10 @@ def angular_kmeans(
         raise ValueError(f"only {active.shape[0]} nonzero rows for k={k}")
 
     best = None
-    for r in range(restarts):
+    for r in range(_KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         centroids = _farthest_point_init(active, k, rng)
-        assignment, centroids, objective = _lloyd_spherical(
-            active, centroids, max_iter
-        )
+        assignment, centroids, objective = _lloyd_spherical(active, centroids)
         if best is None or objective > best[2]:
             best = (assignment, centroids, objective)
 
@@ -165,15 +165,15 @@ def stress(x: np.ndarray, p: Partition, normalize_rows: bool = True) -> float:
 def stress_penalized(
     x: np.ndarray,
     p: Partition,
-    g: WeightedGraph,
+    residual: float,
     lam1: float,
     lam2: float,
     normalize_rows: bool = True,
 ) -> float:
-    """Stress plus a Frobenius fit penalty: lam1*s + lam2*residual."""
+    """Stress plus a fit penalty: lam1*s + lam2*residual, the fit's ``Embedding.residual``."""
     if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
         raise ValueError(f"penalty weights must be finite and nonnegative, got {lam1}, {lam2}")
-    return lam1 * stress(x, p, normalize_rows) + lam2 * residual(g, x)
+    return lam1 * stress(x, p, normalize_rows) + lam2 * residual
 
 
 def centrality(x: np.ndarray) -> np.ndarray:
@@ -237,7 +237,7 @@ def dimension_sweep(
         sf = (
             None
             if penalty is None
-            else stress_penalized(emb.X, part, g, *penalty, normalize_rows=False)
+            else stress_penalized(emb.X, part, emb.residual, *penalty, normalize_rows=False)
         )
         records.append(
             StressRecord(

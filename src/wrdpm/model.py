@@ -307,23 +307,30 @@ _SOURCE_KINDS = {
 }
 
 
-def _json_key(doc, key: str, what: str):
-    """``doc[key]`` of a parsed JSON object, or a ModelError naming what is missing."""
+def _json_key(doc, key: str, what: str, convert=lambda value: value):
+    """``convert(doc[key])`` of a parsed JSON object, or a ModelError naming the
+    key that is missing or holds a value of the wrong type."""
     if not isinstance(doc, dict):
         raise ModelError(f"{what} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise ModelError(f"{what} has no {key!r} key")
-    return doc[key]
+    try:
+        return convert(doc[key])
+    except TypeError:
+        raise ModelError(
+            f"{what}'s {key!r} has the wrong type ({type(doc[key]).__name__})") from None
 
 
 def source_from_dict(d: dict):
     kind = _json_key(d, "kind", "a vector source")
-    if kind not in _SOURCE_KINDS:
+    if not isinstance(kind, str) or kind not in _SOURCE_KINDS:
         raise ModelError(f"unknown vector source kind {kind!r}")
     try:
         return _SOURCE_KINDS[kind](d)
     except KeyError as exc:
         raise ModelError(f"{kind} source has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise ModelError(f"{kind} source has a value of the wrong type: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +368,7 @@ class LatentModel:
         return cls(
             EdgeDistribution(_json_key(_json_key(doc, "distribution", "a model"),
                                        "family", "a model's distribution")),
-            int(_json_key(doc, "n", "a model")),
+            _json_key(doc, "n", "a model", int),
             source_from_dict(sources[0]),
         )
 
@@ -390,22 +397,25 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
     return (grid + grid.T) / 2.0
 
 
-def _checked_grid(
-    distribution: EdgeDistribution, grid: np.ndarray, clamp: bool
-) -> np.ndarray:
-    """The grid clamped into the domain, or checked off the diagonal."""
+def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
+    """The j < l index pairs of a square grid and their parameters, in row-major order.
+
+    With ``clamp`` the parameters are clamped into the domain; otherwise
+    every off-diagonal grid entry must lie in it.
+    """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
+        raise ModelError(f"parameter grid must be square, got shape {grid.shape}")
+    pairs = np.triu_indices(grid.shape[0], k=1)
     if clamp:
-        return distribution.clamp(grid)
-    off = ~np.eye(grid.shape[0], dtype=bool)
-    bad = distribution.domain_violations(grid) & off
+        return pairs, distribution.clamp(grid[pairs])
+    bad = distribution.domain_violations(grid)
+    np.fill_diagonal(bad, False)
     if bad.any():
         j, l = np.argwhere(bad)[0]
-        raise DomainError(
-            f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
-            f"the {distribution.family} domain"
-        )
-    return grid
+        raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
+                          f"the {distribution.family} domain")
+    return pairs, grid[pairs]
 
 
 def sample_from_grids(
@@ -415,13 +425,9 @@ def sample_from_grids(
     clamp: bool = False,
 ) -> WeightedGraph:
     """Draw one weighted network with per-edge parameters from the grid."""
-    grid = _checked_grid(distribution, grid, clamp)
-    n = grid.shape[0]
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    draws = distribution.sample(grid[iu, ju], rng)
-    weights = np.zeros((n, n))
-    weights[iu, ju] = draws
+    pairs, params = _pair_parameters(distribution, grid, clamp)
+    weights = np.zeros(np.shape(grid))
+    weights[pairs] = distribution.sample(params, np.random.default_rng(seed))
     weights += weights.T
     return WeightedGraph(weights)
 
@@ -444,7 +450,7 @@ def log_likelihood(
     g: WeightedGraph,
     clamp: bool = False,
 ) -> float:
-    """Log probability of the observed weights under the given parameter grid.
+    """Log probability of the observed weights under the g.n x g.n parameter grid.
 
     Returns -inf (with a warning) when any observed edge weight has zero
     probability under its grid entry.
@@ -453,9 +459,10 @@ def log_likelihood(
         raise ModelError(f"{distribution.family} likelihood needs integer weights")
     if distribution.family == "bernoulli" and np.any(g.weights > 1):
         raise ModelError("bernoulli likelihood needs 0/1 weights")
-    grid = _checked_grid(distribution, grid, clamp)
-    iu, ju = np.triu_indices(g.n, k=1)
-    terms = distribution.log_pmf(grid[iu, ju], g.weights[iu, ju])
+    if np.shape(grid) != (g.n, g.n):
+        raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
+    pairs, params = _pair_parameters(distribution, grid, clamp)
+    terms = distribution.log_pmf(params, g.weights[pairs])
     if np.any(np.isneginf(terms)):
         warnings.warn("zero-probability observation; log-likelihood is -inf")
         return float("-inf")

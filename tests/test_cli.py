@@ -36,8 +36,9 @@ class TestGenerate:
         assert g.n == 30
         vectors = np.loadtxt(out / "vectors_0.csv", delimiter=",")
         assert vectors.shape == (30, 3)
-        grid = np.loadtxt(out / "grid_0.csv", delimiter=",")
-        assert np.allclose(grid, vectors @ vectors.T)
+        # the parameter grid is the vectors' dot products, so it is not written
+        assert sorted(os.listdir(out)) == [
+            "graph.edgelist", "manifest.json", "model.json", "vectors_0.csv"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "generate"
         assert manifest["seed"] == 4
@@ -103,6 +104,13 @@ class TestGenerate:
         ("--model", None, [1], "must be a JSON object"),
         ("--spec", "sbm", {"sizes": [4, 4]}, "'B'"),
         ("--spec", "chung-lu", {"d": 1}, "'weights'"),
+        ("--spec", "sbm", {"B": [[1.0]], "sizes": 3}, "'sizes'"),
+        ("--model", None, {"distribution": {"family": "poisson"}, "n": 3,
+                           "sources": [{"kind": "axis_noise", "d": [3], "sigma2": 0.01}]},
+         "axis_noise source"),
+        ("--model", None, {"distribution": {"family": "poisson"}, "n": [3],
+                           "sources": [{"kind": "axis_noise", "d": 3, "sigma2": 0.01}]}, "'n'"),
+        ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": [1]}, "'d'"),
     ])
     def test_malformed_model_or_spec_is_data_error(self, tmp_path, capsys, source, builtin,
                                                    doc, missing):
@@ -114,16 +122,18 @@ class TestGenerate:
         assert err.startswith("error: ") and missing in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, name", [
-        (["--builtin", "er", "--param", "nan"], "ER parameter nan"),
-        (["--builtin", "poisson-er", "--param", "nan"], "ER parameter nan"),
-        (["--builtin", "simple-community", "--sigma2", "nan"], "sigma2=nan"),
-        (["--builtin", "multiresolution", "--exp-mean", "nan"], "exp_mean=nan"),
+    @pytest.mark.parametrize("argv, flag", [
+        (["--builtin", "er", "--param", "nan"], "--param"),
+        (["--builtin", "poisson-er", "--param", "nan"], "--param"),
+        (["--builtin", "simple-community", "--sigma2", "nan"], "--sigma2"),
+        (["--builtin", "multiresolution", "--exp-mean", "nan"], "--exp-mean"),
+        # er reads no --sigma2, yet the manifest would record it
+        (["--builtin", "er", "--param", "0.5", "--n", "5", "--sigma2", "nan"], "--sigma2"),
     ])
-    def test_non_finite_setting_is_named(self, tmp_path, capsys, argv, name):
+    def test_non_finite_setting_is_named(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "x"
         assert run("generate", *argv, "--out", str(out)) == 2
-        assert name in capsys.readouterr().err
+        assert f"{flag} must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--d"])
@@ -178,9 +188,11 @@ class TestEmbed:
         assert "line 1: n=99999999999 exceeds" in capsys.readouterr().err
 
     def test_non_finite_tolerance_is_named(self, tmp_path, clique_path, capsys):
+        out = tmp_path / "x"
         assert run("embed", "--graph", str(clique_path), "--d", "3", "--tol", "nan",
-                   "--out", str(tmp_path / "x")) == 2
-        assert "tolerance must be finite and positive, got nan" in capsys.readouterr().err
+                   "--out", str(out)) == 2
+        assert "--tol must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_strict_nonconvergence_is_numerical_error(self, tmp_path, clique_path):
         assert run("embed", "--graph", str(clique_path), "--d", "3",
@@ -437,7 +449,11 @@ class TestManifest:
         argv = [arg.format(graph=clique_path, embedding=embedding) for arg in argv]
         argv += ["--seed", "4", "--out", str(out)]
         assert run(*argv) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+
+        def strict(constant):
+            raise ValueError(f"manifest.json holds {constant}, which is not JSON")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=strict)
         parsed = vars(build_parser().parse_args(argv))
         assert manifest["config"] == {
             k: v for k, v in parsed.items() if k not in ("func", "command", "seed")}

@@ -13,6 +13,7 @@ from wrdpm import (
     draw_vectors,
     embed,
     make_sbm,
+    residual,
     sample_network,
     stress,
     stress_penalized,
@@ -149,7 +150,7 @@ class TestStressPenalized:
         g = disjoint_cliques([4, 4])
         emb = embed(g, 2)
         p = angular_kmeans(emb.X, 2, seed=0)
-        assert stress_penalized(emb.X, p, g, 2.0, 0.0) == pytest.approx(
+        assert stress_penalized(emb.X, p, emb.residual, 2.0, 0.0) == pytest.approx(
             2.0 * stress(emb.X, p)
         )
 
@@ -157,7 +158,7 @@ class TestStressPenalized:
         g = disjoint_cliques([4, 4])
         emb = embed(g, 2)
         p = angular_kmeans(emb.X, 2, seed=0)
-        assert stress_penalized(emb.X, p, g, 0.0, 1.0) < 1e-6
+        assert stress_penalized(emb.X, p, emb.residual, 0.0, 1.0) < 1e-6
 
     def test_sum_of_parts(self):
         u = np.array([1.0, 0.0])
@@ -169,15 +170,14 @@ class TestStressPenalized:
         from wrdpm import WeightedGraph
 
         g = WeightedGraph(a)
-        assert stress_penalized(x, p, g, 1.0, 1.0) == pytest.approx(2.0, abs=1e-9)
+        assert stress_penalized(x, p, residual(g, x), 1.0, 1.0) == pytest.approx(2.0, abs=1e-9)
 
     def test_negative_weights_rejected(self):
-        g = disjoint_cliques([3])
         x = np.ones((3, 1))
         p = Partition(np.zeros(3, dtype=int), 1)
         for lam1, lam2 in ((-1.0, 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                stress_penalized(x, p, g, lam1, lam2)
+                stress_penalized(x, p, 0.0, lam1, lam2)
 
 
 class TestCentrality:
@@ -228,6 +228,13 @@ class TestDimensionSweep:
         for rec in report.records:
             assert rec.penalized_stress is not None
             assert rec.penalized_stress >= rec.stress - 1e-9
+
+    def test_penalty_uses_the_reported_residual(self):
+        # each row of stress.csv must add up exactly: a residual recomputed
+        # from X differs from the fit's in the last digits
+        report = dimension_sweep(fig9_graph(0), [2, 3, 4], seed=0, penalty=(0.5, 2.0))
+        for rec in report.records:
+            assert rec.penalized_stress == 0.5 * rec.stress + 2.0 * rec.embedding.residual
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,10 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
-from wrdpm import save_graph
+from wrdpm import dot_product_grid, save_graph
 from wrdpm.cli import main
 from conftest import disjoint_cliques
 
@@ -24,8 +25,6 @@ GOLDEN = {
     "generate": {
         "graph.edgelist":
             "358e46b585c9e02021c4a2304260ef5d59df025f4625047b75fb56be334fb141",
-        "grid_0.csv":
-            "1a9d3128e6f0eb87a5001a3a2e49738857acabd6a242eb2dad14778544be2c4e",
         "model.json":
             "2b5ff37b10f24b67e57504792f1b20a1d7b360ca473eaa001de68cda128338c4",
         "vectors_0.csv":
@@ -74,8 +73,14 @@ GOLDEN = {
 }
 
 
+# generate no longer writes grid_0.csv, the dot-product grid of its vectors;
+# rebuilt from vectors_0.csv it keeps these bytes.
+GRID_0_SHA256 = "1a9d3128e6f0eb87a5001a3a2e49738857acabd6a242eb2dad14778544be2c4e"
+
+
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def golden_root(tmp_path_factory):
+    """Directory holding the output directory of each golden run, by command."""
     root = tmp_path_factory.mktemp("golden")
     graph_path = root / "cliques.edgelist"
     save_graph(disjoint_cliques([5, 5, 5]), graph_path)
@@ -88,19 +93,31 @@ def digests(tmp_path_factory):
         "likelihood": ["--graph", str(graph_path), "--embedding",
                        str(root / "embed" / "embedding.csv"), "--clamp"],
     }
-    out = {}
     for command, argv in runs.items():
-        out_dir = root / command
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, *argv, "--seed", "5", "--out", str(out_dir)])
+            code = main([command, *argv, "--seed", "5", "--out", str(root / command)])
         assert code == 0, command
-        out[command] = {
+    return root
+
+
+@pytest.fixture(scope="module")
+def digests(golden_root):
+    return {
+        command: {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"
+            for p in sorted((golden_root / command).iterdir()) if p.name != "manifest.json"
         }
-    return out
+        for command in GOLDEN
+    }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_data_files_match_golden_digests(digests, command):
     assert digests[command] == GOLDEN[command]
+
+
+def test_grid_rebuilds_from_vectors(golden_root, tmp_path):
+    vectors = np.loadtxt(golden_root / "generate" / "vectors_0.csv", delimiter=",", ndmin=2)
+    path = tmp_path / "grid_0.csv"
+    np.savetxt(path, dot_product_grid(vectors), delimiter=",", fmt="%.17g")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRID_0_SHA256

@@ -181,6 +181,18 @@ class TestSampleNetwork:
         g = sample_from_grids(POISSON, x @ x.T, seed=3, clamp=True)
         assert g.weights[0, 1] == 0  # rate clamped to zero
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_non_square_grid_rejected(self, clamp):
+        with pytest.raises(ModelError, match=r"must be square, got shape \(3, 5\)"):
+            sample_from_grids(POISSON, np.ones((3, 5)), seed=0, clamp=clamp)
+
+    def test_domain_check_covers_both_triangles(self):
+        # only the upper triangle is sampled, but every off-diagonal entry is checked
+        grid = np.ones((3, 3))
+        grid[2, 1] = -1.0
+        with pytest.raises(DomainError, match=r"\(2,1\) = -1 outside the poisson"):
+            sample_from_grids(POISSON, grid, seed=0)
+
 
 class TestLogLikelihood:
     def test_uniform_coin(self):
@@ -208,6 +220,11 @@ class TestLogLikelihood:
         grid = np.zeros((2, 2))
         with pytest.warns(UserWarning, match="zero-probability"):
             assert log_likelihood(POISSON, grid, WeightedGraph(w), clamp=True) == -np.inf
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4)])
+    def test_grid_must_match_graph(self, shape):
+        with pytest.raises(ModelError, match="for a 3-node graph"):
+            log_likelihood(POISSON, np.ones(shape), WeightedGraph(np.zeros((3, 3))))
 
     def test_non_integer_weights_rejected(self):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
