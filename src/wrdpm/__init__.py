@@ -14,7 +14,6 @@ from .community import (
     centrality,
     dimension_sweep,
     stress,
-    stress_penalized,
 )
 from .embedding import Embedding, SolverConfig, embed, residual
 from .graph import (

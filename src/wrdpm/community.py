@@ -142,38 +142,28 @@ def angular_kmeans(x: np.ndarray, k: int, seed: int = 0) -> Partition:
 
 
 def stress(x: np.ndarray, p: Partition, normalize_rows: bool = True) -> float:
-    """Partition stress: sum C(z_i,2) - (intra dot sum) + (inter dot sum).
+    """Partition stress: sum C(z_c,2) - (intra dot sum) + (inter dot sum).
 
-    Computed on unit-normalized rows by default, so a perfectly orthogonal
-    community structure with aligned members scores exactly zero.
+    The dot sums run over node pairs i < j, in O(n*d) time and memory: with
+    S_c the vector sum of community c and T the sum of all rows, all pairs
+    sum to (|T|^2 - sum |x_i|^2) / 2 and the intra pairs to
+    (sum |S_c|^2 - sum |x_i|^2) / 2, and the stress is
+    sum C(z_c,2) + (all pairs) - 2 (intra pairs). Computed on unit-normalized
+    rows by default, so a perfectly orthogonal community structure with
+    aligned members scores exactly zero.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if p.n != x.shape[0]:
         raise ValueError("partition does not cover the rows of x")
     xn = _normalize_rows(x)[0] if normalize_rows else x
-    gram = xn @ xn.T
-    same = p.assignment[:, None] == p.assignment[None, :]
-    iu, ju = np.triu_indices(x.shape[0], k=1)
-    pair_dots = gram[iu, ju]
-    pair_same = same[iu, ju]
-    intra = float(pair_dots[pair_same].sum())
-    inter = float(pair_dots[~pair_same].sum())
+    sums = np.zeros((p.k, x.shape[1]))
+    np.add.at(sums, p.assignment, xn)
+    total = sums.sum(axis=0)
+    squares = np.vdot(xn, xn)
+    pairs = 0.5 * (total @ total - squares)
+    intra = 0.5 * (np.vdot(sums, sums) - squares)
     ideal = sum(comb(int(z), 2) for z in p.sizes)
-    return ideal - intra + inter
-
-
-def stress_penalized(
-    x: np.ndarray,
-    p: Partition,
-    residual: float,
-    lam1: float,
-    lam2: float,
-    normalize_rows: bool = True,
-) -> float:
-    """Stress plus a fit penalty: lam1*s + lam2*residual, the fit's ``Embedding.residual``."""
-    if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
-        raise ValueError(f"penalty weights must be finite and nonnegative, got {lam1}, {lam2}")
-    return lam1 * stress(x, p, normalize_rows) + lam2 * residual
+    return float(ideal + pairs - 2 * intra)
 
 
 def centrality(x: np.ndarray) -> np.ndarray:
@@ -220,8 +210,10 @@ def dimension_sweep(
     squeezed low-d geometry keeps inter-community cosines cheap), while the
     raw stress pays the full inter-community weight.
 
-    With ``penalty = (lam1, lam2)`` each record also holds the penalized
-    stress lam1 * stress + lam2 * residual, and the argmin is taken over it.
+    With ``penalty = (lam1, lam2)``, two finite nonnegative weights checked
+    before the first embedding, each record also holds the penalized stress
+    lam1 * stress + lam2 * residual, with the fit's ``Embedding.residual``,
+    and the argmin is taken over it. Each partition is scored once.
 
     Each dimension clusters with its own seed, derive_seed(seed, d), so sweep
     entries are independent; ties in the argmin go to the smallest d.
@@ -229,28 +221,18 @@ def dimension_sweep(
     ds = sorted(set(int(d) for d in d_values))
     if not ds:
         raise ValueError("empty dimension range")
+    if penalty is not None:
+        lam1, lam2 = penalty
+        if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
+            raise ValueError(f"penalty weights must be finite and nonnegative, got {lam1}, {lam2}")
     records = []
     for d in ds:
         emb = embed(g, d, config)
         part = angular_kmeans(emb.X, k=d, seed=derive_seed(seed, d))
         s = stress(emb.X, part, normalize_rows=False)
-        sf = (
-            None
-            if penalty is None
-            else stress_penalized(emb.X, part, emb.residual, *penalty, normalize_rows=False)
-        )
+        sf = None if penalty is None else lam1 * s + lam2 * emb.residual
         records.append(
-            StressRecord(
-                d=d,
-                stress=s,
-                penalized_stress=sf,
-                partition=part,
-                embedding=emb,
-            )
+            StressRecord(d=d, stress=s, penalized_stress=sf, partition=part, embedding=emb)
         )
     key = (lambda r: r.stress) if penalty is None else (lambda r: r.penalized_stress)
-    best = records[0]
-    for rec in records[1:]:
-        if key(rec) < key(best):
-            best = rec
-    return StressReport(records=tuple(records), selected_d=best.d)
+    return StressReport(records=tuple(records), selected_d=min(records, key=key).d)

@@ -1,22 +1,26 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wrdpm import (
     BlockModelSpec,
     Partition,
+    WeightedGraph,
     angular_kmeans,
     centrality,
+    community,
     dimension_sweep,
     draw_vectors,
     embed,
     make_sbm,
-    residual,
     sample_network,
     stress,
-    stress_penalized,
 )
 from conftest import bridge_graph, disjoint_cliques
 
@@ -145,39 +149,104 @@ class TestStress:
             assert stress(x, p) >= bound - 1e-9
 
 
+def pair_loop_stress(x, p, normalize_rows):
+    """Stress by its definition, one pair i < j at a time.
+
+    Returns the stress and the sum of |x_i . x_j| over those pairs.
+    """
+    if normalize_rows:
+        norms = np.linalg.norm(x, axis=1)
+        x = x / np.where(norms > 0, norms, 1.0)[:, None]
+    value = float(sum(math.comb(int(z), 2) for z in p.sizes))
+    scale = 0.0
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            dot = float(x[i] @ x[j])
+            value += -dot if p.assignment[i] == p.assignment[j] else dot
+            scale += abs(dot)
+    return value, scale
+
+
+@st.composite
+def partitioned_rows(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    x = draw(hnp.arrays(float, (n, d), elements=st.floats(-4, 4, allow_subnormal=False)))
+    x[draw(hnp.arrays(bool, n))] = 0.0
+    assignment = draw(hnp.arrays(int, n, elements=st.integers(0, k - 1)))
+    return x, Partition(assignment, k)
+
+
+# community 1 is empty and row 2 is zero
+EMPTY_COMMUNITY_ZERO_ROW = (np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 0.0], [3.0, 0.25]]),
+                            Partition(np.array([0, 2, 2, 0]), 3))
+
+
+class TestStressClosedForm:
+    @given(partitioned_rows(), st.booleans())
+    @example(EMPTY_COMMUNITY_ZERO_ROW, True)
+    @example(EMPTY_COMMUNITY_ZERO_ROW, False)
+    def test_matches_the_pair_loop(self, rows, normalize_rows):
+        x, p = rows
+        expected, scale = pair_loop_stress(x, p, normalize_rows)
+        got = stress(x, p, normalize_rows)
+        assert type(got) is float
+        assert abs(got - expected) <= 1e-12 * (1 + scale)
+
+    def test_memory_is_linear_in_n(self):
+        n, d = 3000, 8
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(n, d))
+        p = Partition(rng.integers(0, d, n), d)
+        tracemalloc.start()
+        try:
+            for normalize_rows in (True, False):
+                stress(x, p, normalize_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * d * 8
+
+
 class TestStressPenalized:
-    def test_lambda2_zero_reduces_to_stress(self, rng):
-        g = disjoint_cliques([4, 4])
-        emb = embed(g, 2)
-        p = angular_kmeans(emb.X, 2, seed=0)
-        assert stress_penalized(emb.X, p, emb.residual, 2.0, 0.0) == pytest.approx(
-            2.0 * stress(emb.X, p)
-        )
+    def test_lambda2_zero_reduces_to_stress(self):
+        (rec,) = dimension_sweep(disjoint_cliques([4, 4]), [2], penalty=(2.0, 0.0)).records
+        assert rec.penalized_stress == pytest.approx(2.0 * rec.stress)
 
     def test_lambda1_zero_exact_factorization(self):
-        g = disjoint_cliques([4, 4])
-        emb = embed(g, 2)
-        p = angular_kmeans(emb.X, 2, seed=0)
-        assert stress_penalized(emb.X, p, emb.residual, 0.0, 1.0) < 1e-6
+        (rec,) = dimension_sweep(disjoint_cliques([4, 4]), [2], penalty=(0.0, 1.0)).records
+        assert rec.penalized_stress < 1e-6
 
     def test_sum_of_parts(self):
         u = np.array([1.0, 0.0])
         v = np.array([0.5, math.sqrt(3) / 2])
         x = np.array([u, u, v, v])
-        p = Partition(np.array([0, 0, 1, 1]), 2)
         a = x @ x.T
         np.fill_diagonal(a, 0.0)
-        from wrdpm import WeightedGraph
+        (rec,) = dimension_sweep(WeightedGraph(a), [2], penalty=(1.0, 1.0)).records
+        assert rec.penalized_stress == rec.stress + rec.embedding.residual
+        assert rec.penalized_stress == pytest.approx(2.0, abs=1e-9)
 
-        g = WeightedGraph(a)
-        assert stress_penalized(x, p, residual(g, x), 1.0, 1.0) == pytest.approx(2.0, abs=1e-9)
+    def test_negative_weights_rejected(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("embedded before the penalty weights were checked")
 
-    def test_negative_weights_rejected(self):
-        x = np.ones((3, 1))
-        p = Partition(np.zeros(3, dtype=int), 1)
+        monkeypatch.setattr(community, "embed", refuse)
         for lam1, lam2 in ((-1.0, 1.0), (1.0, float("nan")), (float("inf"), 1.0)):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                stress_penalized(x, p, 0.0, lam1, lam2)
+                dimension_sweep(disjoint_cliques([4, 4]), [2], penalty=(lam1, lam2))
+
+    def test_each_partition_is_scored_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stress(*args, **kwargs)
+
+        monkeypatch.setattr(community, "stress", counted)
+        dimension_sweep(disjoint_cliques([4, 4, 4]), [2, 3, 4], penalty=(1.0, 1.0))
+        assert len(calls) == 3
 
 
 class TestCentrality:
