@@ -29,6 +29,14 @@ EXIT_NUMERICAL = 3
 
 BUILTINS = ("simple-community", "multiresolution", "er", "poisson-er", "sbm", "chung-lu")
 
+# The generate flags with a None default that each model source reads (None
+# is --model); giving any other of them is a usage error.
+_GENERATE_READS = {
+    "simple-community": ("n", "d"), "multiresolution": ("n", "d"),
+    "er": ("n", "d", "family", "param"), "poisson-er": ("n", "d", "param"),
+    "sbm": ("family", "spec"), "chung-lu": ("d", "family", "spec"), None: (),
+}
+
 
 class UsageError(Exception):
     pass
@@ -180,6 +188,8 @@ def _builtin_model(args, files) -> model.LatentModel:
             return specialize.make_sbm(specialize.BlockModelSpec(values, sizes), family,
                                        magnitude_normalization=bool(doc.get("normalize", False)))
         spec = specialize.ChungLuSpec(values)
+        if "d" in doc and args.d is not None:
+            raise UsageError(f"--d conflicts with the 'd' of {what}")
         d = model._json_key(doc, "d", what, int) if "d" in doc else d
         return specialize.make_chung_lu(spec, family, d=d)
     raise UsageError(f"unknown builtin {name!r}; valid: {', '.join(BUILTINS)}")
@@ -192,6 +202,9 @@ def _builtin_model(args, files) -> model.LatentModel:
 def cmd_generate(args, files):
     if bool(args.model) == bool(args.builtin):
         raise UsageError("generate needs exactly one of --model or --builtin")
+    for key in ("n", "d", "family", "param", "spec"):
+        if getattr(args, key) is not None and key not in _GENERATE_READS[args.builtin]:
+            raise UsageError(f"--{key} is not read by {args.builtin or '--model'}")
     if args.model:
         with open(files.read(args.model), encoding="utf-8") as f:
             m = model.LatentModel.from_json(f.read())

@@ -109,6 +109,8 @@ def make_er(
     n: int, family: str = "poisson", theta: float = 1.0, d: int = 1
 ) -> LatentModel:
     """Erdos-Renyi style model: one constant vector with squared norm theta."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     dist = EdgeDistribution(family)
     if not np.isfinite(theta) or dist.domain_violations(np.array([theta])).any():
         raise DomainError(f"ER parameter {theta} is outside the {family} domain")
@@ -211,6 +213,8 @@ def make_chung_lu(
 
     Grid entry (j,l) is then w_j w_l / sum(w), the Chung-Lu edge parameter.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     w = spec.weights
     w_sum = w.sum()
     if family == "bernoulli":

@@ -111,6 +111,8 @@ class TestGenerate:
         ("--model", None, {"distribution": {"family": "poisson"}, "n": [3],
                            "sources": [{"kind": "axis_noise", "d": 3, "sigma2": 0.01}]}, "'n'"),
         ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": [1]}, "'d'"),
+        ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": 0}, "d must be >= 1, got 0"),
+        ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": -2}, "d must be >= 1, got -2"),
     ])
     def test_malformed_model_or_spec_is_data_error(self, tmp_path, capsys, source, builtin,
                                                    doc, missing):
@@ -134,6 +136,27 @@ class TestGenerate:
         out = tmp_path / "x"
         assert run("generate", *argv, "--out", str(out)) == 2
         assert f"{flag} must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--builtin", "sbm", "--spec", "{sbm}", "--n", "1000"], "--n"),
+        (["--builtin", "sbm", "--spec", "{sbm}", "--d", "5"], "--d"),
+        (["--builtin", "simple-community", "--family", "bernoulli"], "--family"),
+        (["--builtin", "chung-lu", "--spec", "{chung_lu}", "--d", "4"], "--d"),
+        (["--model", "{model}", "--n", "50"], "--n"),
+    ])
+    def test_flag_the_model_source_ignores_is_usage_error(self, tmp_path, capsys, argv, flag):
+        paths = {"sbm": tmp_path / "sbm.json", "chung_lu": tmp_path / "cl.json",
+                 "model": tmp_path / "model.json"}
+        paths["sbm"].write_text(json.dumps({"B": [[1.0, 0.1], [0.1, 1.0]], "sizes": [4, 3]}))
+        paths["chung_lu"].write_text(json.dumps({"weights": [1.0, 2.0, 3.0], "d": 1}))
+        assert run("generate", "--builtin", "er", "--param", "0.5", "--n", "6",
+                   "--out", str(tmp_path / "m")) == 0
+        (tmp_path / "m" / "model.json").replace(paths["model"])
+        out = tmp_path / "x"
+        argv = [arg.format(**paths) for arg in argv]
+        assert run("generate", *argv, "--out", str(out)) == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--d"])

@@ -120,6 +120,10 @@ class TestMakeEr:
         with pytest.raises(DomainError):
             make_er(5, "bernoulli", 1.5)
 
+    def test_zero_dimension_is_named(self):
+        with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+            make_er(5, "poisson", 1.0, d=0)
+
 
 class TestFitPoissonEr:
     def test_three_node_example(self):
@@ -215,6 +219,10 @@ class TestMakeChungLu:
     def test_bernoulli_domain_violation(self):
         with pytest.raises(DomainError):
             make_chung_lu(ChungLuSpec(np.array([10.0, 10.0])), "bernoulli")
+
+    def test_zero_dimension_is_named(self):
+        with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+            make_chung_lu(ChungLuSpec(np.ones(3)), "poisson", d=0)
 
     def test_grid_law_random_weights(self, rng):
         w = rng.uniform(0.1, 2.0, 30)
