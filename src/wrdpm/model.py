@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -80,6 +80,10 @@ class EdgeDistribution:
 
 # ---------------------------------------------------------------------------
 # Vector sources
+#
+# Each source is a frozen dataclass whose fields are its JSON keys: the
+# constructor coerces and checks them, `source_to_dict` writes them and
+# `source_from_dict` reads them back.
 
 def _half_normal(rng: np.random.Generator, sigma2: float, size) -> np.ndarray:
     return np.abs(rng.normal(0.0, np.sqrt(sigma2), size=size))
@@ -89,6 +93,7 @@ def _half_normal(rng: np.random.Generator, sigma2: float, size) -> np.ndarray:
 class Constant:
     """Every node receives the same vector."""
 
+    kind: ClassVar[str] = "constant"
     vector: np.ndarray
 
     def __post_init__(self):
@@ -103,9 +108,6 @@ class Constant:
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.tile(self.vector, (n, 1))
 
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "vector": self.vector.tolist()}
-
 
 @dataclass(frozen=True)
 class FiniteSupport:
@@ -116,6 +118,7 @@ class FiniteSupport:
     samples its vector independently by the given probabilities.
     """
 
+    kind: ClassVar[str] = "finite_support"
     vectors: np.ndarray
     probabilities: np.ndarray
     assignment: Optional[np.ndarray] = None
@@ -153,16 +156,6 @@ class FiniteSupport:
             idx = rng.choice(len(self.probabilities), size=n, p=self.probabilities)
         return self.vectors[idx]
 
-    def to_dict(self) -> dict:
-        d = {
-            "kind": "finite_support",
-            "vectors": self.vectors.tolist(),
-            "probabilities": self.probabilities.tolist(),
-        }
-        if self.assignment is not None:
-            d["assignment"] = self.assignment.tolist()
-        return d
-
 
 @dataclass(frozen=True)
 class AxisNoise:
@@ -175,10 +168,13 @@ class AxisNoise:
     products near 1 and inter-community ones near 0.
     """
 
+    kind: ClassVar[str] = "axis_noise"
     d: int = 3
     sigma2: float = 0.01
 
     def __post_init__(self):
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
         if self.d < 1 or not 0 <= self.sigma2 < np.inf:
             raise ModelError(
                 f"axis-noise source needs d >= 1 and finite sigma2 >= 0, "
@@ -195,9 +191,6 @@ class AxisNoise:
         out[np.arange(n), axes] += 1.0
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": "axis_noise", "d": self.d, "sigma2": self.sigma2}
-
 
 @dataclass(frozen=True)
 class MultiresolutionAxis:
@@ -208,11 +201,15 @@ class MultiresolutionAxis:
     heterogeneous within-community strength.
     """
 
+    kind: ClassVar[str] = "multiresolution_axis"
     d: int = 3
     sigma2: float = 0.01
     exp_mean: float = 2.0
 
     def __post_init__(self):
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "exp_mean", float(self.exp_mean))
         if self.d < 1 or not 0 <= self.sigma2 < np.inf or not 0 < self.exp_mean < np.inf:
             raise ModelError(
                 "multiresolution source needs d >= 1, finite sigma2 >= 0 and "
@@ -230,14 +227,6 @@ class MultiresolutionAxis:
         out[np.arange(n), axes] = rng.exponential(self.exp_mean, size=n)
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "multiresolution_axis",
-            "d": self.d,
-            "sigma2": self.sigma2,
-            "exp_mean": self.exp_mean,
-        }
-
 
 @dataclass(frozen=True)
 class Ray:
@@ -247,6 +236,7 @@ class Ray:
     or drawn i.i.d. exponential with the given rate.
     """
 
+    kind: ClassVar[str] = "ray"
     direction: np.ndarray
     magnitudes: Optional[np.ndarray] = None
     rate: Optional[float] = None
@@ -263,8 +253,11 @@ class Ray:
                 raise ModelError("ray magnitudes must be nonnegative")
             m.setflags(write=False)
             object.__setattr__(self, "magnitudes", m)
-        elif not 0 < self.rate < np.inf:
-            raise ModelError(f"ray magnitude rate must be finite and positive, got {self.rate}")
+        else:
+            object.__setattr__(self, "rate", float(self.rate))
+            if not 0 < self.rate < np.inf:
+                raise ModelError(
+                    f"ray magnitude rate must be finite and positive, got {self.rate}")
 
     @property
     def dim(self) -> int:
@@ -279,32 +272,8 @@ class Ray:
             m = rng.exponential(1.0 / self.rate, size=n)
         return np.outer(m, self.direction)
 
-    def to_dict(self) -> dict:
-        d = {"kind": "ray", "direction": self.direction.tolist()}
-        if self.magnitudes is not None:
-            d["magnitudes"] = self.magnitudes.tolist()
-        else:
-            d["rate"] = self.rate
-        return d
 
-
-_SOURCE_KINDS = {
-    "constant": lambda d: Constant(np.array(d["vector"])),
-    "finite_support": lambda d: FiniteSupport(
-        np.array(d["vectors"]),
-        np.array(d["probabilities"]),
-        np.array(d["assignment"]) if "assignment" in d else None,
-    ),
-    "axis_noise": lambda d: AxisNoise(int(d["d"]), float(d["sigma2"])),
-    "multiresolution_axis": lambda d: MultiresolutionAxis(
-        int(d["d"]), float(d["sigma2"]), float(d["exp_mean"])
-    ),
-    "ray": lambda d: Ray(
-        np.array(d["direction"]),
-        np.array(d["magnitudes"]) if "magnitudes" in d else None,
-        float(d["rate"]) if "rate" in d else None,
-    ),
-}
+_SOURCES = {cls.kind: cls for cls in (Constant, FiniteSupport, AxisNoise, MultiresolutionAxis, Ray)}
 
 
 def _json_key(doc, key: str, what: str, convert=lambda value: value):
@@ -321,16 +290,29 @@ def _json_key(doc, key: str, what: str, convert=lambda value: value):
             f"{what}'s {key!r} has the wrong type ({type(doc[key]).__name__})") from None
 
 
-def source_from_dict(d: dict):
-    kind = _json_key(d, "kind", "a vector source")
-    if not isinstance(kind, str) or kind not in _SOURCE_KINDS:
+def source_to_dict(source) -> dict:
+    """The JSON object of a source: its ``kind``, then each field that is set."""
+    doc = {"kind": source.kind}
+    for f in fields(source):
+        value = getattr(source, f.name)
+        if value is not None:
+            doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
+
+
+def source_from_dict(doc: dict):
+    """The source that ``source_to_dict`` wrote ``doc`` from."""
+    kind = _json_key(doc, "kind", "a vector source")
+    if not isinstance(kind, str) or kind not in _SOURCES:
         raise ModelError(f"unknown vector source kind {kind!r}")
+    cls = _SOURCES[kind]
+    for f in fields(cls):
+        if f.default is not None and f.name not in doc:
+            raise ModelError(f"{kind} source has no {f.name!r} key")
     try:
-        return _SOURCE_KINDS[kind](d)
-    except KeyError as exc:
-        raise ModelError(f"{kind} source has no {exc.args[0]!r} key") from None
-    except TypeError as exc:
-        raise ModelError(f"{kind} source has a value of the wrong type: {exc}") from None
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"{kind} source: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +337,7 @@ class LatentModel:
         doc = {
             "distribution": {"family": self.distribution.family},
             "n": self.n,
-            "sources": [self.source.to_dict()],
+            "sources": [source_to_dict(self.source)],
         }
         return json.dumps(doc, indent=2)
 
