@@ -32,7 +32,7 @@ BUILTINS = ("simple-community", "multiresolution", "er", "poisson-er", "sbm", "c
 # The generate flags with a None default that each model source reads (None
 # is --model); giving any other of them is a usage error.
 _GENERATE_READS = {
-    "simple-community": ("n", "d"), "multiresolution": ("n", "d"),
+    "simple-community": ("n", "d", "sigma2"), "multiresolution": ("n", "d", "sigma2", "exp_mean"),
     "er": ("n", "d", "family", "param"), "poisson-er": ("n", "d", "param"),
     "sbm": ("family", "spec"), "chung-lu": ("d", "family", "spec"), None: (),
 }
@@ -141,7 +141,9 @@ def _load_graph_arg(args, files) -> graph.WeightedGraph:
 
 
 def _load_embedding_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
+    x = np.loadtxt(path, delimiter=",", ndmin=2)
+    graph._require_finite(x, str(path))
+    return x
 
 
 def _partition_rows(part: community.Partition):
@@ -162,12 +164,10 @@ def _builtin_model(args, files) -> model.LatentModel:
     name = args.builtin
     n = 150 if args.n is None else args.n
     if name in ("simple-community", "multiresolution"):
-        d = 3 if args.d is None else args.d
-        if name == "simple-community":
-            source = model.AxisNoise(d=d, sigma2=args.sigma2)
-        else:
-            source = model.MultiresolutionAxis(d=d, sigma2=args.sigma2, exp_mean=args.exp_mean)
-        return model.LatentModel(model.EdgeDistribution("poisson"), n, source)
+        source = model.AxisNoise if name == "simple-community" else model.MultiresolutionAxis
+        given = {key: getattr(args, key) for key in _GENERATE_READS[name]
+                 if key != "n" and getattr(args, key) is not None}
+        return model.LatentModel(model.EdgeDistribution("poisson"), n, source(**given))
     d = 1 if args.d is None else args.d
     if name in ("er", "poisson-er"):
         if args.param is None:
@@ -184,13 +184,13 @@ def _builtin_model(args, files) -> model.LatentModel:
                                  lambda v: np.array(v, dtype=float))
         family = args.family or doc.get("family", "poisson")
         if name == "sbm":
-            sizes = model._json_key(doc, "sizes", what, lambda v: tuple(int(z) for z in v))
+            sizes = model._json_key(doc, "sizes", what, tuple)
             return specialize.make_sbm(specialize.BlockModelSpec(values, sizes), family,
                                        magnitude_normalization=bool(doc.get("normalize", False)))
         spec = specialize.ChungLuSpec(values)
         if "d" in doc and args.d is not None:
             raise UsageError(f"--d conflicts with the 'd' of {what}")
-        d = model._json_key(doc, "d", what, int) if "d" in doc else d
+        d = model._json_key(doc, "d", what, lambda v: model._integer(v, "d")) if "d" in doc else d
         return specialize.make_chung_lu(spec, family, d=d)
     raise UsageError(f"unknown builtin {name!r}; valid: {', '.join(BUILTINS)}")
 
@@ -202,9 +202,10 @@ def _builtin_model(args, files) -> model.LatentModel:
 def cmd_generate(args, files):
     if bool(args.model) == bool(args.builtin):
         raise UsageError("generate needs exactly one of --model or --builtin")
-    for key in ("n", "d", "family", "param", "spec"):
+    for key in ("n", "d", "family", "param", "sigma2", "exp_mean", "spec"):
         if getattr(args, key) is not None and key not in _GENERATE_READS[args.builtin]:
-            raise UsageError(f"--{key} is not read by {args.builtin or '--model'}")
+            raise UsageError(f"--{key.replace('_', '-')} is not read by "
+                             f"{args.builtin or '--model'}")
     if args.model:
         with open(files.read(args.model), encoding="utf-8") as f:
             m = model.LatentModel.from_json(f.read())
@@ -377,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, default=None)
     p.add_argument("--family", choices=["bernoulli", "poisson"], default=None)
     p.add_argument("--param", type=float, default=None, help="ER edge parameter")
-    p.add_argument("--sigma2", type=float, default=0.01,
+    p.add_argument("--sigma2", type=float, default=None,
                    help="axis noise variance of the underlying normal")
-    p.add_argument("--exp-mean", type=float, default=2.0,
+    p.add_argument("--exp-mean", type=float, default=None,
                    help="multiresolution exponential magnitude mean")
     p.add_argument("--spec", help="JSON spec file for sbm / chung-lu builtins")
     p.add_argument("--clamp", action="store_true",

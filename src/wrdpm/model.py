@@ -17,7 +17,7 @@ from typing import ClassVar, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .graph import WeightedGraph
+from .graph import MAX_NODES, WeightedGraph, _require_finite
 
 PROB_SUM_TOL = 1e-12
 
@@ -89,6 +89,25 @@ def _half_normal(rng: np.random.Generator, sigma2: float, size) -> np.ndarray:
     return np.abs(rng.normal(0.0, np.sqrt(sigma2), size=size))
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float, bool or string is refused, not truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite_array(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as a read-only float array of ``ndim`` dimensions (a scalar
+    counts as one entry), non-empty and finite."""
+    a = np.asarray(value, dtype=float)
+    a = np.atleast_1d(a) if ndim == 1 else np.atleast_2d(a)
+    if a.ndim != ndim or a.size == 0:
+        raise ModelError(f"{name} must be a non-empty {ndim}-d array, got shape {a.shape}")
+    _require_finite(a, name)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Constant:
     """Every node receives the same vector."""
@@ -97,9 +116,7 @@ class Constant:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.vector, dtype=float))
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "vector", _finite_array(self.vector, "vector", 1))
 
     @property
     def dim(self) -> int:
@@ -124,18 +141,20 @@ class FiniteSupport:
     assignment: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        vs = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        ps = np.asarray(self.probabilities, dtype=float)
+        vs = _finite_array(self.vectors, "vectors", 2)
+        ps = _finite_array(self.probabilities, "probabilities", 1)
         if ps.shape != (vs.shape[0],):
             raise ModelError("one probability per support vector required")
         if np.any(ps < 0) or abs(ps.sum() - 1.0) > PROB_SUM_TOL:
             raise ModelError(f"probabilities must sum to 1, got {ps.sum()!r}")
-        vs.setflags(write=False)
-        ps.setflags(write=False)
         object.__setattr__(self, "vectors", vs)
         object.__setattr__(self, "probabilities", ps)
         if self.assignment is not None:
-            a = np.asarray(self.assignment, dtype=int)
+            a = np.asarray(self.assignment)
+            if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+                raise ModelError("assignment must be a 1-d array of integers, "
+                                 f"got shape {a.shape} of {a.dtype}")
+            a = a.astype(int)
             if np.any(a < 0) or np.any(a >= vs.shape[0]):
                 raise ModelError("assignment index out of range")
             a.setflags(write=False)
@@ -173,7 +192,7 @@ class AxisNoise:
     sigma2: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         if self.d < 1 or not 0 <= self.sigma2 < np.inf:
             raise ModelError(
@@ -207,7 +226,7 @@ class MultiresolutionAxis:
     exp_mean: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         object.__setattr__(self, "exp_mean", float(self.exp_mean))
         if self.d < 1 or not 0 <= self.sigma2 < np.inf or not 0 < self.exp_mean < np.inf:
@@ -242,16 +261,13 @@ class Ray:
     rate: Optional[float] = None
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.direction, dtype=float))
-        v.setflags(write=False)
-        object.__setattr__(self, "direction", v)
+        object.__setattr__(self, "direction", _finite_array(self.direction, "direction", 1))
         if (self.magnitudes is None) == (self.rate is None):
             raise ModelError("ray source needs exactly one of magnitudes or rate")
         if self.magnitudes is not None:
-            m = np.asarray(self.magnitudes, dtype=float)
+            m = _finite_array(self.magnitudes, "magnitudes", 1)
             if np.any(m < 0):
                 raise ModelError("ray magnitudes must be nonnegative")
-            m.setflags(write=False)
             object.__setattr__(self, "magnitudes", m)
         else:
             object.__setattr__(self, "rate", float(self.rate))
@@ -278,16 +294,15 @@ _SOURCES = {cls.kind: cls for cls in (Constant, FiniteSupport, AxisNoise, Multir
 
 def _json_key(doc, key: str, what: str, convert=lambda value: value):
     """``convert(doc[key])`` of a parsed JSON object, or a ModelError naming the
-    key that is missing or holds a value of the wrong type."""
+    key that is missing or holds a value ``convert`` refuses."""
     if not isinstance(doc, dict):
         raise ModelError(f"{what} must be a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise ModelError(f"{what} has no {key!r} key")
     try:
         return convert(doc[key])
-    except TypeError:
-        raise ModelError(
-            f"{what}'s {key!r} has the wrong type ({type(doc[key]).__name__})") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"{what}'s {key!r} is invalid: {exc}") from None
 
 
 def source_to_dict(source) -> dict:
@@ -330,8 +345,11 @@ class LatentModel:
     source: Constant | FiniteSupport | AxisNoise | MultiresolutionAxis | Ray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ModelError("node count must be positive")
+        if self.n > MAX_NODES:
+            raise ModelError(f"n={self.n} exceeds the limit of {MAX_NODES} nodes")
 
     def to_json(self) -> str:
         doc = {
@@ -350,7 +368,7 @@ class LatentModel:
         return cls(
             EdgeDistribution(_json_key(_json_key(doc, "distribution", "a model"),
                                        "family", "a model's distribution")),
-            _json_key(doc, "n", "a model", int),
+            _json_key(doc, "n", "a model", lambda n: _integer(n, "n")),
             source_from_dict(sources[0]),
         )
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SymmetricOffDiagonal, WeightedGraph, _require_finite, total_weight
+from .graph import MAX_NODES, SymmetricOffDiagonal, WeightedGraph, _require_finite, total_weight
 from .model import (
     Constant,
     DomainError,
@@ -19,6 +19,7 @@ from .model import (
     FiniteSupport,
     LatentModel,
     Ray,
+    _integer,
 )
 
 
@@ -142,11 +143,14 @@ class BlockModelSpec:
         _require_finite(b_mat, "B")
         if np.abs(b_mat - b_mat.T).max() > 1e-12:
             raise ValueError("B must be symmetric")
-        sizes = tuple(int(z) for z in self.community_sizes)
+        sizes = tuple(_integer(z, "a community size") for z in self.community_sizes)
         if len(sizes) != b_mat.shape[0]:
             raise ValueError("one size per community required")
         if any(z <= 0 for z in sizes):
             raise ValueError("community sizes must be positive")
+        if sum(sizes) > MAX_NODES:
+            raise ValueError(f"community sizes sum to {sum(sizes)}, "
+                             f"past the limit of {MAX_NODES} nodes")
         b_mat.setflags(write=False)
         object.__setattr__(self, "B", b_mat)
         object.__setattr__(self, "community_sizes", sizes)
@@ -198,6 +202,9 @@ class ChungLuSpec:
         _require_finite(w, "weights")
         if np.any(w <= 0):
             raise ValueError("Chung-Lu weights must be positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(w.sum()):
+                raise ValueError("Chung-Lu weights must have a finite sum")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -20,6 +20,14 @@ def data_files(out_dir):
     return {n: (out_dir / n).read_bytes() for n in names}
 
 
+AXIS_NOISE = '{"kind": "axis_noise", "d": 3, "sigma2": 0.01}'
+
+
+def model_text(source=AXIS_NOISE, n="3"):
+    """model.json text with ``source`` and ``n`` given as raw JSON."""
+    return '{"distribution": {"family": "poisson"}, "n": %s, "sources": [%s]}' % (n, source)
+
+
 @pytest.fixture
 def clique_path(tmp_path):
     path = tmp_path / "cliques.edgelist"
@@ -70,6 +78,8 @@ class TestGenerate:
         ("sbm", {"B": [[1.0, float("nan")], [float("nan"), 1.0]], "sizes": [4, 4]}, "B[0, 1]"),
         ("sbm", {"B": [[float("inf"), 0.1], [0.1, 1.0]], "sizes": [4, 4]}, "B[0, 0]"),
         ("chung-lu", {"weights": [1.0, float("nan"), 2.0]}, "weights[1]"),
+        # finite weights whose sum overflows
+        ("chung-lu", {"weights": [1e308, 1e308, 1.0]}, "weights must have a finite sum"),
     ])
     def test_non_finite_spec_is_data_error(self, tmp_path, capsys, builtin, doc, entry):
         spec = tmp_path / "spec.json"
@@ -87,6 +97,16 @@ class TestGenerate:
         assert run("generate", "--model", str(out1 / "model.json"),
                    "--out", str(out2), "--seed", "3") == 0
         assert (out1 / "graph.edgelist").read_bytes() == (out2 / "graph.edgelist").read_bytes()
+
+    # A node count far past graph.MAX_NODES, so a run without the guard fails
+    # at once rather than allocating; test_malformed_model_or_spec_is_data_error
+    # has the same count in a model file and an sbm spec.
+    def test_node_count_past_the_limit_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("generate", "--builtin", "simple-community", "--n", "10000000000",
+                   "--out", str(out)) == 2
+        assert "n=10000000000 exceeds" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_and_builtin_conflict(self, tmp_path):
         assert run("generate", "--model", "m.json", "--builtin", "er",
@@ -113,16 +133,55 @@ class TestGenerate:
         ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": [1]}, "'d'"),
         ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": 0}, "d must be >= 1, got 0"),
         ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": -2}, "d must be >= 1, got -2"),
+        # json reads 1e400 as inf; integer keys refuse it rather than overflow
+        ("--model", None, model_text(n="1e400"), "'n'"),
+        ("--model", None, model_text('{"kind": "axis_noise", "d": 1e400, "sigma2": 0.01}'),
+         "axis_noise source"),
+        ("--spec", "sbm", '{"B": [[1.0]], "sizes": [1e400]}', "community size"),
+        ("--spec", "chung-lu", '{"weights": [1, 2, 3], "d": 1e400}', "'d'"),
+        # and refuse a float, string or bool rather than truncate or accept it
+        ("--model", None, model_text(n="4.5"), "'n'"),
+        ("--model", None, model_text(n="true"), "'n'"),
+        ("--model", None, model_text('{"kind": "axis_noise", "d": 2.7, "sigma2": 0.01}'),
+         "axis_noise source"),
+        ("--model", None, model_text('{"kind": "axis_noise", "d": "3", "sigma2": 0.01}'),
+         "axis_noise source"),
+        ("--model", None, model_text('{"kind": "finite_support", "vectors": [[1.0], [0.5]], '
+                                     '"probabilities": [0.5, 0.5], "assignment": [0.7, 1]}'),
+         "finite_support source"),
+        ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": 1.5}, "'d'"),
+        # node counts far past graph.MAX_NODES are refused before anything is drawn
+        ("--model", None, model_text(n="10000000000"), "n=10000000000 exceeds"),
+        ("--spec", "sbm", {"B": [[1.0]], "sizes": [10**10]}, "sum to 10000000000"),
+        # empty or non-finite vectors
+        ("--model", None, model_text('{"kind": "constant", "vector": []}'),
+         "constant source: vector must be a non-empty"),
+        ("--model", None, model_text('{"kind": "ray", "direction": [], "rate": 1.0}'),
+         "ray source: direction must be a non-empty"),
+        ("--model", None, model_text('{"kind": "finite_support", "vectors": [[]], '
+                                     '"probabilities": [1.0]}'),
+         "finite_support source: vectors must be a non-empty"),
+        ("--model", None, model_text('{"kind": "constant", "vector": [1.0, NaN]}'),
+         "constant source: vector[1] is nan"),
+        ("--model", None, model_text('{"kind": "finite_support", "vectors": [[1.0], [Infinity]], '
+                                     '"probabilities": [0.5, 0.5]}'),
+         "finite_support source: vectors[1, 0] is inf"),
+        ("--model", None, model_text('{"kind": "ray", "direction": [NaN], "rate": 1.0}'),
+         "ray source: direction[0] is nan"),
+        ("--model", None, model_text('{"kind": "ray", "direction": [1.0], '
+                                     '"magnitudes": [1.0, Infinity, 1.0]}'),
+         "ray source: magnitudes[1] is inf"),
     ])
     def test_malformed_model_or_spec_is_data_error(self, tmp_path, capsys, source, builtin,
                                                    doc, missing):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         argv = ["generate", source, str(path), "--out", str(tmp_path / "x")]
         assert run(*argv, *(["--builtin", builtin] if builtin else [])) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and missing in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["--builtin", "er", "--param", "nan"], "--param"),
@@ -144,6 +203,8 @@ class TestGenerate:
         (["--builtin", "simple-community", "--family", "bernoulli"], "--family"),
         (["--builtin", "chung-lu", "--spec", "{chung_lu}", "--d", "4"], "--d"),
         (["--model", "{model}", "--n", "50"], "--n"),
+        (["--builtin", "er", "--param", "0.5", "--n", "5", "--sigma2", "0.5"], "--sigma2"),
+        (["--builtin", "simple-community", "--exp-mean", "7"], "--exp-mean"),
     ])
     def test_flag_the_model_source_ignores_is_usage_error(self, tmp_path, capsys, argv, flag):
         paths = {"sbm": tmp_path / "sbm.json", "chung_lu": tmp_path / "cl.json",
@@ -438,6 +499,21 @@ class TestLikelihood:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [["null", "--null", "dot_product"], ["likelihood"]])
+def test_non_finite_embedding_is_data_error(tmp_path, clique_path, capsys, command):
+    emb = tmp_path / "emb.csv"
+    x = np.full((15, 3), 0.5)
+    x[4, 1] = np.nan
+    np.savetxt(emb, x, delimiter=",")
+    out = tmp_path / "x"
+    assert run(*command, "--graph", str(clique_path), "--embedding", str(emb),
+               "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert f"{emb}[4, 1] is nan" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestManifest:
     def test_embed_records_input_digest(self, tmp_path, clique_path):
         out = tmp_path / "run"
@@ -488,8 +564,8 @@ class TestManifest:
                    "--n", "10", "--d", "2", "--out", str(out)) == 0
         assert json.loads((out / "manifest.json").read_text())["config"] == {
             "out": str(out), "format": "edge-list", "model": None, "builtin": "er",
-            "n": 10, "d": 2, "family": "bernoulli", "param": 0.3, "sigma2": 0.01,
-            "exp_mean": 2.0, "spec": None, "clamp": False,
+            "n": 10, "d": 2, "family": "bernoulli", "param": 0.3, "sigma2": None,
+            "exp_mean": None, "spec": None, "clamp": False,
         }
 
     def test_outputs_are_the_data_files(self, tmp_path, clique_path):
