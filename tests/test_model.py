@@ -81,20 +81,6 @@ class TestDrawVectors:
         drawn = draw_vectors(poisson_model(src, 3), seed=0)
         assert np.allclose(drawn[:, 0], [0.5, 1.0, 1.5])
 
-    def test_node_count_past_the_limit_is_refused_before_drawing(self):
-        with pytest.raises(ModelError, match="n=10000000000 exceeds"):
-            poisson_model(AxisNoise(3, 0.01), 10**10)
-
-    @pytest.mark.parametrize("make", [
-        lambda: AxisNoise(2.7, 0.01),
-        lambda: MultiresolutionAxis("3", 0.01, 2.0),
-        lambda: poisson_model(AxisNoise(3, 0.01), True),
-        lambda: FiniteSupport(np.eye(2), np.array([0.5, 0.5]), np.array([0.7, 1.0])),
-    ])
-    def test_integer_fields_refuse_other_values(self, make):
-        with pytest.raises(ModelError, match="integer"):
-            make()
-
     def test_finite_support_probabilities_must_sum_to_one(self):
         with pytest.raises(ModelError):
             FiniteSupport(np.eye(2), np.array([0.5, 0.4]))
