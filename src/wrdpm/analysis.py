@@ -16,11 +16,13 @@ import numpy as np
 from .graph import WeightedGraph, total_weight
 from .model import (
     EdgeDistribution,
+    _pair_parameters,
+    _sample_pairs,
+    _upper_mask,
     derive_seed,
     dot_product_grid,
     draw_vectors,
     log_likelihood,
-    sample_from_grids,
 )
 from .specialize import fit_poisson_er
 
@@ -36,21 +38,30 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     degree. Nodes of degree < 2 get zero. Reduces to the classical local
     clustering coefficient on 0/1 weights.
 
-    The 0/1 adjacency is held in float32, so its square runs as a
-    single-precision product at half the memory traffic. It is still exact:
-    each entry of A^2 counts common neighbors, an integer at most n, and
-    float32 represents every integer up to 2^24, above ``graph.MAX_NODES``;
-    the partial sums of that product are such integers as well. So the
-    counts, and the float64 arithmetic after them, match a float64 product
-    bit for bit.
+    The 0/1 adjacency A is held in float32, and ``ssyrk`` forms only one
+    triangle of the symmetric A A^T = A^2, about half the work of a full
+    product; it is then mirrored into the other. That is exact: each entry
+    of A^2 counts common neighbors, an integer at most n, and float32
+    represents every integer up to 2^24, above ``graph.MAX_NODES``; the
+    partial sums of the product are such integers as well, in any order of
+    summation. So the counts, and the float64 arithmetic after them, match a
+    float64 ``A @ A`` bit for bit.
     """
+    # Imported here: a module-level import of scipy.linalg slows the start-up
+    # of every CLI run.
+    from scipy.linalg.blas import ssyrk
+
     w = g.weights
     a = (w > 0).astype(np.float32)
     degree = a.sum(axis=1, dtype=float)
     strength = w.sum(axis=1)
     # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
     # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.
-    common = a @ a
+    # A is symmetric, so its Fortran-ordered view A^T goes to BLAS uncopied;
+    # the transpose of the Fortran-ordered result is C-ordered, like w, with
+    # BLAS's triangle below the diagonal.
+    common = ssyrk(1.0, a.T).T
+    np.copyto(common, common.T, where=_upper_mask(g.n))
     numer = (w * common).sum(axis=1)
     denom = strength * (degree - 1)
     per_node = np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
@@ -132,6 +143,13 @@ def null_compare(
     null preserves only the expected total weight. Sample i draws from
     derive_seed(seed, i), so reports are reproducible and ensembles of
     different seeds are independent.
+
+    The clamped pair rates are checked and gathered once per ensemble, and
+    each draw only samples from them; sample i is still the graph that
+    ``sample_from_grids(dist, grid, derive_seed(seed, i), clamp=True)``
+    draws. The Erdos-Renyi null has one rate for every pair, its grid's
+    entry (0, 1), so it builds no n x n grid unless a log-likelihood is
+    scored.
     """
     if n_samples < 1:
         raise ValueError("need at least one null sample")
@@ -145,11 +163,16 @@ def null_compare(
     dist = EdgeDistribution("poisson")
     if null == "poisson_er":
         vectors = draw_vectors(fit_poisson_er(g), seed)
+        rates = dist.clamp(dot_product_grid(vectors[:2])[0, 1])
     elif x is None:
         raise ValueError("dot_product null requires embedding vectors")
     else:
         vectors = _node_vectors(x, g)
-    grid = dot_product_grid(vectors)
+    grid = None
+    if null == "dot_product" or statistic == "log_likelihood":
+        grid = dot_product_grid(vectors)
+    if null == "dot_product":
+        rates = _pair_parameters(dist, grid, clamp=True)[1]
 
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
@@ -159,10 +182,8 @@ def null_compare(
         return log_likelihood(dist, grid, graph, clamp=True)
 
     observed = score(g)
-    samples = []
-    for i in range(n_samples):
-        sample = sample_from_grids(dist, grid, seed=derive_seed(seed, i), clamp=True)
-        samples.append(score(sample))
+    samples = [score(_sample_pairs(dist, rates, g.n, derive_seed(seed, i)))
+               for i in range(n_samples)]
     return NullEnsembleReport(
         statistic=statistic,
         observed=observed,

@@ -206,6 +206,8 @@ def cmd_generate(args, files):
         if getattr(args, key) is not None and key not in _GENERATE_READS[args.builtin]:
             raise UsageError(f"--{key.replace('_', '-')} is not read by "
                              f"{args.builtin or '--model'}")
+    if args.d is not None and args.d > graph.MAX_NODES:
+        raise UsageError(f"--d={args.d} exceeds the limit of {graph.MAX_NODES}")
     if args.model:
         with open(files.read(args.model), encoding="utf-8") as f:
             m = model.LatentModel.from_json(f.read())

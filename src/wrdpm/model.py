@@ -55,10 +55,11 @@ class EdgeDistribution:
             return np.clip(params, 0.0, 1.0)
         return np.maximum(params, 0.0)
 
-    def sample(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, params, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` weights, drawn with one parameter each or one for all."""
         if self.family == "bernoulli":
-            return (rng.random(params.shape) < params).astype(float)
-        return rng.poisson(params).astype(float)
+            return rng.random(size) < params
+        return rng.poisson(params, size)
 
     def log_pmf(self, params: np.ndarray, observed: np.ndarray) -> np.ndarray:
         """Elementwise log probability mass; -inf where the observation is impossible."""
@@ -94,6 +95,25 @@ def _integer(value, name: str) -> int:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ModelError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool or string is refused, not converted."""
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, real):
+        raise ModelError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _dimension(value) -> int:
+    """``value`` as a vector dimension d, from 1 to ``graph.MAX_NODES``: the
+    bound on n, so that n x d draws take no more memory than an n x n grid."""
+    d = _integer(value, "d")
+    if d < 1:
+        raise ModelError(f"d must be >= 1, got {d}")
+    if d > MAX_NODES:
+        raise ModelError(f"d={d} exceeds the limit of {MAX_NODES}")
+    return d
 
 
 def _finite_array(value, name: str, ndim: int) -> np.ndarray:
@@ -192,13 +212,10 @@ class AxisNoise:
     sigma2: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer(self.d, "d"))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        if self.d < 1 or not 0 <= self.sigma2 < np.inf:
-            raise ModelError(
-                f"axis-noise source needs d >= 1 and finite sigma2 >= 0, "
-                f"got d={self.d}, sigma2={self.sigma2}"
-            )
+        object.__setattr__(self, "d", _dimension(self.d))
+        object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2"))
+        if not 0 <= self.sigma2 < np.inf:
+            raise ModelError(f"axis-noise source needs finite sigma2 >= 0, got {self.sigma2}")
 
     @property
     def dim(self) -> int:
@@ -226,14 +243,13 @@ class MultiresolutionAxis:
     exp_mean: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _integer(self.d, "d"))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        object.__setattr__(self, "exp_mean", float(self.exp_mean))
-        if self.d < 1 or not 0 <= self.sigma2 < np.inf or not 0 < self.exp_mean < np.inf:
+        object.__setattr__(self, "d", _dimension(self.d))
+        object.__setattr__(self, "sigma2", _real(self.sigma2, "sigma2"))
+        object.__setattr__(self, "exp_mean", _real(self.exp_mean, "exp_mean"))
+        if not 0 <= self.sigma2 < np.inf or not 0 < self.exp_mean < np.inf:
             raise ModelError(
-                "multiresolution source needs d >= 1, finite sigma2 >= 0 and "
-                f"finite exp_mean > 0, got d={self.d}, sigma2={self.sigma2}, "
-                f"exp_mean={self.exp_mean}"
+                "multiresolution source needs finite sigma2 >= 0 and finite exp_mean > 0, "
+                f"got sigma2={self.sigma2}, exp_mean={self.exp_mean}"
             )
 
     @property
@@ -270,7 +286,7 @@ class Ray:
                 raise ModelError("ray magnitudes must be nonnegative")
             object.__setattr__(self, "magnitudes", m)
         else:
-            object.__setattr__(self, "rate", float(self.rate))
+            object.__setattr__(self, "rate", _real(self.rate, "rate"))
             if not 0 < self.rate < np.inf:
                 raise ModelError(
                     f"ray magnitude rate must be finite and positive, got {self.rate}")
@@ -397,8 +413,13 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
     return (grid + grid.T) / 2.0
 
 
+def _upper_mask(n: int) -> np.ndarray:
+    """The n x n boolean mask of the j < l pairs; it selects them in row-major order."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
-    """The j < l index pairs of a square grid and their parameters, in row-major order.
+    """The j < l mask of a square grid and the parameters of its pairs, in row-major order.
 
     With ``clamp`` the parameters are clamped into the domain; otherwise
     every off-diagonal grid entry must lie in it.
@@ -406,16 +427,30 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ModelError(f"parameter grid must be square, got shape {grid.shape}")
-    pairs = np.triu_indices(grid.shape[0], k=1)
+    upper = _upper_mask(grid.shape[0])
     if clamp:
-        return pairs, distribution.clamp(grid[pairs])
+        return upper, distribution.clamp(grid[upper])
     bad = distribution.domain_violations(grid)
     np.fill_diagonal(bad, False)
     if bad.any():
         j, l = np.argwhere(bad)[0]
         raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
                           f"the {distribution.family} domain")
-    return pairs, grid[pairs]
+    return upper, grid[upper]
+
+
+def _sample_pairs(distribution: EdgeDistribution, params, n: int, seed: int) -> WeightedGraph:
+    """Draw one n-node network from the parameters of its j < l pairs.
+
+    ``params`` holds one in-domain parameter per pair, in row-major order,
+    or one for every pair; both draw the same weights from the same seed.
+    """
+    upper = _upper_mask(n)
+    draws = distribution.sample(params, np.random.default_rng(seed), n * (n - 1) // 2)
+    weights = np.zeros((n, n))
+    weights[upper] = draws
+    weights.T[upper] = draws
+    return WeightedGraph(weights)
 
 
 def sample_from_grids(
@@ -425,11 +460,8 @@ def sample_from_grids(
     clamp: bool = False,
 ) -> WeightedGraph:
     """Draw one weighted network with per-edge parameters from the grid."""
-    pairs, params = _pair_parameters(distribution, grid, clamp)
-    weights = np.zeros(np.shape(grid))
-    weights[pairs] = distribution.sample(params, np.random.default_rng(seed))
-    weights += weights.T
-    return WeightedGraph(weights)
+    upper, params = _pair_parameters(distribution, grid, clamp)
+    return _sample_pairs(distribution, params, upper.shape[0], seed)
 
 
 def sample_network(
@@ -461,8 +493,8 @@ def log_likelihood(
         raise ModelError("bernoulli likelihood needs 0/1 weights")
     if np.shape(grid) != (g.n, g.n):
         raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
-    pairs, params = _pair_parameters(distribution, grid, clamp)
-    terms = distribution.log_pmf(params, g.weights[pairs])
+    upper, params = _pair_parameters(distribution, grid, clamp)
+    terms = distribution.log_pmf(params, g.weights[upper])
     if np.any(np.isneginf(terms)):
         warnings.warn("zero-probability observation; log-likelihood is -inf")
         return float("-inf")

@@ -13,12 +13,15 @@ from wrdpm import (
     dot_product_grid,
     draw_vectors,
     evaluate_null_likelihood,
+    fit_poisson_er,
     log_likelihood,
     null_compare,
+    sample_from_grids,
     sample_network,
     total_weight,
     weighted_clustering,
 )
+from wrdpm.model import derive_seed
 from conftest import disjoint_cliques, random_integer_graph
 
 
@@ -39,6 +42,17 @@ def barrat_reference(w):
                 acc += w[j, l] + w[j, h]
         out[j] = acc / (s * (k - 1))
     return out
+
+
+def matmul_reference(g):
+    """Per-node weighted clustering with the common-neighbor counts from a
+    float64 ``A @ A``; every other step as in ``weighted_clustering``."""
+    w = g.weights
+    a = (w > 0).astype(float)
+    degree = a.sum(axis=1)
+    numer = (w * (a @ a)).sum(axis=1)
+    denom = w.sum(axis=1) * (degree - 1)
+    return np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 def graph_from_edges(n, edges):
@@ -88,6 +102,24 @@ class TestWeightedClustering:
             g = random_integer_graph(rng, n, max_weight=5, density=0.6)
             per_node, _ = weighted_clustering(g)
             assert np.allclose(per_node, barrat_reference(g.weights))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 300])
+    @pytest.mark.parametrize("weights", ["integer", "real"])
+    def test_bitwise_equal_to_matmul_reference(self, rng, n, weights):
+        for _ in range(3):
+            if weights == "integer":
+                g = random_integer_graph(rng, n, max_weight=4, density=0.5)
+            else:
+                w = np.triu(rng.exponential(1.0, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+                g = WeightedGraph(w + w.T)
+            # isolate a node: its row and column of A^2 are zero
+            w = g.weights.copy()
+            w[n // 2] = w[:, n // 2] = 0.0
+            for graph in (g, WeightedGraph(w)):
+                per_node, avg = weighted_clustering(graph)
+                ref = matmul_reference(graph)
+                assert per_node.tobytes() == ref.tobytes()
+                assert avg == float(ref.mean())
 
     def test_isolated_and_pendant_nodes_zero(self):
         g = graph_from_edges(4, [(0, 1, 2.0)])
@@ -145,6 +177,31 @@ class TestNullCompare:
         null_draw = sample_from_grids(EdgeDistribution("poisson"), grid, seed=99, clamp=True)
         report = null_compare(null_draw, n_samples=100, seed=11)
         assert 0.01 < report.quantile < 0.99
+
+    @pytest.mark.parametrize("null", ["poisson_er", "dot_product"])
+    @pytest.mark.parametrize("statistic", ["avg_weighted_clustering", "total_weight",
+                                           "log_likelihood"])
+    @pytest.mark.parametrize("n", [2, 3, 60])
+    def test_samples_are_the_draws_of_sample_from_grids(self, rng, null, statistic, n):
+        # the ensemble gathers its rates once; its draws must not change for it
+        dist = EdgeDistribution("poisson")
+        x = rng.normal(0.5, 1.0, (n, 2))  # negative grid entries are clamped to 0
+        # a draw of the dot-product null itself, so its likelihood is finite
+        g = sample_from_grids(dist, dot_product_grid(x), seed=n, clamp=True)
+        for seed in (0, 7, 1211):
+            report = null_compare(g, null=null, statistic=statistic, n_samples=4,
+                                  seed=seed, x=x)
+            vectors = draw_vectors(fit_poisson_er(g), seed) if null == "poisson_er" else x
+            grid = dot_product_grid(vectors)
+            expected = []
+            for i in range(4):
+                draw = sample_from_grids(dist, grid, derive_seed(seed, i), clamp=True)
+                expected.append({
+                    "avg_weighted_clustering": lambda: weighted_clustering(draw)[1],
+                    "total_weight": lambda: total_weight(draw),
+                    "log_likelihood": lambda: log_likelihood(dist, grid, draw, clamp=True),
+                }[statistic]())
+            assert report.samples == tuple(expected)
 
     def test_quantile_and_std_fields(self):
         g = simple_community_graph(3)

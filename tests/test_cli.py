@@ -108,6 +108,17 @@ class TestGenerate:
         assert "n=10000000000 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "simple-community"],
+        ["--builtin", "multiresolution"],
+        ["--builtin", "poisson-er", "--param", "1.0"],
+    ])
+    def test_dimension_flag_past_the_limit_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert run("generate", *argv, "--n", "3", "--d", "1000000000", "--out", str(out)) == 1
+        assert "--d=1000000000 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_and_builtin_conflict(self, tmp_path):
         assert run("generate", "--model", "m.json", "--builtin", "er",
                    "--out", str(tmp_path / "x")) == 1
@@ -150,9 +161,23 @@ class TestGenerate:
                                      '"probabilities": [0.5, 0.5], "assignment": [0.7, 1]}'),
          "finite_support source"),
         ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": 1.5}, "'d'"),
+        ("--model", None, model_text('{"kind": "axis_noise", "d": 3, "sigma2": "0.5"}'),
+         "sigma2 must be a number, got '0.5'"),
+        ("--model", None, model_text('{"kind": "axis_noise", "d": 3, "sigma2": true}'),
+         "sigma2 must be a number, got True"),
+        ("--model", None, model_text('{"kind": "multiresolution_axis", "d": 3, "sigma2": 0.01, '
+                                     '"exp_mean": "2"}'), "exp_mean must be a number"),
+        ("--model", None, model_text('{"kind": "ray", "direction": [1.0], "rate": true}'),
+         "rate must be a number"),
         # node counts far past graph.MAX_NODES are refused before anything is drawn
         ("--model", None, model_text(n="10000000000"), "n=10000000000 exceeds"),
         ("--spec", "sbm", {"B": [[1.0]], "sizes": [10**10]}, "sum to 10000000000"),
+        # and so are dimensions past it: n x d draws take what an n x n grid would
+        ("--model", None, model_text('{"kind": "axis_noise", "d": 1000000000, "sigma2": 0.01}'),
+         "d=1000000000 exceeds"),
+        ("--model", None, model_text('{"kind": "multiresolution_axis", "d": 1000000000, '
+                                     '"sigma2": 0.01, "exp_mean": 2.0}'), "d=1000000000 exceeds"),
+        ("--spec", "chung-lu", {"weights": [1, 2, 3], "d": 10**9}, "d=1000000000 exceeds"),
         # empty or non-finite vectors
         ("--model", None, model_text('{"kind": "constant", "vector": []}'),
          "constant source: vector must be a non-empty"),

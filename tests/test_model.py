@@ -22,7 +22,7 @@ from wrdpm import (
     sample_network,
     total_weight,
 )
-from wrdpm.model import derive_seed
+from wrdpm.model import _sample_pairs, derive_seed
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -185,6 +185,28 @@ class TestSampleNetwork:
     def test_non_square_grid_rejected(self, clamp):
         with pytest.raises(ModelError, match=r"must be square, got shape \(3, 5\)"):
             sample_from_grids(POISSON, np.ones((3, 5)), seed=0, clamp=clamp)
+
+    @pytest.mark.parametrize("dist, high", [(POISSON, 3.0), (BERNOULLI, 1.0)])
+    @pytest.mark.parametrize("n", [1, 2, 5, 70])
+    def test_draw_is_symmetric_with_zero_diagonal(self, dist, high, n):
+        grid = dot_product_grid(np.random.default_rng(n).uniform(0.0, high, (n, 1)))
+        for seed in range(3):
+            w = sample_from_grids(dist, grid, seed, clamp=True).weights
+            assert np.array_equal(w, w.T)
+            assert not np.diag(w).any()
+            # the j < l weights, in row-major order, are the stream's draws
+            params = dist.clamp(grid[np.triu_indices(n, 1)])
+            rng = np.random.default_rng(seed)
+            draws = rng.random(params.size) < params if dist is BERNOULLI else rng.poisson(params)
+            assert np.array_equal(w[np.triu_indices(n, 1)], draws)
+
+    @pytest.mark.parametrize("dist, rate", [(POISSON, 0.7), (BERNOULLI, 0.3)])
+    def test_one_rate_for_all_pairs_draws_the_per_pair_graph(self, dist, rate):
+        n = 40
+        for seed in range(3):
+            one = _sample_pairs(dist, rate, n, seed)
+            per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
+            assert np.array_equal(one.weights, per_pair.weights)
 
     def test_domain_check_covers_both_triangles(self):
         # only the upper triangle is sampled, but every off-diagonal entry is checked
