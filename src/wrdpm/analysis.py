@@ -144,8 +144,8 @@ def null_compare(
     derive_seed(seed, i), so reports are reproducible and ensembles of
     different seeds are independent.
 
-    The clamped pair rates are checked and gathered once per ensemble, and
-    each draw only samples from them; sample i is still the graph that
+    The pair mask and the clamped pair rates are built once per ensemble,
+    and each draw only samples from them; sample i is still the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, i), clamp=True)``
     draws. The Erdos-Renyi null has one rate for every pair, its grid's
     entry (0, 1), so it builds no n x n grid unless a log-likelihood is
@@ -163,7 +163,6 @@ def null_compare(
     dist = EdgeDistribution("poisson")
     if null == "poisson_er":
         vectors = draw_vectors(fit_poisson_er(g), seed)
-        rates = dist.clamp(dot_product_grid(vectors[:2])[0, 1])
     elif x is None:
         raise ValueError("dot_product null requires embedding vectors")
     else:
@@ -172,7 +171,9 @@ def null_compare(
     if null == "dot_product" or statistic == "log_likelihood":
         grid = dot_product_grid(vectors)
     if null == "dot_product":
-        rates = _pair_parameters(dist, grid, clamp=True)[1]
+        upper, rates = _pair_parameters(dist, grid, clamp=True)
+    else:
+        upper, rates = _upper_mask(g.n), dist.clamp(dot_product_grid(vectors[:2])[0, 1])
 
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
@@ -182,7 +183,7 @@ def null_compare(
         return log_likelihood(dist, grid, graph, clamp=True)
 
     observed = score(g)
-    samples = [score(_sample_pairs(dist, rates, g.n, derive_seed(seed, i)))
+    samples = [score(_sample_pairs(dist, rates, upper, derive_seed(seed, i)))
                for i in range(n_samples)]
     return NullEnsembleReport(
         statistic=statistic,

@@ -439,13 +439,15 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
     return upper, grid[upper]
 
 
-def _sample_pairs(distribution: EdgeDistribution, params, n: int, seed: int) -> WeightedGraph:
-    """Draw one n-node network from the parameters of its j < l pairs.
+def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
+                  seed: int) -> WeightedGraph:
+    """Draw one network from the parameters of the j < l pairs that the
+    ``_upper_mask`` ``upper`` selects.
 
     ``params`` holds one in-domain parameter per pair, in row-major order,
     or one for every pair; both draw the same weights from the same seed.
     """
-    upper = _upper_mask(n)
+    n = upper.shape[0]
     draws = distribution.sample(params, np.random.default_rng(seed), n * (n - 1) // 2)
     weights = np.zeros((n, n))
     weights[upper] = draws
@@ -461,7 +463,7 @@ def sample_from_grids(
 ) -> WeightedGraph:
     """Draw one weighted network with per-edge parameters from the grid."""
     upper, params = _pair_parameters(distribution, grid, clamp)
-    return _sample_pairs(distribution, params, upper.shape[0], seed)
+    return _sample_pairs(distribution, params, upper, seed)
 
 
 def sample_network(

@@ -22,7 +22,7 @@ from wrdpm import (
     sample_network,
     total_weight,
 )
-from wrdpm.model import _sample_pairs, derive_seed
+from wrdpm.model import _sample_pairs, _upper_mask, derive_seed
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -204,7 +204,7 @@ class TestSampleNetwork:
     def test_one_rate_for_all_pairs_draws_the_per_pair_graph(self, dist, rate):
         n = 40
         for seed in range(3):
-            one = _sample_pairs(dist, rate, n, seed)
+            one = _sample_pairs(dist, rate, _upper_mask(n), seed)
             per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
             assert np.array_equal(one.weights, per_pair.weights)
 
