@@ -292,6 +292,10 @@ def cmd_sweep(args, files):
     report = community.dimension_sweep(
         g, ds, config=_solver_config(args), seed=args.seed, penalty=penalty)
     for rec in report.records:
+        for name, value in (("stress", rec.stress), ("penalized stress", rec.penalized_stress)):
+            if value is not None and not np.isfinite(value):
+                raise NumericalError(f"{name} at d={rec.d} is {value}: it overflows "
+                                     "the float range")
         _check_convergence(rec.embedding, args.strict)
 
     def stress_rows():

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .embedding import Embedding, SolverConfig, embed
+from .embedding import Embedding, SolverConfig, _shared_start, embed
 from .graph import WeightedGraph
 from .model import derive_seed
 
@@ -47,9 +47,23 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.k)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of the finite x, also where its squares overflow.
+
+    Rows of an embedding of weights near the float maximum are near the root
+    of it, so their squared norms overflow; np.hypot takes those rows.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    big = np.isinf(norms)
+    if big.any():
+        norms[big] = np.hypot.reduce(x[big], axis=1)
+    return norms
+
+
 def _normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-normalize rows; zero rows stay zero. Returns (normalized, nonzero mask)."""
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     nonzero = norms > 0
     out = np.zeros_like(x, dtype=float)
     out[nonzero] = x[nonzero] / norms[nonzero, None]
@@ -93,12 +107,15 @@ def _lloyd_spherical(
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-        for c in range(k):
-            members = xn[assignment == c]
-            mean = members.mean(axis=0)
-            norm = np.linalg.norm(mean)
-            if norm > 0:
-                centroids[c] = mean / norm
+        # Summed in row order and divided by the sizes, as mean() does; the
+        # batched 1 x d @ d x 1 products are the dot of np.linalg.norm, so each
+        # centroid is the one a per-cluster mean and norm give, bit for bit.
+        means = np.zeros_like(centroids)
+        np.add.at(means, assignment, xn)
+        means /= sizes[:, None]
+        norms = np.sqrt((means[:, None, :] @ means[:, :, None]).ravel())
+        moved = norms > 0
+        centroids[moved] = means[moved] / norms[moved, None]
     objective = float((xn * centroids[assignment]).sum())
     return assignment, centroids, objective
 
@@ -159,16 +176,19 @@ def stress(x: np.ndarray, p: Partition, normalize_rows: bool = True) -> float:
     sums = np.zeros((p.k, x.shape[1]))
     np.add.at(sums, p.assignment, xn)
     total = sums.sum(axis=0)
-    squares = np.vdot(xn, xn)
-    pairs = 0.5 * (total @ total - squares)
-    intra = 0.5 * (np.vdot(sums, sums) - squares)
+    # Raw rows near sqrt of the float maximum overflow the dot sums; the
+    # stress is then not finite, and the caller decides what that means.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.vdot(xn, xn)
+        pairs = 0.5 * (total @ total - squares)
+        intra = 0.5 * (np.vdot(sums, sums) - squares)
     ideal = sum(comb(int(z), 2) for z in p.sizes)
     return float(ideal + pairs - 2 * intra)
 
 
 def centrality(x: np.ndarray) -> np.ndarray:
     """Vector magnitude per node; larger magnitudes mark more central nodes."""
-    return np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)), axis=1)
+    return _row_norms(np.atleast_2d(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +236,10 @@ def dimension_sweep(
     and the argmin is taken over it. Each partition is scored once.
 
     Each dimension clusters with its own seed, derive_seed(seed, d), so sweep
-    entries are independent; ties in the argmin go to the smallest d.
+    entries are independent; ties in the argmin go to the smallest d. Every
+    record equals embed(g, d) and its clustering run alone: the dimensions
+    whose start is a full eigendecomposition share one, taken at the
+    largest of them, and each ARPACK start is computed for its own d.
     """
     ds = sorted(set(int(d) for d in d_values))
     if not ds:
@@ -226,8 +249,9 @@ def dimension_sweep(
         if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
             raise ValueError(f"penalty weights must be finite and nonnegative, got {lam1}, {lam2}")
     records = []
+    start = _shared_start(g, ds)
     for d in ds:
-        emb = embed(g, d, config)
+        emb = embed(g, d, config, _start=start)
         part = angular_kmeans(emb.X, k=d, seed=derive_seed(seed, d))
         s = stress(emb.X, part, normalize_rows=False)
         sf = None if penalty is None else lam1 * s + lam2 * emb.residual

@@ -64,6 +64,11 @@ _ARPACK_MIN_N = 256
 _ARPACK_MAX_D_SHARE = 32
 
 
+def _takes_eigh(n: int, d: int) -> bool:
+    """Whether a rank-d factor of an n x n matrix comes from a full eigh."""
+    return n < _ARPACK_MIN_N or d > n // _ARPACK_MAX_D_SHARE
+
+
 def _truncated_factor(dense, product, n: int, d: int) -> np.ndarray:
     """Best rank-d PSD factor of the symmetric matrix ``dense()`` builds.
 
@@ -72,7 +77,7 @@ def _truncated_factor(dense, product, n: int, d: int) -> np.ndarray:
     copy of a repeated eigenvalue; a Lanczos run with the found eigenvectors
     projected out finds it, and then, or if ARPACK fails, eigh stands in.
     """
-    if n < _ARPACK_MIN_N or d > n // _ARPACK_MAX_D_SHARE:
+    if _takes_eigh(n, d):
         return _eigentruncate(dense(), d)[0]
     # Imported here: a module-level import costs every small run start-up
     # time and memory.
@@ -123,7 +128,36 @@ _NULL_SHARE = 1e-12
 _MEMORY = 5
 
 
-def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embedding:
+def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
+    """The matrix the fit runs on, A / 4^m over its norm, with m and the norm,
+    and the degree means that fill its diagonal for the start.
+
+    A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1.
+    """
+    m = int(np.frexp(np.abs(g.weights).max())[1]) // 2
+    a = np.ldexp(g.weights, -2 * m)
+    scale = np.linalg.norm(a)
+    if scale:
+        a /= scale
+    return a, m, scale, a.sum(axis=1) / max(g.n - 1, 1)
+
+
+def _shared_start(g: WeightedGraph, ds: list[int]) -> np.ndarray | None:
+    """One start factor for every d in ``ds`` whose start is a full eigh.
+
+    It is the eigentruncation at the largest such d (None if there is
+    none). _eigentruncate orders the eigenpairs by one argsort, so its
+    first d columns are the rank-d start bit for bit.
+    """
+    dense = [d for d in ds if _takes_eigh(g.n, d)]
+    if not dense:
+        return None
+    a, _, _, start = _scaled(g)
+    return _eigentruncate(a + np.diag(start), max(dense))[0]
+
+
+def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
+          _start: np.ndarray | None = None) -> Embedding:
     """Fit n x d latent vectors X minimizing f = ||offdiag(X X^T - A)||_F^2.
 
     With r the squared row norms of X, f = ||X^T X||_F^2 - sum(r^2)
@@ -145,6 +179,10 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
     step. ``iterations`` counts steps (L-BFGS iterations and fills);
     ``residual_history`` holds sqrt(f) at the start and after each step,
     and never rises.
+
+    ``_start`` is a factor from ``_shared_start``: where the start is a full
+    eigh, its first d columns are the start, so that a sweep over d runs
+    one eigendecomposition. ARPACK starts are computed per d.
     """
     if config is None:
         config = SolverConfig()
@@ -154,15 +192,13 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
     # Imported here for the reason given in _truncated_factor.
     from scipy.optimize import minimize
 
-    # A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1 below.
-    m = int(np.frexp(np.abs(g.weights).max())[1]) // 2
-    a = np.ldexp(g.weights, -2 * m)
-    scale = np.linalg.norm(a)
-    if scale:
-        a /= scale
+    a, m, scale, start = _scaled(g)
     a_sq = np.einsum("ij,ij->", a, a)
-    start = a.sum(axis=1) / max(n - 1, 1)
-    x = _truncated_factor(lambda: a + np.diag(start), lambda v: a @ v + (start * v.T).T, n, d)
+    if _start is not None and _takes_eigh(n, d):
+        x = _start[:, :d]
+    else:
+        x = _truncated_factor(lambda: a + np.diag(start),
+                              lambda v: a @ v + (start * v.T).T, n, d)
     # A directly summed f is accurate to its own size, so the rounding floor
     # of the gradient falls with sqrt(f) there.
     tight = config.tolerance * np.sqrt(_DIRECT_SHARE)
@@ -240,10 +276,17 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None) -> Embed
 
     # Adding 0.0 turns the -0.0 of rotated exact zeros into 0.0.
     x = canonical_orientation(x @ np.linalg.svd(x, full_matrices=False)[2].T) + 0.0
-    history = tuple(float(np.ldexp(np.sqrt(max(f, 0.0)) * scale, 2 * m)) for f in history)
+    # Scaled back, the vectors or the residual of weights near the float
+    # maximum can pass it: no finite fit exists then.
+    with np.errstate(over="ignore"):
+        history = tuple(float(np.ldexp(np.sqrt(max(f, 0.0)) * scale, 2 * m)) for f in history)
+        x = np.ldexp(x * np.sqrt(scale), m)
+    if not (np.isfinite(x).all() and np.isfinite(history).all()):
+        raise ValueError(f"the fit at d={d} overflows the float range: the latent vectors "
+                         "or the residual of these weights pass the float maximum")
     reason = ("tolerance" if done else "no-minimiser"
               if row_max[-1] > _RUNAWAY * row_max[len(row_max) // 2]
               else "cap" if iterations == config.max_iterations else "stalled")
-    return Embedding(X=np.ldexp(x * np.sqrt(scale), m), d=d, residual=history[-1],
+    return Embedding(X=x, d=d, residual=history[-1],
                      iterations=iterations, converged=reason == "tolerance",
                      stop_reason=reason, residual_history=history)

@@ -237,10 +237,15 @@ def load_graph(path, format: str = "edge-list") -> WeightedGraph:
             weights = _parse_edge_list(lines)
         return WeightedGraph(weights)
     if format == "dense":
-        try:
-            weights = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise GraphFormatError(f"could not parse dense matrix: {exc}")
+        with warnings.catch_warnings():
+            # An empty file is refused below, by name.
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                weights = np.loadtxt(path, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise GraphFormatError(f"could not parse dense matrix: {exc}")
+        if weights.size == 0:
+            raise GraphFormatError(f"dense matrix file {path} holds no rows")
         return WeightedGraph(weights)
     raise ValueError(f"unknown graph format {format!r}")
 

@@ -125,7 +125,12 @@ def fit_poisson_er(g: WeightedGraph) -> LatentModel:
     if g.n < 2:
         raise ValueError("need at least 2 nodes to fit an edge-rate model")
     pairs = g.n * (g.n - 1) // 2
-    lam = total_weight(g) / pairs
+    with np.errstate(over="ignore"):
+        total = total_weight(g)
+    if not np.isfinite(total):
+        raise ValueError("the edge weights sum past the float maximum; "
+                         "no Poisson rate fits them")
+    lam = total / pairs
     return make_er(g.n, "poisson", lam)
 
 

@@ -446,7 +446,28 @@ class TestSweep:
         assert not out.exists()
 
 
+    def test_overflowing_stress_is_a_numerical_failure(self, tmp_path, capsys):
+        # Rows near the root of the float maximum overflow the raw dot sums.
+        path = tmp_path / "huge.edgelist"
+        path.write_text(HUGE_TRIANGLE)
+        out = tmp_path / "x"
+        assert run("sweep", "--graph", str(path), "--d-range", "1..2", "--out", str(out)) == 3
+        assert "stress at d=1 is nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
+HUGE_TRIANGLE = "n=3\n0 1 1e308\n1 2 1e308\n0 2 1e308\n"
+
+
 class TestNull:
+    def test_overflowing_total_weight_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.edgelist"
+        path.write_text(HUGE_TRIANGLE)
+        out = tmp_path / "x"
+        assert run("null", "--graph", str(path), "--samples", "3", "--out", str(out)) == 2
+        assert "sum past the float maximum" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_null_json_fields(self, tmp_path, clique_path):
         out = tmp_path / "run"
         assert run("null", "--graph", str(clique_path), "--samples", "25",

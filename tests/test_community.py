@@ -18,10 +18,12 @@ from wrdpm import (
     dimension_sweep,
     draw_vectors,
     embed,
+    embedding,
     make_sbm,
     sample_network,
     stress,
 )
+from wrdpm.model import derive_seed
 from conftest import bridge_graph, disjoint_cliques
 
 
@@ -29,10 +31,10 @@ def repeated_basis(k, reps):
     return np.repeat(np.eye(k), reps, axis=0)
 
 
-def fig9_graph(seed):
+def fig9_graph(seed, size=50):
     b = np.full((3, 3), 0.1)
     np.fill_diagonal(b, 1.0)
-    model = make_sbm(BlockModelSpec(b, (50, 50, 50)), "poisson")
+    model = make_sbm(BlockModelSpec(b, (size, size, size)), "poisson")
     return sample_network(model, draw_vectors(model, seed), seed + 1000)
 
 
@@ -257,6 +259,12 @@ class TestCentrality:
         x = rng.normal(size=(8, 3))
         assert np.allclose(centrality(3.0 * x), 3.0 * centrality(x))
 
+    def test_rows_whose_squares_overflow(self):
+        top = np.finfo(float).max
+        x = np.array([[1e154, 1e154], [3.0, 4.0], [top, 0.0]])
+        assert centrality(x).tolist() == [np.hypot(1e154, 1e154), 5.0, top]
+        assert np.isfinite(community._normalize_rows(x)[0]).all()
+
     def test_bridge_nodes_strictly_longest(self):
         emb = embed(bridge_graph(5), 3)
         lengths = centrality(emb.X)
@@ -308,6 +316,114 @@ class TestDimensionSweep:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             dimension_sweep(disjoint_cliques([4]), [], seed=0)
+
+
+def lloyd_per_centroid(xn, centroids):
+    """_lloyd_spherical with each centroid updated through its own mask."""
+    k = centroids.shape[0]
+    assignment = np.full(xn.shape[0], -1)
+    for _ in range(community._KMEANS_MAX_ITER):
+        sims = xn @ centroids.T
+        new_assignment = np.argmax(sims, axis=1)
+        sizes = np.bincount(new_assignment, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            fit = sims[np.arange(len(xn)), new_assignment]
+            fit[sizes[new_assignment] < 2] = np.inf
+            worst = int(np.argmin(fit))
+            sizes[new_assignment[worst]] -= 1
+            sizes[c] = 1
+            new_assignment[worst] = c
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for c in range(k):
+            members = xn[assignment == c]
+            mean = members.mean(axis=0)
+            norm = np.linalg.norm(mean)
+            if norm > 0:
+                centroids[c] = mean / norm
+    objective = float((xn * centroids[assignment]).sum())
+    return assignment, centroids, objective
+
+
+class TestLloydUpdate:
+    def assert_same_run(self, xn, centroids):
+        ref = lloyd_per_centroid(xn, centroids.copy())
+        got = community._lloyd_spherical(xn, centroids.copy())
+        np.testing.assert_array_equal(got[0], ref[0])
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert got[2] == ref[2]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_per_centroid_update(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 300)), int(rng.integers(1, 40))
+        k = int(rng.integers(2, min(n, 20) + 1))
+        xn = community._normalize_rows(rng.standard_normal((n, d)))[0]
+        self.assert_same_run(xn, community._farthest_point_init(xn, k, rng))
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_equals_the_per_centroid_update_on_a_sweep_embedding(self, d):
+        xn = community._normalize_rows(embed(fig9_graph(3), d).X)[0]
+        for r in range(3):
+            rng = np.random.default_rng([d, r])
+            self.assert_same_run(xn, community._farthest_point_init(xn, d, rng))
+
+    def test_equals_the_per_centroid_update_through_a_reseed(self):
+        # Two equal centroids: argmax gives every point to the first, so the
+        # second cluster starts empty and is re-seeded.
+        rng = np.random.default_rng(5)
+        xn = community._normalize_rows(rng.standard_normal((40, 3)))[0]
+        centroids = np.repeat(xn[:1], 3, axis=0)
+        assert np.bincount(np.argmax(xn @ centroids.T, axis=1), minlength=3)[1] == 0
+        self.assert_same_run(xn, centroids)
+
+
+def sweep_alone(g, ds, seed):
+    """Each sweep record's fields, from embed and angular_kmeans run per d."""
+    for d in ds:
+        emb = embed(g, d)
+        part = angular_kmeans(emb.X, d, derive_seed(seed, d))
+        yield emb, part, stress(emb.X, part, normalize_rows=False)
+
+
+def straddling_graph():
+    # n = 300 starts d <= 9 from ARPACK and d >= 10 from a full eigh.
+    return fig9_graph(4, size=100)
+
+
+class TestSweepSharesTheStart:
+    @pytest.mark.parametrize("graph, ds", [
+        (lambda: fig9_graph(3), range(2, 9)),
+        (lambda: disjoint_cliques([5, 5, 5]), range(1, 8)),
+        (straddling_graph, range(6, 13)),
+    ], ids=["sbm-150", "cliques", "arpack-and-eigh"])
+    def test_records_equal_each_d_run_alone(self, graph, ds):
+        g = graph()
+        report = dimension_sweep(g, ds, seed=11)
+        for rec, (emb, part, s) in zip(report.records, sweep_alone(g, ds, 11), strict=True):
+            assert rec.embedding.X.tobytes() == emb.X.tobytes()
+            assert rec.embedding.residual == emb.residual
+            assert rec.embedding.iterations == emb.iterations
+            assert rec.embedding.stop_reason == emb.stop_reason
+            np.testing.assert_array_equal(rec.partition.assignment, part.assignment)
+            assert rec.stress == s
+
+    def test_crossover_of_the_straddling_graph(self):
+        n = straddling_graph().n
+        assert [embedding._takes_eigh(n, d) for d in range(6, 13)] == [False] * 4 + [True] * 3
+
+    def test_one_eigendecomposition_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(m, d):
+            calls.append(d)
+            return eigentruncate(m, d)
+
+        eigentruncate = embedding._eigentruncate
+        monkeypatch.setattr(embedding, "_eigentruncate", counted)
+        dimension_sweep(fig9_graph(3), range(2, 9))
+        assert calls == [8]
 
 
 def test_partition_validation():

@@ -226,6 +226,13 @@ class TestSave:
             loaded = load_graph(path, fmt)
             assert np.array_equal(loaded.weights, g.weights)
 
+    @pytest.mark.parametrize("text", ["", "# no rows\n\n"])
+    def test_empty_dense_file_is_refused_by_name(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match="empty.csv holds no rows"):
+            load_graph(path, "dense")
+
     def test_roundtrip_fractional_weights(self, tmp_path):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 0.1234567891234567
