@@ -378,6 +378,9 @@ def test_weight_near_float_max_embeds(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+HUGE_TRIANGLE = "n=3\n0 1 1e308\n1 2 1e308\n0 2 1e308\n"
+
+
 class TestSweep:
     def test_selects_three_on_cliques(self, tmp_path, clique_path):
         out = tmp_path / "run"
@@ -445,7 +448,6 @@ class TestSweep:
         assert "must be in [1, 15]" in capsys.readouterr().err
         assert not out.exists()
 
-
     def test_overflowing_stress_is_a_numerical_failure(self, tmp_path, capsys):
         # Rows near the root of the float maximum overflow the raw dot sums.
         path = tmp_path / "huge.edgelist"
@@ -454,9 +456,6 @@ class TestSweep:
         assert run("sweep", "--graph", str(path), "--d-range", "1..2", "--out", str(out)) == 3
         assert "stress at d=1 is nan" in capsys.readouterr().err
         assert not out.exists()
-
-
-HUGE_TRIANGLE = "n=3\n0 1 1e308\n1 2 1e308\n0 2 1e308\n"
 
 
 class TestNull:

@@ -232,10 +232,10 @@ class TestDescent:
         assert emb.converged
         assert emb.X[0, 0] * emb.X[1, 0] == pytest.approx(1e308, rel=1e-9)
 
-
     def test_a_fit_past_the_float_maximum_is_refused(self):
-        # Node 4 is joined to two nodes that are not joined to each other, so
-        # its squared row norm must exceed the largest weight, the float maximum.
+        # Node 4 is joined to two nodes that are not joined to each other; the
+        # fit gives it a squared row norm past the largest weight, the float
+        # maximum.
         top = np.finfo(float).max
         w = np.zeros((5, 5))
         for j, l in ((0, 4), (1, 2), (3, 4)):
