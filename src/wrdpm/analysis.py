@@ -54,7 +54,6 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     w = g.weights
     a = (w > 0).astype(np.float32)
     degree = a.sum(axis=1, dtype=float)
-    strength = w.sum(axis=1)
     # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
     # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.
     # A is symmetric, so its Fortran-ordered view A^T goes to BLAS uncopied;
@@ -62,7 +61,12 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     # BLAS's triangle below the diagonal.
     common = ssyrk(1.0, a.T).T
     np.copyto(common, common.T, where=_upper_mask(g.n))
-    numer = (w * common).sum(axis=1)
+    with np.errstate(over="ignore"):
+        strength = w.sum(axis=1)
+        numer = (w * common).sum(axis=1)
+    if not (np.isfinite(strength).all() and np.isfinite(numer).all()):
+        raise ValueError("node strengths overflow the float range; "
+                         "no weighted clustering coefficient is defined")
     denom = strength * (degree - 1)
     per_node = np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
     return per_node, float(per_node.mean())

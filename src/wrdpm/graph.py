@@ -118,8 +118,12 @@ class SymmetricOffDiagonal:
 
 
 def total_weight(g: WeightedGraph) -> float:
-    """Sum of edge weights over unordered pairs."""
-    return float(np.sum(np.triu(g.weights, k=1)))
+    """Sum of edge weights over unordered pairs; a ValueError if it overflows."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.triu(g.weights, k=1)))
+    if not np.isfinite(total):
+        raise ValueError("the edge weights sum past the float maximum")
+    return total
 
 
 def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:

@@ -59,19 +59,30 @@ class EdgeDistribution:
         """``size`` weights, drawn with one parameter each or one for all."""
         if self.family == "bernoulli":
             return rng.random(size) < params
-        return rng.poisson(params, size)
+        try:
+            return rng.poisson(params, size)
+        except ValueError:
+            # numpy refuses rates past about 9.2e18, where int64 counts end.
+            raise DomainError(f"Poisson rate {np.max(params):g} is too large to sample") from None
 
     def log_pmf(self, params: np.ndarray, observed: np.ndarray) -> np.ndarray:
         """Elementwise log probability mass; -inf where the observation is impossible."""
-        params = np.asarray(params, dtype=float)
-        observed = np.asarray(observed, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        params, observed = np.broadcast_arrays(np.asarray(params, dtype=float),
+                                               np.asarray(observed, dtype=float))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.family == "bernoulli":
                 out = np.where(
                     observed > 0.5, np.log(params), np.log1p(-params)
                 )
             else:
                 out = observed * np.log(params) - params - gammaln(observed + 1)
+                # A positive rate gives every count a positive probability, so
+                # a term that is not finite there has overflowed.
+                overflow = ~np.isfinite(out) & (params > 0)
+                if overflow.any():
+                    i = np.argmax(overflow)
+                    raise DomainError(f"log-probability of weight {observed.flat[i]:g} at "
+                                      f"Poisson rate {params.flat[i]:g} overflows the float range")
                 # lambda = 0 is a point mass at weight 0
                 zero_rate = params == 0
                 out = np.where(zero_rate & (observed == 0), 0.0, out)
@@ -410,7 +421,9 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
     """Pairwise dot products of the rows of x; diagonal = squared norms."""
     x = np.asarray(x, dtype=float)
     grid = x @ x.T
-    return (grid + grid.T) / 2.0
+    # Halved first, so that entries near the float maximum cannot overflow.
+    np.multiply(grid, 0.5, out=grid)
+    return grid + grid.T
 
 
 def _upper_mask(n: int) -> np.ndarray:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MAX_NODES, SymmetricOffDiagonal, WeightedGraph, _require_finite, total_weight
+from .graph import (MAX_NODES, SymmetricOffDiagonal, WeightedGraph, _require_finite,
+                    _symmetrize, total_weight)
 from .model import (
     Constant,
     DomainError,
@@ -124,14 +125,7 @@ def fit_poisson_er(g: WeightedGraph) -> LatentModel:
     """Poisson Erdos-Renyi null model with the MLE rate total/C(n,2)."""
     if g.n < 2:
         raise ValueError("need at least 2 nodes to fit an edge-rate model")
-    pairs = g.n * (g.n - 1) // 2
-    with np.errstate(over="ignore"):
-        total = total_weight(g)
-    if not np.isfinite(total):
-        raise ValueError("the edge weights sum past the float maximum; "
-                         "no Poisson rate fits them")
-    lam = total / pairs
-    return make_er(g.n, "poisson", lam)
+    return make_er(g.n, "poisson", total_weight(g) / (g.n * (g.n - 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -142,11 +136,11 @@ class BlockModelSpec:
     community_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        b_mat = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if b_mat.shape[0] != b_mat.shape[1]:
-            raise ValueError("B must be square")
+        b_mat = np.atleast_2d(np.array(self.B, dtype=float))
+        if b_mat.ndim != 2 or b_mat.shape[0] != b_mat.shape[1]:
+            raise ValueError(f"B must be square, got shape {b_mat.shape}")
         _require_finite(b_mat, "B")
-        if np.abs(b_mat - b_mat.T).max() > 1e-12:
+        if _symmetrize(b_mat) is not None:
             raise ValueError("B must be symmetric")
         sizes = tuple(_integer(z, "a community size") for z in self.community_sizes)
         if len(sizes) != b_mat.shape[0]:

@@ -75,6 +75,11 @@ class TestWeightedClustering:
         assert not per_node.any()
         assert avg == 0.0
 
+    def test_overflowing_strength_is_named(self):
+        g = graph_from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+        with pytest.raises(ValueError, match="node strengths overflow the float range"):
+            weighted_clustering(g)
+
     def test_uniformly_weighted_triangle(self):
         g = graph_from_edges(3, [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0)])
         per_node, _ = weighted_clustering(g)

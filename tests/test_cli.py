@@ -544,6 +544,36 @@ class TestLikelihood:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, message", [
+    (["null", "--null", "dot_product"], "node strengths overflow the float range"),
+    (["null", "--null", "dot_product", "--statistic", "total_weight"],
+     "sum past the float maximum"),
+    (["null", "--null", "dot_product", "--statistic", "log_likelihood"],
+     "at Poisson rate 1e+308 overflows the float range"),
+    (["likelihood"], "at Poisson rate 1e+308 overflows the float range"),
+])
+def test_overflowing_embedding_grid_is_data_error(tmp_path, capsys, recwarn, command, message):
+    # Rows near the root of the float maximum give grid entries near it.
+    path, emb, out = tmp_path / "huge.edgelist", tmp_path / "emb.csv", tmp_path / "x"
+    path.write_text(HUGE_TRIANGLE)
+    emb.write_text("1e154\n1e154\n1e154\n")
+    assert run(*command, "--graph", str(path), "--embedding", str(emb), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
+def test_rate_too_large_to_sample_is_data_error(tmp_path, clique_path, capsys):
+    emb, out = tmp_path / "emb.csv", tmp_path / "x"
+    np.savetxt(emb, np.full((15, 1), 1e10))
+    assert run("null", "--null", "dot_product", "--graph", str(clique_path),
+               "--embedding", str(emb), "--out", str(out)) == 2
+    assert "Poisson rate 1e+20 is too large to sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["null", "--null", "dot_product"], ["likelihood"]])
 def test_non_finite_embedding_is_data_error(tmp_path, clique_path, capsys, command):
     emb = tmp_path / "emb.csv"

@@ -310,3 +310,10 @@ def test_total_weight_examples():
     w = np.zeros((4, 4))
     w[1, 3] = w[3, 1] = 7
     assert total_weight(WeightedGraph(w)) == 7
+
+
+def test_overflowing_total_weight_is_named():
+    w = np.full((3, 3), 1e308)
+    np.fill_diagonal(w, 0.0)
+    with pytest.raises(ValueError, match="sum past the float maximum"):
+        total_weight(WeightedGraph(w))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ class TestDotProductGrid:
         grid = dot_product_grid(x)
         assert np.array_equal(grid, grid.T)
 
+    def test_rows_near_the_root_of_the_float_maximum(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = dot_product_grid(np.full((3, 1), 1e154))
+        assert np.all(grid == 1e308)
+
+    def test_equals_the_mean_of_the_product_and_its_transpose(self, rng):
+        for _ in range(20):
+            x = rng.normal(size=(int(rng.integers(1, 40)), 3)) * 10.0 ** rng.integers(-3, 4)
+            grid = x @ x.T
+            assert dot_product_grid(x).tobytes() == ((grid + grid.T) / 2.0).tobytes()
+
 
 class TestSampleNetwork:
     def test_bernoulli_near_one_is_nearly_complete(self):
@@ -216,6 +229,11 @@ class TestSampleNetwork:
             sample_from_grids(POISSON, grid, seed=0)
 
 
+def test_rate_too_large_to_sample_is_named():
+    with pytest.raises(DomainError, match="Poisson rate 1e[+]20 is too large to sample"):
+        sample_from_grids(POISSON, np.full((3, 3), 1e20), seed=0)
+
+
 class TestLogLikelihood:
     def test_uniform_coin(self):
         n = 6
@@ -242,6 +260,12 @@ class TestLogLikelihood:
         grid = np.zeros((2, 2))
         with pytest.warns(UserWarning, match="zero-probability"):
             assert log_likelihood(POISSON, grid, WeightedGraph(w), clamp=True) == -np.inf
+
+    def test_overflowing_term_is_named(self):
+        w = np.array([[0.0, 1e308], [1e308, 0.0]])
+        with pytest.raises(DomainError, match="weight 1e[+]308 at Poisson rate 1e[+]308 "
+                                              "overflows the float range"):
+            log_likelihood(POISSON, np.full((2, 2), 1e308), WeightedGraph(w))
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 4)])
     def test_grid_must_match_graph(self, shape):

@@ -204,6 +204,31 @@ class TestMakeSbm:
         assert np.allclose(inter, 1.0, atol=1e-12)
 
 
+class TestBlockMatrixSymmetry:
+    """B is symmetric up to ``graph.SYMMETRY_TOL`` of its largest entry."""
+
+    def test_asymmetry_large_against_the_entries_is_refused(self):
+        with pytest.raises(ValueError, match="B must be symmetric"):
+            BlockModelSpec(np.array([[1e-3, 1e-14], [1e-20, 1e-3]]), (2, 2))
+
+    def test_one_ulp_asymmetry_at_large_scale_is_averaged(self):
+        b = np.array([[2e6, 1e6], [np.nextafter(1e6, 2e6), 2e6]])
+        before = b.copy()
+        spec = BlockModelSpec(b, (2, 2))
+        assert np.array_equal(spec.B, spec.B.T)
+        assert spec.B[0, 1] in (b[0, 1], b[1, 0])
+        assert b.tobytes() == before.tobytes() and b.flags.writeable
+
+    def test_exactly_symmetric_block_matrix_keeps_its_bytes(self):
+        spec = BlockModelSpec(B_EXAMPLE, (2, 2, 2))
+        assert spec.B.tobytes() == B_EXAMPLE.tobytes()
+        assert B_EXAMPLE.flags.writeable
+
+    def test_block_matrix_of_three_dimensions_is_refused(self):
+        with pytest.raises(ValueError, match=r"B must be square, got shape \(1, 1, 1\)"):
+            BlockModelSpec(np.ones((1, 1, 1)), (1,))
+
+
 class TestMakeChungLu:
     def test_equal_weights(self):
         m = make_chung_lu(ChungLuSpec(np.ones(4)), "bernoulli")
