@@ -15,6 +15,7 @@ import numpy as np
 
 from .graph import WeightedGraph, total_weight
 from .model import (
+    NULL_SAMPLE,
     EdgeDistribution,
     _pair_parameters,
     _sample_pairs,
@@ -145,12 +146,12 @@ def null_compare(
     The dot-product null preserves the pairwise grid of the supplied
     vectors (clamped into the Poisson domain); the Poisson Erdos-Renyi
     null preserves only the expected total weight. Sample i draws from
-    derive_seed(seed, i), so reports are reproducible and ensembles of
-    different seeds are independent.
+    derive_seed(seed, NULL_SAMPLE, i), so reports are reproducible and
+    ensembles of different seeds are independent.
 
     The pair mask and the clamped pair rates are built once per ensemble,
     and each draw only samples from them; sample i is still the graph that
-    ``sample_from_grids(dist, grid, derive_seed(seed, i), clamp=True)``
+    ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null has one rate for every pair, its grid's
     entry (0, 1), so it builds no n x n grid unless a log-likelihood is
     scored.
@@ -187,7 +188,7 @@ def null_compare(
         return log_likelihood(dist, grid, graph, clamp=True)
 
     observed = score(g)
-    samples = [score(_sample_pairs(dist, rates, upper, derive_seed(seed, i)))
+    samples = [score(_sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i)))
                for i in range(n_samples)]
     return NullEnsembleReport(
         statistic=statistic,

@@ -214,7 +214,7 @@ def cmd_generate(args, files):
     else:
         m = _builtin_model(args, files)
     vectors = model.draw_vectors(m, args.seed)
-    g = model.sample_network(m, vectors, args.seed + 1, clamp=args.clamp)
+    g = model.sample_network(m, vectors, args.seed, clamp=args.clamp)
 
     files.save("graph.edgelist" if args.format == "edge-list" else "graph.csv",
                lambda path: graph.save_graph(g, path, args.format))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .embedding import Embedding, SolverConfig, _shared_start, embed
 from .graph import WeightedGraph
-from .model import derive_seed
+from .model import KMEANS_RESTART, SWEEP_DIMENSION, derive_seed
 
 _KMEANS_MAX_ITER = 100  # Lloyd steps per restart
 _KMEANS_RESTARTS = 10
@@ -143,7 +143,7 @@ def angular_kmeans(x: np.ndarray, k: int, seed: int = 0) -> Partition:
 
     best = None
     for r in range(_KMEANS_RESTARTS):
-        rng = np.random.default_rng([seed, r])
+        rng = np.random.default_rng(derive_seed(seed, KMEANS_RESTART, r))
         centroids = _farthest_point_init(active, k, rng)
         assignment, centroids, objective = _lloyd_spherical(active, centroids)
         if best is None or objective > best[2]:
@@ -235,8 +235,8 @@ def dimension_sweep(
     lam1 * stress + lam2 * residual, with the fit's ``Embedding.residual``,
     and the argmin is taken over it. Each partition is scored once.
 
-    Each dimension clusters with its own seed, derive_seed(seed, d), so sweep
-    entries are independent; ties in the argmin go to the smallest d. Every
+    Each dimension clusters with its own seed, derive_seed(seed,
+    SWEEP_DIMENSION, d), so sweep entries are independent; ties in the argmin go to the smallest d. Every
     record equals embed(g, d) and its clustering run alone: the dimensions
     whose start is a full eigendecomposition share one, taken at the
     largest of them, and each ARPACK start is computed for its own d.
@@ -252,7 +252,7 @@ def dimension_sweep(
     start = _shared_start(g, ds)
     for d in ds:
         emb = embed(g, d, config, _start=start)
-        part = angular_kmeans(emb.X, k=d, seed=derive_seed(seed, d))
+        part = angular_kmeans(emb.X, k=d, seed=derive_seed(seed, SWEEP_DIMENSION, d))
         s = stress(emb.X, part, normalize_rows=False)
         sf = None if penalty is None else lam1 * s + lam2 * emb.residual
         records.append(

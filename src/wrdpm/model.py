@@ -400,19 +400,38 @@ class LatentModel:
         )
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Seed of the independent stream ``index`` under ``seed``.
+# The first label of each random stream, one per drawing site; see derive_seed.
+VECTORS, NETWORK, KMEANS_RESTART, SWEEP_DIMENSION, NULL_SAMPLE = range(5)
 
-    Hashing ``[seed, index]`` through a SeedSequence keeps the streams of
-    different seeds apart; ``seed ^ index`` does not (seeds 0 and 1 give the
-    same set of streams).
+
+def derive_seed(seed: int, *labels: int) -> int:
+    """Seed of the independent stream that ``labels`` name under ``seed``.
+
+    Every generator in wrdpm is ``default_rng(derive_seed(seed, ...))``, with
+    a fixed first label per drawing site:
+
+    - ``VECTORS``: the vectors of ``draw_vectors``;
+    - ``NETWORK``: the weights of ``sample_network``, ``sample_from_grids``
+      and each null draw;
+    - ``KMEANS_RESTART, r``: restart r of ``angular_kmeans``;
+    - ``SWEEP_DIMENSION, d``: the k-means seed of dimension d in
+      ``dimension_sweep``;
+    - ``NULL_SAMPLE, i``: the network seed of sample i in ``null_compare``.
+
+    So one seed serves every call of a run, and no two of its streams
+    coincide. The labels are a SeedSequence spawn key, which is appended
+    after the seed's entropy is padded: no labels give back the stream of
+    ``default_rng(seed)``, as the list seed ``[seed, 0]`` does. The one
+    generator not derived here is the fixed ``default_rng(0)`` of the ARPACK
+    start vector in ``embedding._truncated_factor``, which keeps the fit a
+    function of the matrix alone.
     """
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(seed, spawn_key=labels).generate_state(1, np.uint64)[0])
 
 
 def draw_vectors(model: LatentModel, seed: int) -> np.ndarray:
     """Draw the read-only n x d vector matrix, row j for node j; deterministic given seed."""
-    x = model.source.draw(model.n, np.random.default_rng(seed))
+    x = model.source.draw(model.n, np.random.default_rng(derive_seed(seed, VECTORS)))
     x.setflags(write=False)
     return x
 
@@ -461,7 +480,8 @@ def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
     or one for every pair; both draw the same weights from the same seed.
     """
     n = upper.shape[0]
-    draws = distribution.sample(params, np.random.default_rng(seed), n * (n - 1) // 2)
+    rng = np.random.default_rng(derive_seed(seed, NETWORK))
+    draws = distribution.sample(params, rng, n * (n - 1) // 2)
     weights = np.zeros((n, n))
     weights[upper] = draws
     weights.T[upper] = draws

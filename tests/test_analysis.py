@@ -21,7 +21,7 @@ from wrdpm import (
     total_weight,
     weighted_clustering,
 )
-from wrdpm.model import derive_seed
+from wrdpm.model import NULL_SAMPLE, derive_seed
 from conftest import disjoint_cliques, random_integer_graph
 
 
@@ -200,7 +200,7 @@ class TestNullCompare:
             grid = dot_product_grid(vectors)
             expected = []
             for i in range(4):
-                draw = sample_from_grids(dist, grid, derive_seed(seed, i), clamp=True)
+                draw = sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)
                 expected.append({
                     "avg_weighted_clustering": lambda: weighted_clustering(draw)[1],
                     "total_weight": lambda: total_weight(draw),

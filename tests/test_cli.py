@@ -662,6 +662,35 @@ class TestSeedHandling:
                    "--seed", "13", "--out", str(out2)) == 0
         assert data_files(out1) == data_files(out2)
 
+    def test_every_stream_of_a_run_is_its_own(self, tmp_path, clique_path, monkeypatch):
+        # Each generator a run makes is recorded by its seed; the first draws
+        # of all streams of seeds 0..19 differ, and none is a bare seed's.
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(seed) or default_rng(seed))
+        emb = tmp_path / "emb.csv"
+        np.savetxt(emb, np.full((15, 3), 0.5), delimiter=",")
+        commands = {
+            "generate": ["--builtin", "simple-community", "--n", "15"],
+            "cluster": ["--graph", str(clique_path), "--d", "3"],
+            "sweep": ["--graph", str(clique_path), "--d-range", "1..8"],
+            "null": ["--graph", str(clique_path), "--null", "dot_product",
+                     "--embedding", str(emb), "--samples", "100"],
+        }
+        streams = {}
+        for seed in range(20):
+            for command, argv in commands.items():
+                before = len(made)
+                assert run(command, *argv, "--seed", str(seed),
+                           "--out", str(tmp_path / f"{command}{seed}")) == 0
+                streams[command] = len(made) - before
+        # d = 1 clusters into one community and draws nothing.
+        assert streams == {"generate": 2, "cluster": 10, "sweep": 70, "null": 100}
+        first = [default_rng(seed).integers(2**63) for seed in made]
+        assert len(set(first)) == len(first)
+        assert not set(first) & {default_rng(seed).integers(2**63) for seed in range(20)}
+
     def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WRDPM_SEED", "notanint")
         assert run("generate", "--builtin", "simple-community", "--n", "10",

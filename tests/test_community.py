@@ -23,7 +23,7 @@ from wrdpm import (
     sample_network,
     stress,
 )
-from wrdpm.model import derive_seed
+from wrdpm.model import SWEEP_DIMENSION, derive_seed
 from conftest import bridge_graph, disjoint_cliques
 
 
@@ -383,7 +383,7 @@ def sweep_alone(g, ds, seed):
     """Each sweep record's fields, from embed and angular_kmeans run per d."""
     for d in ds:
         emb = embed(g, d)
-        part = angular_kmeans(emb.X, d, derive_seed(seed, d))
+        part = angular_kmeans(emb.X, d, derive_seed(seed, SWEEP_DIMENSION, d))
         yield emb, part, stress(emb.X, part, normalize_rows=False)
 
 

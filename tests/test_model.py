@@ -23,7 +23,7 @@ from wrdpm import (
     sample_network,
     total_weight,
 )
-from wrdpm.model import _sample_pairs, _upper_mask, derive_seed
+from wrdpm.model import NETWORK, _sample_pairs, _upper_mask, derive_seed
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -209,7 +209,7 @@ class TestSampleNetwork:
             assert not np.diag(w).any()
             # the j < l weights, in row-major order, are the stream's draws
             params = dist.clamp(grid[np.triu_indices(n, 1)])
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(derive_seed(seed, NETWORK))
             draws = rng.random(params.size) < params if dist is BERNOULLI else rng.poisson(params)
             assert np.array_equal(w[np.triu_indices(n, 1)], draws)
 
