@@ -24,11 +24,11 @@ from conftest import disjoint_cliques
 GOLDEN = {
     "generate": {
         "graph.edgelist":
-            "358e46b585c9e02021c4a2304260ef5d59df025f4625047b75fb56be334fb141",
+            "fe297db8f346d5efca9075d14e25908c57115a0d06bc8eca108bb1567eb13cb2",
         "model.json":
             "2b5ff37b10f24b67e57504792f1b20a1d7b360ca473eaa001de68cda128338c4",
         "vectors_0.csv":
-            "4fcea72e1d3d60afb944095eb2ffaed90ab4675b68a80f2e76c88451dc51ccb7",
+            "30b999799acbc30445025d4a6f82dcb052598e23ca5395a3670d2bcb653ea2b3",
     },
     "embed": {
         "embedding.csv":
@@ -54,17 +54,17 @@ GOLDEN = {
         "partition_d2.csv":
             "68843462f4ba2ea9e27eb803294a887eaff25bdde2e769e238f6a303ba390bd1",
         "partition_d3.csv":
-            "1ab812069ba9fd88640da55a99412058a0c2344a535b380d9fc757ea552fed65",
+            "039217d99c1b35978c44504edd783db5af64fccf351e310bd308faf1eb4d1010",
         "partition_d4.csv":
             "f98cc0f567c28b06df7bacc6421bbe48c9754cac0830eb56dbfa2f440faea450",
         "report.json":
-            "1b7c42e4cd26d39897ca72856d5e4470efb8d9650cb3aef5db8c308a06739198",
+            "00001c884e9fef218215e2a8a715627a2c3b54aba863dc475eaa999a0e30a6cd",
         "stress.csv":
-            "e84ca2d97df8fc39e00ed7e98e78722ec03b3687694dc4757262f1471050cdc3",
+            "cd2c1e00ec0c1a21ab059b02ccd2fefcb569019d89b746bcadd194ea6820ff2c",
     },
     "null": {
         "null.json":
-            "e91b30cbed6600e0ab6d13155f2d9863dbbe74b5cdaaf42e941ff2aaa1342bf4",
+            "83fb78d80de0a06f686b5e6aa2ace7815a22424c00dfe1092f2b221390ff6132",
     },
     "likelihood": {
         "likelihood.json":
@@ -75,7 +75,7 @@ GOLDEN = {
 
 # generate no longer writes grid_0.csv, the dot-product grid of its vectors;
 # rebuilt from vectors_0.csv it keeps these bytes.
-GRID_0_SHA256 = "1a9d3128e6f0eb87a5001a3a2e49738857acabd6a242eb2dad14778544be2c4e"
+GRID_0_SHA256 = "0799bdbad7bfd369e33259f009eba994047b1774ef048541f88cc02c4b3939dd"
 
 
 @pytest.fixture(scope="module")
