@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from importlib import metadata
 
 import numpy as np
@@ -339,6 +340,9 @@ def cmd_likelihood(args, files):
     g = _load_graph_arg(args, files)
     x = _load_embedding_csv(files.read(args.embedding))
     value = analysis.evaluate_null_likelihood(g, x, family=args.family, clamp=args.clamp)
+    if value == -np.inf:
+        print("warning: an observed weight has zero probability under the embedding",
+              file=sys.stderr)
     print(value)
     if args.out:
         files.save_json("likelihood.json", {"family": args.family, "log_likelihood": value})
@@ -445,7 +449,11 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
         started = time.perf_counter()
         files = _RunFiles(args.out)
-        solver = args.func(args, files)
+        with warnings.catch_warnings():
+            # A -inf log-likelihood is written as the result; likelihood words
+            # the warning itself.
+            warnings.filterwarnings("ignore", "zero-probability observation")
+            solver = args.func(args, files)
         if args.out:
             files.write_manifest(args.command, config, solver, args.seed, started)
         return 0

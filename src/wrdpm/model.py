@@ -437,12 +437,17 @@ def draw_vectors(model: LatentModel, seed: int) -> np.ndarray:
 
 
 def dot_product_grid(x: np.ndarray) -> np.ndarray:
-    """Pairwise dot products of the rows of x; diagonal = squared norms."""
+    """Pairwise dot products of the rows of x; diagonal = squared norms.
+
+    A product past the float range is inf or nan, for ``_pair_parameters``
+    to refuse.
+    """
     x = np.asarray(x, dtype=float)
-    grid = x @ x.T
-    # Halved first, so that entries near the float maximum cannot overflow.
-    np.multiply(grid, 0.5, out=grid)
-    return grid + grid.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = x @ x.T
+        # Halved first, so that entries near the float maximum cannot overflow.
+        np.multiply(grid, 0.5, out=grid)
+        return grid + grid.T
 
 
 def _upper_mask(n: int) -> np.ndarray:
@@ -453,22 +458,23 @@ def _upper_mask(n: int) -> np.ndarray:
 def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
     """The j < l mask of a square grid and the parameters of its pairs, in row-major order.
 
-    With ``clamp`` the parameters are clamped into the domain; otherwise
-    every off-diagonal grid entry must lie in it.
+    Every off-diagonal grid entry must be finite. With ``clamp`` the
+    parameters are clamped into the domain; otherwise each entry must lie
+    in it.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ModelError(f"parameter grid must be square, got shape {grid.shape}")
-    upper = _upper_mask(grid.shape[0])
-    if clamp:
-        return upper, distribution.clamp(grid[upper])
-    bad = distribution.domain_violations(grid)
+    bad = ~np.isfinite(grid)
+    if not clamp:
+        bad |= distribution.domain_violations(grid)
     np.fill_diagonal(bad, False)
     if bad.any():
         j, l = np.argwhere(bad)[0]
         raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
                           f"the {distribution.family} domain")
-    return upper, grid[upper]
+    upper = _upper_mask(grid.shape[0])
+    return upper, distribution.clamp(grid[upper]) if clamp else grid[upper]
 
 
 def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
@@ -533,4 +539,8 @@ def log_likelihood(
     if np.any(np.isneginf(terms)):
         warnings.warn("zero-probability observation; log-likelihood is -inf")
         return float("-inf")
-    return float(terms.sum())
+    with np.errstate(over="ignore"):
+        total = float(terms.sum())
+    if not np.isfinite(total):
+        raise DomainError("the log-likelihood terms sum past the float range")
+    return total

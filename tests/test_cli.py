@@ -533,6 +533,16 @@ class TestLikelihood:
             float(capsys.readouterr().out.strip())
         )
 
+    def test_zero_probability_is_reported_on_stderr(self, tmp_path, capsys, recwarn):
+        path, emb = tmp_path / "g.edgelist", tmp_path / "emb.csv"
+        path.write_text("n=3\n0 1 1\n1 2 3\n")
+        emb.write_text("0\n0\n0\n")
+        assert run("likelihood", "--graph", str(path), "--embedding", str(emb), "--clamp") == 0
+        captured = capsys.readouterr()
+        assert captured.out == "-inf\n"
+        assert "warning: an observed weight has zero probability" in captured.err
+        assert not recwarn.list
+
     @pytest.mark.parametrize("rows", [10, 20])
     def test_embedding_rows_must_match_graph(self, tmp_path, clique_path, capsys, rows):
         emb = tmp_path / "emb.csv"

@@ -1,0 +1,143 @@
+"""Hostile sbm and chung-lu specs and embedding CSVs end in exit 0, 1, 2 or 3.
+
+Spec examples take a valid spec JSON of ``generate --builtin sbm`` or
+``--builtin chung-lu``, replace one value at any depth (with the values of
+test_hostile_models.py, a magnitude near the float maximum or a ragged
+array) or delete one key, and run ``generate`` on it. Embedding examples
+write a CSV of at most four rows and three columns, with entries drawn from
+values that break naive arithmetic and optionally damaged text, and run
+``likelihood`` or ``null --null dot_product`` on it against a small graph.
+Every run goes through ``cli.main``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from test_hostile_models import DELETE, HOSTILE, SLOT, value_paths
+from wrdpm.cli import main
+
+SPECS = {
+    "sbm": {"B": [[1.0, 0.1], [0.1, 1.0]], "sizes": [2, 2], "family": "poisson",
+            "normalize": False},
+    "chung-lu": {"weights": [1.0, 2.0, 0.5, 1.5], "d": 2, "family": "poisson"},
+}
+OVERFLOWING = ("1e154", "1e308", "1.7976931348623157e308", "-1e308", "1e-320")
+RAGGED = ("[[1.0, 2.0], [3.0]]", "[1.0, [2.0]]", "[[[1.0]]]")
+
+ENTRIES = ("0", "1", "0.5", "-1", "1e-320", "1e154", "1e300", "1.7976931348623157e308")
+DAMAGE = ("nan", "inf", "-inf", "1e400", "x", "")
+GRAPHS = ("n=3\n0 1 1\n1 2 3\n", "n=3\n0 1 1e308\n1 2 1e308\n0 2 1e308\n", "n=3\n0 1 2.5\n")
+OVERFLOWING_TRIANGLE = GRAPHS[1]
+ROOT_ROWS = "1e154\n1e154\n1e154\n"
+ZERO_ROWS = "0\n0\n0\n"
+COMMANDS = {
+    "likelihood": [["likelihood"], ["likelihood", "--clamp"],
+                   ["likelihood", "--family", "bernoulli", "--clamp"]],
+    "null": [["null", "--null", "dot_product", "--samples", "3", "--statistic", s]
+             for s in ("avg_weighted_clustering", "total_weight", "log_likelihood")],
+}
+
+
+def run(argv, files):
+    """Run ``argv`` with ``files`` (name -> text) written to a fresh directory, each
+    ``{name}`` in argv replaced by its path; (exit code, stderr, warnings, out made)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
+                f.write(text)
+        out = os.path.join(tmp, "out")
+        argv = [a.format(**{name: os.path.join(tmp, name) for name in files}) for a in argv]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", out, "--seed", "1"])
+        return code, err.getvalue(), [str(w.message) for w in caught], os.path.exists(out)
+
+
+def assert_clean_exit(code, message, caught, made):
+    assert code in (0, 1, 2, 3), message
+    assert "Traceback" not in message
+    if code == 0:
+        assert not caught, caught
+        assert made
+    else:
+        assert "error: " in message or message.startswith("numerical failure: "), message
+        assert not made
+
+
+@st.composite
+def mutated_specs(draw, builtin):
+    doc = json.loads(json.dumps(SPECS[builtin]))
+    path = draw(st.sampled_from(list(value_paths(doc))))
+    values = HOSTILE + OVERFLOWING + RAGGED
+    action = draw(st.sampled_from(values + ((DELETE,) if isinstance(path[-1], str) else ())))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action is DELETE:
+        del parent[path[-1]]
+        return json.dumps(doc)
+    parent[path[-1]] = SLOT
+    return json.dumps(doc).replace(json.dumps(SLOT), action)
+
+
+def spec_text(builtin, **changes):
+    return json.dumps({**SPECS[builtin], **changes})
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(sorted(SPECS)).flatmap(
+    lambda builtin: st.tuples(st.just(builtin), mutated_specs(builtin))))
+@example(spec=("sbm", spec_text("sbm", B=[[1e-3, 1e-14], [1e-20, 1e-3]])))
+@example(spec=("sbm", spec_text("sbm", B=[[1e308, 1e308], [1e308, 1e308]])))
+@example(spec=("chung-lu", spec_text("chung-lu", weights=[1e308, 1e308])))
+def test_hostile_spec_exits_cleanly(spec):
+    builtin, text = spec
+    assert_clean_exit(*run(["generate", "--builtin", builtin, "--spec", "{spec}"],
+                           {"spec": text}))
+
+
+@st.composite
+def embedding_csvs(draw):
+    """The text of a CSV of at most 4 x 3 entries, damaged or not."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 3))
+    table = [[draw(st.sampled_from(ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+    damage = draw(st.sampled_from(["none", "entry", "ragged", "empty"]))
+    if damage == "entry":
+        row = draw(st.sampled_from(table))
+        row[draw(st.integers(0, cols - 1))] = draw(st.sampled_from(DAMAGE))
+    elif damage == "ragged":
+        row = draw(st.sampled_from(table))
+        if draw(st.booleans()) and len(row) > 1:
+            row.pop()
+        else:
+            row.append("1")
+    elif damage == "empty":
+        table = []
+    return "".join(",".join(r) + "\n" for r in table)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(COMMANDS)), variant=st.integers(0, 2),
+       graph=st.sampled_from(GRAPHS), embedding=embedding_csvs())
+@example(command="likelihood", variant=0, graph=OVERFLOWING_TRIANGLE, embedding=ROOT_ROWS)
+@example(command="null", variant=0, graph=OVERFLOWING_TRIANGLE, embedding=ROOT_ROWS)
+@example(command="null", variant=1, graph=OVERFLOWING_TRIANGLE, embedding=ROOT_ROWS)
+@example(command="null", variant=2, graph=OVERFLOWING_TRIANGLE, embedding=ROOT_ROWS)
+@example(command="likelihood", variant=0, graph=GRAPHS[0], embedding="0\n0\n1e300\n")
+@example(command="likelihood", variant=0, graph=GRAPHS[0],
+         embedding="1\n1\n1.7976931348623157e308\n")
+@example(command="likelihood", variant=1, graph=GRAPHS[0], embedding=ZERO_ROWS)
+@example(command="null", variant=2, graph=GRAPHS[0], embedding=ZERO_ROWS)
+def test_hostile_embedding_exits_cleanly(command, variant, graph, embedding):
+    argv = COMMANDS[command][variant] + ["--graph", "{graph}", "--embedding", "{embedding}"]
+    assert_clean_exit(*run(argv, {"graph": graph, "embedding": embedding}))

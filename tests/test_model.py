@@ -229,6 +229,13 @@ class TestSampleNetwork:
             sample_from_grids(POISSON, grid, seed=0)
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_grid_entry_past_the_float_range_is_named(clamp):
+    grid = dot_product_grid(np.array([[1e300], [1e300], [0.0]]))
+    with pytest.raises(DomainError, match=r"grid entry \(0,1\) = inf outside the poisson"):
+        sample_from_grids(POISSON, grid, seed=0, clamp=clamp)
+
+
 def test_rate_too_large_to_sample_is_named():
     with pytest.raises(DomainError, match="Poisson rate 1e[+]20 is too large to sample"):
         sample_from_grids(POISSON, np.full((3, 3), 1e20), seed=0)
@@ -266,6 +273,12 @@ class TestLogLikelihood:
         with pytest.raises(DomainError, match="weight 1e[+]308 at Poisson rate 1e[+]308 "
                                               "overflows the float range"):
             log_likelihood(POISSON, np.full((2, 2), 1e308), WeightedGraph(w))
+
+    def test_sum_past_the_float_range_is_named(self):
+        w = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0]])
+        grid = np.full((3, 3), 1e308)
+        with pytest.raises(DomainError, match="terms sum past the float range"):
+            log_likelihood(POISSON, grid, WeightedGraph(w))
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 4)])
     def test_grid_must_match_graph(self, shape):
