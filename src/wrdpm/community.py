@@ -236,10 +236,11 @@ def dimension_sweep(
     and the argmin is taken over it. Each partition is scored once.
 
     Each dimension clusters with its own seed, derive_seed(seed,
-    SWEEP_DIMENSION, d), so sweep entries are independent; ties in the argmin go to the smallest d. Every
-    record equals embed(g, d) and its clustering run alone: the dimensions
-    whose start is a full eigendecomposition share one, taken at the
-    largest of them, and each ARPACK start is computed for its own d.
+    SWEEP_DIMENSION, d), so sweep entries are independent; ties in the
+    argmin go to the smallest d. Every record equals embed(g, d) and its
+    clustering run alone: the dimensions whose start is a full
+    eigendecomposition share one, taken at the largest of them, and each
+    ARPACK start is computed for its own d.
     """
     ds = sorted(set(int(d) for d in d_values))
     if not ds:
