@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from importlib import metadata
 
 import numpy as np
@@ -28,8 +27,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-BUILTINS = ("simple-community", "multiresolution", "er", "poisson-er", "sbm", "chung-lu")
-
 # The generate flags with a None default that each model source reads (None
 # is --model); giving any other of them is a usage error.
 _GENERATE_READS = {
@@ -37,6 +34,7 @@ _GENERATE_READS = {
     "er": ("n", "d", "family", "param"), "poisson-er": ("n", "d", "param"),
     "sbm": ("family", "spec"), "chung-lu": ("d", "family", "spec"), None: (),
 }
+BUILTINS = tuple(name for name in _GENERATE_READS if name is not None)
 
 
 class UsageError(Exception):
@@ -61,15 +59,20 @@ def _version() -> str:
 
 
 def _default_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("WRDPM_SEED")
-    if env is not None:
+    name = "--seed"
+    if value is None:
+        env = os.environ.get("WRDPM_SEED")
+        if env is None:
+            return 0
+        name = "WRDPM_SEED"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise UsageError(f"WRDPM_SEED={env!r} is not an integer")
-    return 0
+    # numpy's SeedSequence takes no negative entropy.
+    if value < 0:
+        raise UsageError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def _sha256(path) -> str:
@@ -142,7 +145,7 @@ def _load_graph_arg(args, files) -> graph.WeightedGraph:
 
 
 def _load_embedding_csv(path) -> np.ndarray:
-    x = np.loadtxt(path, delimiter=",", ndmin=2)
+    x = graph._read_csv_matrix(path, "embedding")
     graph._require_finite(x, str(path))
     return x
 
@@ -175,25 +178,24 @@ def _builtin_model(args, files) -> model.LatentModel:
             raise UsageError(f"builtin {name!r} requires --param")
         family = "poisson" if name == "poisson-er" else (args.family or "bernoulli")
         return specialize.make_er(n, family, args.param, d=d)
-    if name in ("sbm", "chung-lu"):
-        if not args.spec:
-            raise UsageError(f"builtin {name!r} requires --spec <json file>")
-        with open(files.read(args.spec), encoding="utf-8") as f:
-            doc = json.load(f)
-        what = f"the {name} spec"
-        values = model._json_key(doc, "B" if name == "sbm" else "weights", what,
-                                 lambda v: np.array(v, dtype=float))
-        family = args.family or doc.get("family", "poisson")
-        if name == "sbm":
-            sizes = model._json_key(doc, "sizes", what, tuple)
-            return specialize.make_sbm(specialize.BlockModelSpec(values, sizes), family,
-                                       magnitude_normalization=bool(doc.get("normalize", False)))
-        spec = specialize.ChungLuSpec(values)
-        if "d" in doc and args.d is not None:
-            raise UsageError(f"--d conflicts with the 'd' of {what}")
-        d = model._json_key(doc, "d", what, lambda v: model._integer(v, "d")) if "d" in doc else d
-        return specialize.make_chung_lu(spec, family, d=d)
-    raise UsageError(f"unknown builtin {name!r}; valid: {', '.join(BUILTINS)}")
+    # What is left is sbm or chung-lu: argparse refuses any other name.
+    if not args.spec:
+        raise UsageError(f"builtin {name!r} requires --spec <json file>")
+    with open(files.read(args.spec), encoding="utf-8") as f:
+        doc = json.load(f)
+    what = f"the {name} spec"
+    values = model._json_key(doc, "B" if name == "sbm" else "weights", what,
+                             lambda v: np.array(v, dtype=float))
+    family = args.family or doc.get("family", "poisson")
+    if name == "sbm":
+        sizes = model._json_key(doc, "sizes", what, tuple)
+        return specialize.make_sbm(specialize.BlockModelSpec(values, sizes), family,
+                                   magnitude_normalization=bool(doc.get("normalize", False)))
+    spec = specialize.ChungLuSpec(values)
+    if "d" in doc and args.d is not None:
+        raise UsageError(f"--d conflicts with the 'd' of {what}")
+    d = model._json_key(doc, "d", what, lambda v: model._integer(v, "d")) if "d" in doc else d
+    return specialize.make_chung_lu(spec, family, d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +371,12 @@ def _add_common(p, need_graph=True, out_required=True):
 
 
 def _add_solver(p):
-    p.add_argument("--max-iter", type=_positive_int, default=500, help="cap on L-BFGS steps")
-    p.add_argument("--tol", type=float, default=1e-7, help="converged when |grad f| <= "
-                   "TOL ||A||_F ||X||_F, f = ||offdiag(X X^T - A)||_F^2 (default: 1e-7)")
+    defaults = embedding.SolverConfig()
+    p.add_argument("--max-iter", type=_positive_int, default=defaults.max_iterations,
+                   help="cap on L-BFGS steps")
+    p.add_argument("--tol", type=float, default=defaults.tolerance, help="converged when "
+                   "|grad f| <= TOL ||A||_F ||X||_F, f = ||offdiag(X X^T - A)||_F^2 "
+                   "(default: %(default)g)")
     p.add_argument("--strict", action="store_true",
                    help="treat non-convergence as a failure (exit 3)")
 
@@ -449,11 +454,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
         started = time.perf_counter()
         files = _RunFiles(args.out)
-        with warnings.catch_warnings():
-            # A -inf log-likelihood is written as the result; likelihood words
-            # the warning itself.
-            warnings.filterwarnings("ignore", "zero-probability observation")
-            solver = args.func(args, files)
+        solver = args.func(args, files)
         if args.out:
             files.write_manifest(args.command, config, solver, args.seed, started)
         return 0

@@ -231,6 +231,21 @@ def _parse_edge_array(lines: list[str]) -> np.ndarray | None:
     return weights
 
 
+def _read_csv_matrix(path, what: str) -> np.ndarray:
+    """The comma-separated matrix in ``path``, at least 2-d; a GraphFormatError
+    naming ``what`` when the file does not parse or holds no rows."""
+    with warnings.catch_warnings():
+        # An empty file is refused below, by name.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            m = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GraphFormatError(f"could not parse {what}: {exc}")
+    if m.size == 0:
+        raise GraphFormatError(f"{what} file {path} holds no rows")
+    return m
+
+
 def load_graph(path, format: str = "edge-list") -> WeightedGraph:
     """Load a weighted graph from ``path`` in `edge-list` or `dense` format."""
     if format == "edge-list":
@@ -241,16 +256,7 @@ def load_graph(path, format: str = "edge-list") -> WeightedGraph:
             weights = _parse_edge_list(lines)
         return WeightedGraph(weights)
     if format == "dense":
-        with warnings.catch_warnings():
-            # An empty file is refused below, by name.
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                weights = np.loadtxt(path, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise GraphFormatError(f"could not parse dense matrix: {exc}")
-        if weights.size == 0:
-            raise GraphFormatError(f"dense matrix file {path} holds no rows")
-        return WeightedGraph(weights)
+        return WeightedGraph(_read_csv_matrix(path, "dense matrix"))
     raise ValueError(f"unknown graph format {format!r}")
 
 

@@ -10,7 +10,6 @@ parametrized by the corresponding grid entry.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
@@ -149,10 +148,6 @@ class Constant:
     def __post_init__(self):
         object.__setattr__(self, "vector", _finite_array(self.vector, "vector", 1))
 
-    @property
-    def dim(self) -> int:
-        return self.vector.shape[0]
-
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.tile(self.vector, (n, 1))
 
@@ -191,10 +186,6 @@ class FiniteSupport:
             a.setflags(write=False)
             object.__setattr__(self, "assignment", a)
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.assignment is not None:
             if len(self.assignment) != n:
@@ -228,10 +219,6 @@ class AxisNoise:
         if not 0 <= self.sigma2 < np.inf:
             raise ModelError(f"axis-noise source needs finite sigma2 >= 0, got {self.sigma2}")
 
-    @property
-    def dim(self) -> int:
-        return self.d
-
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         axes = rng.integers(0, self.d, size=n)
         out = _half_normal(rng, self.sigma2, (n, self.d))
@@ -262,10 +249,6 @@ class MultiresolutionAxis:
                 "multiresolution source needs finite sigma2 >= 0 and finite exp_mean > 0, "
                 f"got sigma2={self.sigma2}, exp_mean={self.exp_mean}"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.d
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         axes = rng.integers(0, self.d, size=n)
@@ -301,10 +284,6 @@ class Ray:
             if not 0 < self.rate < np.inf:
                 raise ModelError(
                     f"ray magnitude rate must be finite and positive, got {self.rate}")
-
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.magnitudes is not None:
@@ -525,8 +504,8 @@ def log_likelihood(
 ) -> float:
     """Log probability of the observed weights under the g.n x g.n parameter grid.
 
-    Returns -inf (with a warning) when any observed edge weight has zero
-    probability under its grid entry.
+    Returns -inf, silently, when any observed edge weight has zero
+    probability under its grid entry; the caller decides how to report it.
     """
     if not g.is_integer_valued():
         raise ModelError(f"{distribution.family} likelihood needs integer weights")
@@ -537,7 +516,6 @@ def log_likelihood(
     upper, params = _pair_parameters(distribution, grid, clamp)
     terms = distribution.log_pmf(params, g.weights[upper])
     if np.any(np.isneginf(terms)):
-        warnings.warn("zero-probability observation; log-likelihood is -inf")
         return float("-inf")
     with np.errstate(over="ignore"):
         total = float(terms.sum())

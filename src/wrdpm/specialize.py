@@ -29,26 +29,15 @@ class NotPSDError(ValueError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
 
-def complete_diagonal(
-    m: SymmetricOffDiagonal, strategy: str = "dominant", delta: float = 1.0
-) -> np.ndarray:
-    """Choose diagonal entries making the completed matrix PD (or PSD).
+def complete_diagonal(m: SymmetricOffDiagonal) -> np.ndarray:
+    """Complete the diagonal so that the matrix is positive definite.
 
-    `dominant` sets each diagonal entry to the absolute row sum plus
-    ``delta`` > 0, which forces strict diagonal dominance and hence all
-    eigenvalues >= delta by the Gershgorin disc argument. `laplacian_abs`
-    drops the delta margin and is guaranteed positive semidefinite only.
+    Each diagonal entry is the absolute row sum plus 1, which forces strict
+    diagonal dominance and hence all eigenvalues >= 1 by the Gershgorin
+    disc argument.
     """
-    abs_row_sums = np.abs(m.entries).sum(axis=1)
     out = m.entries.copy()
-    if strategy == "dominant":
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        np.fill_diagonal(out, abs_row_sums + delta)
-    elif strategy == "laplacian_abs":
-        np.fill_diagonal(out, abs_row_sums)
-    else:
-        raise ValueError(f"unknown completion strategy {strategy!r}")
+    np.fill_diagonal(out, np.abs(m.entries).sum(axis=1) + 1.0)
     return out
 
 
@@ -81,16 +70,14 @@ def _eigentruncate(m: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     return eigvecs[:, order] * np.sqrt(eigvals[order]), lowest
 
 
-def factor_psd(
-    m: np.ndarray, d: int | None = None, tol: float | None = None
-) -> np.ndarray:
+def factor_psd(m: np.ndarray, d: int | None = None) -> np.ndarray:
     """Factor a symmetric PSD matrix as X X^T with X of rank at most d.
 
     Uses the full symmetric eigendecomposition truncated to the top d
     eigenpairs (the Frobenius-optimal rank-d PSD approximation). Columns
     are ordered by descending eigenvalue and canonically oriented.
-    Eigenvalues in (-tol, 0) are clamped to zero; anything below -tol is
-    an error.
+    Eigenvalues in (-tol, 0), with tol = 1e-9 max(||m||_F, 1), are clamped
+    to zero; anything below -tol is an error.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
@@ -98,8 +85,7 @@ def factor_psd(
         d = n
     if not 1 <= d <= n:
         raise ValueError(f"rank cap d={d} outside [1, {n}]")
-    if tol is None:
-        tol = 1e-9 * max(np.linalg.norm(m), 1.0)
+    tol = 1e-9 * max(np.linalg.norm(m), 1.0)
     x, lowest = _eigentruncate(m, d)
     if lowest < -tol:
         raise NotPSDError(

@@ -110,7 +110,7 @@ def test_criterion_03_dimension_selection():
 def test_criterion_04_diagonal_completion(theorem_instances):
     start = time.perf_counter()
     min_eig = min(
-        np.linalg.eigvalsh(complete_diagonal(m, "dominant", 1.0))[0]
+        np.linalg.eigvalsh(complete_diagonal(m))[0]
         for m in theorem_instances
     )
     elapsed = time.perf_counter() - start
@@ -120,7 +120,7 @@ def test_criterion_04_diagonal_completion(theorem_instances):
 def test_criterion_05_completion_roundtrip(theorem_instances):
     worst = 0.0
     for m in theorem_instances:
-        c = complete_diagonal(m, "dominant", 1.0)
+        c = complete_diagonal(m)
         x = factor_psd(c)
         grid = x @ x.T
         off = ~np.eye(c.shape[0], dtype=bool)

@@ -706,6 +706,19 @@ class TestSeedHandling:
         assert run("generate", "--builtin", "simple-community", "--n", "10",
                    "--out", str(tmp_path / "x")) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert run("generate", "--builtin", "er", "--param", "0.5", "--n", "4",
+                   "--seed", "-1", "--out", str(tmp_path / "x")) == 1
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("WRDPM_SEED", "-1")
+        assert run("generate", "--builtin", "er", "--param", "0.5", "--n", "4",
+                   "--out", str(tmp_path / "x")) == 1
+        assert "error: WRDPM_SEED must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path, clique_path):
         assert run("embed", "--graph", str(clique_path), "--d", "2",
                    "--out", str(tmp_path / "x"), "--bogus") == 1

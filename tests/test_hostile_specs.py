@@ -138,6 +138,11 @@ def embedding_csvs(draw):
          embedding="1\n1\n1.7976931348623157e308\n")
 @example(command="likelihood", variant=1, graph=GRAPHS[0], embedding=ZERO_ROWS)
 @example(command="null", variant=2, graph=GRAPHS[0], embedding=ZERO_ROWS)
+@example(command="likelihood", variant=0, graph=GRAPHS[0], embedding="")
+@example(command="null", variant=0, graph=GRAPHS[0], embedding="# no rows\n")
 def test_hostile_embedding_exits_cleanly(command, variant, graph, embedding):
     argv = COMMANDS[command][variant] + ["--graph", "{graph}", "--embedding", "{embedding}"]
-    assert_clean_exit(*run(argv, {"graph": graph, "embedding": embedding}))
+    code, message, caught, made = run(argv, {"graph": graph, "embedding": embedding})
+    # A refused embedding is named on the error line, not in a Python warning.
+    assert not caught, caught
+    assert_clean_exit(code, message, caught, made)

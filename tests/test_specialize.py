@@ -37,31 +37,19 @@ def random_offdiag(rng, n, scale=5.0):
 class TestCompleteDiagonal:
     def test_two_by_two_dominant(self):
         m = SymmetricOffDiagonal(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        c = complete_diagonal(m, "dominant", 1.0)
+        c = complete_diagonal(m)
         assert np.array_equal(np.diag(c), [2.0, 2.0])
         assert np.allclose(np.linalg.eigvalsh(c), [1.0, 3.0])
 
     def test_zero_offdiagonal(self):
         m = SymmetricOffDiagonal(np.zeros((4, 4)))
-        c = complete_diagonal(m, "dominant", 1.0)
+        c = complete_diagonal(m)
         assert np.array_equal(c, np.eye(4))
-
-    def test_laplacian_abs_anti_assortative_is_psd_singular(self):
-        m = SymmetricOffDiagonal(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        c = complete_diagonal(m, "laplacian_abs")
-        eigs = np.linalg.eigvalsh(c)
-        assert eigs[0] == pytest.approx(0.0, abs=1e-12)
-        assert eigs[1] > 0
-
-    def test_delta_must_be_positive(self):
-        m = SymmetricOffDiagonal(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            complete_diagonal(m, "dominant", 0.0)
 
     def test_min_eigenvalue_property(self, rng):
         for _ in range(200):
             m = random_offdiag(rng, int(rng.integers(5, 51)))
-            c = complete_diagonal(m, "dominant", 1.0)
+            c = complete_diagonal(m)
             assert np.linalg.eigvalsh(c)[0] >= 1.0 - 1e-9
 
 
@@ -89,13 +77,13 @@ class TestFactorPsd:
 
     def test_canonical_orientation_deterministic(self, rng):
         m = random_offdiag(rng, 8)
-        c = complete_diagonal(m, "dominant", 1.0)
+        c = complete_diagonal(m)
         assert np.array_equal(factor_psd(c), factor_psd(c))
 
     def test_roundtrip_after_completion(self, rng):
         for _ in range(100):
             m = random_offdiag(rng, int(rng.integers(5, 30)))
-            c = complete_diagonal(m, "dominant", 1.0)
+            c = complete_diagonal(m)
             x = factor_psd(c)
             assert np.linalg.norm(x @ x.T - c) <= 1e-10 * np.linalg.norm(c)
 
@@ -287,7 +275,7 @@ def test_corollary_roundtrip_random_parameters(rng):
         params = rng.uniform(0.0, 4.0, (n, n))
         params = np.triu(params, 1)
         params = params + params.T
-        c = complete_diagonal(SymmetricOffDiagonal(params), "dominant", 1.0)
+        c = complete_diagonal(SymmetricOffDiagonal(params))
         x = factor_psd(c)
         grid = x @ x.T
         off = ~np.eye(n, dtype=bool)
