@@ -3,7 +3,9 @@
 Minimizes the off-diagonal discrepancy ||offdiag(X X^T - A)||_F^2 over X by
 L-BFGS (Liu & Nocedal 1989), from one eigentruncation, as Fiori et al. fit
 random dot product graphs by gradient descent with the diagonal masked out
-(IEEE TSIPN 2024).
+(IEEE TSIPN 2024). L-BFGS runs on the column-scaled Z = X diag(s), as
+scaled gradient descent preconditions the same fit (Tong, Ma & Chi, JMLR
+2021).
 """
 
 from __future__ import annotations
@@ -123,9 +125,17 @@ _RUNAWAY = 2.0
 # Squared singular values of X below this share of the largest are rounding
 # (eigh returns a zero eigenvalue as about 1e-16 of the largest).
 _NULL_SHARE = 1e-12
-# L-BFGS memory: the 133 sweep-150 solves took 2.84 s with 5 pairs, 2.99 s
-# with 10 and 3.28 s with 20.
-_MEMORY = 5
+# L-BFGS memory: on Z, the 133 sweep-150 solves took 6276, 5859, 5495 and
+# 5360 iterations with 3, 5, 8 and 10 pairs, in times within noise (0.9 to
+# 1.2 s). Capped solves of a 10-node graph (d = 6, 7) end lowest with 10.
+_MEMORY = 10
+# Floor of the column scale s, as a share of its largest entry. A short
+# column takes steps up to 1 / _FLOOR^2 times longer than the longest one.
+# Full-rank fits of a 10-node graph (d = 8, 9, 10) hit the 500-step cap at a
+# floor of 1e-3 (residual up to 0.56) and converge in 191 to 93 steps at 0.1
+# and in 62 to 44 at 0.3. Of the 133 sweep-150 solves it binds on none at
+# 0.4 and on some at 0.5 (5360 and 5479 iterations).
+_FLOOR = 0.3
 
 
 def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
@@ -168,6 +178,13 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     max |A|) over its norm: the power of two is exact, so embed(4 A).X is
     2 embed(A).X bit for bit, and the norm makes the path scale-free. X is
     returned on its principal axes, canonically oriented.
+
+    Each L-BFGS run works on Z = X diag(s), s the column norms of the X it
+    starts from, floored at _FLOOR of the largest. That X is on its
+    principal axes, so 1 / s is (X^T X)^(-1/2), the preconditioner of scaled
+    gradient descent (Tong, Ma & Chi, arXiv:2005.08898): the step count no
+    longer grows with the spread of the start's eigenvalues. The stopping
+    rule and the stop reasons read X and its gradient, not Z.
 
     Stop reasons: "tolerance" (converged) when |grad f| <= ``tolerance``
     ||A||_F ||X||_F, sqrt(_DIRECT_SHARE) times that where f is summed
@@ -229,6 +246,11 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
         tol = config.tolerance if f >= _DIRECT_SHARE * a_sq else tight
         done = np.linalg.norm(grad) <= tol * np.linalg.norm(flat)
 
+    def evaluate_z(z):
+        """f and its gradient at Z = X diag(s), for L-BFGS on Z."""
+        f, grad = evaluate((z.reshape(n, d) / cols).ravel())
+        return f, (grad.reshape(n, d) / cols).ravel()
+
     def step(intermediate_result):
         # L-BFGS evaluates each iterate it accepts last, so that is ``last``.
         accept()
@@ -265,8 +287,10 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
             continue
         if done:
             break
+        cols = np.linalg.norm(x, axis=0)  # s; x is on its principal axes here
+        cols = np.maximum(cols, _FLOOR * cols.max())
         iterations += minimize(
-            evaluate, x.ravel(), jac=True, method="L-BFGS-B", callback=step,
+            evaluate_z, (x * cols).ravel(), jac=True, method="L-BFGS-B", callback=step,
             # maxfun never binds: an iteration makes at most maxls + 1 calls.
             options={"maxiter": config.max_iterations - iterations, "maxcor": _MEMORY,
                      "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},

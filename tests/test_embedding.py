@@ -123,7 +123,7 @@ def three_block_sbm(seed, block_size, within=1.0, between=0.1):
 
 
 class TestDescent:
-    """L-BFGS on X: its history, its cap and its stop reasons."""
+    """Column-scaled L-BFGS: its history, its cap and its stop reasons."""
 
     def test_star_has_no_minimiser_in_any_node_order(self):
         # Edges 1-3 and 2-3 plus an isolated node: at d = 1 the residual only
@@ -132,7 +132,7 @@ class TestDescent:
         # away on the center's row until the cap. The off-diagonal products
         # the graph fixes agree across orders; how far out on the ray each
         # order gets is rounding amplified over 500 steps (the center's
-        # squared norm ends between 4373 and 4995).
+        # squared norm ends between 4551 and 5056).
         w = np.zeros((4, 4))
         w[1, 3] = w[3, 1] = w[2, 3] = w[3, 2] = 1.0
         off = ~np.eye(4, dtype=bool)
@@ -293,8 +293,8 @@ class TestLargeGraphPath:
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_matches_dense_path(self, monkeypatch, start_solver, d):
-        # The two starts differ by rounding, so the step counts may differ
-        # (124 and 128 at d = 3); the minimum reached may not.
+        # The two starts differ by rounding, so the step counts may differ;
+        # the minimum reached may not.
         g = poisson_graph(1, 300)
         fast = embed(g, d)
         assert start_solver() == "arpack"
