@@ -32,25 +32,25 @@ GOLDEN = {
     },
     "embed": {
         "embedding.csv":
-            "06ff5ac5e13c183abe2e93fbed071ff503805d16b635225e5799cf4cdd9f1598",
+            "5b0f398b3a79541cda1795020a2f0205d973e42471b28cd878dbdf9e7cfcc1b4",
         "embedding.json":
-            "3d1e1f3f3d6168e9f3846836c603264338c25c53e02d8167a49ebdf533022fae",
+            "f3f2e8731215b02310f588039c98f32c706dfcc318ca7b876cbafa69cf4ddf65",
     },
     "cluster": {
         "centrality.csv":
-            "41c39c6c05adfb4f6630437a39f869bb86858771863b76596e0383362cd75d64",
+            "a2764be3c7863429d3aa8c6d78cc85a8184a80ff79edcf91afc5c75ffc82479e",
         "cluster.json":
-            "01b965285718a9422cfec2ca4490b8a26bb43ae20af3634d8b92d02b8a678770",
+            "35dd38664bb8fc29e797fedb457f7fb3910752bef1bcba0a69578676637fe911",
         "embedding.csv":
-            "06ff5ac5e13c183abe2e93fbed071ff503805d16b635225e5799cf4cdd9f1598",
+            "5b0f398b3a79541cda1795020a2f0205d973e42471b28cd878dbdf9e7cfcc1b4",
         "embedding.json":
-            "3d1e1f3f3d6168e9f3846836c603264338c25c53e02d8167a49ebdf533022fae",
+            "f3f2e8731215b02310f588039c98f32c706dfcc318ca7b876cbafa69cf4ddf65",
         "partition.csv":
             "1ab812069ba9fd88640da55a99412058a0c2344a535b380d9fc757ea552fed65",
     },
     "sweep": {
         "centrality.csv":
-            "41c39c6c05adfb4f6630437a39f869bb86858771863b76596e0383362cd75d64",
+            "a2764be3c7863429d3aa8c6d78cc85a8184a80ff79edcf91afc5c75ffc82479e",
         "partition_d2.csv":
             "68843462f4ba2ea9e27eb803294a887eaff25bdde2e769e238f6a303ba390bd1",
         "partition_d3.csv":
@@ -58,9 +58,9 @@ GOLDEN = {
         "partition_d4.csv":
             "f98cc0f567c28b06df7bacc6421bbe48c9754cac0830eb56dbfa2f440faea450",
         "report.json":
-            "00001c884e9fef218215e2a8a715627a2c3b54aba863dc475eaa999a0e30a6cd",
+            "9ade802e7242578268bde28a6479ff0d794a940244b5831e9d141dae2be6e62c",
         "stress.csv":
-            "cd2c1e00ec0c1a21ab059b02ccd2fefcb569019d89b746bcadd194ea6820ff2c",
+            "83dc908fdf3edc64c9b8999a33893bc45239e97a94d028123b3e336a3d167e92",
     },
     "null": {
         "null.json":
