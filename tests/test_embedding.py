@@ -31,9 +31,14 @@ class TestEmbed:
         ratio = emb.X[:, 0] / w
         assert np.allclose(ratio, ratio[0], atol=1e-5)
 
-    def test_full_rank_is_exact(self, rng):
+    @pytest.mark.parametrize("rank_deficit", [2, 1, 0])
+    def test_full_rank_is_exact(self, rng, rank_deficit):
+        # Near full rank the start has columns far shorter than the longest;
+        # with the column scale floored at 1e-3 of the longest, these solves
+        # hit the 500-step cap at residuals up to 0.56.
         g = random_integer_graph(rng, 10)
-        emb = embed(g, g.n)
+        emb = embed(g, g.n - rank_deficit)
+        assert emb.converged
         assert emb.residual < 1e-6
 
     def test_dimension_bounds(self):
@@ -192,6 +197,14 @@ class TestDescent:
         assert len(emb.residual_history) == cap + 1
         assert emb.residual == min(emb.residual_history)
         assert emb.residual > embed(g, 6).residual
+
+    def test_capped_solve_keeps_the_cap_reason(self, rng):
+        # At d = 7 this graph ends at the default cap still descending, at
+        # residual 0.0042, without the runaway of a missing minimiser.
+        emb = embed(random_integer_graph(rng, 10), 7)
+        assert emb.stop_reason == "cap"
+        assert emb.iterations == SolverConfig().max_iterations
+        assert emb.residual == min(emb.residual_history)
 
     def test_sweep_residuals_at_most_the_fixed_points(self):
         # Residuals of the diagonal fixed point this solver replaced, at
