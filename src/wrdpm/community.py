@@ -178,12 +178,12 @@ def stress(x: np.ndarray, p: Partition, normalize_rows: bool = True) -> float:
     total = sums.sum(axis=0)
     # Raw rows near sqrt of the float maximum overflow the dot sums; the
     # stress is then not finite, and the caller decides what that means.
+    ideal = sum(comb(int(z), 2) for z in p.sizes)
     with np.errstate(over="ignore", invalid="ignore"):
         squares = np.vdot(xn, xn)
         pairs = 0.5 * (total @ total - squares)
         intra = 0.5 * (np.vdot(sums, sums) - squares)
-    ideal = sum(comb(int(z), 2) for z in p.sizes)
-    return float(ideal + pairs - 2 * intra)
+        return float(ideal + pairs - 2 * intra)
 
 
 def centrality(x: np.ndarray) -> np.ndarray:

@@ -77,7 +77,8 @@ def factor_psd(m: np.ndarray, d: int | None = None) -> np.ndarray:
     eigenpairs (the Frobenius-optimal rank-d PSD approximation). Columns
     are ordered by descending eigenvalue and canonically oriented.
     Eigenvalues in (-tol, 0), with tol = 1e-9 max(||m||_F, 1), are clamped
-    to zero; anything below -tol is an error.
+    to zero; anything below -tol is an error. ||m||_F is taken as max |m|
+    times the norm of m / max |m|, which stays finite past 1e154.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
@@ -85,7 +86,8 @@ def factor_psd(m: np.ndarray, d: int | None = None) -> np.ndarray:
         d = n
     if not 1 <= d <= n:
         raise ValueError(f"rank cap d={d} outside [1, {n}]")
-    tol = 1e-9 * max(np.linalg.norm(m), 1.0)
+    big = np.abs(m).max()
+    tol = max(1e-9 * big * np.linalg.norm(m / big), 1e-9) if big else 1e-9
     x, lowest = _eigentruncate(m, d)
     if lowest < -tol:
         raise NotPSDError(
@@ -184,6 +186,8 @@ class ChungLuSpec:
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if not w.size:
+            raise ValueError("Chung-Lu weights must hold at least one node")
         _require_finite(w, "weights")
         if np.any(w <= 0):
             raise ValueError("Chung-Lu weights must be positive")

@@ -1,7 +1,14 @@
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
 
 from wrdpm import WeightedGraph
+from wrdpm.cli import main
 
 
 def disjoint_cliques(sizes, weight=1.0):
@@ -29,6 +36,40 @@ def random_integer_graph(rng, n, max_weight=5, density=0.5):
     w *= rng.random((n, n)) < density
     w = np.triu(w, 1)
     return WeightedGraph(w + w.T)
+
+
+def run_cli(argv, files):
+    """Run ``cli.main(argv)`` with ``files`` (name -> text) written to a fresh
+    directory, each ``{name}`` in argv replaced by its path, and ``--out`` and
+    ``--seed 1`` added; (exit code, stderr, warnings, whether --out was made)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
+                f.write(text)
+        out = os.path.join(tmp, "out")
+        argv = [a.format(**{name: os.path.join(tmp, name) for name in files}) for a in argv]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", out, "--seed", "1"])
+        return code, err.getvalue(), [str(w.message) for w in caught], os.path.exists(out)
+
+
+def assert_clean_exit(code, message, caught, made, codes=(0, 1, 2, 3)):
+    """A run of ``run_cli`` exited with one of ``codes``, with no traceback and
+    no Python warning; a failed run wrote nothing and ended on its error line,
+    after at most ``warning:`` lines."""
+    assert code in codes, message
+    assert "Traceback" not in message
+    assert not caught, caught
+    if code == 0:
+        assert made
+    else:
+        *notes, last = message.splitlines() or [""]
+        assert all(line.startswith("warning: ") for line in notes), message
+        assert last.startswith(("error: ", "numerical failure: ")), message
+        assert not made
 
 
 @pytest.fixture

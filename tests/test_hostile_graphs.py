@@ -8,16 +8,10 @@ replaced), and runs one of ``embed``, ``cluster``, ``sweep`` or ``null`` on
 it through ``cli.main``.
 """
 
-import contextlib
-import io
-import os
-import tempfile
-import warnings
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wrdpm.cli import main
+from conftest import assert_clean_exit, run_cli
 
 COMMANDS = {
     "embed": ["embed", "--d", "2"],
@@ -30,6 +24,8 @@ HOSTILE = ("nan", "inf", "-inf", "1e400", "-1", "-1e308", "x", "")
 HEADERS = ("n=0", "n=-2", "n=x", "n=", "n=1", "n=6", "n=99999999999", "n=20001")
 
 OVERFLOWING_TRIANGLE = "n=3\n0 1 1e308\n1 2 1e308\n0 2 1e308\n"
+# At d = 1 the stress of this fit is nan (exit 3), from inf - inf.
+NAN_STRESS = "n=5\n0 3 1e308\n1 3 1e300\n1 4 1e308\n"
 
 
 @st.composite
@@ -69,35 +65,23 @@ def graph_files(draw):
     return fmt, "".join(sep.join(r) + "\n" for r in rows)
 
 
-def run(command, fmt, text):
-    """Run ``command`` on a file holding ``text``; (exit code, stderr, warnings, out made)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = os.path.join(tmp, "graph"), os.path.join(tmp, "out")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(COMMANDS[command] + ["--graph", path, "--format", fmt, "--out", out,
-                                             "--seed", "1"])
-        return code, err.getvalue(), [str(w.message) for w in caught], os.path.exists(out)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(command=st.sampled_from(sorted(COMMANDS)), graph=graph_files())
 @example(command="sweep", graph=("edge-list", OVERFLOWING_TRIANGLE))
 @example(command="null", graph=("edge-list", OVERFLOWING_TRIANGLE))
+@example(command="sweep", graph=("edge-list", NAN_STRESS))
 @example(command="embed", graph=("dense", ""))
 @example(command="cluster", graph=("edge-list", "n=3\n0 2 1e300\n1 2 1.7976931348623157e308\n"))
 @example(command="cluster", graph=("edge-list", "n=5\n0 4 1.7976931348623157e308\n"
                                    "1 2 1.7976931348623157e308\n3 4 1.7976931348623157e308\n"))
 def test_hostile_graph_file_exits_cleanly(command, graph):
-    code, message, caught, made = run(command, *graph)
-    assert code in (0, 1, 2, 3), message
-    assert "Traceback" not in message
-    if code == 0:
-        assert not caught, caught
-        assert made
-    else:
-        assert "error: " in message or message.startswith("numerical failure: "), message
-        assert not made
+    fmt, text = graph
+    assert_clean_exit(*run_cli(COMMANDS[command] + ["--graph", "{graph}", "--format", fmt],
+                               {"graph": text}))
+
+
+def test_nan_stress_is_a_numerical_failure_without_a_warning():
+    code, message, caught, made = run_cli(COMMANDS["sweep"] + ["--graph", "{graph}"],
+                                          {"graph": NAN_STRESS})
+    assert code == 3, message
+    assert_clean_exit(code, message, caught, made)

@@ -5,19 +5,14 @@ vector source kind, replaces one value at any depth with a hostile one or
 deletes one key, and runs ``generate --model`` on the result.
 """
 
-import contextlib
-import io
 import json
-import os
-import tempfile
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wrdpm.cli import main
+from conftest import assert_clean_exit, run_cli
 from wrdpm.model import (
     AxisNoise,
     Constant,
@@ -73,20 +68,7 @@ def mutated_models(draw, kind):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_mutated_model_file_exits_cleanly(kind, data):
-    text = data.draw(mutated_models(kind))
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = os.path.join(tmp, "model.json"), os.path.join(tmp, "out")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["generate", "--model", path, "--out", out, "--seed", "1"])
-        message = err.getvalue()
-        assert code in (0, 2), message
-        assert "Traceback" not in message
-        if code == 0:
-            assert not caught, [str(w.message) for w in caught]
-        else:
-            assert message.startswith("error: ")
-            assert not os.path.exists(out)
+    code, message, caught, made = run_cli(["generate", "--model", "{model}"],
+                                          {"model": data.draw(mutated_models(kind))})
+    assert_clean_exit(code, message, caught, made, codes=(0, 2))
+    assert code == 0 or message.startswith("error: ")

@@ -10,18 +10,13 @@ values that break naive arithmetic and optionally damaged text, and run
 Every run goes through ``cli.main``.
 """
 
-import contextlib
-import io
 import json
-import os
-import tempfile
-import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_clean_exit, run_cli
 from test_hostile_models import DELETE, HOSTILE, SLOT, value_paths
-from wrdpm.cli import main
 
 SPECS = {
     "sbm": {"B": [[1.0, 0.1], [0.1, 1.0]], "sizes": [2, 2], "family": "poisson",
@@ -43,34 +38,6 @@ COMMANDS = {
     "null": [["null", "--null", "dot_product", "--samples", "3", "--statistic", s]
              for s in ("avg_weighted_clustering", "total_weight", "log_likelihood")],
 }
-
-
-def run(argv, files):
-    """Run ``argv`` with ``files`` (name -> text) written to a fresh directory, each
-    ``{name}`` in argv replaced by its path; (exit code, stderr, warnings, out made)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, text in files.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
-                f.write(text)
-        out = os.path.join(tmp, "out")
-        argv = [a.format(**{name: os.path.join(tmp, name) for name in files}) for a in argv]
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = main(argv + ["--out", out, "--seed", "1"])
-        return code, err.getvalue(), [str(w.message) for w in caught], os.path.exists(out)
-
-
-def assert_clean_exit(code, message, caught, made):
-    assert code in (0, 1, 2, 3), message
-    assert "Traceback" not in message
-    if code == 0:
-        assert not caught, caught
-        assert made
-    else:
-        assert "error: " in message or message.startswith("numerical failure: "), message
-        assert not made
 
 
 @st.composite
@@ -99,10 +66,20 @@ def spec_text(builtin, **changes):
 @example(spec=("sbm", spec_text("sbm", B=[[1e-3, 1e-14], [1e-20, 1e-3]])))
 @example(spec=("sbm", spec_text("sbm", B=[[1e308, 1e308], [1e308, 1e308]])))
 @example(spec=("chung-lu", spec_text("chung-lu", weights=[1e308, 1e308])))
+@example(spec=("chung-lu", spec_text("chung-lu", weights=[])))
 def test_hostile_spec_exits_cleanly(spec):
     builtin, text = spec
-    assert_clean_exit(*run(["generate", "--builtin", builtin, "--spec", "{spec}"],
-                           {"spec": text}))
+    assert_clean_exit(*run_cli(["generate", "--builtin", builtin, "--spec", "{spec}"],
+                               {"spec": text}))
+
+
+def test_sbm_past_the_float_range_is_a_data_error_without_a_warning():
+    # ||B||_F of these entries overflows as a plain sum of squares.
+    code, message, caught, made = run_cli(
+        ["generate", "--builtin", "sbm", "--spec", "{spec}"],
+        {"spec": spec_text("sbm", B=[[1e308, 1e308], [1e308, 1e308]])})
+    assert code == 2, message
+    assert_clean_exit(code, message, caught, made)
 
 
 @st.composite
@@ -142,7 +119,6 @@ def embedding_csvs(draw):
 @example(command="null", variant=0, graph=GRAPHS[0], embedding="# no rows\n")
 def test_hostile_embedding_exits_cleanly(command, variant, graph, embedding):
     argv = COMMANDS[command][variant] + ["--graph", "{graph}", "--embedding", "{embedding}"]
-    code, message, caught, made = run(argv, {"graph": graph, "embedding": embedding})
+    code, message, caught, made = run_cli(argv, {"graph": graph, "embedding": embedding})
     # A refused embedding is named on the error line, not in a Python warning.
-    assert not caught, caught
     assert_clean_exit(code, message, caught, made)

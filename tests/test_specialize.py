@@ -75,6 +75,12 @@ class TestFactorPsd:
         with pytest.raises(NotPSDError, match="-1"):
             factor_psd(m)
 
+    def test_not_psd_past_the_square_root_of_the_float_maximum(self):
+        # The sum of squares of these entries overflows; a tolerance taken
+        # from it would be inf and accept the eigenvalue -1e200.
+        with pytest.raises(NotPSDError, match=r"-1e\+200"):
+            factor_psd(1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
     def test_canonical_orientation_deterministic(self, rng):
         m = random_offdiag(rng, 8)
         c = complete_diagonal(m)
@@ -236,6 +242,11 @@ class TestMakeChungLu:
     def test_zero_dimension_is_named(self):
         with pytest.raises(ValueError, match="d must be >= 1, got 0"):
             make_chung_lu(ChungLuSpec(np.ones(3)), "poisson", d=0)
+
+    def test_no_weights_is_refused(self):
+        # Their sum, 0, would be divided by.
+        with pytest.raises(ValueError, match="at least one node"):
+            ChungLuSpec(np.array([]))
 
     def test_grid_law_random_weights(self, rng):
         w = rng.uniform(0.1, 2.0, 30)
