@@ -176,9 +176,9 @@ def stress(x: np.ndarray, p: Partition, normalize_rows: bool = True) -> float:
     sums = np.zeros((p.k, x.shape[1]))
     np.add.at(sums, p.assignment, xn)
     total = sums.sum(axis=0)
+    ideal = sum(comb(int(z), 2) for z in p.sizes)
     # Raw rows near sqrt of the float maximum overflow the dot sums; the
     # stress is then not finite, and the caller decides what that means.
-    ideal = sum(comb(int(z), 2) for z in p.sizes)
     with np.errstate(over="ignore", invalid="ignore"):
         squares = np.vdot(xn, xn)
         pairs = 0.5 * (total @ total - squares)

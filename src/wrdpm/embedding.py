@@ -248,8 +248,8 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
 
     def evaluate_z(z):
         """f and its gradient at Z = X diag(s), for L-BFGS on Z."""
-        f, grad = evaluate((z.reshape(n, d) / cols).ravel())
-        return f, (grad.reshape(n, d) / cols).ravel()
+        f, grad = evaluate((z.reshape(n, d) / s).ravel())
+        return f, (grad.reshape(n, d) / s).ravel()
 
     def step(intermediate_result):
         # L-BFGS evaluates each iterate it accepts last, so that is ``last``.
@@ -287,10 +287,10 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
             continue
         if done:
             break
-        cols = np.linalg.norm(x, axis=0)  # s; x is on its principal axes here
-        cols = np.maximum(cols, _FLOOR * cols.max())
+        s = np.linalg.norm(x, axis=0)  # x is on its principal axes here
+        s = np.maximum(s, _FLOOR * s.max())
         iterations += minimize(
-            evaluate_z, (x * cols).ravel(), jac=True, method="L-BFGS-B", callback=step,
+            evaluate_z, (x * s).ravel(), jac=True, method="L-BFGS-B", callback=step,
             # maxfun never binds: an iteration makes at most maxls + 1 calls.
             options={"maxiter": config.max_iterations - iterations, "maxcor": _MEMORY,
                      "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},
