@@ -65,10 +65,10 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     with np.errstate(over="ignore"):
         strength = w.sum(axis=1)
         numer = (w * common).sum(axis=1)
-    if not (np.isfinite(strength).all() and np.isfinite(numer).all()):
+        denom = strength * (degree - 1)
+    if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
         raise ValueError("node strengths overflow the float range; "
                          "no weighted clustering coefficient is defined")
-    denom = strength * (degree - 1)
     per_node = np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
     return per_node, float(per_node.mean())
 

@@ -186,14 +186,15 @@ class ChungLuSpec:
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if not w.size:
-            raise ValueError("Chung-Lu weights must hold at least one node")
         _require_finite(w, "weights")
         if np.any(w <= 0):
             raise ValueError("Chung-Lu weights must be positive")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(w.sum()):
-                raise ValueError("Chung-Lu weights must have a finite sum")
+        # make_chung_lu divides by the sum: no weights, or subnormal ones,
+        # overflow its reciprocal.
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(w.sum()) or not np.isfinite(1.0 / w.sum()):
+                raise ValueError("Chung-Lu weights must have a finite sum with a "
+                                 f"finite reciprocal, got sum {w.sum():g}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 

@@ -70,6 +70,7 @@ def graph_files(draw):
 @example(command="sweep", graph=("edge-list", OVERFLOWING_TRIANGLE))
 @example(command="null", graph=("edge-list", OVERFLOWING_TRIANGLE))
 @example(command="sweep", graph=("edge-list", NAN_STRESS))
+@example(command="null", graph=("edge-list", "n=4\n0 2 1\n1 2 1\n2 3 1e308\n"))
 @example(command="embed", graph=("dense", ""))
 @example(command="cluster", graph=("edge-list", "n=3\n0 2 1e300\n1 2 1.7976931348623157e308\n"))
 @example(command="cluster", graph=("edge-list", "n=5\n0 4 1.7976931348623157e308\n"

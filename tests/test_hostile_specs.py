@@ -67,6 +67,7 @@ def spec_text(builtin, **changes):
 @example(spec=("sbm", spec_text("sbm", B=[[1e308, 1e308], [1e308, 1e308]])))
 @example(spec=("chung-lu", spec_text("chung-lu", weights=[1e308, 1e308])))
 @example(spec=("chung-lu", spec_text("chung-lu", weights=[])))
+@example(spec=("chung-lu", spec_text("chung-lu", weights=1e-320)))
 def test_hostile_spec_exits_cleanly(spec):
     builtin, text = spec
     assert_clean_exit(*run_cli(["generate", "--builtin", builtin, "--spec", "{spec}"],

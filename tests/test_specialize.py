@@ -243,10 +243,11 @@ class TestMakeChungLu:
         with pytest.raises(ValueError, match="d must be >= 1, got 0"):
             make_chung_lu(ChungLuSpec(np.ones(3)), "poisson", d=0)
 
-    def test_no_weights_is_refused(self):
-        # Their sum, 0, would be divided by.
-        with pytest.raises(ValueError, match="at least one node"):
-            ChungLuSpec(np.array([]))
+    @pytest.mark.parametrize("weights", [[], [1e-320], [1e-320, 1e-320]])
+    def test_sum_without_a_finite_reciprocal_is_refused(self, weights):
+        # make_chung_lu divides by the sum.
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            ChungLuSpec(np.array(weights))
 
     def test_grid_law_random_weights(self, rng):
         w = rng.uniform(0.1, 2.0, 30)
