@@ -75,13 +75,14 @@ class TestWeightedClustering:
         assert not per_node.any()
         assert avg == 0.0
 
-    @pytest.mark.parametrize("edges", [
-        [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)],
+    def test_overflowing_strength_is_named(self):
+        g = graph_from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+        with pytest.raises(ValueError, match="node strengths overflow the float range"):
+            weighted_clustering(g)
+
+    def test_strength_times_degree_past_the_float_range_is_named(self):
         # Node 2's strength is finite, but times its degree less one it is not.
-        [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1e308)],
-    ])
-    def test_overflowing_strength_is_named(self, edges):
-        g = graph_from_edges(4, edges)
+        g = graph_from_edges(4, [(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1e308)])
         with pytest.raises(ValueError, match="node strengths overflow the float range"):
             weighted_clustering(g)
 
