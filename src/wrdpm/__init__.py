@@ -15,7 +15,7 @@ from .community import (
     dimension_sweep,
     stress,
 )
-from .embedding import Embedding, SolverConfig, embed, residual
+from .embedding import Embedding, SolverConfig, embed
 from .graph import (
     GraphFormatError,
     SymmetricOffDiagonal,

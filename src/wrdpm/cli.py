@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -34,7 +33,6 @@ _GENERATE_READS = {
     "er": ("n", "d", "family", "param"), "poisson-er": ("n", "d", "param"),
     "sbm": ("family", "spec"), "chung-lu": ("d", "family", "spec"), None: (),
 }
-BUILTINS = tuple(name for name in _GENERATE_READS if name is not None)
 
 
 class UsageError(Exception):
@@ -76,11 +74,8 @@ def _default_seed(value):
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 class _RunFiles:
@@ -115,12 +110,10 @@ class _RunFiles:
         self.save(name, write)
 
     def save_json(self, name, doc):
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        self.save_lines(name, itertools.chain(chunks, ["\n"]))
+        self.save_lines(name, [json.dumps(doc, indent=2), "\n"])
 
     def save_matrix(self, name, m):
-        self.save(name, lambda path: np.savetxt(
-            path, np.atleast_2d(m), delimiter=",", fmt="%.17g"))
+        self.save(name, lambda path: graph._write_csv_matrix(path, m))
 
     def write_manifest(self, subcommand, config, solver, seed, started):
         """Write manifest.json; ``solver`` is the command's solver trace, or None."""
@@ -131,13 +124,12 @@ class _RunFiles:
             "seed": seed,
             "inputs": self.inputs,
             "input_sha256": {path: _sha256(path) for path in self.inputs},
-            "outputs": self.outputs,
+            # A copy: the manifest is not one of its own outputs.
+            "outputs": list(self.outputs),
             "version": _version(),
             "duration_seconds": time.perf_counter() - started,
         }
-        with open(os.path.join(self.out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2)
-            f.write("\n")
+        self.save_json("manifest.json", manifest)
 
 
 def _load_graph_arg(args, files) -> graph.WeightedGraph:
@@ -189,8 +181,11 @@ def _builtin_model(args, files) -> model.LatentModel:
     family = args.family or doc.get("family", "poisson")
     if name == "sbm":
         sizes = model._json_key(doc, "sizes", what, tuple)
+        normalize = doc.get("normalize", False)
+        if not isinstance(normalize, bool):
+            raise model.ModelError(f"{what}'s 'normalize' must be a boolean, got {normalize!r}")
         return specialize.make_sbm(specialize.BlockModelSpec(values, sizes), family,
-                                   magnitude_normalization=bool(doc.get("normalize", False)))
+                                   magnitude_normalization=normalize)
     spec = specialize.ChungLuSpec(values)
     if "d" in doc and args.d is not None:
         raise UsageError(f"--d conflicts with the 'd' of {what}")
@@ -205,8 +200,9 @@ def _builtin_model(args, files) -> model.LatentModel:
 def cmd_generate(args, files):
     if bool(args.model) == bool(args.builtin):
         raise UsageError("generate needs exactly one of --model or --builtin")
-    for key in ("n", "d", "family", "param", "sigma2", "exp_mean", "spec"):
-        if getattr(args, key) is not None and key not in _GENERATE_READS[args.builtin]:
+    ignored = set().union(*_GENERATE_READS.values()) - set(_GENERATE_READS[args.builtin])
+    for key, value in vars(args).items():
+        if key in ignored and value is not None:
             raise UsageError(f"--{key.replace('_', '-')} is not read by "
                              f"{args.builtin or '--model'}")
     if args.d is not None and args.d > graph.MAX_NODES:
@@ -388,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample a network from a latent model")
     _add_common(p, need_graph=False)
     p.add_argument("--model", help="latent model JSON file")
-    p.add_argument("--builtin", choices=BUILTINS)
+    p.add_argument("--builtin", choices=[name for name in _GENERATE_READS if name])
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--d", type=_positive_int, default=None)
     p.add_argument("--family", choices=["bernoulli", "poisson"], default=None)

@@ -49,16 +49,6 @@ class Embedding:
         object.__setattr__(self, "X", x)
 
 
-def residual(g: WeightedGraph, x: np.ndarray) -> float:
-    """Off-diagonal Frobenius error between X X^T and the adjacency matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != g.n:
-        raise ValueError(f"X has {x.shape[0]} rows for an {g.n}-node graph")
-    diff = x @ x.T - g.weights
-    np.fill_diagonal(diff, 0.0)
-    return float(np.linalg.norm(diff))
-
-
 # Crossover measured per solve with one OpenBLAS thread on a 2-vCPU x86 VM:
 # ARPACK loses to a full eigh at n = 150 (4.7 vs 3.6 ms) and at d = n / 16
 # (192 vs 168 ms at n = 800), and wins at n = 256, d = 8 and at d = n / 32.

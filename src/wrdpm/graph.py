@@ -112,10 +112,6 @@ class SymmetricOffDiagonal:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def total_weight(g: WeightedGraph) -> float:
     """Sum of edge weights over unordered pairs; a ValueError if it overflows."""
@@ -246,6 +242,11 @@ def _read_csv_matrix(path, what: str) -> np.ndarray:
     return m
 
 
+def _write_csv_matrix(path, m) -> None:
+    """Write ``m`` (a vector as one row) as `_read_csv_matrix` reads it, exactly."""
+    np.savetxt(path, np.atleast_2d(m), delimiter=",", fmt="%.17g")
+
+
 def load_graph(path, format: str = "edge-list") -> WeightedGraph:
     """Load a weighted graph from ``path`` in `edge-list` or `dense` format."""
     if format == "edge-list":
@@ -282,6 +283,6 @@ def save_graph(g: WeightedGraph, path, format: str = "edge-list") -> None:
                 for j, l, i in zip(rows.tolist(), cols.tolist(), which.tolist())
             )
     elif format == "dense":
-        np.savetxt(path, g.weights, delimiter=",", fmt="%.17g")
+        _write_csv_matrix(path, g.weights)
     else:
         raise ValueError(f"unknown graph format {format!r}")

@@ -45,12 +45,13 @@ def canonical_orientation(x: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's first nonzero entry is nonnegative.
 
     The factor X is only determined up to orthogonal maps; this fixes a
-    deterministic representative for tests and serialized output.
+    deterministic representative for tests and serialized output. Entries up
+    to 1e-12 of the column's largest |entry| count as zero, at every scale.
     """
     x = x.copy()
     for c in range(x.shape[1]):
         col = x[:, c]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
         if len(nz) and col[nz[0]] < 0:
             x[:, c] = -col
     return x
@@ -70,25 +71,17 @@ def _eigentruncate(m: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     return eigvecs[:, order] * np.sqrt(eigvals[order]), lowest
 
 
-def factor_psd(m: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Factor a symmetric PSD matrix as X X^T with X of rank at most d.
-
-    Uses the full symmetric eigendecomposition truncated to the top d
-    eigenpairs (the Frobenius-optimal rank-d PSD approximation). Columns
-    are ordered by descending eigenvalue and canonically oriented.
-    Eigenvalues in (-tol, 0), with tol = 1e-9 max(||m||_F, 1), are clamped
-    to zero; anything below -tol is an error. ||m||_F is taken as max |m|
-    times the norm of m / max |m|, which stays finite past 1e154.
+def factor_psd(m: np.ndarray) -> np.ndarray:
+    """Factor a symmetric PSD matrix as X X^T: its eigenvectors, scaled by the
+    square roots of their eigenvalues, in descending order and canonically
+    oriented. Eigenvalues in (-tol, 0), with tol = 1e-9 max(||m||_F, 1), are
+    clamped to zero; anything below -tol is an error. ||m||_F is taken as
+    max |m| times the norm of m / max |m|, which stays finite past 1e154.
     """
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if d is None:
-        d = n
-    if not 1 <= d <= n:
-        raise ValueError(f"rank cap d={d} outside [1, {n}]")
     big = np.abs(m).max()
     tol = max(1e-9 * big * np.linalg.norm(m / big), 1e-9) if big else 1e-9
-    x, lowest = _eigentruncate(m, d)
+    x, lowest = _eigentruncate(m, m.shape[0])
     if lowest < -tol:
         raise NotPSDError(
             f"matrix is not PSD within tolerance: min eigenvalue {lowest:g}"

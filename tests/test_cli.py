@@ -230,6 +230,9 @@ class TestGenerate:
         (["--model", "{model}", "--n", "50"], "--n"),
         (["--builtin", "er", "--param", "0.5", "--n", "5", "--sigma2", "0.5"], "--sigma2"),
         (["--builtin", "simple-community", "--exp-mean", "7"], "--exp-mean"),
+        # Two ignored flags: the one declared first is named, in either order.
+        (["--builtin", "sbm", "--spec", "{sbm}", "--param", "1", "--sigma2", "1"], "--param"),
+        (["--builtin", "sbm", "--spec", "{sbm}", "--sigma2", "1", "--param", "1"], "--param"),
     ])
     def test_flag_the_model_source_ignores_is_usage_error(self, tmp_path, capsys, argv, flag):
         paths = {"sbm": tmp_path / "sbm.json", "chung_lu": tmp_path / "cl.json",
@@ -242,7 +245,11 @@ class TestGenerate:
         out = tmp_path / "x"
         argv = [arg.format(**paths) for arg in argv]
         assert run("generate", *argv, "--out", str(out)) == 1
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        # No other flag given is named.
+        given = {arg for arg in argv if arg.startswith("--")}
+        assert not any(other in err for other in given - {flag, "--builtin", "--spec", "--model"})
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--d"])

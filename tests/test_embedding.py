@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from wrdpm import SolverConfig, WeightedGraph, dimension_sweep, embed, embedding, residual
+from wrdpm import SolverConfig, WeightedGraph, dimension_sweep, embed, embedding
 from conftest import bridge_graph, disjoint_cliques, random_integer_graph
 
 
@@ -78,44 +78,6 @@ class TestEmbed:
         others = np.delete(lengths, [0, 5])
         assert bridge.min() > others.max()
         assert np.allclose(bridge, np.sqrt(2), rtol=0.05)
-
-
-class TestResidual:
-    def test_exact_factorization_zero(self, rng):
-        x = np.abs(rng.normal(size=(8, 3)))
-        a = x @ x.T
-        np.fill_diagonal(a, 0.0)
-        g = WeightedGraph(a)
-        assert residual(g, x) < 1e-12
-
-    def test_zero_vectors(self, rng):
-        g = random_integer_graph(rng, 9)
-        x = np.zeros((9, 2))
-        off = g.weights[~np.eye(9, dtype=bool)]
-        assert residual(g, x) == pytest.approx(np.sqrt((off ** 2).sum()))
-
-    def test_perturbation_first_order(self, rng):
-        x = np.abs(rng.normal(size=(6, 2)))
-        a = x @ x.T
-        np.fill_diagonal(a, 0.0)
-        g = WeightedGraph(a)
-        base = residual(g, x)
-        eps = 1e-6
-        xp = x.copy()
-        xp[2, 1] += eps
-        # residual grows at most linearly in the perturbation
-        assert residual(g, xp) - base < 10 * eps * np.abs(x).max() * 6
-
-    def test_orthogonal_invariance(self, rng):
-        g = random_integer_graph(rng, 10)
-        x = rng.normal(size=(10, 4))
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        assert residual(g, x @ q) == pytest.approx(residual(g, x), abs=1e-9)
-
-    def test_shape_mismatch(self, rng):
-        g = random_integer_graph(rng, 5)
-        with pytest.raises(ValueError):
-            residual(g, np.zeros((4, 2)))
 
 
 def three_block_sbm(seed, block_size, within=1.0, between=0.1):

@@ -12,6 +12,7 @@ Every run goes through ``cli.main``.
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,7 @@ def spec_text(builtin, **changes):
 @example(spec=("chung-lu", spec_text("chung-lu", weights=[1e308, 1e308])))
 @example(spec=("chung-lu", spec_text("chung-lu", weights=[])))
 @example(spec=("chung-lu", spec_text("chung-lu", weights=1e-320)))
+@example(spec=("sbm", spec_text("sbm", normalize="false")))
 def test_hostile_spec_exits_cleanly(spec):
     builtin, text = spec
     assert_clean_exit(*run_cli(["generate", "--builtin", builtin, "--spec", "{spec}"],
@@ -81,6 +83,16 @@ def test_sbm_past_the_float_range_is_a_data_error_without_a_warning():
         {"spec": spec_text("sbm", B=[[1e308, 1e308], [1e308, 1e308]])})
     assert code == 2, message
     assert_clean_exit(code, message, caught, made)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+def test_sbm_normalize_that_is_not_a_boolean_is_a_data_error(value):
+    # bool() of the string "false" is True: it would normalize.
+    code, message, caught, made = run_cli(
+        ["generate", "--builtin", "sbm", "--spec", "{spec}"],
+        {"spec": spec_text("sbm", normalize=value)})
+    assert_clean_exit(code, message, caught, made, codes=(2,))
+    assert "'normalize' must be a boolean" in message
 
 
 @st.composite

@@ -66,7 +66,7 @@ class TestFactorPsd:
 
     def test_rank_one(self):
         v = np.array([1.0, -2.0, 3.0])
-        x = factor_psd(np.outer(v, v), d=1)
+        x = factor_psd(np.outer(v, v))
         assert np.allclose(np.abs(x[:, 0]), np.abs(v))
         assert np.allclose(np.outer(x[:, 0], x[:, 0]), np.outer(v, v))
 
@@ -80,6 +80,16 @@ class TestFactorPsd:
         # from it would be inf and accept the eigenvalue -1e200.
         with pytest.raises(NotPSDError, match=r"-1e\+200"):
             factor_psd(1e200 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("c", [1e-30, 1.0, 1e30])
+    def test_orientation_is_scale_free(self, c):
+        # Every eigenvector of this matrix has a nonzero first entry, which
+        # the orientation makes positive at every scale of the matrix.
+        m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        x = factor_psd(c * m)
+        assert (x[0] > 0).all()
+        np.testing.assert_allclose(x, np.sqrt(c) * factor_psd(m), rtol=1e-12,
+                                   atol=1e-12 * np.sqrt(c))
 
     def test_canonical_orientation_deterministic(self, rng):
         m = random_offdiag(rng, 8)
