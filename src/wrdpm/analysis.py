@@ -31,6 +31,10 @@ STATISTICS = ("avg_weighted_clustering", "total_weight", "log_likelihood")
 NULL_KINDS = ("poisson_er", "dot_product")
 
 
+# Rows of w * (A^2) that `_clustering` forms at a time.
+_ROW_BLOCK = 64
+
+
 def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     """Strength-normalized weighted clustering coefficient, per node and average.
 
@@ -38,39 +42,62 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     triangle of (w_jl + w_jh)/2, with s_j the strength and k_j the binary
     degree. Nodes of degree < 2 get zero. Reduces to the classical local
     clustering coefficient on 0/1 weights.
+    """
+    per_node = _clustering(g.weights, _upper_mask(g.n), _clustering_workspace(g.n))
+    return per_node, float(per_node.mean())
+
+
+def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers `_clustering` fills at n nodes: the float32 A, the
+    Fortran-ordered ``ssyrk`` output and a block of rows of w * (A^2)."""
+    return (np.empty((n, n), np.float32), np.zeros((n, n), np.float32, order="F"),
+            np.empty((min(n, _ROW_BLOCK), n)))
+
+
+def _clustering(w: np.ndarray, upper: np.ndarray, work) -> np.ndarray:
+    """Per-node weighted clustering of the weights w, as `weighted_clustering`
+    defines it, with ``upper`` the `_upper_mask` of w and ``work`` a
+    `_clustering_workspace`, whose contents it overwrites.
 
     The 0/1 adjacency A is held in float32, and ``ssyrk`` forms only one
     triangle of the symmetric A A^T = A^2, about half the work of a full
-    product; it is then mirrored into the other. That is exact: each entry
-    of A^2 counts common neighbors, an integer at most n, and float32
-    represents every integer up to 2^24, above ``graph.MAX_NODES``; the
-    partial sums of the product are such integers as well, in any order of
-    summation. So the counts, and the float64 arithmetic after them, match a
-    float64 ``A @ A`` bit for bit.
+    product. That is exact: each entry of A^2 counts common neighbors, an
+    integer at most n, and float32 represents every integer up to 2^24,
+    above ``graph.MAX_NODES``; the partial sums of the product are such
+    integers as well, in any order of summation. Each row of w * (A^2) is
+    summed whole, as in a full n x n product, so the counts, and the float64
+    arithmetic after them, match a float64 ``A @ A`` bit for bit.
     """
     # Imported here: a module-level import of scipy.linalg slows the start-up
     # of every CLI run.
     from scipy.linalg.blas import ssyrk
 
-    w = g.weights
-    a = (w > 0).astype(np.float32)
+    a, c, rows = work
+    np.greater(w, 0, out=a, casting="unsafe")
     degree = a.sum(axis=1, dtype=float)
-    # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
-    # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.
-    # A is symmetric, so its Fortran-ordered view A^T goes to BLAS uncopied;
-    # the transpose of the Fortran-ordered result is C-ordered, like w, with
-    # BLAS's triangle below the diagonal.
-    common = ssyrk(1.0, a.T).T
-    np.copyto(common, common.T, where=_upper_mask(g.n))
+    # A is symmetric, so its Fortran-ordered view A^T goes to BLAS uncopied.
+    # BLAS writes only the upper triangle of c, so the C-ordered transpose of
+    # c holds the counts on and below the diagonal and zeros above it.
+    c = ssyrk(1.0, a.T, c=c, overwrite_c=1)
+    n = len(w)
+    numer = np.empty(n)
     with np.errstate(over="ignore"):
+        for r0 in range(0, n, len(rows)):
+            r = slice(r0, min(r0 + len(rows), n))
+            block = rows[:r.stop - r0]
+            # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts
+            # each unordered pair twice, matching the (w_jl + w_jh)/2
+            # symmetrization.
+            np.copyto(block, c.T[r])
+            np.copyto(block, c[r], where=upper[r])
+            np.multiply(w[r], block, out=block)
+            numer[r] = block.sum(axis=1)
         strength = w.sum(axis=1)
-        numer = (w * common).sum(axis=1)
         denom = strength * (degree - 1)
     if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
         raise ValueError("node strengths overflow the float range; "
                          "no weighted clustering coefficient is defined")
-    per_node = np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
-    return per_node, float(per_node.mean())
+    return np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -149,9 +176,10 @@ def null_compare(
     derive_seed(seed, NULL_SAMPLE, i), so reports are reproducible and
     ensembles of different seeds are independent.
 
-    The pair mask and the clamped pair rates are built once per ensemble,
-    and each draw only samples from them; sample i is still the graph that
-    ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
+    The pair mask, the clamped pair rates, one n x n weights buffer and
+    one clustering workspace are built once per ensemble, and each draw
+    only samples into the buffer and is scored; sample i is still the graph
+    that ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null has one rate for every pair, its grid's
     entry (0, 1), so it builds no n x n grid unless a log-likelihood is
     scored.
@@ -188,7 +216,14 @@ def null_compare(
         return log_likelihood(dist, grid, graph, clamp=True)
 
     observed = score(g)
-    samples = [score(_sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i)))
+    # Made after the observed graph is scored, so that its buffers are freed.
+    weights = np.zeros((g.n, g.n))
+    score_draw = score
+    if statistic == "avg_weighted_clustering":
+        work = _clustering_workspace(g.n)
+        score_draw = lambda graph: float(_clustering(graph.weights, upper, work).mean())
+    samples = [score_draw(_sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i),
+                                        weights))
                for i in range(n_samples)]
     return NullEnsembleReport(
         statistic=statistic,

@@ -59,8 +59,9 @@ def _symmetrize(m: np.ndarray) -> float | None:
 class WeightedGraph:
     """Symmetric, nonnegative, zero-diagonal weighted adjacency matrix.
 
-    Immutable after construction; the weight matrix is stored dense and
-    marked read-only so the same graph can be shared across workers.
+    The weight matrix is stored dense and read-only. The constructor copies
+    and checks its input; `_wrap` builds a graph over a matrix that its
+    caller guarantees, with neither.
     """
 
     weights: np.ndarray
@@ -82,6 +83,21 @@ class WeightedGraph:
             raise GraphFormatError("negative edge weight")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _wrap(cls, weights: np.ndarray) -> "WeightedGraph":
+        """A graph over a read-only view of ``weights``, neither copied nor scanned.
+
+        The caller guarantees a square float64 matrix of at least one node that
+        is finite, nonnegative, symmetric and zero on its diagonal. The graph
+        sees every later write to ``weights``, so it holds only until its
+        caller refills the matrix.
+        """
+        g = object.__new__(cls)
+        view = weights.view()
+        view.setflags(write=False)
+        object.__setattr__(g, "weights", view)
+        return g
 
     @property
     def n(self) -> int:

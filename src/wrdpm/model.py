@@ -457,20 +457,27 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
 
 
 def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
-                  seed: int) -> WeightedGraph:
+                  seed: int, out: Optional[np.ndarray] = None) -> WeightedGraph:
     """Draw one network from the parameters of the j < l pairs that the
     ``_upper_mask`` ``upper`` selects.
 
     ``params`` holds one in-domain parameter per pair, in row-major order,
     or one for every pair; both draw the same weights from the same seed.
+    The weights go into ``out``, an n x n float64 matrix with a zero
+    diagonal, when one is given, and the graph holds only until ``out`` is
+    refilled; each draw writes every off-diagonal entry, so none goes stale.
     """
     n = upper.shape[0]
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
     draws = distribution.sample(params, rng, n * (n - 1) // 2)
-    weights = np.zeros((n, n))
+    # The weights are symmetric with a zero diagonal by construction; this
+    # check makes them finite and nonnegative, as WeightedGraph requires.
+    if draws.size and not (0 <= draws.min() and draws.max() < np.inf):
+        raise DomainError("a sampled edge weight is negative or not finite")
+    weights = np.zeros((n, n)) if out is None else out
     weights[upper] = draws
     weights.T[upper] = draws
-    return WeightedGraph(weights)
+    return WeightedGraph._wrap(weights)
 
 
 def sample_from_grids(

@@ -74,13 +74,14 @@ def _eigentruncate(m: np.ndarray, d: int) -> tuple[np.ndarray, float]:
 def factor_psd(m: np.ndarray) -> np.ndarray:
     """Factor a symmetric PSD matrix as X X^T: its eigenvectors, scaled by the
     square roots of their eigenvalues, in descending order and canonically
-    oriented. Eigenvalues in (-tol, 0), with tol = 1e-9 max(||m||_F, 1), are
-    clamped to zero; anything below -tol is an error. ||m||_F is taken as
-    max |m| times the norm of m / max |m|, which stays finite past 1e154.
+    oriented. Eigenvalues in (-tol, 0), with tol = 1e-9 ||m||_F, are clamped
+    to zero; anything below -tol is an error, at every scale of m. ||m||_F is
+    taken as max |m| times the norm of m / max |m|, which stays finite past
+    1e154.
     """
     m = np.asarray(m, dtype=float)
     big = np.abs(m).max()
-    tol = max(1e-9 * big * np.linalg.norm(m / big), 1e-9) if big else 1e-9
+    tol = 1e-9 * big * np.linalg.norm(m / big) if big else 0.0
     x, lowest = _eigentruncate(m, m.shape[0])
     if lowest < -tol:
         raise NotPSDError(

@@ -192,9 +192,11 @@ class TestNullCompare:
     @pytest.mark.parametrize("null", ["poisson_er", "dot_product"])
     @pytest.mark.parametrize("statistic", ["avg_weighted_clustering", "total_weight",
                                            "log_likelihood"])
-    @pytest.mark.parametrize("n", [2, 3, 60])
+    @pytest.mark.parametrize("n", [2, 3, 60, 150])
     def test_samples_are_the_draws_of_sample_from_grids(self, rng, null, statistic, n):
-        # the ensemble gathers its rates once; its draws must not change for it
+        # the ensemble gathers its rates once and reuses one weights buffer and
+        # one clustering workspace; its draws must not change for it. n = 150
+        # spans more than one 64-row block of the clustering kernel.
         dist = EdgeDistribution("poisson")
         x = rng.normal(0.5, 1.0, (n, 2))  # negative grid entries are clamped to 0
         # a draw of the dot-product null itself, so its likelihood is finite

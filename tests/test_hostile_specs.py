@@ -85,6 +85,16 @@ def test_sbm_past_the_float_range_is_a_data_error_without_a_warning():
     assert_clean_exit(code, message, caught, made)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0])
+def test_sbm_b_that_is_not_psd_is_a_data_error_at_every_scale(scale):
+    # The eigenvalue -scale of this B is refused however small B is.
+    code, message, caught, made = run_cli(
+        ["generate", "--builtin", "sbm", "--spec", "{spec}"],
+        {"spec": spec_text("sbm", B=[[0.0, scale], [scale, 0.0]])})
+    assert_clean_exit(code, message, caught, made, codes=(2,))
+    assert "not PSD" in message
+
+
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
 def test_sbm_normalize_that_is_not_a_boolean_is_a_data_error(value):
     # bool() of the string "false" is True: it would normalize.

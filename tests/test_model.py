@@ -218,6 +218,27 @@ class TestSampleNetwork:
             per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
             assert np.array_equal(one.weights, per_pair.weights)
 
+    @pytest.mark.parametrize("dist, rate", [(POISSON, 0.7), (BERNOULLI, 0.3)])
+    def test_draws_into_one_buffer_equal_fresh_draws(self, dist, rate):
+        # each draw overwrites the buffer, so no entry of an earlier one may remain
+        n = 40
+        upper = _upper_mask(n)
+        params = np.random.default_rng(5).uniform(0.0, rate, n * (n - 1) // 2)
+        out = np.zeros((n, n))
+        for seed in (0, 1, 2):
+            into = _sample_pairs(dist, params, upper, seed, out)
+            fresh = _sample_pairs(dist, params, upper, seed)
+            assert np.shares_memory(into.weights, out)
+            assert into.weights.tobytes() == fresh.weights.tobytes()
+
+    def test_sampled_graph_is_read_only(self):
+        out = np.zeros((5, 5))
+        for g in (_sample_pairs(POISSON, 2.0, _upper_mask(5), 0, out),
+                  sample_from_grids(POISSON, np.full((5, 5), 2.0), seed=0)):
+            assert not g.weights.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g.weights[0, 1] = 1.0
+
     def test_domain_check_covers_both_triangles(self):
         # only the upper triangle is sampled, but every off-diagonal entry is checked
         grid = np.ones((3, 3))

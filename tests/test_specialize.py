@@ -75,6 +75,16 @@ class TestFactorPsd:
         with pytest.raises(NotPSDError, match="-1"):
             factor_psd(m)
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-300, 1.0])
+    def test_not_psd_at_every_scale(self, c):
+        # An absolute floor on the tolerance would accept the eigenvalue -c
+        # of a small enough matrix.
+        with pytest.raises(NotPSDError, match="not PSD"):
+            factor_psd(c * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_zero_matrix_factors_to_zero(self):
+        assert not factor_psd(np.zeros((3, 3))).any()
+
     def test_not_psd_past_the_square_root_of_the_float_maximum(self):
         # The sum of squares of these entries overflows; a tolerance taken
         # from it would be inf and accept the eigenvalue -1e200.
