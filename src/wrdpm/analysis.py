@@ -216,7 +216,8 @@ def null_compare(
         return log_likelihood(dist, grid, graph, clamp=True)
 
     observed = score(g)
-    # Made after the observed graph is scored, so that its buffers are freed.
+    # Made after the observed graph is scored, so that its clustering buffers
+    # are freed first and the two sets never coexist.
     weights = np.zeros((g.n, g.n))
     score_draw = score
     if statistic == "avg_weighted_clustering":

@@ -470,8 +470,8 @@ def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
     n = upper.shape[0]
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
     draws = distribution.sample(params, rng, n * (n - 1) // 2)
-    # The weights are symmetric with a zero diagonal by construction; this
-    # check makes them finite and nonnegative, as WeightedGraph requires.
+    # Symmetry and the zero diagonal hold by construction; WeightedGraph also
+    # requires finite, nonnegative weights.
     if draws.size and not (0 <= draws.min() and draws.max() < np.inf):
         raise DomainError("a sampled edge weight is negative or not finite")
     weights = np.zeros((n, n)) if out is None else out
