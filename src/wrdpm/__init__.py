@@ -18,7 +18,6 @@ from .community import (
 from .embedding import Embedding, SolverConfig, embed
 from .graph import (
     GraphFormatError,
-    SymmetricOffDiagonal,
     WeightedGraph,
     load_graph,
     save_graph,

@@ -177,9 +177,10 @@ def null_compare(
     ensembles of different seeds are independent.
 
     The pair mask, the clamped pair rates, one n x n weights buffer and
-    one clustering workspace are built once per ensemble, and each draw
-    only samples into the buffer and is scored; sample i is still the graph
-    that ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
+    one clustering workspace are built once per ensemble; the observed graph
+    and every draw are scored in that workspace, and each draw only samples
+    into the buffer. Sample i is still the graph that
+    ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null has one rate for every pair, its grid's
     entry (0, 1), so it builds no n x n grid unless a log-likelihood is
     scored.
@@ -208,23 +209,18 @@ def null_compare(
     else:
         upper, rates = _upper_mask(g.n), dist.clamp(dot_product_grid(vectors[:2])[0, 1])
 
+    work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
+
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
-            return weighted_clustering(graph)[1]
+            return float(_clustering(graph.weights, upper, work).mean())
         if statistic == "total_weight":
             return total_weight(graph)
         return log_likelihood(dist, grid, graph, clamp=True)
 
     observed = score(g)
-    # Made after the observed graph is scored, so that its clustering buffers
-    # are freed first and the two sets never coexist.
     weights = np.zeros((g.n, g.n))
-    score_draw = score
-    if statistic == "avg_weighted_clustering":
-        work = _clustering_workspace(g.n)
-        score_draw = lambda graph: float(_clustering(graph.weights, upper, work).mean())
-    samples = [score_draw(_sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i),
-                                        weights))
+    samples = [score(_sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i), weights))
                for i in range(n_samples)]
     return NullEnsembleReport(
         statistic=statistic,

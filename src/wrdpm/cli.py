@@ -4,8 +4,8 @@ Every subcommand writes its data files plus a run manifest into --out.
 Data files are a pure function of (inputs, flags, seed); the manifest
 records every parsed flag as its config, and the wall-clock duration.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 numerical failure (non-convergence under --strict).
+Exit codes: 0 success, 1 usage error, 2 data/validation error or out of
+memory, 3 numerical failure (non-convergence under --strict).
 """
 
 from __future__ import annotations
@@ -460,6 +460,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

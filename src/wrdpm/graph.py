@@ -107,28 +107,6 @@ class WeightedGraph:
         return bool(np.all(self.weights == np.round(self.weights)))
 
 
-@dataclass(frozen=True)
-class SymmetricOffDiagonal:
-    """The C(n,2) off-diagonal entries of a symmetric matrix.
-
-    The diagonal is undetermined (not zero); entries may be negative.
-    Stored as a full symmetric matrix whose diagonal is ignored.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected square matrix, got shape {m.shape}")
-        _require_finite(m, "entries")
-        np.fill_diagonal(m, 0.0)
-        if _symmetrize(m) is not None:
-            raise ValueError("off-diagonal entries must be symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
 def total_weight(g: WeightedGraph) -> float:
     """Sum of edge weights over unordered pairs; a ValueError if it overflows."""
     with np.errstate(over="ignore"):
@@ -139,6 +117,10 @@ def total_weight(g: WeightedGraph) -> float:
 
 
 def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
+    """Parse an edge list line by line, naming the first bad line. The matrix
+    meets the contract of `WeightedGraph._wrap`: non-finite, negative,
+    self-loop, duplicate and oversized input is refused, and each edge is
+    written to both triangles of a zeroed matrix."""
     declared_n = None
     edges = {}
     max_node = -1
@@ -208,7 +190,8 @@ def _parse_edge_array(lines: list[str]) -> np.ndarray | None:
     with comments. A file it returns None for, malformed or merely unusual
     (a header further down, ``1_0`` as an id), goes to ``_parse_edge_list``,
     which names the offending line. On every file this one accepts, both
-    give the same matrix.
+    give the same matrix, and it meets the contract of `WeightedGraph._wrap`
+    for the same reasons.
     """
     declared_n = None
     head = lines[0].split("#", 1)[0].strip() if lines else ""
@@ -271,7 +254,8 @@ def load_graph(path, format: str = "edge-list") -> WeightedGraph:
         weights = _parse_edge_array(lines)
         if weights is None:
             weights = _parse_edge_list(lines)
-        return WeightedGraph(weights)
+        # Both parsers meet `_wrap`'s contract: no copy and no second scan.
+        return WeightedGraph._wrap(weights)
     if format == "dense":
         return WeightedGraph(_read_csv_matrix(path, "dense matrix"))
     raise ValueError(f"unknown graph format {format!r}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .graph import MAX_NODES, WeightedGraph, _require_finite
 
@@ -74,6 +73,10 @@ class EdgeDistribution:
                     observed > 0.5, np.log(params), np.log1p(-params)
                 )
             else:
+                # Imported here: a module-level import of scipy.special doubles
+                # the start-up of every CLI run.
+                from scipy.special import gammaln
+
                 out = observed * np.log(params) - params - gammaln(observed + 1)
                 # A positive rate gives every count a positive probability, so
                 # a term that is not finite there has overflowed.
@@ -457,15 +460,15 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
 
 
 def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
-                  seed: int, out: Optional[np.ndarray] = None) -> WeightedGraph:
+                  seed: int, out: np.ndarray) -> WeightedGraph:
     """Draw one network from the parameters of the j < l pairs that the
     ``_upper_mask`` ``upper`` selects.
 
     ``params`` holds one in-domain parameter per pair, in row-major order,
     or one for every pair; both draw the same weights from the same seed.
     The weights go into ``out``, an n x n float64 matrix with a zero
-    diagonal, when one is given, and the graph holds only until ``out`` is
-    refilled; each draw writes every off-diagonal entry, so none goes stale.
+    diagonal, and the graph holds only until ``out`` is refilled; each draw
+    writes every off-diagonal entry, so none goes stale.
     """
     n = upper.shape[0]
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
@@ -474,10 +477,9 @@ def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
     # requires finite, nonnegative weights.
     if draws.size and not (0 <= draws.min() and draws.max() < np.inf):
         raise DomainError("a sampled edge weight is negative or not finite")
-    weights = np.zeros((n, n)) if out is None else out
-    weights[upper] = draws
-    weights.T[upper] = draws
-    return WeightedGraph._wrap(weights)
+    out[upper] = draws
+    out.T[upper] = draws
+    return WeightedGraph._wrap(out)
 
 
 def sample_from_grids(
@@ -488,7 +490,7 @@ def sample_from_grids(
 ) -> WeightedGraph:
     """Draw one weighted network with per-edge parameters from the grid."""
     upper, params = _pair_parameters(distribution, grid, clamp)
-    return _sample_pairs(distribution, params, upper, seed)
+    return _sample_pairs(distribution, params, upper, seed, np.zeros(upper.shape))
 
 
 def sample_network(

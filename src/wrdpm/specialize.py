@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (MAX_NODES, SymmetricOffDiagonal, WeightedGraph, _require_finite,
-                    _symmetrize, total_weight)
+from .graph import MAX_NODES, WeightedGraph, _require_finite, _symmetrize, total_weight
 from .model import (
     Constant,
     DomainError,
@@ -29,15 +28,22 @@ class NotPSDError(ValueError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
 
-def complete_diagonal(m: SymmetricOffDiagonal) -> np.ndarray:
-    """Complete the diagonal so that the matrix is positive definite.
+def complete_diagonal(m) -> np.ndarray:
+    """Complete the diagonal of the square symmetric m (its diagonal ignored,
+    its entries possibly negative) so that the matrix is positive definite.
 
-    Each diagonal entry is the absolute row sum plus 1, which forces strict
-    diagonal dominance and hence all eigenvalues >= 1 by the Gershgorin
-    disc argument.
+    Each diagonal entry is the absolute off-diagonal row sum plus 1, which
+    forces strict diagonal dominance and hence all eigenvalues >= 1 by the
+    Gershgorin disc argument.
     """
-    out = m.entries.copy()
-    np.fill_diagonal(out, np.abs(m.entries).sum(axis=1) + 1.0)
+    out = np.array(m, dtype=float)
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise ValueError(f"expected square matrix, got shape {out.shape}")
+    _require_finite(out, "entries")
+    np.fill_diagonal(out, 0.0)
+    if _symmetrize(out) is not None:
+        raise ValueError("off-diagonal entries must be symmetric")
+    np.fill_diagonal(out, np.abs(out).sum(axis=1) + 1.0)
     return out
 
 

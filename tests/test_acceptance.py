@@ -20,7 +20,6 @@ from wrdpm import (
     EdgeDistribution,
     LatentModel,
     MultiresolutionAxis,
-    SymmetricOffDiagonal,
     WeightedGraph,
     angular_kmeans,
     complete_diagonal,
@@ -62,7 +61,7 @@ def theorem_instances():
     for _ in range(1000):
         n = int(rng.integers(5, 51))
         a = np.triu(rng.uniform(-5.0, 5.0, (n, n)), 1)
-        instances.append(SymmetricOffDiagonal(a + a.T))
+        instances.append(a + a.T)
     return instances
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,14 @@ from conftest import disjoint_cliques
 
 def run(*argv):
     return main(list(argv))
+
+
+def fresh_python(*argv, **kwargs):
+    """Run ``python *argv`` in a new interpreter that imports wrdpm from this
+    checkout's ``src``; the finished process, with its text output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120, **kwargs)
 
 
 def data_files(out_dir):
@@ -257,6 +269,17 @@ class TestGenerate:
         out = tmp_path / "x"
         assert run("generate", "--builtin", "simple-community", flag, "0",
                    "--out", str(out)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--builtin", "er"], "builtin 'er' requires --param"),
+        (["--builtin", "sbm"], "builtin 'sbm' requires --spec"),
+        (["--builtin", "er", "--param", "0.5", "--n", "x"], "invalid int value"),
+    ])
+    def test_missing_or_bad_model_flag_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        assert run("generate", *argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -550,6 +573,14 @@ class TestLikelihood:
         assert "warning: an observed weight has zero probability" in captured.err
         assert not recwarn.list
 
+    def test_bernoulli_needs_zero_one_weights(self, tmp_path, capsys):
+        path, emb = tmp_path / "g.edgelist", tmp_path / "emb.csv"
+        path.write_text("n=3\n0 1 2\n1 2 1\n")
+        emb.write_text("0.5\n0.5\n0.5\n")
+        assert run("likelihood", "--graph", str(path), "--embedding", str(emb),
+                   "--family", "bernoulli") == 2
+        assert "bernoulli likelihood needs 0/1 weights" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rows", [10, 20])
     def test_embedding_rows_must_match_graph(self, tmp_path, clique_path, capsys, rows):
         emb = tmp_path / "emb.csv"
@@ -604,6 +635,38 @@ def test_non_finite_embedding_is_data_error(tmp_path, clique_path, capsys, comma
     assert f"{emb}[4, 1] is nan" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def _limit_address_space():
+    # 2.5 GB, for the child process only: the 3.2 GB float64 matrix of a
+    # 20 000-node graph does not fit, and everything else does.
+    resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--graph", "{graph}", "--d", "2"],
+    ["null", "--graph", "{graph}", "--samples", "2"],
+    ["generate", "--builtin", "er", "--param", "0.001", "--n", "20000"],
+])
+def test_out_of_memory_is_data_error(tmp_path, argv):
+    graph = tmp_path / "big.edgelist"
+    graph.write_text("n=20000\n0 1 1\n")
+    out = tmp_path / "out"
+    argv = [a.format(graph=graph) for a in argv]
+    proc = fresh_python("-m", "wrdpm.cli", *argv, "--out", str(out),
+                        preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where it is used, so a run that needs none starts faster.
+    proc = fresh_python("-c", "import sys, wrdpm.cli; "
+                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestManifest:

@@ -397,7 +397,8 @@ class TestSweepSharesTheStart:
         (lambda: fig9_graph(3), range(2, 9)),
         (lambda: disjoint_cliques([5, 5, 5]), range(1, 8)),
         (straddling_graph, range(6, 13)),
-    ], ids=["sbm-150", "cliques", "arpack-and-eigh"])
+        (straddling_graph, range(6, 10)),
+    ], ids=["sbm-150", "cliques", "arpack-and-eigh", "arpack-only"])
     def test_records_equal_each_d_run_alone(self, graph, ds):
         g = graph()
         report = dimension_sweep(g, ds, seed=11)

@@ -315,6 +315,19 @@ class TestLargeGraphPath:
         exact = embedding._eigentruncate(m, 3)[0]
         np.testing.assert_allclose(x @ x.T, exact @ exact.T, atol=1e-9)
 
+    def test_arpack_failure_falls_back_to_the_full_eigendecomposition(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def fail(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+        g = poisson_graph(1, 300)
+        m = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
+        assert not embedding._takes_eigh(g.n, 3)
+        x = embedding._truncated_factor(lambda: m, lambda v: m @ v, g.n, 3)
+        assert x.tobytes() == embedding._eigentruncate(m, 3)[0].tobytes()
+
     @pytest.mark.parametrize("sizes, solver", [([100, 100, 60], "arpack"),
                                                 ([129, 129, 83], "arpack+dense-fallback")])
     def test_cliques_with_a_repeated_top_eigenvalue_fit_exactly(self, start_solver, sizes,

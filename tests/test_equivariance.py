@@ -5,10 +5,11 @@ matrices X X^T, which that map leaves unchanged.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wrdpm import WeightedGraph, embed
+from wrdpm import WeightedGraph, embed, embedding
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -82,3 +83,28 @@ def test_scaling_weights_scales_the_gram(case, c):
     expected = c * gram(base.X)
     scale = max(np.abs(expected).max(), 1.0)
     np.testing.assert_allclose(gram(scaled.X), expected, atol=1e-5 * scale)
+
+
+def four_block_poisson_graph(seed, n=400):
+    """Four equal planted blocks: Poisson rate 1.0 within a block, 0.1 across."""
+    block = np.repeat(np.arange(4), n // 4)
+    rates = np.where(block[:, None] == block[None, :], 1.0, 0.1)
+    w = np.triu(np.random.default_rng(seed).poisson(rates), 1).astype(float)
+    return WeightedGraph(w + w.T)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arpack_start_keeps_both_equivariances(seed):
+    # n = 400 and d = 6 start from ARPACK's top d, which the small graphs
+    # above never reach.
+    g, d = four_block_poisson_graph(seed), 6
+    assert not embedding._takes_eigh(g.n, d)
+    expected = gram(embed(g, d).X)
+    perm = np.random.default_rng(seed).permutation(g.n)
+    permuted = embed(WeightedGraph(g.weights[np.ix_(perm, perm)]), d)
+    np.testing.assert_allclose(gram(permuted.X), expected[np.ix_(perm, perm)],
+                               rtol=0, atol=1e-6 * np.abs(expected).max())
+    c = 3.7
+    scaled = embed(WeightedGraph(c * g.weights), d)
+    np.testing.assert_allclose(gram(scaled.X), c * expected,
+                               rtol=0, atol=1e-6 * c * np.abs(expected).max())

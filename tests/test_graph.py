@@ -4,9 +4,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wrdpm import (
+    BlockModelSpec,
     GraphFormatError,
-    SymmetricOffDiagonal,
     WeightedGraph,
+    complete_diagonal,
     graph,
     load_graph,
     save_graph,
@@ -270,13 +271,13 @@ class TestInvariants:
         below = np.nextafter(top, 0)
         w = WeightedGraph(np.array([[0.0, top], [below, 0.0]])).weights
         assert w[0, 1] == w[1, 0] and below <= w[0, 1] <= top
-        m = SymmetricOffDiagonal(np.array([[0.0, -top], [-below, 0.0]])).entries
+        m = complete_diagonal(np.array([[0.0, -top], [-below, 0.0]]))
         assert m[0, 1] == m[1, 0] and -top <= m[0, 1] <= -below
 
     def test_symmetry_tolerance_is_relative_to_the_weights(self, rng):
         w = random_integer_graph(rng, 8).weights * 1e6
         noisy = w + rng.uniform(-1e-9, 1e-9, w.shape) * (w > 0)
-        for matrix in (WeightedGraph(noisy).weights, SymmetricOffDiagonal(noisy).entries):
+        for matrix in (WeightedGraph(noisy).weights, BlockModelSpec(noisy, (1,) * 8).B):
             assert np.array_equal(matrix, matrix.T)
             assert np.abs(matrix - w).max() <= 1e-9
 
@@ -285,7 +286,7 @@ class TestInvariants:
         with pytest.raises(GraphFormatError, match="asymmetric"):
             WeightedGraph(w)
         with pytest.raises(ValueError, match="symmetric"):
-            SymmetricOffDiagonal(w)
+            complete_diagonal(w)
 
     def test_loaded_graphs_satisfy_invariants(self, tmp_path, rng):
         for trial in range(30):

@@ -214,7 +214,7 @@ class TestSampleNetwork:
     def test_one_rate_for_all_pairs_draws_the_per_pair_graph(self, dist, rate):
         n = 40
         for seed in range(3):
-            one = _sample_pairs(dist, rate, _upper_mask(n), seed)
+            one = _sample_pairs(dist, rate, _upper_mask(n), seed, np.zeros((n, n)))
             per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
             assert np.array_equal(one.weights, per_pair.weights)
 
@@ -227,7 +227,7 @@ class TestSampleNetwork:
         out = np.zeros((n, n))
         for seed in (0, 1, 2):
             into = _sample_pairs(dist, params, upper, seed, out)
-            fresh = _sample_pairs(dist, params, upper, seed)
+            fresh = _sample_pairs(dist, params, upper, seed, np.zeros((n, n)))
             assert np.shares_memory(into.weights, out)
             assert into.weights.tobytes() == fresh.weights.tobytes()
 

@@ -6,7 +6,6 @@ from wrdpm import (
     ChungLuSpec,
     DomainError,
     NotPSDError,
-    SymmetricOffDiagonal,
     WeightedGraph,
     complete_diagonal,
     dot_product_grid,
@@ -31,18 +30,18 @@ B_EXAMPLE = np.array([
 def random_offdiag(rng, n, scale=5.0):
     a = rng.uniform(-scale, scale, (n, n))
     a = np.triu(a, 1)
-    return SymmetricOffDiagonal(a + a.T)
+    return a + a.T
 
 
 class TestCompleteDiagonal:
     def test_two_by_two_dominant(self):
-        m = SymmetricOffDiagonal(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
         c = complete_diagonal(m)
         assert np.array_equal(np.diag(c), [2.0, 2.0])
         assert np.allclose(np.linalg.eigvalsh(c), [1.0, 3.0])
 
     def test_zero_offdiagonal(self):
-        m = SymmetricOffDiagonal(np.zeros((4, 4)))
+        m = np.zeros((4, 4))
         c = complete_diagonal(m)
         assert np.array_equal(c, np.eye(4))
 
@@ -285,7 +284,7 @@ class TestNonFiniteEntries:
         m = np.zeros((3, 3))
         m[1, 2] = m[2, 1] = bad
         with pytest.raises(ValueError, match=r"entries\[1, 2\] is (nan|inf); entries must be finite"):
-            SymmetricOffDiagonal(m)
+            complete_diagonal(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_block_matrix(self, bad):
@@ -307,7 +306,7 @@ def test_corollary_roundtrip_random_parameters(rng):
         params = rng.uniform(0.0, 4.0, (n, n))
         params = np.triu(params, 1)
         params = params + params.T
-        c = complete_diagonal(SymmetricOffDiagonal(params))
+        c = complete_diagonal(params)
         x = factor_psd(c)
         grid = x @ x.T
         off = ~np.eye(n, dtype=bool)
