@@ -22,10 +22,9 @@ from .model import (
     _upper_mask,
     derive_seed,
     dot_product_grid,
-    draw_vectors,
     log_likelihood,
 )
-from .specialize import fit_poisson_er
+from .specialize import _poisson_er_rate
 
 STATISTICS = ("avg_weighted_clustering", "total_weight", "log_likelihood")
 NULL_KINDS = ("poisson_er", "dot_product")
@@ -181,9 +180,9 @@ def null_compare(
     and every draw are scored in that workspace, and each draw only samples
     into the buffer. Sample i is still the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
-    draws. The Erdos-Renyi null has one rate for every pair, its grid's
-    entry (0, 1), so it builds no n x n grid unless a log-likelihood is
-    scored.
+    draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
+    at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled vector model, and
+    its grid is a view of that one rate, not an n x n array.
     """
     if n_samples < 1:
         raise ValueError("need at least one null sample")
@@ -196,18 +195,13 @@ def null_compare(
 
     dist = EdgeDistribution("poisson")
     if null == "poisson_er":
-        vectors = draw_vectors(fit_poisson_er(g), seed)
+        rates = _poisson_er_rate(g)
+        upper, grid = _upper_mask(g.n), np.broadcast_to(rates, (g.n, g.n))
     elif x is None:
         raise ValueError("dot_product null requires embedding vectors")
     else:
-        vectors = _node_vectors(x, g)
-    grid = None
-    if null == "dot_product" or statistic == "log_likelihood":
-        grid = dot_product_grid(vectors)
-    if null == "dot_product":
+        grid = dot_product_grid(_node_vectors(x, g))
         upper, rates = _pair_parameters(dist, grid, clamp=True)
-    else:
-        upper, rates = _upper_mask(g.n), dist.clamp(dot_product_grid(vectors[:2])[0, 1])
 
     work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
 

@@ -130,7 +130,7 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
             continue
         if line.startswith("n="):
             try:
-                declared_n = int(line[2:])
+                declared_n, header_line = int(line[2:]), lineno
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: bad node-count header {line!r}")
             if declared_n > MAX_NODES:
@@ -165,15 +165,13 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
             raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
         edges[key] = w
         max_node = max(max_node, u, v)
-    n = max_node + 1
-    if declared_n is not None:
-        if declared_n < n:
-            raise GraphFormatError(
-                f"declared n={declared_n} but edge references node {max_node}"
-            )
-        n = declared_n
-    if n < 1:
+    if declared_n is None and max_node < 0:
         raise GraphFormatError("empty edge list with no declared node count")
+    n = max_node + 1 if declared_n is None else declared_n
+    if n < 1:
+        raise GraphFormatError(f"line {header_line}: n={n} declares no nodes")
+    if n <= max_node:
+        raise GraphFormatError(f"declared n={n} but edge references node {max_node}")
     weights = np.zeros((n, n))
     for (u, v), w in edges.items():
         weights[u, v] = weights[v, u] = w

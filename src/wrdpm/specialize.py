@@ -109,11 +109,17 @@ def make_er(
     return LatentModel(dist, n, Constant(v))
 
 
-def fit_poisson_er(g: WeightedGraph) -> LatentModel:
-    """Poisson Erdos-Renyi null model with the MLE rate total/C(n,2)."""
+def _poisson_er_rate(g: WeightedGraph) -> float:
+    """The MLE rate total/C(n,2) of the Poisson Erdos-Renyi model of g."""
     if g.n < 2:
         raise ValueError("need at least 2 nodes to fit an edge-rate model")
-    return make_er(g.n, "poisson", total_weight(g) / (g.n * (g.n - 1) // 2))
+    return total_weight(g) / (g.n * (g.n - 1) // 2)
+
+
+def fit_poisson_er(g: WeightedGraph) -> LatentModel:
+    """Poisson Erdos-Renyi model of g: the constant vector sqrt(theta), with
+    theta the MLE rate. Sampled, its grid reads theta back as fl(sqrt(theta))^2."""
+    return make_er(g.n, "poisson", _poisson_er_rate(g))
 
 
 @dataclass(frozen=True)

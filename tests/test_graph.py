@@ -80,8 +80,18 @@ class TestLoadEdgeList:
             load_graph(write(tmp_path, "0 5 1\n"))
 
     def test_declared_n_too_small(self, tmp_path):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="declared n=2 but edge references node 5"):
             load_graph(write(tmp_path, "n=2\n0 5 1\n"))
+
+    @pytest.mark.parametrize("text", ["n=-5\n", "n=0\n", "n=0\n# c\n"])
+    def test_header_declaring_no_nodes_names_its_line(self, tmp_path, text):
+        with pytest.raises(GraphFormatError, match="line 1: n="):
+            load_graph(write(tmp_path, text))
+
+    def test_later_header_overrides_one_declaring_no_nodes(self, tmp_path):
+        g = load_graph(write(tmp_path, "n=0\n0 1 1\nn=2\n"))
+        assert g.n == 2
+        assert g.weights[0, 1] == 1
 
 
 # Weights both parsers read alike; then tokens where Python's int()/float()
