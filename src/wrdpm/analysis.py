@@ -175,14 +175,14 @@ def null_compare(
     derive_seed(seed, NULL_SAMPLE, i), so reports are reproducible and
     ensembles of different seeds are independent.
 
-    The pair mask, the clamped pair rates, one n x n weights buffer and
-    one clustering workspace are built once per ensemble; the observed graph
-    and every draw are scored in that workspace, and each draw only samples
-    into the buffer. Sample i is still the graph that
+    The ensemble holds the null as its pair mask and its clamped pair rates
+    only, built once, with one n x n weights buffer and one clustering
+    workspace; the observed graph and every draw are scored in that
+    workspace or on those rates, and each draw only samples into the buffer.
+    Sample i is still the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
-    at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled vector model, and
-    its grid is a view of that one rate, not an n x n array.
+    at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled vector model.
     """
     if n_samples < 1:
         raise ValueError("need at least one null sample")
@@ -195,13 +195,11 @@ def null_compare(
 
     dist = EdgeDistribution("poisson")
     if null == "poisson_er":
-        rates = _poisson_er_rate(g)
-        upper, grid = _upper_mask(g.n), np.broadcast_to(rates, (g.n, g.n))
+        upper, rates = _upper_mask(g.n), _poisson_er_rate(g)
     elif x is None:
         raise ValueError("dot_product null requires embedding vectors")
     else:
-        grid = dot_product_grid(_node_vectors(x, g))
-        upper, rates = _pair_parameters(dist, grid, clamp=True)
+        upper, rates = _pair_parameters(dist, dot_product_grid(_node_vectors(x, g)), clamp=True)
 
     work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
 
@@ -210,7 +208,7 @@ def null_compare(
             return float(_clustering(graph.weights, upper, work).mean())
         if statistic == "total_weight":
             return total_weight(graph)
-        return log_likelihood(dist, grid, graph, clamp=True)
+        return dist.log_likelihood(rates, graph.weights[upper])
 
     observed = score(g)
     weights = np.zeros((g.n, g.n))

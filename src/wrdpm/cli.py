@@ -268,14 +268,15 @@ def cmd_cluster(args, files):
     return {"stop_reason": emb.stop_reason}
 
 
-def _parse_d_range(text: str) -> list[int]:
+def _parse_d_range(text: str) -> range | list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            # Not a list: `_require_dims` stops at the first d outside [1, n].
+            return range(lo, hi + 1)
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"bad --d-range {text!r}; expected 'lo..hi' or 'd1,d2,...'")

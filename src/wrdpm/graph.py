@@ -103,9 +103,6 @@ class WeightedGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def is_integer_valued(self) -> bool:
-        return bool(np.all(self.weights == np.round(self.weights)))
-
 
 def total_weight(g: WeightedGraph) -> float:
     """Sum of edge weights over unordered pairs; a ValueError if it overflows."""

@@ -63,33 +63,41 @@ class EdgeDistribution:
             # numpy refuses rates past about 9.2e18, where int64 counts end.
             raise DomainError(f"Poisson rate {np.max(params):g} is too large to sample") from None
 
-    def log_pmf(self, params: np.ndarray, observed: np.ndarray) -> np.ndarray:
-        """Elementwise log probability mass; -inf where the observation is impossible."""
+    def log_likelihood(self, params, observed: np.ndarray) -> float:
+        """Log probability of the integer weights ``observed``, drawn with one
+        parameter each or one for all; -inf, silently, when a weight has zero
+        probability under its parameter, for the caller to report."""
         params, observed = np.broadcast_arrays(np.asarray(params, dtype=float),
                                                np.asarray(observed, dtype=float))
+        if not np.all(observed == np.round(observed)):
+            raise ModelError(f"{self.family} likelihood needs integer weights")
+        if self.family == "bernoulli" and np.any(observed > 1):
+            raise ModelError("bernoulli likelihood needs 0/1 weights")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.family == "bernoulli":
-                out = np.where(
-                    observed > 0.5, np.log(params), np.log1p(-params)
-                )
+                terms = np.where(observed > 0.5, np.log(params), np.log1p(-params))
             else:
                 # Imported here: a module-level import of scipy.special doubles
                 # the start-up of every CLI run.
                 from scipy.special import gammaln
 
-                out = observed * np.log(params) - params - gammaln(observed + 1)
+                terms = observed * np.log(params) - params - gammaln(observed + 1)
                 # A positive rate gives every count a positive probability, so
                 # a term that is not finite there has overflowed.
-                overflow = ~np.isfinite(out) & (params > 0)
+                overflow = ~np.isfinite(terms) & (params > 0)
                 if overflow.any():
                     i = np.argmax(overflow)
                     raise DomainError(f"log-probability of weight {observed.flat[i]:g} at "
                                       f"Poisson rate {params.flat[i]:g} overflows the float range")
-                # lambda = 0 is a point mass at weight 0
-                zero_rate = params == 0
-                out = np.where(zero_rate & (observed == 0), 0.0, out)
-                out = np.where(zero_rate & (observed > 0), -np.inf, out)
-        return np.where(np.isnan(out), -np.inf, out)
+                # lambda = 0 is a point mass at weight 0, where 0 log 0 is nan.
+                terms = np.where((params == 0) & (observed == 0), 0.0, terms)
+        if np.any(np.isnan(terms) | np.isneginf(terms)):
+            return float("-inf")
+        with np.errstate(over="ignore"):
+            total = float(terms.sum())
+        if not np.isfinite(total):
+            raise DomainError("the log-likelihood terms sum past the float range")
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +524,7 @@ def log_likelihood(
     Returns -inf, silently, when any observed edge weight has zero
     probability under its grid entry; the caller decides how to report it.
     """
-    if not g.is_integer_valued():
-        raise ModelError(f"{distribution.family} likelihood needs integer weights")
-    if distribution.family == "bernoulli" and np.any(g.weights > 1):
-        raise ModelError("bernoulli likelihood needs 0/1 weights")
     if np.shape(grid) != (g.n, g.n):
         raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
     upper, params = _pair_parameters(distribution, grid, clamp)
-    terms = distribution.log_pmf(params, g.weights[upper])
-    if np.any(np.isneginf(terms)):
-        return float("-inf")
-    with np.errstate(over="ignore"):
-        total = float(terms.sum())
-    if not np.isfinite(total):
-        raise DomainError("the log-likelihood terms sum past the float range")
-    return total
+    return distribution.log_likelihood(params, g.weights[upper])

@@ -9,6 +9,7 @@ from wrdpm import (
     AxisNoise,
     EdgeDistribution,
     LatentModel,
+    ModelError,
     WeightedGraph,
     dot_product_grid,
     draw_vectors,
@@ -241,6 +242,17 @@ class TestNullCompare:
         g = disjoint_cliques([3])
         with pytest.raises(ValueError, match="vectors"):
             null_compare(g, null="dot_product")
+
+    def test_no_samples_refused(self):
+        with pytest.raises(ValueError, match="need at least one null sample"):
+            null_compare(disjoint_cliques([3]), n_samples=0)
+
+    @pytest.mark.parametrize("null", ["poisson_er", "dot_product"])
+    def test_log_likelihood_statistic_refuses_non_integer_weights(self, null):
+        w = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ModelError, match="poisson likelihood needs integer weights"):
+            null_compare(WeightedGraph(w), null=null, statistic="log_likelihood",
+                         n_samples=2, x=np.ones((3, 1)))
 
     def test_log_likelihood_statistic_matches_direct(self):
         g = simple_community_graph(5)

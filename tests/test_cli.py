@@ -469,13 +469,23 @@ class TestSweep:
         assert run("sweep", "--graph", str(clique_path), "--d-range", "4..2",
                    "--out", str(tmp_path / "x")) == 1
 
-    @pytest.mark.parametrize("d_range", ["2..40", "0..3"])
+    @pytest.mark.parametrize("d_range", ["2..40", "0..3", "1..100000000000000000000"])
     def test_range_beyond_node_count_is_usage_error(self, tmp_path, clique_path, capsys,
                                                     d_range):
         out = tmp_path / "x"
         assert run("sweep", "--graph", str(clique_path), "--d-range", d_range,
                    "--out", str(out)) == 1
         assert "must be in [1, 15]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_range_of_a_billion_builds_no_list(self, tmp_path, clique_path):
+        # Under the address limit a list of 10^9 ints would exit 2, out of memory.
+        out = tmp_path / "x"
+        proc = fresh_python("-m", "wrdpm.cli", "sweep", "--graph", str(clique_path),
+                            "--d-range", "1..1000000000", "--out", str(out),
+                            preexec_fn=_limit_address_space)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: every --d-range value must be in [1, 15]\n"
         assert not out.exists()
 
     def test_overflowing_stress_is_a_numerical_failure(self, tmp_path, capsys):

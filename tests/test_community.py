@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from wrdpm import (
     BlockModelSpec,
     Partition,
+    StressReport,
     WeightedGraph,
     angular_kmeans,
     centrality,
@@ -432,3 +433,17 @@ def test_partition_validation():
         Partition(np.array([0, 2]), 2)
     p = Partition(np.array([0, 1, 1]), 3)
     assert list(p.sizes) == [1, 2, 0]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Partition(np.zeros(3, dtype=int), 0), ValueError, "k must be >= 1"),
+    (lambda: angular_kmeans(np.eye(3), 0), ValueError, "k must be >= 1"),
+    (lambda: angular_kmeans(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), 3),
+     ValueError, "only 2 nonzero rows for k=3"),
+    (lambda: stress(np.eye(3), Partition(np.zeros(2, dtype=int), 1)), ValueError,
+     "partition does not cover the rows of x"),
+    (lambda: StressReport((), 1).record_for(5), KeyError, "no record for d=5"),
+], ids=["partition-k", "kmeans-k", "kmeans-nonzero-rows", "stress-length", "record-for"])
+def test_bad_argument_is_named(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -328,3 +328,15 @@ def test_overflowing_total_weight_is_named():
     np.fill_diagonal(w, 0.0)
     with pytest.raises(ValueError, match="sum past the float maximum"):
         total_weight(WeightedGraph(w))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: WeightedGraph(np.zeros((0, 0))), "graph must have at least one node"),
+    (lambda path: load_graph(path, "bogus"), "unknown graph format 'bogus'"),
+    (lambda path: save_graph(disjoint_cliques([2]), path, "bogus"),
+     "unknown graph format 'bogus'"),
+], ids=["no-nodes", "load-format", "save-format"])
+def test_bad_argument_is_named(tmp_path, call, message):
+    path = write(tmp_path, "0 1 1\n")
+    with pytest.raises(ValueError, match=message):
+        call(path)

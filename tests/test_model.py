@@ -178,7 +178,7 @@ class TestSampleNetwork:
         g = sample_network(m, vecs, seed=5)
         assert np.array_equal(g.weights, g.weights.T)
         assert not np.diag(g.weights).any()
-        assert g.is_integer_valued()
+        assert np.array_equal(g.weights, np.round(g.weights))
 
     def test_domain_violation_names_pair(self):
         x = np.array([[1.0], [2.0]])  # bernoulli p = 2 for the pair
@@ -304,8 +304,22 @@ class TestLogLikelihood:
 
     def test_non_integer_weights_rejected(self):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="poisson likelihood needs integer weights"):
             log_likelihood(POISSON, np.ones((2, 2)), WeightedGraph(w))
+
+    def test_bernoulli_weight_above_one_rejected(self):
+        w = np.array([[0.0, 2.0], [2.0, 0.0]])
+        with pytest.raises(ModelError, match="bernoulli likelihood needs 0/1 weights"):
+            log_likelihood(BERNOULLI, np.full((2, 2), 0.5), WeightedGraph(w))
+
+    @pytest.mark.parametrize("dist, rate", [(POISSON, 0.7), (POISSON, 0.0), (BERNOULLI, 0.3)])
+    def test_one_parameter_for_all_pairs_scores_as_one_per_pair(self, dist, rate):
+        n = 40
+        grid = np.full((n, n), rate)
+        g = sample_from_grids(dist, grid, seed=2)
+        observed = g.weights[_upper_mask(n)]
+        per_pair = dist.log_likelihood(np.full(observed.size, rate), observed)
+        assert dist.log_likelihood(rate, observed) == per_pair == log_likelihood(dist, grid, g)
 
     def test_mle_consistency_one_parameter_family(self):
         # average log-likelihood is maximized near the sampling rate
@@ -320,6 +334,19 @@ class TestLogLikelihood:
             for scale in diffs:
                 diffs[scale] += base - log_likelihood(POISSON, grid * scale, g)
         assert all(total > 0 for total in diffs.values())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FiniteSupport(np.eye(2), np.array([0.5, 0.5]), assignment=np.array([0, 2])),
+     "assignment index out of range"),
+    (lambda: Ray(np.array([1.0]), magnitudes=np.array([1.0, 2.0])).draw(3, np.random.default_rng(0)),
+     "2 magnitudes for n=3"),
+    (lambda: sample_network(poisson_model(Constant(np.array([1.0])), 3), np.ones((2, 1)), seed=0),
+     "vectors for 2 nodes, model has n=3"),
+], ids=["assignment-index", "ray-magnitudes", "vector-rows"])
+def test_inconsistent_model_input_is_named(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()
 
 
 def test_derive_seed_streams_are_distinct_across_seeds():

@@ -45,6 +45,11 @@ class TestCompleteDiagonal:
         c = complete_diagonal(m)
         assert np.array_equal(c, np.eye(4))
 
+    @pytest.mark.parametrize("m, shape", [(np.ones((2, 3)), r"\(2, 3\)"), (np.ones(3), r"\(3,\)")])
+    def test_non_square_rejected(self, m, shape):
+        with pytest.raises(ValueError, match="expected square matrix, got shape " + shape):
+            complete_diagonal(m)
+
     def test_min_eigenvalue_property(self, rng):
         for _ in range(200):
             m = random_offdiag(rng, int(rng.integers(5, 51)))
