@@ -179,7 +179,7 @@ def null_compare(
     only, built once, with one n x n weights buffer and one clustering
     workspace; the observed graph and every draw are scored in that
     workspace or on those rates, and each draw only samples into the buffer.
-    Sample i is still the graph that
+    Sample i is the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
     at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled vector model.

@@ -257,6 +257,7 @@ def cmd_cluster(args, files):
     g = _load_graph_arg(args, files)
     _require_dims([args.d], g, "--d")
     k = args.d if args.k is None else args.k
+    _require_dims([k], g, "--k")
     emb = embedding.embed(g, args.d, _solver_config(args))
     _check_convergence(emb, args.strict)
     part = community.angular_kmeans(emb.X, k, seed=args.seed)
@@ -283,11 +284,11 @@ def _parse_d_range(text: str) -> range | list[int]:
 
 
 def cmd_sweep(args, files):
-    g = _load_graph_arg(args, files)
     ds = _parse_d_range(args.d_range)
-    _require_dims(ds, g, "every --d-range value")
     if (args.l1 is None) != (args.l2 is None):
         raise UsageError("--l1 and --l2 go together: give both for penalized stress")
+    g = _load_graph_arg(args, files)
+    _require_dims(ds, g, "every --d-range value")
     penalty = None if args.l1 is None else (args.l1, args.l2)
     report = community.dimension_sweep(
         g, ds, config=_solver_config(args), seed=args.seed, penalty=penalty)
@@ -322,11 +323,11 @@ def cmd_sweep(args, files):
 
 
 def cmd_null(args, files):
+    if args.null == "dot_product" and not args.embedding:
+        raise UsageError("--null dot_product requires --embedding <csv>")
     g = _load_graph_arg(args, files)
     x = None
     if args.null == "dot_product":
-        if not args.embedding:
-            raise UsageError("--null dot_product requires --embedding <csv>")
         x = _load_embedding_csv(files.read(args.embedding))
     report = analysis.null_compare(
         g, null=args.null, statistic=args.statistic,

@@ -239,7 +239,7 @@ def dimension_sweep(
     SWEEP_DIMENSION, d), so sweep entries are independent; ties in the
     argmin go to the smallest d. Every record equals embed(g, d) and its
     clustering run alone: the dimensions whose start is a full
-    eigendecomposition share one, taken at the largest of them, and each
+    eigendecomposition share one, taken at the sweep's largest d, and each
     ARPACK start is computed for its own d.
     """
     ds = sorted(set(int(d) for d in d_values))
@@ -250,7 +250,7 @@ def dimension_sweep(
         if not (0 <= lam1 < np.inf and 0 <= lam2 < np.inf):
             raise ValueError(f"penalty weights must be finite and nonnegative, got {lam1}, {lam2}")
     records = []
-    start = _shared_start(g, ds)
+    start = _shared_start(g, ds[-1])
     for d in ds:
         emb = embed(g, d, config, _start=start)
         part = angular_kmeans(emb.X, k=d, seed=derive_seed(seed, SWEEP_DIMENSION, d))

@@ -38,7 +38,7 @@ class Embedding:
     X: np.ndarray
     d: int
     residual: float
-    iterations: int
+    iterations: int  # steps: len(residual_history) - 1
     converged: bool
     stop_reason: str  # "tolerance" when converged, or "no-minimiser", "cap", "stalled"
     residual_history: tuple[float, ...] = field(default=(), repr=False)
@@ -142,18 +142,18 @@ def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
     return a, m, scale, a.sum(axis=1) / max(g.n - 1, 1)
 
 
-def _shared_start(g: WeightedGraph, ds: list[int]) -> np.ndarray | None:
-    """One start factor for every d in ``ds`` whose start is a full eigh.
+def _shared_start(g: WeightedGraph, d_max: int) -> np.ndarray | None:
+    """One start factor for every d <= ``d_max`` whose start is a full eigh.
 
-    It is the eigentruncation at the largest such d (None if there is
-    none). _eigentruncate orders the eigenpairs by one argsort, so its
-    first d columns are the rank-d start bit for bit.
+    _takes_eigh is monotone in d, so some d <= ``d_max`` takes a full eigh
+    exactly when ``d_max`` does; the factor is then the eigentruncation at
+    ``d_max``, else None. _eigentruncate orders the eigenpairs by one
+    argsort, so its first d columns are the rank-d start bit for bit.
     """
-    dense = [d for d in ds if _takes_eigh(g.n, d)]
-    if not dense:
+    if not _takes_eigh(g.n, d_max):
         return None
     a, _, _, start = _scaled(g)
-    return _eigentruncate(a + np.diag(start), max(dense))[0]
+    return _eigentruncate(a + np.diag(start), d_max)[0]
 
 
 def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
@@ -172,9 +172,9 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     Each L-BFGS run works on Z = X diag(s), s the column norms of the X it
     starts from, floored at _FLOOR of the largest. That X is on its
     principal axes, so 1 / s is (X^T X)^(-1/2), the preconditioner of scaled
-    gradient descent (Tong, Ma & Chi, arXiv:2005.08898): the step count no
-    longer grows with the spread of the start's eigenvalues. The stopping
-    rule and the stop reasons read X and its gradient, not Z.
+    gradient descent (Tong, Ma & Chi, arXiv:2005.08898): the step count does
+    not grow with the spread of the start's eigenvalues. The stopping rule
+    and the stop reasons read X and its gradient, not Z.
 
     Stop reasons: "tolerance" (converged) when |grad f| <= ``tolerance``
     ||A||_F ||X||_F, sqrt(_DIRECT_SHARE) times that where f is summed
@@ -183,9 +183,9 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     else "cap" after ``max_iterations`` steps, or "stalled" when the line
     search found no lower f before that. A null column of X never moves
     under descent, so where f falls along it the column is filled, as one
-    step. ``iterations`` counts steps (L-BFGS iterations and fills);
-    ``residual_history`` holds sqrt(f) at the start and after each step,
-    and never rises.
+    step. ``residual_history`` holds sqrt(f) at the start and after each
+    step (L-BFGS iteration or fill), and never rises; ``iterations``, the
+    step count, is its length - 1.
 
     ``_start`` is a factor from ``_shared_start``: where the start is a full
     eigh, its first d columns are the start, so that a sweep over d runs
@@ -210,7 +210,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     # of the gradient falls with sqrt(f) there.
     tight = config.tolerance * np.sqrt(_DIRECT_SHARE)
     last, done = None, False  # last: (x, f, gradient, largest squared row norm)
-    history, row_max, iterations = [], [], 0
+    history, row_max = [], []  # one entry at the start and one per step
 
     def evaluate(flat):
         nonlocal last
@@ -249,7 +249,6 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
 
     def fill():
         """Fill a null column of x along which f falls, as one step; False if none."""
-        nonlocal iterations
         _, sing, vt = np.linalg.svd(x, full_matrices=False)
         null = sing**2 <= _NULL_SHARE * sing[0] ** 2
         if not null.any():
@@ -267,24 +266,23 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
         y[:, np.argmax(null)] = u[:, 0] / np.sqrt(1.0 - np.sum(u**4) / lam**2)
         evaluate(y.ravel())
         accept()
-        iterations += 1
         return True
 
     evaluate(x.ravel())
     accept()
-    while iterations < config.max_iterations:
+    while len(history) - 1 < config.max_iterations:
         if fill():
             continue
         if done:
             break
         s = np.linalg.norm(x, axis=0)  # x is on its principal axes here
         s = np.maximum(s, _FLOOR * s.max())
-        iterations += minimize(
+        minimize(
             evaluate_z, (x * s).ravel(), jac=True, method="L-BFGS-B", callback=step,
             # maxfun never binds: an iteration makes at most maxls + 1 calls.
-            options={"maxiter": config.max_iterations - iterations, "maxcor": _MEMORY,
+            options={"maxiter": config.max_iterations + 1 - len(history), "maxcor": _MEMORY,
                      "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},
-        ).nit
+        )
         if not done:  # the cap, or a line search that found no lower f
             break
 
@@ -298,6 +296,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     if not (np.isfinite(x).all() and np.isfinite(history).all()):
         raise ValueError(f"the fit at d={d} overflows the float range: the latent vectors "
                          "or the residual of these weights pass the float maximum")
+    iterations = len(history) - 1
     reason = ("tolerance" if done else "no-minimiser"
               if row_max[-1] > _RUNAWAY * row_max[len(row_max) // 2]
               else "cap" if iterations == config.max_iterations else "stalled")

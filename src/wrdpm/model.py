@@ -481,10 +481,9 @@ def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
     n = upper.shape[0]
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
     draws = distribution.sample(params, rng, n * (n - 1) // 2)
-    # Symmetry and the zero diagonal hold by construction; WeightedGraph also
-    # requires finite, nonnegative weights.
-    if draws.size and not (0 <= draws.min() and draws.max() < np.inf):
-        raise DomainError("a sampled edge weight is negative or not finite")
+    # As WeightedGraph._wrap requires, the scatter keeps the zero diagonal and
+    # makes the weights symmetric, and the draws are booleans or nonnegative
+    # int64 counts (``sample`` raised on a rate numpy cannot draw from).
     out[upper] = draws
     out.T[upper] = draws
     return WeightedGraph._wrap(out)

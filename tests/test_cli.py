@@ -365,6 +365,21 @@ class TestCluster:
         assert run("cluster", "--graph", str(clique_path), "--d", "3", "--k", "0",
                    "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("edges, k, code, err", [
+        # Past the node count: refused before the embedding, so no solver warning.
+        ("0 1 1\n1 2 1\n2 3 1\n", "5", 1, "error: --k must be in [1, 4]\n"),
+        # Node 0 is isolated, so its row of X is zero: a k within [1, n] but
+        # above the nonzero rows is a fault of the data.
+        ("n=4\n1 3 1\n2 3 1\n", "4", 2, "error: only 3 nonzero rows for k=4\n"),
+    ], ids=["past-node-count", "past-nonzero-rows"])
+    def test_k_beyond_the_rows_is_refused(self, tmp_path, capsys, edges, k, code, err):
+        path, out = tmp_path / "g.edgelist", tmp_path / "x"
+        path.write_text(edges)
+        assert run("cluster", "--graph", str(path), "--d", "2", "--k", k,
+                   "--out", str(out)) == code
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
 
 def star_with_isolated_node():
     """Edges 1-3 and 2-3 plus node 0: at d = 1 no X minimizes the residual."""
@@ -668,6 +683,18 @@ def test_out_of_memory_is_data_error(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory"), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--d-range", "2..x"], "bad --d-range '2..x'"),
+    (["sweep", "--d-range", "2..3", "--l1", "1"], "--l1 and --l2 go together"),
+    (["null", "--null", "dot_product"], "--null dot_product requires --embedding"),
+])
+def test_flag_error_is_found_before_the_graph_is_read(tmp_path, capsys, argv, message):
+    out = tmp_path / "x"
+    assert run(*argv, "--graph", str(tmp_path / "missing.edgelist"), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 

@@ -415,7 +415,13 @@ class TestSweepSharesTheStart:
         n = straddling_graph().n
         assert [embedding._takes_eigh(n, d) for d in range(6, 13)] == [False] * 4 + [True] * 3
 
-    def test_one_eigendecomposition_per_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("graph, ds, eigh_at", [
+        (lambda: fig9_graph(3), range(2, 9), [8]),
+        (straddling_graph, range(6, 13), [12]),
+        (straddling_graph, range(6, 10), []),
+    ], ids=["sbm-150", "arpack-and-eigh", "arpack-only"])
+    def test_one_eigendecomposition_per_sweep(self, monkeypatch, graph, ds, eigh_at):
+        g = graph()
         calls = []
 
         def counted(m, d):
@@ -424,8 +430,8 @@ class TestSweepSharesTheStart:
 
         eigentruncate = embedding._eigentruncate
         monkeypatch.setattr(embedding, "_eigentruncate", counted)
-        dimension_sweep(fig9_graph(3), range(2, 9))
-        assert calls == [8]
+        dimension_sweep(g, ds)
+        assert calls == eigh_at
 
 
 def test_partition_validation():

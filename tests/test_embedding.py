@@ -110,6 +110,7 @@ class TestDescent:
             assert not emb.converged
             assert emb.stop_reason == "no-minimiser"
             assert emb.iterations == SolverConfig().max_iterations
+            assert len(emb.residual_history) == emb.iterations + 1
             back = np.argsort(p)
             grams.append((emb.X @ emb.X.T)[np.ix_(back, back)])
         for gram in grams:
@@ -138,6 +139,7 @@ class TestDescent:
         assert not emb.converged
         assert emb.stop_reason == "stalled"
         assert emb.iterations < SolverConfig().max_iterations
+        assert len(emb.residual_history) == emb.iterations + 1
 
     @pytest.mark.parametrize("graph, d", [(three_block_sbm(4, 100), 6),
                                           (bridge_graph(5), 3), (disjoint_cliques([4, 6]), 3)])
@@ -189,6 +191,11 @@ class TestDescent:
         assert emb.converged
         assert emb.residual < 1e-6
         assert np.linalg.norm(emb.X, axis=0).min() > 0.1
+        # Three cliques at d = 4: the start's fourth column is zero, and fills
+        # alone reach the exact fit, in three steps.
+        emb = embed(disjoint_cliques([5, 5, 5]), 4)
+        assert emb.stop_reason == "tolerance" and emb.iterations == 3
+        assert len(emb.residual_history) == 4
 
     def test_scaling_weights_by_four_doubles_x_bit_for_bit(self, rng):
         g = random_integer_graph(rng, 30)
