@@ -30,7 +30,7 @@ STATISTICS = ("avg_weighted_clustering", "total_weight", "log_likelihood")
 NULL_KINDS = ("poisson_er", "dot_product")
 
 
-# Rows of w * (A^2) that `_clustering` forms at a time.
+# Rows of w * (A^2) that `_clustering` forms at a time, not n x n in float64.
 _ROW_BLOCK = 64
 
 
@@ -42,55 +42,43 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     degree. Nodes of degree < 2 get zero. Reduces to the classical local
     clustering coefficient on 0/1 weights.
     """
-    per_node = _clustering(g.weights, _upper_mask(g.n), _clustering_workspace(g.n))
+    per_node = _clustering(g.weights, _clustering_workspace(g.n))
     return per_node, float(per_node.mean())
 
 
-def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The buffers `_clustering` fills at n nodes: the float32 A, the
-    Fortran-ordered ``ssyrk`` output and a block of rows of w * (A^2)."""
-    return (np.empty((n, n), np.float32), np.zeros((n, n), np.float32, order="F"),
-            np.empty((min(n, _ROW_BLOCK), n)))
+def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The buffers `_clustering` fills at n nodes: the float32 A and A^2."""
+    return np.empty((n, n), np.float32), np.empty((n, n), np.float32)
 
 
-def _clustering(w: np.ndarray, upper: np.ndarray, work) -> np.ndarray:
+def _clustering(w: np.ndarray, work) -> np.ndarray:
     """Per-node weighted clustering of the weights w, as `weighted_clustering`
-    defines it, with ``upper`` the `_upper_mask` of w and ``work`` a
-    `_clustering_workspace`, whose contents it overwrites.
+    defines it, with ``work`` a `_clustering_workspace`, whose contents it
+    overwrites.
 
-    The 0/1 adjacency A is held in float32, and ``ssyrk`` forms only one
-    triangle of the symmetric A A^T = A^2, about half the work of a full
-    product. That is exact: each entry of A^2 counts common neighbors, an
+    The 0/1 adjacency A is held in float32. A is symmetric, so A^2 is
+    formed as A^T A, which numpy computes as a symmetric rank-k update: one
+    triangle, about half the work of a general product, mirrored into the
+    other. That is exact: each entry of A^2 counts common neighbors, an
     integer at most n, and float32 represents every integer up to 2^24,
     above ``graph.MAX_NODES``; the partial sums of the product are such
     integers as well, in any order of summation. Each row of w * (A^2) is
     summed whole, as in a full n x n product, so the counts, and the float64
     arithmetic after them, match a float64 ``A @ A`` bit for bit.
     """
-    # Imported here: a module-level import of scipy.linalg slows the start-up
-    # of every CLI run.
-    from scipy.linalg.blas import ssyrk
-
-    a, c, rows = work
+    a, c = work
     np.greater(w, 0, out=a, casting="unsafe")
     degree = a.sum(axis=1, dtype=float)
-    # A is symmetric, so its Fortran-ordered view A^T goes to BLAS uncopied.
-    # BLAS writes only the upper triangle of c, so the C-ordered transpose of
-    # c holds the counts on and below the diagonal and zeros above it.
-    c = ssyrk(1.0, a.T, c=c, overwrite_c=1)
+    np.matmul(a.T, a, out=c)
     n = len(w)
     numer = np.empty(n)
     with np.errstate(over="ignore"):
-        for r0 in range(0, n, len(rows)):
-            r = slice(r0, min(r0 + len(rows), n))
-            block = rows[:r.stop - r0]
+        for r0 in range(0, n, _ROW_BLOCK):
+            r = slice(r0, r0 + _ROW_BLOCK)
             # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts
             # each unordered pair twice, matching the (w_jl + w_jh)/2
             # symmetrization.
-            np.copyto(block, c.T[r])
-            np.copyto(block, c[r], where=upper[r])
-            np.multiply(w[r], block, out=block)
-            numer[r] = block.sum(axis=1)
+            numer[r] = (w[r] * c[r]).sum(axis=1)
         strength = w.sum(axis=1)
         denom = strength * (degree - 1)
     if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
@@ -205,7 +193,7 @@ def null_compare(
 
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
-            return float(_clustering(graph.weights, upper, work).mean())
+            return float(_clustering(graph.weights, work).mean())
         if statistic == "total_weight":
             return total_weight(graph)
         return dist.log_likelihood(rates, graph.weights[upper])

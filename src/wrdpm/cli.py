@@ -325,10 +325,10 @@ def cmd_sweep(args, files):
 def cmd_null(args, files):
     if args.null == "dot_product" and not args.embedding:
         raise UsageError("--null dot_product requires --embedding <csv>")
+    if args.null != "dot_product" and args.embedding:
+        raise UsageError(f"--embedding is not read by --null {args.null}")
     g = _load_graph_arg(args, files)
-    x = None
-    if args.null == "dot_product":
-        x = _load_embedding_csv(files.read(args.embedding))
+    x = _load_embedding_csv(files.read(args.embedding)) if args.embedding else None
     report = analysis.null_compare(
         g, null=args.null, statistic=args.statistic,
         n_samples=args.samples, seed=args.seed, x=x,

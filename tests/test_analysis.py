@@ -114,7 +114,7 @@ class TestWeightedClustering:
             per_node, _ = weighted_clustering(g)
             assert np.allclose(per_node, barrat_reference(g.weights))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 300, 600])
     @pytest.mark.parametrize("weights", ["integer", "real"])
     def test_bitwise_equal_to_matmul_reference(self, rng, n, weights):
         for _ in range(3):

@@ -690,6 +690,7 @@ def test_out_of_memory_is_data_error(tmp_path, argv):
     (["sweep", "--d-range", "2..x"], "bad --d-range '2..x'"),
     (["sweep", "--d-range", "2..3", "--l1", "1"], "--l1 and --l2 go together"),
     (["null", "--null", "dot_product"], "--null dot_product requires --embedding"),
+    (["null", "--embedding", "x.csv"], "--embedding is not read by --null poisson_er"),
 ])
 def test_flag_error_is_found_before_the_graph_is_read(tmp_path, capsys, argv, message):
     out = tmp_path / "x"
@@ -698,9 +699,15 @@ def test_flag_error_is_found_before_the_graph_is_read(tmp_path, capsys, argv, me
     assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported where it is used, so a run that needs none starts faster.
-    proc = fresh_python("-c", "import sys, wrdpm.cli; "
+@pytest.mark.parametrize("run_cli", [
+    "",
+    "assert wrdpm.cli.main(['null', '--graph', {graph!r}, '--samples', '2', '--out', {out!r}]) == 0; ",
+], ids=["import", "null"])
+def test_cli_import_loads_no_scipy(tmp_path, clique_path, run_cli):
+    # scipy is imported where it is used, so a run that needs none starts
+    # faster; the null ensemble's default statistic needs none.
+    run_cli = run_cli.format(graph=str(clique_path), out=str(tmp_path / "out"))
+    proc = fresh_python("-c", "import sys, wrdpm.cli; " + run_cli +
                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
