@@ -18,7 +18,8 @@ from .model import (
     NULL_SAMPLE,
     EdgeDistribution,
     _pair_parameters,
-    _sample_pairs,
+    _draw_pairs,
+    _scatter_pairs,
     _upper_mask,
     derive_seed,
     dot_product_grid,
@@ -68,8 +69,9 @@ def _clustering(w: np.ndarray, work) -> np.ndarray:
     """
     a, c = work
     np.greater(w, 0, out=a, casting="unsafe")
-    degree = a.sum(axis=1, dtype=float)
     np.matmul(a.T, a, out=c)
+    # (A^T A)_jj counts j's neighbors, an exact integer like every count.
+    degree = c.diagonal().astype(float)
     n = len(w)
     numer = np.empty(n)
     with np.errstate(over="ignore"):
@@ -167,6 +169,11 @@ def null_compare(
     only, built once, with one n x n weights buffer and one clustering
     workspace; the observed graph and every draw are scored in that
     workspace or on those rates, and each draw only samples into the buffer.
+    The scores run on one worker thread while the calling thread draws the
+    next sample's pair weights, so an ensemble uses two cores even with one
+    BLAS thread; that adds at most one pair vector, n(n-1)/2 x 8 bytes, to
+    its memory. The results are those of drawing and scoring in turn, bit
+    for bit, and an error is the first that order would meet.
     Sample i is the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
@@ -198,10 +205,24 @@ def null_compare(
             return total_weight(graph)
         return dist.log_likelihood(rates, graph.weights[upper])
 
-    observed = score(g)
+    # Imported here: importing concurrent.futures adds about 6 ms to the
+    # start-up of every CLI run.
+    from concurrent.futures import ThreadPoolExecutor
+
     weights = np.zeros((g.n, g.n))
-    samples = [score(_sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i), weights))
-               for i in range(n_samples)]
+    with ThreadPoolExecutor(1) as worker:
+        scores = [worker.submit(score, g)]
+        for i in range(n_samples):
+            try:
+                draws = _draw_pairs(dist, rates, g.n, derive_seed(seed, NULL_SAMPLE, i))
+            finally:
+                # The previous score reads the buffer until it is done, and its
+                # error, met first in sequence, wins over this draw's.
+                scores[-1].result()
+            draw = _scatter_pairs(draws, upper, weights)
+            del draws  # so that the next draw is the one pair vector alive
+            scores.append(worker.submit(score, draw))
+        observed, *samples = [s.result() for s in scores]
     return NullEnsembleReport(
         statistic=statistic,
         observed=observed,

@@ -469,18 +469,26 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
 
 def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
                   seed: int, out: np.ndarray) -> WeightedGraph:
-    """Draw one network from the parameters of the j < l pairs that the
-    ``_upper_mask`` ``upper`` selects.
+    """Draw one network into ``out``; see `_draw_pairs` and `_scatter_pairs`."""
+    return _scatter_pairs(_draw_pairs(distribution, params, upper.shape[0], seed), upper, out)
+
+
+def _draw_pairs(distribution: EdgeDistribution, params, n: int, seed: int) -> np.ndarray:
+    """The weights of the j < l pairs of an n-node network, in row-major order.
 
     ``params`` holds one in-domain parameter per pair, in row-major order,
     or one for every pair; both draw the same weights from the same seed.
-    The weights go into ``out``, an n x n float64 matrix with a zero
-    diagonal, and the graph holds only until ``out`` is refilled; each draw
-    writes every off-diagonal entry, so none goes stale.
     """
-    n = upper.shape[0]
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
-    draws = distribution.sample(params, rng, n * (n - 1) // 2)
+    return distribution.sample(params, rng, n * (n - 1) // 2)
+
+
+def _scatter_pairs(draws: np.ndarray, upper: np.ndarray, out: np.ndarray) -> WeightedGraph:
+    """The graph of the pair weights ``draws`` at the pairs that the
+    ``_upper_mask`` ``upper`` selects, written into ``out``, an n x n float64
+    matrix with a zero diagonal. The graph holds only until ``out`` is
+    refilled; each scatter writes every off-diagonal entry, so none goes stale.
+    """
     # As WeightedGraph._wrap requires, the scatter keeps the zero diagonal and
     # makes the weights symmetric, and the draws are booleans or nonnegative
     # int64 counts (``sample`` raised on a rate numpy cannot draw from).

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from wrdpm import (
     total_weight,
     weighted_clustering,
 )
+from wrdpm import analysis
 from wrdpm.model import NULL_SAMPLE, derive_seed
 from conftest import disjoint_cliques, random_integer_graph
 
@@ -203,15 +206,74 @@ class TestNullCompare:
                                   seed=seed, x=x)
             grid = (np.full((n, n), total_weight(g) / math.comb(n, 2)) if null == "poisson_er"
                     else dot_product_grid(x))
-            expected = []
-            for i in range(4):
-                draw = sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)
-                expected.append({
-                    "avg_weighted_clustering": lambda: weighted_clustering(draw)[1],
-                    "total_weight": lambda: total_weight(draw),
-                    "log_likelihood": lambda: log_likelihood(dist, grid, draw, clamp=True),
-                }[statistic]())
+
+            def direct(graph):
+                return {
+                    "avg_weighted_clustering": lambda: weighted_clustering(graph)[1],
+                    "total_weight": lambda: total_weight(graph),
+                    "log_likelihood": lambda: log_likelihood(dist, grid, graph, clamp=True),
+                }[statistic]()
+
+            assert report.observed == direct(g)
+            expected = [direct(sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i),
+                                                 clamp=True))
+                        for i in range(4)]
             assert report.samples == tuple(expected)
+
+    @pytest.mark.parametrize("failing_call", [1, 3], ids=["observed", "draw"])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, failing_call):
+        # The observed graph (call 1) and the draws are scored on a worker
+        # thread; its error must be raised as is, and the thread joined.
+        error = ValueError("scoring failed")
+        calls = []
+        clustering = analysis._clustering
+
+        def failing(w, work):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise error
+            return clustering(w, work)
+
+        monkeypatch.setattr(analysis, "_clustering", failing)
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            null_compare(simple_community_graph(0), n_samples=5, seed=0)
+        assert caught.value is error
+        assert threading.active_count() == threads
+
+    def test_slow_worker_scores_each_draw_before_it_is_overwritten(self, monkeypatch):
+        # The caller draws into the one weights buffer; it must wait for the
+        # worker's score of the previous draw, however slow, before it writes.
+        g = simple_community_graph(0)
+        expected = null_compare(g, n_samples=4, seed=3)
+        clustering = analysis._clustering
+
+        def slow(w, work):
+            time.sleep(0.05)
+            return clustering(w, work)
+
+        monkeypatch.setattr(analysis, "_clustering", slow)
+        assert null_compare(g, n_samples=4, seed=3) == expected
+
+    def test_worker_error_wins_over_a_later_draw_error(self, monkeypatch):
+        # In sequence the observed graph is scored before the first draw, so
+        # its error is the one raised, though the draw fails first in time.
+        score_error, draw_error = ValueError("scoring failed"), ValueError("draw failed")
+
+        def failing_score(w, work):
+            time.sleep(0.05)
+            raise score_error
+
+        def failing_draw(*args):
+            raise draw_error
+
+        monkeypatch.setattr(analysis, "_clustering", failing_score)
+        monkeypatch.setattr(analysis, "_draw_pairs", failing_draw)
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            null_compare(simple_community_graph(0), n_samples=5, seed=0)
+        assert caught.value is score_error
+        assert threading.active_count() == threads
 
     def test_quantile_and_std_fields(self):
         g = simple_community_graph(3)

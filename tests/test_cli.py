@@ -713,6 +713,14 @@ def test_cli_import_loads_no_scipy(tmp_path, clique_path, run_cli):
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_thread_pool():
+    # null_compare imports its worker's thread pool where it runs, so a run
+    # that draws no null ensemble starts without it.
+    proc = fresh_python("-c", "import sys, wrdpm.cli; print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestManifest:
     def test_embed_records_input_digest(self, tmp_path, clique_path):
         out = tmp_path / "run"
