@@ -16,10 +16,10 @@ import numpy as np
 from .graph import WeightedGraph, total_weight
 from .model import (
     NULL_SAMPLE,
+    _ROW_BLOCK,
     EdgeDistribution,
     _pair_parameters,
-    _draw_pairs,
-    _scatter_pairs,
+    _sample_pairs,
     _upper_mask,
     derive_seed,
     dot_product_grid,
@@ -29,10 +29,6 @@ from .specialize import _poisson_er_rate
 
 STATISTICS = ("avg_weighted_clustering", "total_weight", "log_likelihood")
 NULL_KINDS = ("poisson_er", "dot_product")
-
-
-# Rows of w * (A^2) that `_clustering` forms at a time, not n x n in float64.
-_ROW_BLOCK = 64
 
 
 def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
@@ -166,14 +162,14 @@ def null_compare(
     ensembles of different seeds are independent.
 
     The ensemble holds the null as its pair mask and its clamped pair rates
-    only, built once, with one n x n weights buffer and one clustering
+    only, built once, with two n x n weights buffers and one clustering
     workspace; the observed graph and every draw are scored in that
-    workspace or on those rates, and each draw only samples into the buffer.
-    The scores run on one worker thread while the calling thread draws the
-    next sample's pair weights, so an ensemble uses two cores even with one
-    BLAS thread; that adds at most one pair vector, n(n-1)/2 x 8 bytes, to
-    its memory. The results are those of drawing and scoring in turn, bit
-    for bit, and an error is the first that order would meet.
+    workspace or on those rates, and each draw only samples into a buffer,
+    with no pair vector. The scores run on one worker thread while the
+    calling thread samples the next draw into the other buffer, so an
+    ensemble uses two cores even with one BLAS thread. The results are
+    those of drawing and scoring in turn, bit for bit, and an error is the
+    first that order would meet.
     Sample i is the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
@@ -209,20 +205,31 @@ def null_compare(
     # start-up of every CLI run.
     from concurrent.futures import ThreadPoolExecutor
 
-    weights = np.zeros((g.n, g.n))
+    # Draw i is sampled into buffers[i % 2] while the worker scores draw i - 1
+    # in the other buffer.
+    buffers = np.zeros((g.n, g.n)), np.zeros((g.n, g.n))
     with ThreadPoolExecutor(1) as worker:
-        scores = [worker.submit(score, g)]
+        scores, results = [worker.submit(score, g)], []
+
+        def take(count: int) -> None:
+            # Results in the order of submission: the first error in sequence wins.
+            while len(results) < count:
+                results.append(scores[len(results)].result())
+
         for i in range(n_samples):
+            # The score of draw i - 2 is the last to read buffers[i % 2], and
+            # every score before it comes before draw i in sequence.
+            take(i)
             try:
-                draws = _draw_pairs(dist, rates, g.n, derive_seed(seed, NULL_SAMPLE, i))
-            finally:
-                # The previous score reads the buffer until it is done, and its
-                # error, met first in sequence, wins over this draw's.
-                scores[-1].result()
-            draw = _scatter_pairs(draws, upper, weights)
-            del draws  # so that the next draw is the one pair vector alive
+                draw = _sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i),
+                                     buffers[i % 2])
+            except BaseException:
+                # Every score submitted so far comes before this draw in sequence.
+                take(len(scores))
+                raise
             scores.append(worker.submit(score, draw))
-        observed, *samples = [s.result() for s in scores]
+        take(len(scores))
+    observed, *samples = results
     return NullEnsembleReport(
         statistic=statistic,
         observed=observed,

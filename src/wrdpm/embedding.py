@@ -132,9 +132,10 @@ def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
     """The matrix the fit runs on, A / 4^m over its norm, with m and the norm,
     and the degree means that fill its diagonal for the start.
 
-    A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1.
+    A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1. The
+    weights are nonnegative, so their largest is max |A|, without a copy.
     """
-    m = int(np.frexp(np.abs(g.weights).max())[1]) // 2
+    m = int(np.frexp(g.weights.max())[1]) // 2
     a = np.ldexp(g.weights, -2 * m)
     scale = np.linalg.norm(a)
     if scale:

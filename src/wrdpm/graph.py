@@ -178,18 +178,20 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
-def _parse_edge_array(lines: list[str]) -> np.ndarray | None:
-    """Parse a valid edge list as one array; None for anything else.
+def _parse_edge_array(path) -> np.ndarray | None:
+    """Parse the valid edge list in ``path`` as one array; None for anything else.
 
     Accepts an optional ``n=`` header on the first line and ``u v w`` rows
     with comments. A file it returns None for, malformed or merely unusual
     (a header further down, ``1_0`` as an id), goes to ``_parse_edge_list``,
     which names the offending line. On every file this one accepts, both
     give the same matrix, and it meets the contract of `WeightedGraph._wrap`
-    for the same reasons.
+    for the same reasons. Only the first line is read as a ``str``; numpy's
+    parser reads the rest of the file itself.
     """
     declared_n = None
-    head = lines[0].split("#", 1)[0].strip() if lines else ""
+    with open(path, encoding="utf-8") as f:
+        head = f.readline().split("#", 1)[0].strip()
     if head.startswith("n="):
         try:
             declared_n = int(head[2:])
@@ -199,7 +201,7 @@ def _parse_edge_array(lines: list[str]) -> np.ndarray | None:
         # A body without rows ("input contained no data") goes to the slow path.
         warnings.simplefilter("ignore", UserWarning)
         try:
-            rows = np.loadtxt(lines, dtype=_EDGE_ROW, comments="#",
+            rows = np.loadtxt(path, dtype=_EDGE_ROW, comments="#", encoding="utf-8",
                               skiprows=0 if declared_n is None else 1, ndmin=1)
         except ValueError:
             return None
@@ -242,13 +244,17 @@ def _write_csv_matrix(path, m) -> None:
 
 
 def load_graph(path, format: str = "edge-list") -> WeightedGraph:
-    """Load a weighted graph from ``path`` in `edge-list` or `dense` format."""
+    """Load a weighted graph from ``path`` in `edge-list` or `dense` format.
+
+    An edge list is parsed by numpy's text parser, straight from the file;
+    only a file that parser refuses is read line by line, by a parser that
+    names the offending line.
+    """
     if format == "edge-list":
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-        weights = _parse_edge_array(lines)
+        weights = _parse_edge_array(path)
         if weights is None:
-            weights = _parse_edge_list(lines)
+            with open(path, encoding="utf-8") as f:
+                weights = _parse_edge_list(f.readlines())
         # Both parsers meet `_wrap`'s contract: no copy and no second scan.
         return WeightedGraph._wrap(weights)
     if format == "dense":
@@ -262,21 +268,37 @@ def _fmt_weight(w: float) -> str:
     return repr(float(w))
 
 
+def _byte_table(strings: list[str]) -> np.ndarray:
+    """The ASCII ``strings`` as the rows of a uint8 matrix, NUL-padded to the longest."""
+    table = np.array(strings, dtype=bytes)
+    return table.view(np.uint8).reshape(len(strings), table.itemsize)
+
+
+# Edges whose lines `save_graph` forms at a time.
+_EDGE_BLOCK = 1 << 14
+
+
 def save_graph(g: WeightedGraph, path, format: str = "edge-list") -> None:
-    """Write ``g`` so that load_graph reproduces it exactly."""
+    """Write ``g`` so that load_graph reproduces it exactly.
+
+    An edge list is an ``n=`` header and one ``u v w`` line per edge, u < v,
+    in row-major order. Each node id and each distinct weight is formatted
+    once, into a NUL-padded byte table; a block of lines is its edges' table
+    rows side by side with the padding dropped, so no Python object is made
+    per edge.
+    """
     if format == "edge-list":
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"n={g.n}\n")
-            rows, cols = np.nonzero(np.triu(g.weights, 1))
-            # Each node id and each distinct weight is formatted once: lines
-            # repeat ids, and sampled graphs repeat a few small weights.
-            ids = [f"{j} " for j in range(g.n)]
-            values, which = np.unique(g.weights[rows, cols], return_inverse=True)
-            text = [f"{_fmt_weight(w)}\n" for w in values.tolist()]
-            f.writelines(
-                ids[j] + ids[l] + text[i]
-                for j, l, i in zip(rows.tolist(), cols.tolist(), which.tolist())
-            )
+        rows, cols = np.nonzero(np.triu(g.weights, 1))
+        values, which = np.unique(g.weights[rows, cols], return_inverse=True)
+        # Neither table holds a NUL byte but its padding.
+        ids = _byte_table([f"{j} " for j in range(g.n)])
+        text = _byte_table([f"{_fmt_weight(w)}\n" for w in values.tolist()])
+        with open(path, "wb") as f:
+            f.write(f"n={g.n}\n".encode())
+            for e0 in range(0, len(rows), _EDGE_BLOCK):
+                e = slice(e0, e0 + _EDGE_BLOCK)
+                lines = np.hstack((ids[rows[e]], ids[cols[e]], text[which[e]]))
+                f.write(lines[lines != 0].tobytes())
     elif format == "dense":
         _write_csv_matrix(path, g.weights)
     else:

@@ -18,6 +18,9 @@ import numpy as np
 from .graph import MAX_NODES, WeightedGraph, _require_finite
 
 PROB_SUM_TOL = 1e-12
+# Rows of a network that `_sample_pairs` draws at a time, and of w * (A^2)
+# that `analysis._clustering` forms at a time.
+_ROW_BLOCK = 64
 
 
 class DomainError(ValueError):
@@ -26,6 +29,11 @@ class DomainError(ValueError):
 
 class ModelError(ValueError):
     """A latent model is internally inconsistent."""
+
+
+def _too_large(rates) -> DomainError:
+    """The error for Poisson ``rates`` that numpy refuses, named by the largest."""
+    return DomainError(f"Poisson rate {np.max(rates):g} is too large to sample")
 
 
 @dataclass(frozen=True)
@@ -49,9 +57,11 @@ class EdgeDistribution:
         return params < 0
 
     def clamp(self, params: np.ndarray) -> np.ndarray:
+        """The float array ``params`` clamped into the domain, in place: a null's
+        pair rates are gathered and clamped once, with no second copy."""
         if self.family == "bernoulli":
-            return np.clip(params, 0.0, 1.0)
-        return np.maximum(params, 0.0)
+            return np.clip(params, 0.0, 1.0, out=params)
+        return np.maximum(params, 0.0, out=params)
 
     def sample(self, params, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` weights, drawn with one parameter each or one for all."""
@@ -61,7 +71,7 @@ class EdgeDistribution:
             return rng.poisson(params, size)
         except ValueError:
             # numpy refuses rates past about 9.2e18, where int64 counts end.
-            raise DomainError(f"Poisson rate {np.max(params):g} is too large to sample") from None
+            raise _too_large(params) from None
 
     def log_likelihood(self, params, observed: np.ndarray) -> float:
         """Log probability of the integer weights ``observed``, drawn with one
@@ -469,31 +479,41 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
 
 def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
                   seed: int, out: np.ndarray) -> WeightedGraph:
-    """Draw one network into ``out``; see `_draw_pairs` and `_scatter_pairs`."""
-    return _scatter_pairs(_draw_pairs(distribution, params, upper.shape[0], seed), upper, out)
+    """Draw one network at the pairs of the ``_upper_mask`` ``upper`` into
+    ``out``, an n x n float64 matrix with a zero diagonal, and return its graph.
 
-
-def _draw_pairs(distribution: EdgeDistribution, params, n: int, seed: int) -> np.ndarray:
-    """The weights of the j < l pairs of an n-node network, in row-major order.
-
-    ``params`` holds one in-domain parameter per pair, in row-major order,
-    or one for every pair; both draw the same weights from the same seed.
+    ``params`` holds one in-domain parameter per j < l pair, in row-major
+    order, or one for every pair; both draw the same weights from the same
+    seed. The weights are drawn _ROW_BLOCK rows at a time straight into
+    ``out``'s upper triangle, which is then mirrored into the lower one, so
+    no pair vector of the whole network is formed. ``sample`` consumes the
+    stream one pair at a time, so the blocks draw what one call for every
+    pair draws, bit for bit. Every off-diagonal entry is written and the
+    diagonal never is: the graph holds only until ``out`` is refilled, and
+    none of its entries is stale.
     """
+    n = upper.shape[0]
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
-    return distribution.sample(params, rng, n * (n - 1) // 2)
-
-
-def _scatter_pairs(draws: np.ndarray, upper: np.ndarray, out: np.ndarray) -> WeightedGraph:
-    """The graph of the pair weights ``draws`` at the pairs that the
-    ``_upper_mask`` ``upper`` selects, written into ``out``, an n x n float64
-    matrix with a zero diagonal. The graph holds only until ``out`` is
-    refilled; each scatter writes every off-diagonal entry, so none goes stale.
-    """
-    # As WeightedGraph._wrap requires, the scatter keeps the zero diagonal and
-    # makes the weights symmetric, and the draws are booleans or nonnegative
-    # int64 counts (``sample`` raised on a rate numpy cannot draw from).
-    out[upper] = draws
-    out.T[upper] = draws
+    per_pair = np.ndim(params) > 0
+    first = 0  # the row-major index of the block's first pair
+    for r0 in range(0, n, _ROW_BLOCK):
+        mask = upper[r0:r0 + _ROW_BLOCK]
+        count = int(np.count_nonzero(mask))
+        block = params[first:first + count] if per_pair else params
+        try:
+            out[r0:r0 + _ROW_BLOCK][mask] = distribution.sample(block, rng, count)
+        except DomainError:
+            # Named by the network's largest rate, not by this block's.
+            raise _too_large(params) from None
+        first += count
+    # As WeightedGraph._wrap requires, the weights are symmetric, and they are
+    # booleans or nonnegative int64 counts (``sample`` raised on a rate numpy
+    # cannot draw from).
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        out[r0:r1, :r0] = out[:r0, r0:r1].T
+        square = out[r0:r1, r0:r1]
+        np.copyto(square, square.T, where=upper[r0:r1, r0:r1].T)
     return WeightedGraph._wrap(out)
 
 

@@ -255,6 +255,43 @@ class TestNullCompare:
         monkeypatch.setattr(analysis, "_clustering", slow)
         assert null_compare(g, n_samples=4, seed=3) == expected
 
+    def test_worker_a_buffer_behind_scores_each_draw_before_it_is_overwritten(
+            self, monkeypatch):
+        # Every other score is slow, so the caller samples a buffer ahead of a
+        # worker that is still scoring the draw before; it must wait for the
+        # score of the draw before that, the last to read the buffer it fills.
+        g = simple_community_graph(0)
+        expected = null_compare(g, n_samples=7, seed=4)
+        clustering = analysis._clustering
+        calls = []
+
+        def slow_every_other(w, work):
+            calls.append(None)
+            if len(calls) % 2:
+                time.sleep(0.05)
+            return clustering(w, work)
+
+        monkeypatch.setattr(analysis, "_clustering", slow_every_other)
+        assert null_compare(g, n_samples=7, seed=4) == expected
+
+    def test_first_of_several_worker_errors_wins(self, monkeypatch):
+        # Every score fails with an error of its own; the observed graph's,
+        # first in sequence, is raised, however far the caller has run ahead.
+        errors = [ValueError(f"score {k} failed") for k in range(6)]
+        calls = []
+
+        def failing(w, work):
+            calls.append(None)
+            time.sleep(0.01)
+            raise errors[len(calls) - 1]
+
+        monkeypatch.setattr(analysis, "_clustering", failing)
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            null_compare(simple_community_graph(0), n_samples=5, seed=0)
+        assert caught.value is errors[0]
+        assert threading.active_count() == threads
+
     def test_worker_error_wins_over_a_later_draw_error(self, monkeypatch):
         # In sequence the observed graph is scored before the first draw, so
         # its error is the one raised, though the draw fails first in time.
@@ -268,7 +305,7 @@ class TestNullCompare:
             raise draw_error
 
         monkeypatch.setattr(analysis, "_clustering", failing_score)
-        monkeypatch.setattr(analysis, "_draw_pairs", failing_draw)
+        monkeypatch.setattr(analysis, "_sample_pairs", failing_draw)
         threads = threading.active_count()
         with pytest.raises(ValueError) as caught:
             null_compare(simple_community_graph(0), n_samples=5, seed=0)

@@ -166,7 +166,7 @@ class TestArrayParser:
         path.write_bytes(text.encode("utf-8"))
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-        fast = graph._parse_edge_array(lines)
+        fast = graph._parse_edge_array(path)
         try:
             expected = graph._parse_edge_list(lines)
         except GraphFormatError as exc:
@@ -256,6 +256,48 @@ class TestSave:
             path = tmp_path / "g"
             save_graph(g, path, fmt)
             assert np.array_equal(load_graph(path, fmt).weights, g.weights)
+
+
+def per_edge_text(g):
+    """The edge-list bytes of ``g``, formatted one edge at a time: the reference
+    for `save_graph`."""
+    text = f"n={g.n}\n"
+    for j, l in zip(*np.nonzero(np.triu(g.weights, 1))):
+        text += f"{j} {l} {graph._fmt_weight(g.weights[j, l])}\n"
+    return text.encode("utf-8")
+
+
+class TestSaveBytes:
+    @pytest.mark.parametrize("n", [1, 2, 12, 150])
+    def test_integer_graphs(self, tmp_path, rng, n):
+        for trial in range(3):
+            g = random_integer_graph(rng, n, max_weight=12)
+            save_graph(g, tmp_path / "g.edgelist")
+            assert (tmp_path / "g.edgelist").read_bytes() == per_edge_text(g)
+
+    @pytest.mark.parametrize("n", [2, 12, 150])
+    def test_float_graphs(self, tmp_path, rng, n):
+        # Listed weights, integral ones among them, about half scaled by a
+        # random factor.
+        w = rng.choice([0.1, 1 / 3, 2.0, 7.5, 1e-7, 5e-324, 1e22, 1e308, 123456789.0],
+                       (n, n)) * rng.random((n, n)) ** rng.integers(0, 2, (n, n))
+        w = np.triu(w * (rng.random((n, n)) < 0.6), 1)
+        g = WeightedGraph(w + w.T)
+        save_graph(g, tmp_path / "g.edgelist")
+        assert (tmp_path / "g.edgelist").read_bytes() == per_edge_text(g)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_edgeless_graph(self, tmp_path, n):
+        save_graph(WeightedGraph(np.zeros((n, n))), tmp_path / "g.edgelist")
+        assert (tmp_path / "g.edgelist").read_bytes() == f"n={n}\n".encode()
+
+    def test_more_edges_than_one_write_block(self, tmp_path, rng):
+        n = 200
+        w = np.triu(rng.integers(1, 1000, (n, n)) * rng.random((n, n)), 1)
+        g = WeightedGraph(w + w.T)
+        assert n * (n - 1) // 2 > graph._EDGE_BLOCK
+        save_graph(g, tmp_path / "g.edgelist")
+        assert (tmp_path / "g.edgelist").read_bytes() == per_edge_text(g)
 
 
 class TestInvariants:

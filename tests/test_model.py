@@ -231,6 +231,26 @@ class TestSampleNetwork:
             assert np.shares_memory(into.weights, out)
             assert into.weights.tobytes() == fresh.weights.tobytes()
 
+    @pytest.mark.parametrize("n", [300, 50])
+    @pytest.mark.parametrize("dist, params", [
+        (POISSON, lambda rng, pairs: 0.7),
+        (POISSON, lambda rng, pairs: rng.uniform(0.0, 3.0, pairs)),
+        (BERNOULLI, lambda rng, pairs: rng.uniform(0.0, 1.0, pairs)),
+    ], ids=["poisson-scalar", "poisson-per-pair", "bernoulli-per-pair"])
+    def test_row_blocks_draw_the_one_shot_network(self, n, dist, params):
+        # The sampler draws by row blocks of the upper triangle, then mirrors
+        # it; n = 300 spans several blocks, n = 50 less than one.
+        pairs = n * (n - 1) // 2
+        rates = params(np.random.default_rng(n), pairs)
+        upper = _upper_mask(n)
+        for seed in (0, 9):
+            once = dist.sample(rates, np.random.default_rng(derive_seed(seed, NETWORK)), pairs)
+            expected = np.zeros((n, n))
+            expected[upper] = once
+            expected.T[upper] = once
+            g = _sample_pairs(dist, rates, upper, seed, np.zeros((n, n)))
+            assert g.weights.tobytes() == expected.tobytes()
+
     def test_sampled_graph_is_read_only(self):
         out = np.zeros((5, 5))
         for g in (_sample_pairs(POISSON, 2.0, _upper_mask(5), 0, out),
@@ -257,6 +277,16 @@ def test_grid_entry_past_the_float_range_is_named(clamp):
 def test_rate_too_large_to_sample_is_named():
     with pytest.raises(DomainError, match="Poisson rate 1e[+]20 is too large to sample"):
         sample_from_grids(POISSON, np.full((3, 3), 1e20), seed=0)
+
+
+def test_rate_too_large_to_sample_names_the_largest_rate_of_the_network():
+    # The first row block already holds a rate numpy refuses, but the message
+    # names the network's largest, which lies in a later block.
+    n = 200
+    rates = np.ones(n * (n - 1) // 2)
+    rates[0], rates[-1] = 1e19, 1e20
+    with pytest.raises(DomainError, match="Poisson rate 1e[+]20 is too large to sample"):
+        _sample_pairs(POISSON, rates, _upper_mask(n), 0, np.zeros((n, n)))
 
 
 class TestLogLikelihood:
