@@ -161,15 +161,14 @@ def null_compare(
     derive_seed(seed, NULL_SAMPLE, i), so reports are reproducible and
     ensembles of different seeds are independent.
 
-    The ensemble holds the null as its pair mask and its clamped pair rates
-    only, built once, with two n x n weights buffers and one clustering
-    workspace; the observed graph and every draw are scored in that
-    workspace or on those rates, and each draw only samples into a buffer,
-    with no pair vector. The scores run on one worker thread while the
-    calling thread samples the next draw into the other buffer, so an
-    ensemble uses two cores even with one BLAS thread. The results are
-    those of drawing and scoring in turn, bit for bit, and an error is the
-    first that order would meet.
+    The ensemble holds the null as its clamped pair rates only, or as one
+    rate under the Erdos-Renyi null, built once, with two n x n weights
+    buffers and its statistic's workspace: the clustering buffers, or the
+    pair mask the likelihood gathers weights with. Each draw samples into a
+    buffer, with no pair vector, while one worker thread scores the draw
+    before it in the other, so an ensemble uses two cores even with one
+    BLAS thread. The results are those of drawing and scoring in turn, bit
+    for bit, and an error is the first that order would meet.
     Sample i is the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
@@ -186,13 +185,14 @@ def null_compare(
 
     dist = EdgeDistribution("poisson")
     if null == "poisson_er":
-        upper, rates = _upper_mask(g.n), _poisson_er_rate(g)
+        rates = _poisson_er_rate(g)
     elif x is None:
         raise ValueError("dot_product null requires embedding vectors")
     else:
-        upper, rates = _pair_parameters(dist, dot_product_grid(_node_vectors(x, g)), clamp=True)
+        rates = _pair_parameters(dist, dot_product_grid(_node_vectors(x, g)), clamp=True)
 
     work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
+    upper = _upper_mask(g.n) if statistic == "log_likelihood" else None
 
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
@@ -206,29 +206,21 @@ def null_compare(
     from concurrent.futures import ThreadPoolExecutor
 
     # Draw i is sampled into buffers[i % 2] while the worker scores draw i - 1
-    # in the other buffer.
+    # in the other buffer; the score of draw i - 2, the last to read
+    # buffers[i % 2], has been taken by then.
     buffers = np.zeros((g.n, g.n)), np.zeros((g.n, g.n))
     with ThreadPoolExecutor(1) as worker:
-        scores, results = [worker.submit(score, g)], []
-
-        def take(count: int) -> None:
-            # Results in the order of submission: the first error in sequence wins.
-            while len(results) < count:
-                results.append(scores[len(results)].result())
-
+        pending, results = worker.submit(score, g), []
         for i in range(n_samples):
-            # The score of draw i - 2 is the last to read buffers[i % 2], and
-            # every score before it comes before draw i in sequence.
-            take(i)
             try:
-                draw = _sample_pairs(dist, rates, upper, derive_seed(seed, NULL_SAMPLE, i),
+                draw = _sample_pairs(dist, rates, derive_seed(seed, NULL_SAMPLE, i),
                                      buffers[i % 2])
             except BaseException:
-                # Every score submitted so far comes before this draw in sequence.
-                take(len(scores))
+                pending.result()  # an earlier score's error comes first in sequence
                 raise
-            scores.append(worker.submit(score, draw))
-        take(len(scores))
+            results.append(pending.result())
+            pending = worker.submit(score, draw)
+        results.append(pending.result())
     observed, *samples = results
     return NullEnsembleReport(
         statistic=statistic,

@@ -36,17 +36,29 @@ class Embedding:
     """n x d latent vectors with the fit diagnostics of the solve."""
 
     X: np.ndarray
-    d: int
-    residual: float
-    iterations: int  # steps: len(residual_history) - 1
-    converged: bool
     stop_reason: str  # "tolerance" when converged, or "no-minimiser", "cap", "stalled"
-    residual_history: tuple[float, ...] = field(default=(), repr=False)
+    residual_history: tuple[float, ...] = field(repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.X, dtype=float)
         x.setflags(write=False)
         object.__setattr__(self, "X", x)
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def residual(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def iterations(self) -> int:  # one residual at the start and one per step
+        return len(self.residual_history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
 
 # Crossover measured per solve with one OpenBLAS thread on a 2-vCPU x86 VM:
@@ -297,10 +309,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     if not (np.isfinite(x).all() and np.isfinite(history).all()):
         raise ValueError(f"the fit at d={d} overflows the float range: the latent vectors "
                          "or the residual of these weights pass the float maximum")
-    iterations = len(history) - 1
     reason = ("tolerance" if done else "no-minimiser"
               if row_max[-1] > _RUNAWAY * row_max[len(row_max) // 2]
-              else "cap" if iterations == config.max_iterations else "stalled")
-    return Embedding(X=x, d=d, residual=history[-1],
-                     iterations=iterations, converged=reason == "tolerance",
-                     stop_reason=reason, residual_history=history)
+              else "cap" if len(history) - 1 == config.max_iterations else "stalled")
+    return Embedding(X=x, stop_reason=reason, residual_history=history)

@@ -31,11 +31,6 @@ class ModelError(ValueError):
     """A latent model is internally inconsistent."""
 
 
-def _too_large(rates) -> DomainError:
-    """The error for Poisson ``rates`` that numpy refuses, named by the largest."""
-    return DomainError(f"Poisson rate {np.max(rates):g} is too large to sample")
-
-
 @dataclass(frozen=True)
 class EdgeDistribution:
     """Edge-weight distribution family; both shipped families have one parameter."""
@@ -67,11 +62,7 @@ class EdgeDistribution:
         """``size`` weights, drawn with one parameter each or one for all."""
         if self.family == "bernoulli":
             return rng.random(size) < params
-        try:
-            return rng.poisson(params, size)
-        except ValueError:
-            # numpy refuses rates past about 9.2e18, where int64 counts end.
-            raise _too_large(params) from None
+        return rng.poisson(params, size)
 
     def log_likelihood(self, params, observed: np.ndarray) -> float:
         """Log probability of the integer weights ``observed``, drawn with one
@@ -456,7 +447,7 @@ def _upper_mask(n: int) -> np.ndarray:
 
 
 def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
-    """The j < l mask of a square grid and the parameters of its pairs, in row-major order.
+    """The parameters of the j < l pairs of a square grid, in row-major order.
 
     Every off-diagonal grid entry must be finite. With ``clamp`` the
     parameters are clamped into the domain; otherwise each entry must lie
@@ -473,47 +464,51 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
         j, l = np.argwhere(bad)[0]
         raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
                           f"the {distribution.family} domain")
-    upper = _upper_mask(grid.shape[0])
-    return upper, distribution.clamp(grid[upper]) if clamp else grid[upper]
+    params = grid[_upper_mask(grid.shape[0])]
+    return distribution.clamp(params) if clamp else params
 
 
-def _sample_pairs(distribution: EdgeDistribution, params, upper: np.ndarray,
-                  seed: int, out: np.ndarray) -> WeightedGraph:
-    """Draw one network at the pairs of the ``_upper_mask`` ``upper`` into
-    ``out``, an n x n float64 matrix with a zero diagonal, and return its graph.
+def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
+                  out: np.ndarray) -> WeightedGraph:
+    """Draw one network into ``out``, an n x n float64 matrix with a zero
+    diagonal, and return its graph.
 
     ``params`` holds one in-domain parameter per j < l pair, in row-major
     order, or one for every pair; both draw the same weights from the same
     seed. The weights are drawn _ROW_BLOCK rows at a time straight into
-    ``out``'s upper triangle, which is then mirrored into the lower one, so
-    no pair vector of the whole network is formed. ``sample`` consumes the
-    stream one pair at a time, so the blocks draw what one call for every
-    pair draws, bit for bit. Every off-diagonal entry is written and the
-    diagonal never is: the graph holds only until ``out`` is refilled, and
-    none of its entries is stale.
+    ``out``'s upper triangle, and each block is mirrored into the lower one
+    as soon as it is drawn (the rows above it are complete by then), so
+    neither a pair vector nor a pair mask of the whole network is formed.
+    ``sample`` consumes the stream one pair at a time, so the blocks draw
+    what one call for every pair draws, bit for bit. Every off-diagonal
+    entry is written and the diagonal never is: the graph holds only until
+    ``out`` is refilled, and none of its entries is stale.
     """
-    n = upper.shape[0]
+    n = len(out)
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
     per_pair = np.ndim(params) > 0
     first = 0  # the row-major index of the block's first pair
+    # Row i of the block at r0 holds the pairs (r0 + i, l) with l > r0 + i,
+    # which is row i of this strip from column n - r0 on.
+    strip = np.arange(_ROW_BLOCK)[:, None] < np.arange(-n, n)
     for r0 in range(0, n, _ROW_BLOCK):
-        mask = upper[r0:r0 + _ROW_BLOCK]
+        r1 = min(r0 + _ROW_BLOCK, n)
+        mask = strip[:r1 - r0, n - r0:2 * n - r0]  # the block's j < l pairs
         count = int(np.count_nonzero(mask))
         block = params[first:first + count] if per_pair else params
         try:
-            out[r0:r0 + _ROW_BLOCK][mask] = distribution.sample(block, rng, count)
-        except DomainError:
-            # Named by the network's largest rate, not by this block's.
-            raise _too_large(params) from None
+            drawn = distribution.sample(block, rng, count)
+        except ValueError:
+            # numpy refuses Poisson rates past about 9.2e18, where int64 counts
+            # end; the error names the network's largest rate, not this block's.
+            raise DomainError(f"Poisson rate {np.max(params):g} is too large to sample") from None
+        out[r0:r1][mask] = drawn
         first += count
-    # As WeightedGraph._wrap requires, the weights are symmetric, and they are
-    # booleans or nonnegative int64 counts (``sample`` raised on a rate numpy
-    # cannot draw from).
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
         out[r0:r1, :r0] = out[:r0, r0:r1].T
         square = out[r0:r1, r0:r1]
-        np.copyto(square, square.T, where=upper[r0:r1, r0:r1].T)
+        np.copyto(square, square.T, where=mask[:, r0:r1].T)
+    # As WeightedGraph._wrap requires, the weights are symmetric, and they are
+    # booleans or nonnegative int64 counts.
     return WeightedGraph._wrap(out)
 
 
@@ -524,8 +519,8 @@ def sample_from_grids(
     clamp: bool = False,
 ) -> WeightedGraph:
     """Draw one weighted network with per-edge parameters from the grid."""
-    upper, params = _pair_parameters(distribution, grid, clamp)
-    return _sample_pairs(distribution, params, upper, seed, np.zeros(upper.shape))
+    params = _pair_parameters(distribution, grid, clamp)
+    return _sample_pairs(distribution, params, seed, np.zeros(np.shape(grid)))
 
 
 def sample_network(
@@ -553,5 +548,5 @@ def log_likelihood(
     """
     if np.shape(grid) != (g.n, g.n):
         raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
-    upper, params = _pair_parameters(distribution, grid, clamp)
-    return distribution.log_likelihood(params, g.weights[upper])
+    params = _pair_parameters(distribution, grid, clamp)
+    return distribution.log_likelihood(params, g.weights[_upper_mask(g.n)])

@@ -23,7 +23,7 @@ from wrdpm import (
     total_weight,
     weighted_clustering,
 )
-from wrdpm import analysis
+from wrdpm import analysis, model
 from wrdpm.model import NULL_SAMPLE, derive_seed
 from conftest import disjoint_cliques, random_integer_graph
 
@@ -311,6 +311,21 @@ class TestNullCompare:
             null_compare(simple_community_graph(0), n_samples=5, seed=0)
         assert caught.value is score_error
         assert threading.active_count() == threads
+
+    def test_erdos_renyi_null_makes_no_pair_mask(self, monkeypatch):
+        # One rate serves every pair, and neither statistic gathers a pair
+        # vector, so no n x n pair mask is made.
+        def no_mask(n):
+            raise AssertionError("an n x n pair mask was made")
+
+        g = simple_community_graph(0)
+        monkeypatch.setattr(model, "_upper_mask", no_mask)
+        monkeypatch.setattr(analysis, "_upper_mask", no_mask)
+        for statistic in ("avg_weighted_clustering", "total_weight"):
+            assert null_compare(g, statistic=statistic, n_samples=3, seed=0).n_samples == 3
+        n = 70
+        w = model._sample_pairs(EdgeDistribution("poisson"), 0.7, 0, np.zeros((n, n))).weights
+        assert np.array_equal(w, w.T) and not np.diag(w).any()
 
     def test_quantile_and_std_fields(self):
         g = simple_community_graph(3)

@@ -214,7 +214,7 @@ class TestSampleNetwork:
     def test_one_rate_for_all_pairs_draws_the_per_pair_graph(self, dist, rate):
         n = 40
         for seed in range(3):
-            one = _sample_pairs(dist, rate, _upper_mask(n), seed, np.zeros((n, n)))
+            one = _sample_pairs(dist, rate, seed, np.zeros((n, n)))
             per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
             assert np.array_equal(one.weights, per_pair.weights)
 
@@ -222,24 +222,24 @@ class TestSampleNetwork:
     def test_draws_into_one_buffer_equal_fresh_draws(self, dist, rate):
         # each draw overwrites the buffer, so no entry of an earlier one may remain
         n = 40
-        upper = _upper_mask(n)
         params = np.random.default_rng(5).uniform(0.0, rate, n * (n - 1) // 2)
         out = np.zeros((n, n))
         for seed in (0, 1, 2):
-            into = _sample_pairs(dist, params, upper, seed, out)
-            fresh = _sample_pairs(dist, params, upper, seed, np.zeros((n, n)))
+            into = _sample_pairs(dist, params, seed, out)
+            fresh = _sample_pairs(dist, params, seed, np.zeros((n, n)))
             assert np.shares_memory(into.weights, out)
             assert into.weights.tobytes() == fresh.weights.tobytes()
 
-    @pytest.mark.parametrize("n", [300, 50])
+    @pytest.mark.parametrize("n", [300, 50, 63, 64, 65, 129])
     @pytest.mark.parametrize("dist, params", [
         (POISSON, lambda rng, pairs: 0.7),
         (POISSON, lambda rng, pairs: rng.uniform(0.0, 3.0, pairs)),
         (BERNOULLI, lambda rng, pairs: rng.uniform(0.0, 1.0, pairs)),
     ], ids=["poisson-scalar", "poisson-per-pair", "bernoulli-per-pair"])
     def test_row_blocks_draw_the_one_shot_network(self, n, dist, params):
-        # The sampler draws by row blocks of the upper triangle, then mirrors
-        # it; n = 300 spans several blocks, n = 50 less than one.
+        # The sampler draws by row blocks of the upper triangle and mirrors
+        # each block as it is drawn; n = 300 spans several blocks, n = 50 less
+        # than one, and n = 63, 64, 65 and 129 sit on the edges of blocks.
         pairs = n * (n - 1) // 2
         rates = params(np.random.default_rng(n), pairs)
         upper = _upper_mask(n)
@@ -248,12 +248,12 @@ class TestSampleNetwork:
             expected = np.zeros((n, n))
             expected[upper] = once
             expected.T[upper] = once
-            g = _sample_pairs(dist, rates, upper, seed, np.zeros((n, n)))
+            g = _sample_pairs(dist, rates, seed, np.zeros((n, n)))
             assert g.weights.tobytes() == expected.tobytes()
 
     def test_sampled_graph_is_read_only(self):
         out = np.zeros((5, 5))
-        for g in (_sample_pairs(POISSON, 2.0, _upper_mask(5), 0, out),
+        for g in (_sample_pairs(POISSON, 2.0, 0, out),
                   sample_from_grids(POISSON, np.full((5, 5), 2.0), seed=0)):
             assert not g.weights.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -286,7 +286,7 @@ def test_rate_too_large_to_sample_names_the_largest_rate_of_the_network():
     rates = np.ones(n * (n - 1) // 2)
     rates[0], rates[-1] = 1e19, 1e20
     with pytest.raises(DomainError, match="Poisson rate 1e[+]20 is too large to sample"):
-        _sample_pairs(POISSON, rates, _upper_mask(n), 0, np.zeros((n, n)))
+        _sample_pairs(POISSON, rates, 0, np.zeros((n, n)))
 
 
 class TestLogLikelihood:
