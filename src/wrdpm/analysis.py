@@ -13,14 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import WeightedGraph, total_weight
+from .graph import _ROW_BLOCK, WeightedGraph, _upper_values, total_weight
 from .model import (
     NULL_SAMPLE,
-    _ROW_BLOCK,
     EdgeDistribution,
     _pair_parameters,
     _sample_pairs,
-    _upper_mask,
     derive_seed,
     dot_product_grid,
     log_likelihood,
@@ -163,13 +161,13 @@ def null_compare(
 
     The ensemble holds the null as its clamped pair rates only, or as one
     rate under the Erdos-Renyi null, built once, with two n x n weights
-    buffers and its statistic's workspace: the clustering buffers, or the
-    pair mask the likelihood gathers weights with. Each draw samples into a
-    buffer, with no pair vector, while one worker thread scores the draw
-    before it in the other, so an ensemble uses two cores even with one
-    BLAS thread. The results are those of drawing and scoring in turn, bit
-    for bit, and an error is the first that order would meet.
-    Sample i is the graph that
+    buffers and, under the clustering statistic, that statistic's buffers.
+    The likelihood gathers each draw's pair weights block by block, with no
+    n x n mask. Each draw samples into a buffer, with no pair vector, while
+    one worker thread scores the draw before it in the other, so an
+    ensemble uses two cores even with one BLAS thread. The results are
+    those of drawing and scoring in turn, bit for bit, and an error is the
+    first that order would meet. Sample i is the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
     at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled vector model.
@@ -192,14 +190,13 @@ def null_compare(
         rates = _pair_parameters(dist, dot_product_grid(_node_vectors(x, g)), clamp=True)
 
     work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
-    upper = _upper_mask(g.n) if statistic == "log_likelihood" else None
 
     def score(graph: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
             return float(_clustering(graph.weights, work).mean())
         if statistic == "total_weight":
             return total_weight(graph)
-        return dist.log_likelihood(rates, graph.weights[upper])
+        return dist.log_likelihood(rates, _upper_values(graph.weights))
 
     # Imported here: importing concurrent.futures adds about 6 ms to the
     # start-up of every CLI run.

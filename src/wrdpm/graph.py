@@ -16,6 +16,9 @@ SYMMETRY_TOL = 1e-12
 # works on about three of them. The edge-list parser refuses larger graphs
 # before it allocates anything.
 MAX_NODES = 20_000
+# Rows of the upper triangle that `_upper_blocks` walks at a time, and of
+# w * (A^2) that `analysis._clustering` forms at a time.
+_ROW_BLOCK = 64
 
 
 class GraphFormatError(ValueError):
@@ -102,6 +105,34 @@ class WeightedGraph:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+
+def _upper_blocks(n: int):
+    """Walk the j < l pairs of an n-node graph, `_ROW_BLOCK` rows at a time.
+
+    Yields ``(rows, mask, pairs)`` for each block: its row slice, the mask
+    of its j < l entries among those rows and all n columns, and the slice
+    of their indices in the row-major order of all pairs. So ``m[rows][mask]``
+    block by block reads the j < l entries of an n x n ``m`` in that order,
+    with no n x n mask or copy.
+    """
+    # Row i of the block at r0 holds the pairs (r0 + i, l) with l > r0 + i,
+    # which is row i of this strip from column n - r0 on.
+    strip = np.arange(_ROW_BLOCK)[:, None] < np.arange(-n, n)
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        # The rows above row r hold r(2n - r - 1)/2 pairs.
+        first, end = r0 * (2 * n - r0 - 1) // 2, r1 * (2 * n - r1 - 1) // 2
+        yield slice(r0, r1), strip[:r1 - r0, n - r0:2 * n - r0], slice(first, end)
+
+
+def _upper_values(m: np.ndarray) -> np.ndarray:
+    """The j < l entries of the square matrix ``m``, in row-major order."""
+    n = len(m)
+    out = np.empty(n * (n - 1) // 2, m.dtype)
+    for rows, mask, pairs in _upper_blocks(n):
+        out[pairs] = m[rows][mask]
+    return out
 
 
 def total_weight(g: WeightedGraph) -> float:
@@ -274,30 +305,27 @@ def _byte_table(strings: list[str]) -> np.ndarray:
     return table.view(np.uint8).reshape(len(strings), table.itemsize)
 
 
-# Edges whose lines `save_graph` forms at a time.
-_EDGE_BLOCK = 1 << 14
-
-
 def save_graph(g: WeightedGraph, path, format: str = "edge-list") -> None:
     """Write ``g`` so that load_graph reproduces it exactly.
 
     An edge list is an ``n=`` header and one ``u v w`` line per edge, u < v,
-    in row-major order. Each node id and each distinct weight is formatted
-    once, into a NUL-padded byte table; a block of lines is its edges' table
+    in row-major order, one `_upper_blocks` block at a time, with no n x n
+    copy. Each node id, and each distinct weight of a block, is formatted
+    once into a NUL-padded byte table; a block's lines are its edges' table
     rows side by side with the padding dropped, so no Python object is made
     per edge.
     """
     if format == "edge-list":
-        rows, cols = np.nonzero(np.triu(g.weights, 1))
-        values, which = np.unique(g.weights[rows, cols], return_inverse=True)
+        w = g.weights
         # Neither table holds a NUL byte but its padding.
         ids = _byte_table([f"{j} " for j in range(g.n)])
-        text = _byte_table([f"{_fmt_weight(w)}\n" for w in values.tolist()])
         with open(path, "wb") as f:
             f.write(f"n={g.n}\n".encode())
-            for e0 in range(0, len(rows), _EDGE_BLOCK):
-                e = slice(e0, e0 + _EDGE_BLOCK)
-                lines = np.hstack((ids[rows[e]], ids[cols[e]], text[which[e]]))
+            for rows, mask, _ in _upper_blocks(g.n):
+                i, cols = np.nonzero((w[rows] != 0) & mask)
+                values, which = np.unique(w[rows][i, cols], return_inverse=True)
+                text = _byte_table([f"{_fmt_weight(v)}\n" for v in values.tolist()])
+                lines = np.hstack((ids[rows.start + i], ids[cols], text[which]))
                 f.write(lines[lines != 0].tobytes())
     elif format == "dense":
         _write_csv_matrix(path, g.weights)

@@ -15,12 +15,9 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .graph import MAX_NODES, WeightedGraph, _require_finite
+from .graph import MAX_NODES, WeightedGraph, _require_finite, _upper_blocks, _upper_values
 
 PROB_SUM_TOL = 1e-12
-# Rows of a network that `_sample_pairs` draws at a time, and of w * (A^2)
-# that `analysis._clustering` forms at a time.
-_ROW_BLOCK = 64
 
 
 class DomainError(ValueError):
@@ -441,11 +438,6 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
         return grid + grid.T
 
 
-def _upper_mask(n: int) -> np.ndarray:
-    """The n x n boolean mask of the j < l pairs; it selects them in row-major order."""
-    return np.triu(np.ones((n, n), dtype=bool), 1)
-
-
 def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
     """The parameters of the j < l pairs of a square grid, in row-major order.
 
@@ -464,7 +456,7 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
         j, l = np.argwhere(bad)[0]
         raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
                           f"the {distribution.family} domain")
-    params = grid[_upper_mask(grid.shape[0])]
+    params = _upper_values(grid)
     return distribution.clamp(params) if clamp else params
 
 
@@ -475,10 +467,10 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
 
     ``params`` holds one in-domain parameter per j < l pair, in row-major
     order, or one for every pair; both draw the same weights from the same
-    seed. The weights are drawn _ROW_BLOCK rows at a time straight into
-    ``out``'s upper triangle, and each block is mirrored into the lower one
-    as soon as it is drawn (the rows above it are complete by then), so
-    neither a pair vector nor a pair mask of the whole network is formed.
+    seed. The weights are drawn by the blocks of `graph._upper_blocks`
+    straight into ``out``'s upper triangle, and each block is mirrored into
+    the lower one as soon as it is drawn (the rows above it are complete by
+    then), so no pair vector or pair mask of the whole network is formed.
     ``sample`` consumes the stream one pair at a time, so the blocks draw
     what one call for every pair draws, bit for bit. Every off-diagonal
     entry is written and the diagonal never is: the graph holds only until
@@ -487,26 +479,18 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
     n = len(out)
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
     per_pair = np.ndim(params) > 0
-    first = 0  # the row-major index of the block's first pair
-    # Row i of the block at r0 holds the pairs (r0 + i, l) with l > r0 + i,
-    # which is row i of this strip from column n - r0 on.
-    strip = np.arange(_ROW_BLOCK)[:, None] < np.arange(-n, n)
-    for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
-        mask = strip[:r1 - r0, n - r0:2 * n - r0]  # the block's j < l pairs
-        count = int(np.count_nonzero(mask))
-        block = params[first:first + count] if per_pair else params
+    for rows, mask, pairs in _upper_blocks(n):
         try:
-            drawn = distribution.sample(block, rng, count)
+            drawn = distribution.sample(params[pairs] if per_pair else params, rng,
+                                        pairs.stop - pairs.start)
         except ValueError:
             # numpy refuses Poisson rates past about 9.2e18, where int64 counts
             # end; the error names the network's largest rate, not this block's.
             raise DomainError(f"Poisson rate {np.max(params):g} is too large to sample") from None
-        out[r0:r1][mask] = drawn
-        first += count
-        out[r0:r1, :r0] = out[:r0, r0:r1].T
-        square = out[r0:r1, r0:r1]
-        np.copyto(square, square.T, where=mask[:, r0:r1].T)
+        out[rows][mask] = drawn
+        out[rows, :rows.start] = out[:rows.start, rows].T
+        square = out[rows, rows]
+        np.copyto(square, square.T, where=mask[:, rows].T)
     # As WeightedGraph._wrap requires, the weights are symmetric, and they are
     # booleans or nonnegative int64 counts.
     return WeightedGraph._wrap(out)
@@ -549,4 +533,4 @@ def log_likelihood(
     if np.shape(grid) != (g.n, g.n):
         raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
     params = _pair_parameters(distribution, grid, clamp)
-    return distribution.log_likelihood(params, g.weights[_upper_mask(g.n)])
+    return distribution.log_likelihood(params, _upper_values(g.weights))

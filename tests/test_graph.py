@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -268,7 +270,7 @@ def per_edge_text(g):
 
 
 class TestSaveBytes:
-    @pytest.mark.parametrize("n", [1, 2, 12, 150])
+    @pytest.mark.parametrize("n", [1, 2, 12, 63, 64, 65, 129, 150])
     def test_integer_graphs(self, tmp_path, rng, n):
         for trial in range(3):
             g = random_integer_graph(rng, n, max_weight=12)
@@ -295,9 +297,35 @@ class TestSaveBytes:
         n = 200
         w = np.triu(rng.integers(1, 1000, (n, n)) * rng.random((n, n)), 1)
         g = WeightedGraph(w + w.T)
-        assert n * (n - 1) // 2 > graph._EDGE_BLOCK
+        assert n > 3 * graph._ROW_BLOCK
         save_graph(g, tmp_path / "g.edgelist")
         assert (tmp_path / "g.edgelist").read_bytes() == per_edge_text(g)
+
+    def test_edgeless_first_row_block(self, tmp_path, rng):
+        # The first block writes no line; the blocks after it write theirs.
+        n = 150
+        w = random_integer_graph(rng, n).weights.copy()
+        w[:graph._ROW_BLOCK] = w[:, :graph._ROW_BLOCK] = 0
+        g = WeightedGraph(w)
+        assert g.weights.any()
+        save_graph(g, tmp_path / "g.edgelist")
+        assert (tmp_path / "g.edgelist").read_bytes() == per_edge_text(g)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.7])
+    def test_writes_without_an_n_by_n_copy(self, tmp_path, rate):
+        # A Poisson graph at density about 0.05 (rate 0.05) or 0.5 (rate 0.7)
+        # is written by row blocks. An n x n float64 copy alone would take
+        # 8 n^2 bytes; the write's traced peak stays below 4 n^2.
+        n = 1200
+        w = np.triu(np.random.default_rng(0).poisson(rate, (n, n)), 1).astype(float)
+        g = WeightedGraph(w + w.T)
+        tracemalloc.start()
+        try:
+            save_graph(g, tmp_path / "g.edgelist")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n
 
 
 class TestInvariants:

@@ -22,7 +22,8 @@ from wrdpm import (
     sample_network,
     total_weight,
 )
-from wrdpm.model import NETWORK, _sample_pairs, _upper_mask, derive_seed
+from wrdpm.graph import _upper_values
+from wrdpm.model import NETWORK, _sample_pairs, derive_seed
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -240,9 +241,10 @@ class TestSampleNetwork:
         # The sampler draws by row blocks of the upper triangle and mirrors
         # each block as it is drawn; n = 300 spans several blocks, n = 50 less
         # than one, and n = 63, 64, 65 and 129 sit on the edges of blocks.
+        # The pair walk that reads the blocks back must undo the sampler.
         pairs = n * (n - 1) // 2
         rates = params(np.random.default_rng(n), pairs)
-        upper = _upper_mask(n)
+        upper = np.triu_indices(n, 1)
         for seed in (0, 9):
             once = dist.sample(rates, np.random.default_rng(derive_seed(seed, NETWORK)), pairs)
             expected = np.zeros((n, n))
@@ -250,6 +252,7 @@ class TestSampleNetwork:
             expected.T[upper] = once
             g = _sample_pairs(dist, rates, seed, np.zeros((n, n)))
             assert g.weights.tobytes() == expected.tobytes()
+            assert np.array_equal(_upper_values(g.weights), once)
 
     def test_sampled_graph_is_read_only(self):
         out = np.zeros((5, 5))
@@ -347,7 +350,7 @@ class TestLogLikelihood:
         n = 40
         grid = np.full((n, n), rate)
         g = sample_from_grids(dist, grid, seed=2)
-        observed = g.weights[_upper_mask(n)]
+        observed = g.weights[np.triu_indices(n, 1)]
         per_pair = dist.log_likelihood(np.full(observed.size, rate), observed)
         assert dist.log_likelihood(rate, observed) == per_pair == log_likelihood(dist, grid, g)
 
