@@ -144,27 +144,52 @@ def total_weight(g: WeightedGraph) -> float:
     return total
 
 
+def _number(token: str, kind):
+    """``kind(token)`` for an ASCII token without ``_``, on which Python's
+    ``int``/``float`` and numpy's text parser agree; else a ValueError."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII decimal number: {token!r}")
+    return kind(token)
+
+
+def _read_header(line: str, lineno: int) -> int:
+    """The node count of ``line``, an ``n=<count>`` header stripped of its
+    comment and whitespace; a GraphFormatError naming line ``lineno`` unless
+    the count is an integer in 1..MAX_NODES spelled as a node id."""
+    try:
+        n = _number(line[2:].strip(), int)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: bad node-count header {line!r}")
+    if n > MAX_NODES:
+        raise GraphFormatError(f"line {lineno}: n={n} exceeds the limit of {MAX_NODES} nodes")
+    if n < 1:
+        raise GraphFormatError(f"line {lineno}: n={n} declares no nodes")
+    return n
+
+
 def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
-    """Parse an edge list line by line, naming the first bad line. The matrix
-    meets the contract of `WeightedGraph._wrap`: non-finite, negative,
-    self-loop, duplicate and oversized input is refused, and each edge is
-    written to both triangles of a zeroed matrix."""
+    """Parse an edge list line by line, naming the first line that breaks
+    the grammar (README, File formats). ``lines`` are decoded with
+    ``surrogateescape``, so a byte that is not UTF-8 is named by its line.
+    The matrix meets the contract of `WeightedGraph._wrap`: non-finite,
+    negative, self-loop, duplicate and oversized input is refused, and each
+    edge is written to both triangles of a zeroed matrix."""
     declared_n = None
     edges = {}
     max_node = -1
     for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            raise GraphFormatError(f"line {lineno}: not UTF-8 text")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("n="):
-            try:
-                declared_n, header_line = int(line[2:]), lineno
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: bad node-count header {line!r}")
-            if declared_n > MAX_NODES:
-                raise GraphFormatError(
-                    f"line {lineno}: n={declared_n} exceeds the limit of {MAX_NODES} nodes"
-                )
+            if declared_n is not None or edges:
+                raise GraphFormatError(f"line {lineno}: an n= header may only be the "
+                                       "first line that is not blank or a comment")
+            declared_n = _read_header(line, lineno)
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -172,8 +197,8 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
                 f"line {lineno}: expected '<u> <v> <w>', got {line!r}"
             )
         try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
+            u, v = _number(parts[0], int), _number(parts[1], int)
+            w = _number(parts[2], float)
         except ValueError:
             raise GraphFormatError(f"line {lineno}: could not parse {line!r}")
         if u < 0 or v < 0:
@@ -191,13 +216,12 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
         key = (min(u, v), max(u, v))
         if key in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-        edges[key] = w
+        # -0 reads as +0.0, the zero a save and a load give back.
+        edges[key] = w + 0.0
         max_node = max(max_node, u, v)
     if declared_n is None and max_node < 0:
         raise GraphFormatError("empty edge list with no declared node count")
     n = max_node + 1 if declared_n is None else declared_n
-    if n < 1:
-        raise GraphFormatError(f"line {header_line}: n={n} declares no nodes")
     if n <= max_node:
         raise GraphFormatError(f"declared n={n} but edge references node {max_node}")
     weights = np.zeros((n, n))
@@ -210,38 +234,42 @@ _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 def _parse_edge_array(path) -> np.ndarray | None:
-    """Parse the valid edge list in ``path`` as one array; None for anything else.
+    """Parse the edge list in ``path`` as one array; None for a file outside
+    the grammar, which ``_parse_edge_list`` then names the first bad line of.
 
-    Accepts an optional ``n=`` header on the first line and ``u v w`` rows
-    with comments. A file it returns None for, malformed or merely unusual
-    (a header further down, ``1_0`` as an id), goes to ``_parse_edge_list``,
-    which names the offending line. On every file this one accepts, both
-    give the same matrix, and it meets the contract of `WeightedGraph._wrap`
-    for the same reasons. Only the first line is read as a ``str``; numpy's
-    parser reads the rest of the file itself.
+    The lines up to the first that is not blank or a comment are read as
+    ``str``; if that line is an ``n=`` header, `_read_header` reads it (and
+    raises what the line parser would raise first). numpy's text parser
+    reads the rows after it straight from the file. On every file the
+    grammar accepts, both parsers give the same matrix, and it meets the
+    contract of `WeightedGraph._wrap` for the same reasons.
     """
-    declared_n = None
     with open(path, encoding="utf-8") as f:
-        head = f.readline().split("#", 1)[0].strip()
-    if head.startswith("n="):
         try:
-            declared_n = int(head[2:])
-        except ValueError:
+            for skip, raw in enumerate(f):
+                head = raw.split("#", 1)[0].strip()
+                if head:
+                    break
+            else:
+                return None
+        except UnicodeDecodeError:
             return None
+    declared_n = _read_header(head, skip + 1) if head.startswith("n=") else None
     with warnings.catch_warnings():
-        # A body without rows ("input contained no data") goes to the slow path.
+        # A header with no rows after it ("input contained no data").
         warnings.simplefilter("ignore", UserWarning)
         try:
             rows = np.loadtxt(path, dtype=_EDGE_ROW, comments="#", encoding="utf-8",
-                              skiprows=0 if declared_n is None else 1, ndmin=1)
+                              skiprows=skip + (declared_n is not None), ndmin=1)
         except ValueError:
             return None
     if rows.size == 0:
-        return None
+        return np.zeros((declared_n, declared_n))
     lo = np.minimum(rows["u"], rows["v"])
     hi = np.maximum(rows["u"], rows["v"])
     w = rows["w"]
     n = int(hi.max()) + 1 if declared_n is None else declared_n
+    # A file without a header can still name a node past MAX_NODES.
     if (lo.min() < 0 or hi.max() >= n or n > MAX_NODES or (lo == hi).any()
             or not (np.isfinite(w).all() and (w >= 0).all())):
         return None
@@ -249,8 +277,8 @@ def _parse_edge_array(path) -> np.ndarray | None:
     if (keys[1:] == keys[:-1]).any():
         return None
     weights = np.zeros((n, n))
-    weights[lo, hi] = w
-    weights[hi, lo] = w
+    # -0 reads as +0.0, the zero a save and a load give back.
+    weights[lo, hi] = weights[hi, lo] = w + 0.0
     return weights
 
 
@@ -277,14 +305,14 @@ def _write_csv_matrix(path, m) -> None:
 def load_graph(path, format: str = "edge-list") -> WeightedGraph:
     """Load a weighted graph from ``path`` in `edge-list` or `dense` format.
 
-    An edge list is parsed by numpy's text parser, straight from the file;
-    only a file that parser refuses is read line by line, by a parser that
-    names the offending line.
+    Every edge list the grammar accepts (README, File formats) is parsed
+    by numpy's text parser, straight from the file; a file it refuses is
+    read again line by line, to name its first bad line.
     """
     if format == "edge-list":
         weights = _parse_edge_array(path)
         if weights is None:
-            with open(path, encoding="utf-8") as f:
+            with open(path, encoding="utf-8", errors="surrogateescape") as f:
                 weights = _parse_edge_list(f.readlines())
         # Both parsers meet `_wrap`'s contract: no copy and no second scan.
         return WeightedGraph._wrap(weights)

@@ -39,13 +39,14 @@ def random_integer_graph(rng, n, max_weight=5, density=0.5):
 
 
 def run_cli(argv, files):
-    """Run ``cli.main(argv)`` with ``files`` (name -> text) written to a fresh
-    directory, each ``{name}`` in argv replaced by its path, and ``--out`` and
-    ``--seed 1`` added; (exit code, stderr, warnings, whether --out was made)."""
+    """Run ``cli.main(argv)`` with ``files`` (name -> text, or bytes written as
+    they are) written to a fresh directory, each ``{name}`` in argv replaced by
+    its path, and ``--out`` and ``--seed 1`` added; (exit code, stderr,
+    warnings, whether --out was made)."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as f:
-                f.write(text)
+            with open(os.path.join(tmp, name), "wb") as f:
+                f.write(text if isinstance(text, bytes) else text.encode("utf-8"))
         out = os.path.join(tmp, "out")
         argv = [a.format(**{name: os.path.join(tmp, name) for name in files}) for a in argv]
         err = io.StringIO()

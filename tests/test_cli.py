@@ -11,7 +11,7 @@ import pytest
 
 from wrdpm import WeightedGraph, load_graph, save_graph, total_weight
 from wrdpm.cli import build_parser, main
-from conftest import disjoint_cliques
+from conftest import assert_clean_exit, disjoint_cliques, run_cli
 
 
 def run(*argv):
@@ -325,6 +325,19 @@ class TestEmbed:
         assert run("embed", "--graph", str(big), "--d", "1",
                    "--out", str(tmp_path / "x")) == 2
         assert "line 1: n=99999999999 exceeds" in capsys.readouterr().err
+
+    # Files Python's int() and float() read but the edge-list grammar refuses,
+    # a header after an edge, one before it that declares no nodes, and a
+    # byte that is not UTF-8.
+    @pytest.mark.parametrize("data, line", [
+        ("0 1_0 1\n", 1), ("0 1 1_5\n", 1), ("\u0661 \u0662 3\n", 1),
+        ("\uff10 \uff11 3\n", 1), ("0 1 1\nn=5\n", 2), ("n=0\n0 1 1\nn=2\n", 1),
+        ("n=3_0\n0 1 1\n", 1), (b"0 1 1\n1 2 1\n2 3 \xff\n", 3)])
+    def test_file_outside_the_grammar_names_its_line(self, data, line):
+        code, message, caught, made = run_cli(["embed", "--d", "1", "--graph", "{graph}"],
+                                              {"graph": data})
+        assert code == 2 and message.startswith(f"error: line {line}: "), message
+        assert_clean_exit(code, message, caught, made)
 
     def test_non_finite_tolerance_is_named(self, tmp_path, clique_path, capsys):
         out = tmp_path / "x"

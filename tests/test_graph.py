@@ -90,22 +90,54 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match="line 1: n="):
             load_graph(write(tmp_path, text))
 
-    def test_later_header_overrides_one_declaring_no_nodes(self, tmp_path):
-        g = load_graph(write(tmp_path, "n=0\n0 1 1\nn=2\n"))
-        assert g.n == 2
-        assert g.weights[0, 1] == 1
+    def test_header_declaring_no_nodes_is_refused_before_a_later_header(self, tmp_path):
+        with pytest.raises(GraphFormatError, match="line 1: n=0 declares no nodes"):
+            load_graph(write(tmp_path, "n=0\n0 1 1\nn=2\n"))
+
+    # Tokens Python's int() and float() read but the grammar refuses, headers
+    # after the first content line, and bytes that are not UTF-8.
+    @pytest.mark.parametrize("data, message", [
+        ("0 1_0 1\n", "line 1: could not parse"),
+        ("0 1 1_5\n", "line 1: could not parse"),
+        ("\u0661 \u0662 3\n", "line 1: could not parse"),
+        ("\uff10 \uff11 3\n", "line 1: could not parse"),
+        ("0 1 \u0663.\u0665\n", "line 1: could not parse"),
+        ("n=3_0\n0 1 1\n", "line 1: bad node-count header"),
+        ("n=\u0663\n0 1 1\n", "line 1: bad node-count header"),
+        ("0 1 1\nn=5\n", "line 2: an n= header may only be"),
+        ("n=3\n# c\nn=3\n", "line 3: an n= header may only be"),
+        ("# c\n\n0 1 1\n\nn=2\n", "line 5: an n= header may only be"),
+        (b"0 1 \xff\n1 2 1\n", "line 1: not UTF-8 text"),
+        (b"0 1 1\n1 2 1\n2 3 \xff\n", "line 3: not UTF-8 text"),
+        (b"# caf\xe9\nn=3\n0 1 1\n", "line 1: not UTF-8 text"),
+        (b"n=3\r\n0 1 1 # \xff\r\n", "line 2: not UTF-8 text"),
+    ])
+    def test_refusal_names_its_line(self, tmp_path, data, message):
+        path = tmp_path / "g.edgelist"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        with pytest.raises(GraphFormatError, match=f"^{message}"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("weight", ["-0", "-1e-400", "-0.0"])
+    def test_negative_zero_weight_round_trips_as_zero(self, tmp_path, weight):
+        g = load_graph(write(tmp_path, f"n=3\n0 1 {weight}\n1 2 2\n"))
+        assert not np.signbit(g.weights).any()
+        save_graph(g, tmp_path / "again.edgelist")
+        assert load_graph(tmp_path / "again.edgelist").weights.tobytes() == g.weights.tobytes()
 
 
-# Weights both parsers read alike; then tokens where Python's int()/float()
-# and numpy's text parser differ, or that the format forbids.
+# Weights the grammar accepts; then tokens it refuses, most of which
+# Python's int()/float() read and numpy's text parser does not.
 WEIGHTS = st.one_of(
     st.integers(0, 5).map(str),
     st.floats(0, 1e308).map(repr),
-    st.sampled_from(["+1", "3.", ".5", "1e1", "-0", "1e308", "1e-320"]),
+    st.sampled_from(["+1", "3.", ".5", "1e1", "1E5", "-0", "-1e-400", "1e308", "1e-320"]),
 )
-ODD_IDS = ["1_0", "3.", ".5", "1e1", "inf", "nan", "1.0", "-1"]
-ODD_WEIGHTS = ["1_0", "inf", "nan", "-2"]
-SEPARATORS = [" ", "  ", "\t", "\x0c", " \x0c "]
+ODD_IDS = ["1_0", "\u0661", "\uff10", "3.", ".5", "1e1", "inf", "nan", "1.0", "-1"]
+ODD_WEIGHTS = ["1_0", "\u0663.\u0665", "INF", "Infinity", "1e400", "inf", "nan", "-2"]
+HEADER_COUNTS = ["15", " 16", "3", "+3", "0", "x", "3_0", "\u0663"]
+SEPARATORS = [" ", "  ", "\t", "\x0c", " \x0c ", "\xa0", "\u2003", "\x1c", "\x85"]
+BLANKS = ["", "  ", "\x0c", "\xa0", "\x85"]
 ENDINGS = ["\n", "\r\n"]
 
 
@@ -120,8 +152,10 @@ def edge_list_texts(draw):
         return draw(st.sampled_from([str(u), f"+{u}", f"0{u}"] + ["-0"] * (u == 0)))
 
     lines, pairs = [], []
+    for kind in draw(st.lists(st.sampled_from(["comment", "blank"]), max_size=2)):
+        lines.append("# comment" if kind == "comment" else draw(st.sampled_from(BLANKS)))
     if draw(st.booleans()):
-        lines.append(f"n={draw(st.sampled_from(['15', ' 16', '3', '0', 'x']))}")
+        lines.append(f"n={draw(st.sampled_from(HEADER_COUNTS))}")
     kinds = ["edge"] * 20 + ["reversed", "loop", "comment", "blank", "header"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
         if kind == "reversed" and pairs:
@@ -133,7 +167,7 @@ def edge_list_texts(draw):
             lines.append("# comment")
             continue
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  ", "\x0c"])))
+            lines.append(draw(st.sampled_from(BLANKS)))
             continue
         else:
             lines.append(f"n={draw(st.sampled_from(['15', '17', '2']))}")
@@ -147,6 +181,14 @@ def edge_list_texts(draw):
     if lines and draw(st.booleans()):
         endings[-1] = ""
     return "".join(line + end for line, end in zip(lines, endings))
+
+
+def _parsed(parse, source):
+    """(matrix, None) if ``parse(source)`` accepts, else (None, its GraphFormatError text)."""
+    try:
+        return parse(source), None
+    except GraphFormatError as exc:
+        return None, str(exc)
 
 
 class TestArrayParser:
@@ -163,24 +205,27 @@ class TestArrayParser:
     @example(text="0 1 inf\r\n")
     @example(text="n=5\n-1 2 1\n")
     @example(text="0 1 1\n1 0 1\n")
+    @example(text="0 1_0 1\n")
+    @example(text="# c\nn=5\n0 1 1\n")
+    @example(text="n=0\n0 1 1\nn=2\n")
+    @example(text="\x85\nn=3\r\n0\xa01\u20032\n")
     def test_agrees_with_line_parser(self, tmp_path, text):
+        """The array parser returns a matrix exactly when the line parser does,
+        with the same bytes; otherwise both refuse with the same message."""
         path = tmp_path / "g.edgelist"
         path.write_bytes(text.encode("utf-8"))
         with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-        fast = graph._parse_edge_array(path)
-        try:
-            expected = graph._parse_edge_list(lines)
-        except GraphFormatError as exc:
-            assert fast is None
-            with pytest.raises(GraphFormatError) as got:
-                load_graph(path)
-            assert str(got.value) == str(exc)
-            return
-        if fast is not None:
+            expected, message = _parsed(graph._parse_edge_list, f.readlines())
+        fast, fast_message = _parsed(graph._parse_edge_array, path)
+        if message is None:
+            assert fast is not None
             assert fast.shape == expected.shape
             assert fast.tobytes() == expected.tobytes()
-        assert load_graph(path).weights.tobytes() == expected.tobytes()
+            assert load_graph(path).weights.tobytes() == expected.tobytes()
+        else:
+            assert fast is None
+            assert fast_message in (None, message)
+            assert _parsed(load_graph, path) == (None, message)
 
     def test_valid_files_skip_the_line_parser(self, tmp_path, rng, monkeypatch):
         def refuse(lines):
@@ -195,6 +240,8 @@ class TestArrayParser:
         loaded = load_graph(write(tmp_path, text))
         assert loaded.n == 4
         assert loaded.weights[1, 0] == 2.5 and loaded.weights[1, 3] == 10
+        assert not load_graph(write(tmp_path, "n=4\n")).weights.any()
+        assert load_graph(write(tmp_path, "# c\nn=5\n0 1 1\n")).n == 5
 
 
 class TestDense:
