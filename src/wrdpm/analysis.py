@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import _ROW_BLOCK, WeightedGraph, _upper_values, total_weight
+from .graph import _ROW_BLOCK, WeightedGraph, _total_weight, _upper_values
 from .model import (
     NULL_SAMPLE,
     EdgeDistribution,
@@ -27,6 +27,11 @@ from .specialize import _poisson_er_rate
 
 STATISTICS = ("avg_weighted_clustering", "total_weight", "log_likelihood")
 NULL_KINDS = ("poisson_er", "dot_product")
+# Largest null rate whose draws go to one-byte count buffers. A uint8 holds
+# counts up to 255, and for a rate lambda <= 16 the Chernoff bound gives
+# P(Poisson(lambda) >= 256) <= e^-lambda (e lambda / 256)^256 < 1e-200 per
+# pair; `model._sample_pairs` still refuses a count its buffer cannot hold.
+_BYTE_COUNT_RATE_MAX = 16.0
 
 
 def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
@@ -49,7 +54,9 @@ def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _clustering(w: np.ndarray, work) -> np.ndarray:
     """Per-node weighted clustering of the weights w, as `weighted_clustering`
     defines it, with ``work`` a `_clustering_workspace`, whose contents it
-    overwrites.
+    overwrites. ``w`` may be of any dtype: every product and sum of it is
+    taken in float64, so one-byte counts give the bits of the same counts in
+    float64.
 
     The 0/1 adjacency A is held in float32. A is symmetric, so A^2 is
     formed as A^T A, which numpy computes as a symmetric rank-k update: one
@@ -73,9 +80,10 @@ def _clustering(w: np.ndarray, work) -> np.ndarray:
             r = slice(r0, r0 + _ROW_BLOCK)
             # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts
             # each unordered pair twice, matching the (w_jl + w_jh)/2
-            # symmetrization.
-            numer[r] = (w[r] * c[r]).sum(axis=1)
-        strength = w.sum(axis=1)
+            # symmetrization. A float32 product would round: uint8 x float32
+            # promotes to float32.
+            numer[r] = np.multiply(w[r], c[r], dtype=float).sum(axis=1)
+        strength = w.sum(axis=1, dtype=float)
         denom = strength * (degree - 1)
     if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
         raise ValueError("node strengths overflow the float range; "
@@ -160,14 +168,18 @@ def null_compare(
     ensembles of different seeds are independent.
 
     The ensemble holds the null as its clamped pair rates only, or as one
-    rate under the Erdos-Renyi null, built once, with two n x n weights
+    rate under the Erdos-Renyi null, built once, with two n x n count
     buffers and, under the clustering statistic, that statistic's buffers.
-    The likelihood gathers each draw's pair weights block by block, with no
-    n x n mask. Each draw samples into a buffer, with no pair vector, while
-    one worker thread scores the draw before it in the other, so an
-    ensemble uses two cores even with one BLAS thread. The results are
-    those of drawing and scoring in turn, bit for bit, and an error is the
-    first that order would meet. Sample i is the graph that
+    The buffers are one-byte (uint8) when the largest rate is at most
+    `_BYTE_COUNT_RATE_MAX`, and float64 above it. Either holds every count
+    the sampler accepts exactly, and each statistic computes in float64, so
+    the results are bit for bit those of float64 draws. The likelihood
+    gathers each draw's pair weights block by block, with no n x n mask.
+    Each draw samples into a buffer, with no pair vector, while one worker
+    thread scores the draw before it in the other, so an ensemble uses two
+    cores even with one BLAS thread. The results are those of drawing and
+    scoring in turn, bit for bit, and an error is the first that order
+    would meet. Sample i is the graph that
     ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
     draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
     at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled vector model.
@@ -191,12 +203,13 @@ def null_compare(
 
     work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
 
-    def score(graph: WeightedGraph) -> float:
+    def score(w: np.ndarray) -> float:
+        """The statistic of the weights ``w``, float64 or one-byte counts."""
         if statistic == "avg_weighted_clustering":
-            return float(_clustering(graph.weights, work).mean())
+            return float(_clustering(w, work).mean())
         if statistic == "total_weight":
-            return total_weight(graph)
-        return dist.log_likelihood(rates, _upper_values(graph.weights))
+            return _total_weight(w)
+        return dist.log_likelihood(rates, _upper_values(w))
 
     # Imported here: importing concurrent.futures adds about 6 ms to the
     # start-up of every CLI run.
@@ -205,9 +218,10 @@ def null_compare(
     # Draw i is sampled into buffers[i % 2] while the worker scores draw i - 1
     # in the other buffer; the score of draw i - 2, the last to read
     # buffers[i % 2], has been taken by then.
-    buffers = np.zeros((g.n, g.n)), np.zeros((g.n, g.n))
+    dtype = np.uint8 if np.max(rates, initial=0.0) <= _BYTE_COUNT_RATE_MAX else float
+    buffers = np.zeros((g.n, g.n), dtype), np.zeros((g.n, g.n), dtype)
     with ThreadPoolExecutor(1) as worker:
-        pending, results = worker.submit(score, g), []
+        pending, results = worker.submit(score, g.weights), []
         for i in range(n_samples):
             try:
                 draw = _sample_pairs(dist, rates, derive_seed(seed, NULL_SAMPLE, i),

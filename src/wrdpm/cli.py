@@ -11,12 +11,10 @@ memory, 3 numerical failure (non-convergence under --strict).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
-from importlib import metadata
 
 import numpy as np
 
@@ -50,6 +48,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _version() -> str:
+    # Imported here, as hashlib in _sha256: importlib.metadata pulls in email
+    # and socket, and the two cost about 30 ms of every CLI start-up.
+    from importlib import metadata
+
     try:
         return metadata.version("wrdpm")
     except metadata.PackageNotFoundError:
@@ -74,6 +76,8 @@ def _default_seed(value):
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     with open(path, "rb") as f:
         return hashlib.file_digest(f, "sha256").hexdigest()
 

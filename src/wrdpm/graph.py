@@ -94,7 +94,9 @@ class WeightedGraph:
         The caller guarantees a square float64 matrix of at least one node that
         is finite, nonnegative, symmetric and zero on its diagonal. The graph
         sees every later write to ``weights``, so it holds only until its
-        caller refills the matrix.
+        caller refills the matrix. Weights of another dtype, such as the null
+        ensemble's one-byte counts, are never wrapped: code that takes them
+        takes the matrix.
         """
         g = object.__new__(cls)
         view = weights.view()
@@ -137,8 +139,15 @@ def _upper_values(m: np.ndarray) -> np.ndarray:
 
 def total_weight(g: WeightedGraph) -> float:
     """Sum of edge weights over unordered pairs; a ValueError if it overflows."""
+    return _total_weight(g.weights)
+
+
+def _total_weight(w: np.ndarray) -> float:
+    """`total_weight` of the weights ``w``, float64 or integer counts; integer
+    sums below 2^53 are exact in any dtype and order, so counts held as
+    uint8 give the total of the same counts held as float64."""
     with np.errstate(over="ignore"):
-        total = float(np.sum(np.triu(g.weights, k=1)))
+        total = float(np.sum(np.triu(w, k=1)))
     if not np.isfinite(total):
         raise ValueError("the edge weights sum past the float maximum")
     return total
@@ -150,6 +159,15 @@ def _number(token: str, kind):
     if not token.isascii() or "_" in token:
         raise ValueError(f"not an ASCII decimal number: {token!r}")
     return kind(token)
+
+
+def _is_utf8(line: str) -> bool:
+    """Whether ``line``, read with ``errors="surrogateescape"``, was UTF-8 bytes."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _read_header(line: str, lineno: int) -> int:
@@ -178,9 +196,7 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
     edges = {}
     max_node = -1
     for lineno, raw in enumerate(lines, start=1):
-        try:
-            raw.encode("utf-8")
-        except UnicodeEncodeError:
+        if not _is_utf8(raw):
             raise GraphFormatError(f"line {lineno}: not UTF-8 text")
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -290,6 +306,11 @@ def _read_csv_matrix(path, what: str) -> np.ndarray:
         warnings.simplefilter("ignore", UserWarning)
         try:
             m = np.loadtxt(path, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            # numpy names only an offset into the chunk it was decoding.
+            with open(path, encoding="utf-8", errors="surrogateescape") as f:
+                lineno = next(k for k, line in enumerate(f, start=1) if not _is_utf8(line))
+            raise GraphFormatError(f"could not parse {what}: line {lineno}: not UTF-8 text")
         except ValueError as exc:
             raise GraphFormatError(f"could not parse {what}: {exc}")
     if m.size == 0:

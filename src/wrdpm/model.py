@@ -64,31 +64,48 @@ class EdgeDistribution:
     def log_likelihood(self, params, observed: np.ndarray) -> float:
         """Log probability of the integer weights ``observed``, drawn with one
         parameter each or one for all; -inf, silently, when a weight has zero
-        probability under its parameter, for the caller to report."""
-        params, observed = np.broadcast_arrays(np.asarray(params, dtype=float),
-                                               np.asarray(observed, dtype=float))
-        if not np.all(observed == np.round(observed)):
+        probability under its parameter, for the caller to report.
+
+        One parameter for all stays a scalar. The terms are built in one
+        pair-sized buffer, in place, with the operations of the formula in
+        its order, so they have the bits of the formula on broadcast arrays;
+        the Poisson log-factorial takes a second buffer, freed at once.
+        """
+        params = np.asarray(params, dtype=float)
+        observed = np.asarray(observed, dtype=float)
+        terms = np.round(observed)
+        if not np.array_equal(observed, terms):
             raise ModelError(f"{self.family} likelihood needs integer weights")
         if self.family == "bernoulli" and np.any(observed > 1):
             raise ModelError("bernoulli likelihood needs 0/1 weights")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.family == "bernoulli":
-                terms = np.where(observed > 0.5, np.log(params), np.log1p(-params))
+                np.negative(params, out=terms)
+                np.log1p(terms, out=terms)
+                np.copyto(terms, np.log(params, out=np.empty_like(terms)),
+                          where=observed > 0.5)
             else:
                 # Imported here: a module-level import of scipy.special doubles
                 # the start-up of every CLI run.
                 from scipy.special import gammaln
 
-                terms = observed * np.log(params) - params - gammaln(observed + 1)
+                # observed * log(params) - params - gammaln(observed + 1)
+                np.log(params, out=terms)
+                np.multiply(observed, terms, out=terms)
+                np.subtract(terms, params, out=terms)
+                factorial = np.add(observed, 1)
+                np.subtract(terms, gammaln(factorial, out=factorial), out=terms)
+                del factorial
                 # A positive rate gives every count a positive probability, so
                 # a term that is not finite there has overflowed.
                 overflow = ~np.isfinite(terms) & (params > 0)
                 if overflow.any():
                     i = np.argmax(overflow)
-                    raise DomainError(f"log-probability of weight {observed.flat[i]:g} at "
-                                      f"Poisson rate {params.flat[i]:g} overflows the float range")
+                    raise DomainError(f"log-probability of weight {observed[i]:g} at Poisson "
+                                      f"rate {np.broadcast_to(params, terms.shape)[i]:g} "
+                                      "overflows the float range")
                 # lambda = 0 is a point mass at weight 0, where 0 log 0 is nan.
-                terms = np.where((params == 0) & (observed == 0), 0.0, terms)
+                np.copyto(terms, 0.0, where=(params == 0) & (observed == 0))
         if np.any(np.isnan(terms) | np.isneginf(terms)):
             return float("-inf")
         with np.errstate(over="ignore"):
@@ -461,9 +478,9 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
 
 
 def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
-                  out: np.ndarray) -> WeightedGraph:
-    """Draw one network into ``out``, an n x n float64 matrix with a zero
-    diagonal, and return its graph.
+                  out: np.ndarray) -> np.ndarray:
+    """Draw one network into ``out``, an n x n matrix with a zero diagonal, and
+    return a read-only view of it.
 
     ``params`` holds one in-domain parameter per j < l pair, in row-major
     order, or one for every pair; both draw the same weights from the same
@@ -473,12 +490,17 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
     then), so no pair vector or pair mask of the whole network is formed.
     ``sample`` consumes the stream one pair at a time, so the blocks draw
     what one call for every pair draws, bit for bit. Every off-diagonal
-    entry is written and the diagonal never is: the graph holds only until
+    entry is written and the diagonal never is: the draw holds only until
     ``out`` is refilled, and none of its entries is stale.
+
+    The counts (booleans or nonnegative int64) are written as ``out``'s
+    dtype. A count past an integer ``out``'s maximum is a DomainError,
+    never a wrapped value.
     """
     n = len(out)
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
     per_pair = np.ndim(params) > 0
+    limit = np.iinfo(out.dtype).max if out.dtype.kind in "iu" else None
     for rows, mask, pairs in _upper_blocks(n):
         try:
             drawn = distribution.sample(params[pairs] if per_pair else params, rng,
@@ -487,13 +509,15 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
             # numpy refuses Poisson rates past about 9.2e18, where int64 counts
             # end; the error names the network's largest rate, not this block's.
             raise DomainError(f"Poisson rate {np.max(params):g} is too large to sample") from None
+        if limit is not None and drawn.max(initial=0) > limit:
+            raise DomainError(f"count {drawn.max()} does not fit the {out.dtype} draw buffer")
         out[rows][mask] = drawn
         out[rows, :rows.start] = out[:rows.start, rows].T
         square = out[rows, rows]
         np.copyto(square, square.T, where=mask[:, rows].T)
-    # As WeightedGraph._wrap requires, the weights are symmetric, and they are
-    # booleans or nonnegative int64 counts.
-    return WeightedGraph._wrap(out)
+    draw = out.view()
+    draw.setflags(write=False)
+    return draw
 
 
 def sample_from_grids(
@@ -502,9 +526,19 @@ def sample_from_grids(
     seed: int,
     clamp: bool = False,
 ) -> WeightedGraph:
-    """Draw one weighted network with per-edge parameters from the grid."""
+    """Draw one weighted network with per-edge parameters from the grid.
+
+    The grid is let go once its pair parameters are gathered, before the
+    n x n weights are allocated: a grid passed as a temporary, as
+    `sample_network` passes its own, is freed by then.
+    """
     params = _pair_parameters(distribution, grid, clamp)
-    return _sample_pairs(distribution, params, seed, np.zeros(np.shape(grid)))
+    n = len(grid)
+    # CPython hands a temporary argument's one reference to this frame.
+    del grid
+    # As WeightedGraph._wrap requires, the float64 weights are symmetric, and
+    # they are booleans or nonnegative int64 counts.
+    return WeightedGraph._wrap(_sample_pairs(distribution, params, seed, np.zeros((n, n))))
 
 
 def sample_network(
@@ -513,7 +547,8 @@ def sample_network(
     seed: int,
     clamp: bool = False,
 ) -> WeightedGraph:
-    """Draw one weighted network from the dot-product grid of ``vectors``."""
+    """Draw one weighted network from the dot-product grid of ``vectors``,
+    passed on as a temporary that `sample_from_grids` frees before the draw."""
     if vectors.shape[0] != model.n:
         raise ModelError(f"vectors for {vectors.shape[0]} nodes, model has n={model.n}")
     return sample_from_grids(model.distribution, dot_product_grid(vectors), seed, clamp)

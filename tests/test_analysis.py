@@ -3,6 +3,7 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,13 +193,19 @@ class TestNullCompare:
     @pytest.mark.parametrize("null", ["poisson_er", "dot_product"])
     @pytest.mark.parametrize("statistic", ["avg_weighted_clustering", "total_weight",
                                            "log_likelihood"])
-    @pytest.mark.parametrize("n", [2, 3, 60, 150])
-    def test_samples_are_the_draws_of_sample_from_grids(self, rng, null, statistic, n):
-        # the ensemble gathers its rates once and reuses one weights buffer and
+    @pytest.mark.parametrize("n, scale", [(2, 1.0), (3, 1.0), (60, 1.0), (150, 1.0),
+                                          (3, 4.0), (150, 4.0)],
+                             ids=["2", "3", "60", "150", "3-rates-past-16", "150-rates-past-16"])
+    def test_samples_are_the_draws_of_sample_from_grids(self, rng, null, statistic, n, scale):
+        # the ensemble gathers its rates once and reuses two count buffers and
         # one clustering workspace; its draws must not change for it. n = 150
-        # spans more than one 64-row block of the clustering kernel.
+        # spans more than one 64-row block of the clustering kernel. At scale
+        # 1 every rate is at most 16 (analysis._BYTE_COUNT_RATE_MAX), so the
+        # draws fill one-byte buffers; at scale 4 the dot-product rates pass
+        # it, so that null's draws fill float64 ones.
         dist = EdgeDistribution("poisson")
-        x = rng.normal(0.5, 1.0, (n, 2))  # negative grid entries are clamped to 0
+        x = scale * rng.normal(0.5, 1.0, (n, 2))  # negative grid entries are clamped to 0
+        assert (np.max(dot_product_grid(x)[np.triu_indices(n, 1)]) > 16) == (scale > 1)
         # a draw of the dot-product null itself, so its likelihood is finite
         g = sample_from_grids(dist, dot_product_grid(x), seed=n, clamp=True)
         for seed in (0, 7, 1211):
@@ -219,6 +226,51 @@ class TestNullCompare:
                                                  clamp=True))
                         for i in range(4)]
             assert report.samples == tuple(expected)
+
+    @pytest.mark.parametrize("null, weights, counts", [
+        ("dot_product", [4.0, 4.0], np.uint8),
+        ("dot_product", [4.0, np.nextafter(4.0, 5.0)], np.float64),
+        ("poisson_er", [16.0, 16.0], np.uint8),
+        ("poisson_er", [16.0, 17.0], np.float64),
+    ], ids=["dot-product-16", "dot-product-past-16", "erdos-renyi-16", "erdos-renyi-past-16"])
+    def test_draws_of_sample_take_one_byte_buffers_up_to_rate_16(self, monkeypatch, null,
+                                                                 weights, counts):
+        # The largest rate is 16 (one-byte buffers) or just past it (float64):
+        # the dot-product null's pair (0, 1) rate is the product of the two
+        # vectors, the Erdos-Renyi null's rate the mean of the weights.
+        x = np.array([[weights[0]], [weights[1]], [0.5]])
+        u, v = weights
+        g = WeightedGraph(np.array([[0.0, u, u], [u, 0.0, v], [u, v, 0.0]]))
+        dtypes = []
+        sample_pairs = analysis._sample_pairs
+
+        def recording(dist, rates, seed, out):
+            dtypes.append(out.dtype)
+            return sample_pairs(dist, rates, seed, out)
+
+        monkeypatch.setattr(analysis, "_sample_pairs", recording)
+        null_compare(g, null=null, statistic="total_weight", n_samples=3, seed=0, x=x)
+        assert dtypes == [np.dtype(counts)] * 3
+
+    @pytest.mark.parametrize("null, bound", [("poisson_er", 16), ("dot_product", 20)])
+    def test_draws_of_sample_hold_the_ensemble_to_its_buffers(self, null, bound):
+        # Under the clustering statistic at n = 600 the ensemble holds the
+        # float32 A and A^2 (8 n^2 bytes) and two one-byte count buffers
+        # (2 n^2); the dot-product null adds its pair rates (4 n^2). With two
+        # float64 buffers the peaks are 26.8 and 30.9 n^2 bytes.
+        n = 600
+        m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
+        x = draw_vectors(m, seed=0)
+        g = sample_network(m, x, seed=1)
+        # imports and the worker thread's first start are not counted
+        null_compare(simple_community_graph(0), null=null, n_samples=1, x=x[:60])
+        tracemalloc.start()
+        try:
+            null_compare(g, null=null, n_samples=3, seed=0, x=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n
 
     @pytest.mark.parametrize("failing_call", [1, 3], ids=["observed", "draw"])
     def test_worker_error_reaches_the_caller(self, monkeypatch, failing_call):
@@ -319,7 +371,7 @@ class TestNullCompare:
         for statistic in ("avg_weighted_clustering", "total_weight"):
             assert null_compare(g, statistic=statistic, n_samples=3, seed=0).n_samples == 3
         n = 70
-        w = model._sample_pairs(EdgeDistribution("poisson"), 0.7, 0, np.zeros((n, n))).weights
+        w = model._sample_pairs(EdgeDistribution("poisson"), 0.7, 0, np.zeros((n, n)))
         assert np.array_equal(w, w.T) and not np.diag(w).any()
 
     def test_quantile_and_std_fields(self):

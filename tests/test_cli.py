@@ -339,6 +339,17 @@ class TestEmbed:
         assert code == 2 and message.startswith(f"error: line {line}: "), message
         assert_clean_exit(code, message, caught, made)
 
+    @pytest.mark.parametrize("argv, what", [
+        (["embed", "--d", "1", "--graph", "{csv}", "--format", "dense"], "dense matrix"),
+        (["likelihood", "--graph", "{graph}", "--embedding", "{csv}"], "embedding"),
+    ], ids=["dense", "embedding"])
+    @pytest.mark.parametrize("data, line", [(b"0,\xff\n1,0\n", 1), (b"0,1\n1,\xff\n", 2)])
+    def test_csv_that_is_not_utf8_names_its_line(self, argv, what, data, line):
+        code, message, caught, made = run_cli(argv, {"csv": data, "graph": "0 1 1\n"})
+        assert code == 2, message
+        assert message.startswith(f"error: could not parse {what}: line {line}: not UTF-8 text")
+        assert_clean_exit(code, message, caught, made)
+
     def test_non_finite_tolerance_is_named(self, tmp_path, clique_path, capsys):
         out = tmp_path / "x"
         assert run("embed", "--graph", str(clique_path), "--d", "3", "--tol", "nan",
@@ -722,6 +733,15 @@ def test_cli_import_loads_no_scipy(tmp_path, clique_path, run_cli):
     run_cli = run_cli.format(graph=str(clique_path), out=str(tmp_path / "out"))
     proc = fresh_python("-c", "import sys, wrdpm.cli; " + run_cli +
                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_package_metadata_or_hashlib():
+    # The manifest's version and input digests import these where they are
+    # used; importlib.metadata also pulls in email and socket.
+    proc = fresh_python("-c", "import sys, wrdpm.cli; print(sorted(m for m in "
+                              "('importlib.metadata', 'email', 'hashlib') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ class TestSampleNetwork:
         for seed in range(3):
             one = _sample_pairs(dist, rate, seed, np.zeros((n, n)))
             per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
-            assert np.array_equal(one.weights, per_pair.weights)
+            assert np.array_equal(one, per_pair.weights)
 
     @pytest.mark.parametrize("dist, rate", [(POISSON, 0.7), (BERNOULLI, 0.3)])
     def test_draws_into_one_buffer_equal_fresh_draws(self, dist, rate):
@@ -228,8 +229,8 @@ class TestSampleNetwork:
         for seed in (0, 1, 2):
             into = _sample_pairs(dist, params, seed, out)
             fresh = _sample_pairs(dist, params, seed, np.zeros((n, n)))
-            assert np.shares_memory(into.weights, out)
-            assert into.weights.tobytes() == fresh.weights.tobytes()
+            assert np.shares_memory(into, out)
+            assert into.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("n", [300, 50, 63, 64, 65, 129])
     @pytest.mark.parametrize("dist, params", [
@@ -250,17 +251,44 @@ class TestSampleNetwork:
             expected = np.zeros((n, n))
             expected[upper] = once
             expected.T[upper] = once
-            g = _sample_pairs(dist, rates, seed, np.zeros((n, n)))
-            assert g.weights.tobytes() == expected.tobytes()
-            assert np.array_equal(_upper_values(g.weights), once)
+            w = _sample_pairs(dist, rates, seed, np.zeros((n, n)))
+            assert w.tobytes() == expected.tobytes()
+            assert np.array_equal(_upper_values(w), once)
 
     def test_sampled_graph_is_read_only(self):
         out = np.zeros((5, 5))
-        for g in (_sample_pairs(POISSON, 2.0, 0, out),
-                  sample_from_grids(POISSON, np.full((5, 5), 2.0), seed=0)):
-            assert not g.weights.flags.writeable
+        for w in (_sample_pairs(POISSON, 2.0, 0, out),
+                  sample_from_grids(POISSON, np.full((5, 5), 2.0), seed=0).weights):
+            assert not w.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                g.weights[0, 1] = 1.0
+                w[0, 1] = 1.0
+
+    def test_one_byte_buffer_holds_the_draw_or_names_the_count_it_cannot(self):
+        # An integer buffer gets the float64 buffer's counts; a count past its
+        # dtype is refused, never wrapped.
+        n = 70
+        for rate in (0.7, 16.0):
+            counts = _sample_pairs(POISSON, rate, 3, np.zeros((n, n), np.uint8))
+            assert np.array_equal(counts, _sample_pairs(POISSON, rate, 3, np.zeros((n, n))))
+        with pytest.raises(DomainError, match=r"count \d+ does not fit the uint8 draw buffer"):
+            _sample_pairs(POISSON, 1000.0, 3, np.zeros((n, n), np.uint8))
+
+    def test_network_draw_frees_the_grid_before_the_weights(self):
+        # sample_network passes its grid on as a temporary, which
+        # sample_from_grids lets go before it allocates the weights: the
+        # grid's own symmetrization (two n x n arrays) is the peak, where
+        # holding the grid through the draw would add the weights to it.
+        n = 600
+        m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
+        vecs = draw_vectors(m, seed=0)
+        tracemalloc.start()
+        try:
+            g = sample_network(m, vecs, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.weights.dtype == np.float64
+        assert peak < 18 * n * n
 
     def test_domain_check_covers_both_triangles(self):
         # only the upper triangle is sampled, but every off-diagonal entry is checked
@@ -323,6 +351,32 @@ class TestLogLikelihood:
         with pytest.raises(DomainError, match="weight 1e[+]308 at Poisson rate 1e[+]308 "
                                               "overflows the float range"):
             log_likelihood(POISSON, np.full((2, 2), 1e308), WeightedGraph(w))
+        # one rate for every pair, as the Erdos-Renyi null passes it
+        with pytest.raises(DomainError, match="weight 1e[+]308 at Poisson rate 1e[+]308 "
+                                              "overflows the float range"):
+            POISSON.log_likelihood(1e308, np.array([0.0, 1e308]))
+
+    @pytest.mark.parametrize("dist", [POISSON, BERNOULLI])
+    @pytest.mark.parametrize("per_pair", [False, True], ids=["one-rate", "per-pair"])
+    def test_kernel_builds_its_terms_in_place(self, dist, per_pair):
+        # One rate stays a scalar and the terms are built in one pair-sized
+        # buffer; the Poisson kernel's log-factorial takes one more, freed
+        # before the checks. The formula on broadcast arrays takes 3 (with
+        # scipy.special already imported: its import is not counted here).
+        pairs = 600 * 599 // 2
+        rng = np.random.default_rng(0)
+        observed = rng.poisson(0.5, pairs).astype(float)
+        if dist is BERNOULLI:
+            observed = np.minimum(observed, 1.0)
+        params = rng.uniform(0.1, 0.9, pairs) if per_pair else 0.5
+        dist.log_likelihood(0.5, observed[:10])  # imports scipy.special
+        tracemalloc.start()
+        try:
+            dist.log_likelihood(params, observed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * observed.nbytes
 
     def test_sum_past_the_float_range_is_named(self):
         w = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0]])
