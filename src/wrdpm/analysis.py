@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import _ROW_BLOCK, WeightedGraph, _total_weight, _upper_values
+from .graph import WeightedGraph, _clustering_sums, _clustering_workspace, _pair_weights, total_weight
 from .model import (
     NULL_SAMPLE,
     EdgeDistribution,
@@ -42,48 +42,17 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     degree. Nodes of degree < 2 get zero. Reduces to the classical local
     clustering coefficient on 0/1 weights.
     """
-    per_node = _clustering(g.weights, _clustering_workspace(g.n))
+    per_node = _clustering(g, _clustering_workspace(g.n))
     return per_node, float(per_node.mean())
 
 
-def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffers `_clustering` fills at n nodes: the float32 A and A^2."""
-    return np.empty((n, n), np.float32), np.empty((n, n), np.float32)
-
-
-def _clustering(w: np.ndarray, work) -> np.ndarray:
-    """Per-node weighted clustering of the weights w, as `weighted_clustering`
-    defines it, with ``work`` a `_clustering_workspace`, whose contents it
-    overwrites. ``w`` may be of any dtype: every product and sum of it is
-    taken in float64, so one-byte counts give the bits of the same counts in
-    float64.
-
-    The 0/1 adjacency A is held in float32. A is symmetric, so A^2 is
-    formed as A^T A, which numpy computes as a symmetric rank-k update: one
-    triangle, about half the work of a general product, mirrored into the
-    other. That is exact: each entry of A^2 counts common neighbors, an
-    integer at most n, and float32 represents every integer up to 2^24,
-    above ``graph.MAX_NODES``; the partial sums of the product are such
-    integers as well, in any order of summation. Each row of w * (A^2) is
-    summed whole, as in a full n x n product, so the counts, and the float64
-    arithmetic after them, match a float64 ``A @ A`` bit for bit.
-    """
-    a, c = work
-    np.greater(w, 0, out=a, casting="unsafe")
-    np.matmul(a.T, a, out=c)
-    # (A^T A)_jj counts j's neighbors, an exact integer like every count.
-    degree = c.diagonal().astype(float)
-    n = len(w)
-    numer = np.empty(n)
+def _clustering(g: WeightedGraph, work) -> np.ndarray:
+    """Per-node weighted clustering of g, as `weighted_clustering` defines it,
+    with ``work`` a `graph._clustering_workspace`, which it overwrites."""
+    # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
+    # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.
+    numer, strength, degree = _clustering_sums(g, work)
     with np.errstate(over="ignore"):
-        for r0 in range(0, n, _ROW_BLOCK):
-            r = slice(r0, r0 + _ROW_BLOCK)
-            # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts
-            # each unordered pair twice, matching the (w_jl + w_jh)/2
-            # symmetrization. A float32 product would round: uint8 x float32
-            # promotes to float32.
-            numer[r] = np.multiply(w[r], c[r], dtype=float).sum(axis=1)
-        strength = w.sum(axis=1, dtype=float)
         denom = strength * (degree - 1)
     if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
         raise ValueError("node strengths overflow the float range; "
@@ -172,10 +141,9 @@ def null_compare(
     buffers and, under the clustering statistic, that statistic's buffers.
     The buffers are one-byte (uint8) when the largest rate is at most
     `_BYTE_COUNT_RATE_MAX`, and float64 above it. Either holds every count
-    the sampler accepts exactly, and each statistic computes in float64, so
-    the results are bit for bit those of float64 draws. The likelihood
-    gathers each draw's pair weights block by block, with no n x n mask.
-    Each draw samples into a buffer, with no pair vector, while one worker
+    the sampler accepts, and each draw is a graph over its buffer, whose
+    statistics `graph` computes in float64: the results are bit for bit
+    those of float64 draws. Each draw samples into a buffer while one worker
     thread scores the draw before it in the other, so an ensemble uses two
     cores even with one BLAS thread. The results are those of drawing and
     scoring in turn, bit for bit, and an error is the first that order
@@ -187,9 +155,7 @@ def null_compare(
     if n_samples < 1:
         raise ValueError("need at least one null sample")
     if statistic not in STATISTICS:
-        raise ValueError(
-            f"unknown statistic {statistic!r}; valid: {', '.join(STATISTICS)}"
-        )
+        raise ValueError(f"unknown statistic {statistic!r}; valid: {', '.join(STATISTICS)}")
     if null not in NULL_KINDS:
         raise ValueError(f"unknown null kind {null!r}; valid: {', '.join(NULL_KINDS)}")
 
@@ -203,13 +169,12 @@ def null_compare(
 
     work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
 
-    def score(w: np.ndarray) -> float:
-        """The statistic of the weights ``w``, float64 or one-byte counts."""
+    def score(h: WeightedGraph) -> float:
         if statistic == "avg_weighted_clustering":
-            return float(_clustering(w, work).mean())
+            return float(_clustering(h, work).mean())
         if statistic == "total_weight":
-            return _total_weight(w)
-        return dist.log_likelihood(rates, _upper_values(w))
+            return total_weight(h)
+        return dist.log_likelihood(rates, _pair_weights(h))
 
     # Imported here: importing concurrent.futures adds about 6 ms to the
     # start-up of every CLI run.
@@ -221,7 +186,7 @@ def null_compare(
     dtype = np.uint8 if np.max(rates, initial=0.0) <= _BYTE_COUNT_RATE_MAX else float
     buffers = np.zeros((g.n, g.n), dtype), np.zeros((g.n, g.n), dtype)
     with ThreadPoolExecutor(1) as worker:
-        pending, results = worker.submit(score, g.weights), []
+        pending, results = worker.submit(score, g), []
         for i in range(n_samples):
             try:
                 draw = _sample_pairs(dist, rates, derive_seed(seed, NULL_SAMPLE, i),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _scaled
 from .specialize import _eigentruncate, canonical_orientation
 
 
@@ -138,21 +138,6 @@ _MEMORY = 10
 # and in 62 to 44 at 0.3. Of the 133 sweep-150 solves it binds on none at
 # 0.4 and on some at 0.5 (5360 and 5479 iterations).
 _FLOOR = 0.3
-
-
-def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
-    """The matrix the fit runs on, A / 4^m over its norm, with m and the norm,
-    and the degree means that fill its diagonal for the start.
-
-    A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1. The
-    weights are nonnegative, so their largest is max |A|, without a copy.
-    """
-    m = int(np.frexp(g.weights.max())[1]) // 2
-    a = np.ldexp(g.weights, -2 * m)
-    scale = np.linalg.norm(a)
-    if scale:
-        a /= scale
-    return a, m, scale, a.sum(axis=1) / max(g.n - 1, 1)
 
 
 def _shared_start(g: WeightedGraph, d_max: int) -> np.ndarray | None:

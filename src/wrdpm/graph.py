@@ -16,8 +16,8 @@ SYMMETRY_TOL = 1e-12
 # works on about three of them. The edge-list parser refuses larger graphs
 # before it allocates anything.
 MAX_NODES = 20_000
-# Rows of the upper triangle that `_upper_blocks` walks at a time, and of
-# w * (A^2) that `analysis._clustering` forms at a time.
+# Rows of the upper triangle that `_upper_blocks` walks at a time, of w * (A^2)
+# that `_clustering_sums` forms and of the grid `dot_product_grid` mirrors.
 _ROW_BLOCK = 64
 
 
@@ -62,9 +62,9 @@ def _symmetrize(m: np.ndarray) -> float | None:
 class WeightedGraph:
     """Symmetric, nonnegative, zero-diagonal weighted adjacency matrix.
 
-    The weight matrix is stored dense and read-only. The constructor copies
-    and checks its input; `_wrap` builds a graph over a matrix that its
-    caller guarantees, with neither.
+    The weight matrix is stored dense and read-only; only this module reads
+    it. The constructor copies and checks its input; `_wrap` builds a graph
+    over a matrix that its caller guarantees, with neither.
     """
 
     weights: np.ndarray
@@ -91,12 +91,11 @@ class WeightedGraph:
     def _wrap(cls, weights: np.ndarray) -> "WeightedGraph":
         """A graph over a read-only view of ``weights``, neither copied nor scanned.
 
-        The caller guarantees a square float64 matrix of at least one node that
-        is finite, nonnegative, symmetric and zero on its diagonal. The graph
-        sees every later write to ``weights``, so it holds only until its
-        caller refills the matrix. Weights of another dtype, such as the null
-        ensemble's one-byte counts, are never wrapped: code that takes them
-        takes the matrix.
+        The caller guarantees a square float64 or uint8 (null counts) matrix
+        of at least one node that is finite, nonnegative, symmetric and zero
+        on its diagonal. On counts, `total_weight` and `_clustering_sums` give
+        the bits of the same counts in float64. The graph sees every later
+        write to ``weights``: it holds until its caller refills them.
         """
         g = object.__new__(cls)
         view = weights.view()
@@ -137,20 +136,65 @@ def _upper_values(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_weights(g: WeightedGraph) -> np.ndarray:
+    """The weights of g's j < l pairs, in row-major order, in g's dtype."""
+    return _upper_values(g.weights)
+
+
 def total_weight(g: WeightedGraph) -> float:
-    """Sum of edge weights over unordered pairs; a ValueError if it overflows."""
-    return _total_weight(g.weights)
-
-
-def _total_weight(w: np.ndarray) -> float:
-    """`total_weight` of the weights ``w``, float64 or integer counts; integer
-    sums below 2^53 are exact in any dtype and order, so counts held as
-    uint8 give the total of the same counts held as float64."""
+    """Sum of edge weights over unordered pairs; a ValueError if it overflows.
+    Integer sums below 2^53 are exact in any dtype and order."""
     with np.errstate(over="ignore"):
-        total = float(np.sum(np.triu(w, k=1)))
+        total = float(np.sum(np.triu(g.weights, k=1)))
     if not np.isfinite(total):
         raise ValueError("the edge weights sum past the float maximum")
     return total
+
+
+def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
+    """The matrix `embedding.embed` runs on, A / 4^m over its norm, with m and
+    the norm, and the degree means that fill its diagonal for the start.
+
+    A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1. The
+    weights are nonnegative, so their largest is max |A|, without a copy.
+    """
+    m = int(np.frexp(g.weights.max())[1]) // 2
+    a = np.ldexp(g.weights, -2 * m)
+    scale = np.linalg.norm(a)
+    if scale:
+        a /= scale
+    return a, m, scale, a.sum(axis=1) / max(g.n - 1, 1)
+
+
+def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The buffers `_clustering_sums` fills at n nodes: the float32 A and A^2."""
+    return np.empty((n, n), np.float32), np.empty((n, n), np.float32)
+
+
+def _clustering_sums(g: WeightedGraph, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node j of g, in float64: sum_l w_jl (A^2)_jl, the strength and the
+    binary degree, with ``work`` a `_clustering_workspace`, which it
+    overwrites. A sum past the float range is inf, for the caller to refuse.
+
+    The 0/1 adjacency A is held in float32, and A^2 formed as A^T A, which
+    numpy computes as a symmetric rank-k update (one triangle, mirrored).
+    That is exact: every entry and partial sum counts common neighbors, an
+    integer at most n < 2^24. Each row of w * (A^2) is summed whole, so the
+    result matches a float64 ``A @ A`` bit for bit.
+    """
+    w = g.weights
+    a, c = work
+    np.greater(w, 0, out=a, casting="unsafe")
+    np.matmul(a.T, a, out=c)
+    numer = np.empty(g.n)
+    with np.errstate(over="ignore"):
+        for r0 in range(0, g.n, _ROW_BLOCK):
+            r = slice(r0, r0 + _ROW_BLOCK)
+            # A float32 product would round: uint8 x float32 promotes to float32.
+            numer[r] = np.multiply(w[r], c[r], dtype=float).sum(axis=1)
+        strength = w.sum(axis=1, dtype=float)
+    # (A^T A)_jj counts j's neighbors, an exact integer like every count.
+    return numer, strength, c.diagonal().astype(float)
 
 
 def _number(token: str, kind):
@@ -246,7 +290,8 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
     return weights
 
 
-_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+# An id outside int32 fails to parse, and the line parser then names it.
+_EDGE_ROW = np.dtype([("u", np.int32), ("v", np.int32), ("w", np.float64)])
 
 
 def _parse_edge_array(path) -> np.ndarray | None:
@@ -281,20 +326,23 @@ def _parse_edge_array(path) -> np.ndarray | None:
             return None
     if rows.size == 0:
         return np.zeros((declared_n, declared_n))
-    lo = np.minimum(rows["u"], rows["v"])
-    hi = np.maximum(rows["u"], rows["v"])
-    w = rows["w"]
-    n = int(hi.max()) + 1 if declared_n is None else declared_n
+    u, v, w = rows["u"], rows["v"], rows["w"]
+    top = int(max(u.max(), v.max()))
+    n = top + 1 if declared_n is None else declared_n
     # A file without a header can still name a node past MAX_NODES.
-    if (lo.min() < 0 or hi.max() >= n or n > MAX_NODES or (lo == hi).any()
+    if (min(u.min(), v.min()) < 0 or top >= n or n > MAX_NODES or (u == v).any()
             or not (np.isfinite(w).all() and (w >= 0).all())):
         return None
-    keys = np.sort(lo * n + hi)
+    # One key per unordered pair, sorted in place and let go before the matrix.
+    keys = np.minimum(u, v, dtype=np.int64) * n + np.maximum(u, v)
+    keys.sort()
     if (keys[1:] == keys[:-1]).any():
         return None
+    del keys
     weights = np.zeros((n, n))
     # -0 reads as +0.0, the zero a save and a load give back.
-    weights[lo, hi] = weights[hi, lo] = w + 0.0
+    w += 0.0
+    weights[u, v] = weights[v, u] = w
     return weights
 
 

@@ -15,7 +15,8 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .graph import MAX_NODES, WeightedGraph, _require_finite, _upper_blocks, _upper_values
+from .graph import (_ROW_BLOCK, MAX_NODES, WeightedGraph, _pair_weights, _require_finite,
+                    _upper_blocks, _upper_values)
 
 PROB_SUM_TOL = 1e-12
 
@@ -445,14 +446,19 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
     """Pairwise dot products of the rows of x; diagonal = squared norms.
 
     A product past the float range is inf or nan, for ``_pair_parameters``
-    to refuse.
+    to refuse. The halved grid h becomes h + h^T in place, by row blocks:
+    each block reads only entries no earlier block wrote, and float addition
+    commutes, so the grid has the bits of h + h^T with no second n x n array.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         grid = x @ x.T
         # Halved first, so that entries near the float maximum cannot overflow.
         np.multiply(grid, 0.5, out=grid)
-        return grid + grid.T
+        for r0 in range(0, len(grid), _ROW_BLOCK):
+            upper, lower = grid[r0:r0 + _ROW_BLOCK, r0:], grid[r0:, r0:r0 + _ROW_BLOCK].T
+            upper[...] = lower[...] = upper + lower
+    return grid
 
 
 def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
@@ -478,9 +484,9 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
 
 
 def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
-                  out: np.ndarray) -> np.ndarray:
-    """Draw one network into ``out``, an n x n matrix with a zero diagonal, and
-    return a read-only view of it.
+                  out: np.ndarray) -> WeightedGraph:
+    """Draw one network into ``out``, a float64 or uint8 n x n matrix with a
+    zero diagonal, and return the graph over it (`WeightedGraph._wrap`).
 
     ``params`` holds one in-domain parameter per j < l pair, in row-major
     order, or one for every pair; both draw the same weights from the same
@@ -494,8 +500,8 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
     ``out`` is refilled, and none of its entries is stale.
 
     The counts (booleans or nonnegative int64) are written as ``out``'s
-    dtype. A count past an integer ``out``'s maximum is a DomainError,
-    never a wrapped value.
+    dtype, so the weights meet `_wrap`'s contract. A count past an integer
+    ``out``'s maximum is a DomainError, never a wrapped value.
     """
     n = len(out)
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
@@ -515,9 +521,7 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
         out[rows, :rows.start] = out[:rows.start, rows].T
         square = out[rows, rows]
         np.copyto(square, square.T, where=mask[:, rows].T)
-    draw = out.view()
-    draw.setflags(write=False)
-    return draw
+    return WeightedGraph._wrap(out)
 
 
 def sample_from_grids(
@@ -536,9 +540,7 @@ def sample_from_grids(
     n = len(grid)
     # CPython hands a temporary argument's one reference to this frame.
     del grid
-    # As WeightedGraph._wrap requires, the float64 weights are symmetric, and
-    # they are booleans or nonnegative int64 counts.
-    return WeightedGraph._wrap(_sample_pairs(distribution, params, seed, np.zeros((n, n))))
+    return _sample_pairs(distribution, params, seed, np.zeros((n, n)))
 
 
 def sample_network(
@@ -568,4 +570,4 @@ def log_likelihood(
     if np.shape(grid) != (g.n, g.n):
         raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
     params = _pair_parameters(distribution, grid, clamp)
-    return distribution.log_likelihood(params, _upper_values(g.weights))
+    return distribution.log_likelihood(params, _pair_weights(g))

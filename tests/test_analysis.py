@@ -25,6 +25,7 @@ from wrdpm import (
     weighted_clustering,
 )
 from wrdpm import analysis, model
+from wrdpm.graph import _pair_weights
 from wrdpm.model import NULL_SAMPLE, derive_seed
 from conftest import disjoint_cliques, random_integer_graph
 
@@ -135,6 +136,27 @@ class TestWeightedClustering:
                 ref = matmul_reference(graph)
                 assert per_node.tobytes() == ref.tobytes()
                 assert avg == float(ref.mean())
+
+    @pytest.mark.parametrize("n", [2, 65, 600])
+    def test_count_graph_is_bitwise_its_float64_graph(self, rng, n):
+        # The null ensemble scores its one-byte draws as graphs: each statistic
+        # must give the bits of the same counts held as float64. n = 65 spans
+        # two row blocks; at n = 600 OpenBLAS threads A^T A.
+        c = np.triu(rng.poisson(2.0, (n, n)), 1).astype(np.uint8)
+        c[0, -1] = 255
+        counts = WeightedGraph._wrap(c + c.T)
+        floats = WeightedGraph(counts.weights)
+        assert counts.weights.dtype == np.uint8 and floats.weights.dtype == np.float64
+        assert total_weight(counts).hex() == total_weight(floats).hex()
+        (per_count, avg_count), (per_float, avg_float) = map(weighted_clustering, (counts, floats))
+        assert per_count.tobytes() == per_float.tobytes() and avg_count == avg_float
+        pairs = _pair_weights(counts)
+        assert pairs.dtype == np.uint8
+        assert pairs.astype(float).tobytes() == _pair_weights(floats).tobytes()
+        dist = EdgeDistribution("poisson")
+        rates = rng.uniform(0.5, 3.0, pairs.size)
+        assert (dist.log_likelihood(rates, pairs).hex()
+                == dist.log_likelihood(rates, _pair_weights(floats)).hex())
 
     def test_isolated_and_pendant_nodes_zero(self):
         g = graph_from_edges(4, [(0, 1, 2.0)])
@@ -371,7 +393,7 @@ class TestNullCompare:
         for statistic in ("avg_weighted_clustering", "total_weight"):
             assert null_compare(g, statistic=statistic, n_samples=3, seed=0).n_samples == 3
         n = 70
-        w = model._sample_pairs(EdgeDistribution("poisson"), 0.7, 0, np.zeros((n, n)))
+        w = model._sample_pairs(EdgeDistribution("poisson"), 0.7, 0, np.zeros((n, n))).weights
         assert np.array_equal(w, w.T) and not np.diag(w).any()
 
     def test_quantile_and_std_fields(self):

@@ -326,6 +326,19 @@ class TestEmbed:
                    "--out", str(tmp_path / "x")) == 2
         assert "line 1: n=99999999999 exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("1 3000000000 1", "line 2: node id 3000000000 exceeds the limit of 20000 nodes"),
+        ("-3000000000 1 1", "line 2: negative node id"),
+    ], ids=["past-int32", "below-int32"])
+    def test_node_id_outside_int32_is_data_error(self, tmp_path, capsys, row, message):
+        # numpy's parser reads node ids as int32 and refuses these; the line
+        # parser then names them as it names any id out of range.
+        bad = tmp_path / "big.edgelist"
+        bad.write_text(f"0 1 1\n{row}\n")
+        assert run("embed", "--graph", str(bad), "--d", "1",
+                   "--out", str(tmp_path / "x")) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     # Files Python's int() and float() read but the edge-list grammar refuses,
     # a header after an edge, one before it that declares no nodes, and a
     # byte that is not UTF-8.

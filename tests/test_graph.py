@@ -1,4 +1,7 @@
+import ast
+import inspect
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +9,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wrdpm import (
+    AxisNoise,
     BlockModelSpec,
+    EdgeDistribution,
     GraphFormatError,
+    LatentModel,
     WeightedGraph,
     complete_diagonal,
+    draw_vectors,
     graph,
     load_graph,
+    sample_network,
     save_graph,
+    specialize,
     total_weight,
 )
 from conftest import disjoint_cliques, random_integer_graph
@@ -243,6 +252,29 @@ class TestArrayParser:
         assert not load_graph(write(tmp_path, "n=4\n")).weights.any()
         assert load_graph(write(tmp_path, "# c\nn=5\n0 1 1\n")).n == 5
 
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    def test_array_parser_holds_the_rows_and_the_weights(self, tmp_path, header):
+        # At n = 600 and density 0.34 the load holds the weights (8 n^2
+        # bytes) and the parsed rows (int32 ids and a weight, 16 bytes per
+        # edge); the sorted pair keys are let go before the weights exist.
+        # int64 ids with per-edge lo, hi, key and sorted-key arrays take 17.5.
+        n = 600
+        m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
+        g = sample_network(m, draw_vectors(m, seed=0), seed=1)
+        path = tmp_path / "g.edgelist"
+        save_graph(g, path)
+        if not header:
+            path.write_text(path.read_text().split("\n", 1)[1])
+        load_graph(path)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            loaded = load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.weights.tobytes() == g.weights[:loaded.n, :loaded.n].tobytes()
+        assert peak < 12 * n * n
+
 
 class TestDense:
     def test_asymmetric_rejected(self, tmp_path):
@@ -457,3 +489,21 @@ def test_bad_argument_is_named(tmp_path, call, message):
     path = write(tmp_path, "0 1 1\n")
     with pytest.raises(ValueError, match=message):
         call(path)
+
+
+def test_only_graph_reads_the_weight_array():
+    # Every other module asks graph for what it needs, so the storage of the
+    # weights can change in graph alone. The one other `.weights` is
+    # ChungLuSpec's own field: read through `self` in its class and through
+    # make_chung_lu's ChungLuSpec argument.
+    reads = set()
+    for path in sorted(Path(graph.__file__).parent.glob("*.py")):
+        if path.name != "graph.py":
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                reads |= {(path.name, getattr(top, "name", None), ast.unparse(node.value))
+                          for node in ast.walk(top)
+                          if isinstance(node, ast.Attribute) and node.attr == "weights"}
+    assert reads == {("specialize.py", "ChungLuSpec", "self"),
+                     ("specialize.py", "make_chung_lu", "spec")}
+    assert inspect.signature(specialize.make_chung_lu).parameters["spec"].annotation \
+        == "ChungLuSpec"

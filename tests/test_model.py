@@ -216,7 +216,7 @@ class TestSampleNetwork:
     def test_one_rate_for_all_pairs_draws_the_per_pair_graph(self, dist, rate):
         n = 40
         for seed in range(3):
-            one = _sample_pairs(dist, rate, seed, np.zeros((n, n)))
+            one = _sample_pairs(dist, rate, seed, np.zeros((n, n))).weights
             per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
             assert np.array_equal(one, per_pair.weights)
 
@@ -227,8 +227,8 @@ class TestSampleNetwork:
         params = np.random.default_rng(5).uniform(0.0, rate, n * (n - 1) // 2)
         out = np.zeros((n, n))
         for seed in (0, 1, 2):
-            into = _sample_pairs(dist, params, seed, out)
-            fresh = _sample_pairs(dist, params, seed, np.zeros((n, n)))
+            into = _sample_pairs(dist, params, seed, out).weights
+            fresh = _sample_pairs(dist, params, seed, np.zeros((n, n))).weights
             assert np.shares_memory(into, out)
             assert into.tobytes() == fresh.tobytes()
 
@@ -251,13 +251,13 @@ class TestSampleNetwork:
             expected = np.zeros((n, n))
             expected[upper] = once
             expected.T[upper] = once
-            w = _sample_pairs(dist, rates, seed, np.zeros((n, n)))
+            w = _sample_pairs(dist, rates, seed, np.zeros((n, n))).weights
             assert w.tobytes() == expected.tobytes()
             assert np.array_equal(_upper_values(w), once)
 
     def test_sampled_graph_is_read_only(self):
         out = np.zeros((5, 5))
-        for w in (_sample_pairs(POISSON, 2.0, 0, out),
+        for w in (_sample_pairs(POISSON, 2.0, 0, out).weights,
                   sample_from_grids(POISSON, np.full((5, 5), 2.0), seed=0).weights):
             assert not w.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -268,8 +268,9 @@ class TestSampleNetwork:
         # dtype is refused, never wrapped.
         n = 70
         for rate in (0.7, 16.0):
-            counts = _sample_pairs(POISSON, rate, 3, np.zeros((n, n), np.uint8))
-            assert np.array_equal(counts, _sample_pairs(POISSON, rate, 3, np.zeros((n, n))))
+            counts = _sample_pairs(POISSON, rate, 3, np.zeros((n, n), np.uint8)).weights
+            floats = _sample_pairs(POISSON, rate, 3, np.zeros((n, n))).weights
+            assert counts.dtype == np.uint8 and np.array_equal(counts, floats)
         with pytest.raises(DomainError, match=r"count \d+ does not fit the uint8 draw buffer"):
             _sample_pairs(POISSON, 1000.0, 3, np.zeros((n, n), np.uint8))
 
@@ -289,6 +290,33 @@ class TestSampleNetwork:
             tracemalloc.stop()
         assert g.weights.dtype == np.float64
         assert peak < 18 * n * n
+
+    def test_network_draw_holds_one_grid(self):
+        # dot_product_grid makes its halved grid symmetric in place, so the
+        # draw's peak is the grid with its pair rates and masks (14.0 n^2
+        # bytes at n = 600); a second grid for h + h^T would make it 16.2.
+        n = 600
+        m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
+        vecs = draw_vectors(m, seed=0)
+        sample_network(m, vecs, seed=1)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            sample_network(m, vecs, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * n * n
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_grid_is_the_halved_products_plus_their_transpose(self, n):
+        # Symmetrized in place by row blocks, the grid keeps the bits of
+        # h + h^T, h the halved products, at and across block edges, and
+        # where a product overflows.
+        x = np.random.default_rng(n).normal(0.0, 1.0, (n, 3))
+        x[n // 2] = 1e200
+        with np.errstate(over="ignore"):
+            h = (x @ x.T) * 0.5
+        assert dot_product_grid(x).tobytes() == (h + h.T).tobytes()
 
     def test_domain_check_covers_both_triangles(self):
         # only the upper triangle is sampled, but every off-diagonal entry is checked
