@@ -115,9 +115,10 @@ def _node_vectors(x: np.ndarray, g: WeightedGraph) -> np.ndarray:
 def evaluate_null_likelihood(
     g: WeightedGraph, x: np.ndarray, family: str = "poisson", clamp: bool = False
 ) -> float:
-    """Log-likelihood of g under the dot-product grid of the vectors x."""
-    grid = dot_product_grid(_node_vectors(x, g))
-    return log_likelihood(EdgeDistribution(family), grid, g, clamp=clamp)
+    """Log-likelihood of g under the dot-product grid of the vectors x, passed
+    on as a temporary that `model.log_likelihood` frees once it has the rates."""
+    return log_likelihood(EdgeDistribution(family), dot_product_grid(_node_vectors(x, g)), g,
+                          clamp=clamp)
 
 
 def null_compare(

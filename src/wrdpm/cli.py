@@ -137,7 +137,9 @@ class _RunFiles:
 
 
 def _load_graph_arg(args, files) -> graph.WeightedGraph:
-    return graph.load_graph(files.read(args.graph), args.format)
+    """The --graph file, as one-byte counts when its weights are integers in
+    0..255: its float64 matrix is freed before any command's work starts."""
+    return graph._as_counts(graph.load_graph(files.read(args.graph), args.format))
 
 
 def _load_embedding_csv(path) -> np.ndarray:

@@ -91,11 +91,12 @@ class WeightedGraph:
     def _wrap(cls, weights: np.ndarray) -> "WeightedGraph":
         """A graph over a read-only view of ``weights``, neither copied nor scanned.
 
-        The caller guarantees a square float64 or uint8 (null counts) matrix
-        of at least one node that is finite, nonnegative, symmetric and zero
-        on its diagonal. On counts, `total_weight` and `_clustering_sums` give
-        the bits of the same counts in float64. The graph sees every later
-        write to ``weights``: it holds until its caller refills them.
+        The caller guarantees a square float64 or uint8 matrix of at least
+        one node that is finite, nonnegative, symmetric and zero on its
+        diagonal; uint8 holds a null draw's counts or `_as_counts`' copy of a
+        loaded graph. On counts, every reader in this module gives the bits of
+        the same counts in float64. The graph sees every later write to
+        ``weights``: it holds until its caller refills them.
         """
         g = object.__new__(cls)
         view = weights.view()
@@ -151,15 +152,33 @@ def total_weight(g: WeightedGraph) -> float:
     return total
 
 
+def _as_counts(g: WeightedGraph) -> WeightedGraph:
+    """g over one-byte counts (`WeightedGraph._wrap`) when its weights are
+    integers in 0..255, else g itself.
+
+    Every reader of this module gives a count graph the bits of its float64
+    graph, so a caller that lets g go holds n^2 bytes where it held 8 n^2.
+    """
+    w = g.weights
+    # Checked before the cast, which wraps past 255 and warns on 1e308.
+    if w.max() > 255:
+        return g
+    counts = w.astype(np.uint8)
+    return WeightedGraph._wrap(counts) if np.array_equal(counts, w) else g
+
+
 def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
-    """The matrix `embedding.embed` runs on, A / 4^m over its norm, with m and
-    the norm, and the degree means that fill its diagonal for the start.
+    """The float64 matrix `embedding.embed` runs on, A / 4^m over its norm,
+    with m and the norm, and the degree means that fill its diagonal for the
+    start.
 
     A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1. The
     weights are nonnegative, so their largest is max |A|, without a copy.
+    Both are taken in float64 whatever g's dtype: numpy's `frexp` and `ldexp`
+    of uint8 counts give float16.
     """
-    m = int(np.frexp(g.weights.max())[1]) // 2
-    a = np.ldexp(g.weights, -2 * m)
+    m = int(np.frexp(float(g.weights.max()))[1]) // 2
+    a = np.ldexp(g.weights, -2 * m, dtype=float)
     scale = np.linalg.norm(a)
     if scale:
         a /= scale

@@ -16,7 +16,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .graph import (_ROW_BLOCK, MAX_NODES, WeightedGraph, _pair_weights, _require_finite,
-                    _upper_blocks, _upper_values)
+                    _upper_blocks)
 
 PROB_SUM_TOL = 1e-12
 
@@ -464,22 +464,30 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
 def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
     """The parameters of the j < l pairs of a square grid, in row-major order.
 
-    Every off-diagonal grid entry must be finite. With ``clamp`` the
-    parameters are clamped into the domain; otherwise each entry must lie
-    in it.
+    Every off-diagonal grid entry must be finite, below the diagonal too,
+    although no pair reads it. With ``clamp`` the parameters are clamped
+    into the domain; otherwise each entry must lie in it. The entries are
+    checked and the pairs gathered one `graph._upper_blocks` row block at a
+    time, so the first bad entry in row-major order is named with no n x n
+    or pair-sized mask.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ModelError(f"parameter grid must be square, got shape {grid.shape}")
-    bad = ~np.isfinite(grid)
-    if not clamp:
-        bad |= distribution.domain_violations(grid)
-    np.fill_diagonal(bad, False)
-    if bad.any():
-        j, l = np.argwhere(bad)[0]
-        raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
-                          f"the {distribution.family} domain")
-    params = _upper_values(grid)
+    n = len(grid)
+    params = np.empty(n * (n - 1) // 2)
+    for rows, mask, pairs in _upper_blocks(n):
+        block = grid[rows]
+        bad = ~np.isfinite(block)
+        if not clamp:
+            bad |= distribution.domain_violations(block)
+        np.fill_diagonal(bad[:, rows], False)
+        if bad.any():
+            i, l = np.argwhere(bad)[0]
+            j = rows.start + i
+            raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
+                              f"the {distribution.family} domain")
+        params[pairs] = block[mask]
     return distribution.clamp(params) if clamp else params
 
 
@@ -566,8 +574,12 @@ def log_likelihood(
 
     Returns -inf, silently, when any observed edge weight has zero
     probability under its grid entry; the caller decides how to report it.
+    The grid is let go once its pair parameters are gathered, as in
+    `sample_from_grids`: a grid passed as a temporary is freed before the
+    likelihood's pair-sized buffers are allocated.
     """
     if np.shape(grid) != (g.n, g.n):
         raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
     params = _pair_parameters(distribution, grid, clamp)
+    del grid
     return distribution.log_likelihood(params, _pair_weights(g))

@@ -24,7 +24,7 @@ from wrdpm import (
     total_weight,
     weighted_clustering,
 )
-from wrdpm import analysis, model
+from wrdpm import analysis, graph, model
 from wrdpm.graph import _pair_weights
 from wrdpm.model import NULL_SAMPLE, derive_seed
 from conftest import disjoint_cliques, random_integer_graph
@@ -437,6 +437,22 @@ class TestNullCompare:
             null_compare(WeightedGraph(w), null=null, statistic="log_likelihood",
                          n_samples=2, x=np.ones((3, 1)))
 
+    @pytest.mark.parametrize("statistic", analysis.STATISTICS)
+    @pytest.mark.parametrize("null", analysis.NULL_KINDS)
+    def test_count_graph_report_is_bitwise_its_float64_graph(self, null, statistic):
+        # The CLI scores a loaded graph of small integer weights as one-byte
+        # counts (graph._as_counts): the observed value and every sample keep
+        # the float64 graph's bits, under both nulls. n = 130 spans three row
+        # blocks.
+        m = LatentModel(EdgeDistribution("poisson"), 130, AxisNoise(3, 0.01))
+        x = draw_vectors(m, seed=2)
+        g = sample_network(m, x, seed=3)
+        counts = graph._as_counts(g)
+        assert counts.weights.dtype == np.uint8
+        reports = [null_compare(h, null=null, statistic=statistic, n_samples=4, seed=6, x=x)
+                   for h in (g, counts)]
+        assert reports[0].to_json() == reports[1].to_json()
+
     def test_log_likelihood_statistic_matches_direct(self):
         g = simple_community_graph(5)
         report = null_compare(g, statistic="log_likelihood", n_samples=5, seed=1)
@@ -460,3 +476,21 @@ class TestEvaluateNullLikelihood:
         x = np.full((3, 1), np.sqrt(0.5))
         expected = 3 * math.log(0.5)
         assert evaluate_null_likelihood(g, x, family="bernoulli") == pytest.approx(expected)
+
+    def test_lets_go_of_its_grid_once_it_has_the_rates(self):
+        # The grid (8 n^2 bytes) is freed once the pair rates (4) are
+        # gathered, before the gathered weights (4) and the kernel's terms
+        # and log-factorial buffers (4 + 4): 16.0 n^2 at n = 600. Held through
+        # the kernel, as a local of its caller, it made 24.0.
+        n = 600
+        m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
+        x = draw_vectors(m, seed=0)
+        g = sample_network(m, x, seed=1)
+        evaluate_null_likelihood(g, x)  # imports scipy.special
+        tracemalloc.start()
+        try:
+            evaluate_null_likelihood(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17 * n * n

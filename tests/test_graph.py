@@ -1,6 +1,7 @@
 import ast
 import inspect
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from wrdpm import (
     LatentModel,
     WeightedGraph,
     complete_diagonal,
+    dimension_sweep,
     draw_vectors,
+    embedding,
     graph,
     load_graph,
     sample_network,
@@ -405,6 +408,67 @@ class TestSaveBytes:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * n
+
+
+def poisson_graph_and_counts(n, seed=0):
+    """A Poisson AxisNoise (d = 3) graph and `graph._as_counts` of it."""
+    m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
+    g = sample_network(m, draw_vectors(m, seed), seed + 1)
+    counts = graph._as_counts(g)
+    assert g.weights.dtype == np.float64 and counts.weights.dtype == np.uint8
+    return g, counts
+
+
+class TestCountGraphs:
+    """A loaded graph of integer weights in 0..255 is held as one-byte counts
+    (`graph._as_counts`), and every reader gives it its float64 graph's bits."""
+
+    @pytest.mark.parametrize("weight", [255.5, 256.0, 1e308, 2.5])
+    def test_weights_past_one_byte_stay_float64(self, weight):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = weight
+        w[1, 2] = w[2, 1] = 3.0
+        g = WeightedGraph(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast of 1e308 warns
+            assert graph._as_counts(g) is g
+
+    @pytest.mark.parametrize("n", [1, 5, 70])
+    def test_integers_up_to_255_become_one_byte(self, rng, n):
+        for top in (0, 1, 255):  # top 0: an edgeless graph
+            g = random_integer_graph(rng, n, max_weight=top)
+            counts = graph._as_counts(g)
+            assert counts.weights.dtype == np.uint8 and not counts.weights.flags.writeable
+            assert np.array_equal(counts.weights, g.weights)
+        assert counts.n == n
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("n", [150, 300], ids=["eigh-start", "arpack-start"])
+    def test_embed_is_bitwise(self, n, d):
+        assert embedding._takes_eigh(n, d) == (n == 150)
+        g, counts = poisson_graph_and_counts(n)
+        fits = [embedding.embed(h, d) for h in (g, counts)]
+        assert fits[0].X.tobytes() == fits[1].X.tobytes()
+        assert fits[0].residual_history == fits[1].residual_history
+        assert fits[0].stop_reason == fits[1].stop_reason
+
+    def test_sweep_records_are_bitwise(self):
+        g, counts = poisson_graph_and_counts(150)
+        reports = [dimension_sweep(h, range(2, 6), seed=3, penalty=(1.0, 0.5))
+                   for h in (g, counts)]
+        assert reports[0].selected_d == reports[1].selected_d
+        for a, b in zip(reports[0].records, reports[1].records):
+            assert (a.d, a.stress, a.penalized_stress) == (b.d, b.stress, b.penalized_stress)
+            assert a.partition.assignment.tobytes() == b.partition.assignment.tobytes()
+            assert a.embedding.X.tobytes() == b.embedding.X.tobytes()
+            assert a.embedding.residual_history == b.embedding.residual_history
+
+    @pytest.mark.parametrize("fmt", ["edge-list", "dense"])
+    def test_save_graph_is_bitwise(self, tmp_path, fmt):
+        g, counts = poisson_graph_and_counts(130)
+        save_graph(g, tmp_path / "floats", fmt)
+        save_graph(counts, tmp_path / "counts", fmt)
+        assert (tmp_path / "counts").read_bytes() == (tmp_path / "floats").read_bytes()
 
 
 class TestInvariants:

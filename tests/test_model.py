@@ -24,7 +24,7 @@ from wrdpm import (
     total_weight,
 )
 from wrdpm.graph import _upper_values
-from wrdpm.model import NETWORK, _sample_pairs, derive_seed
+from wrdpm.model import NETWORK, _pair_parameters, _sample_pairs, derive_seed
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -317,6 +317,43 @@ class TestSampleNetwork:
         with np.errstate(over="ignore"):
             h = (x @ x.T) * 0.5
         assert dot_product_grid(x).tobytes() == (h + h.T).tobytes()
+
+    @pytest.mark.parametrize("bad, named", [
+        ([(70, 130), (150, 3)], (70, 130)),
+        ([(150, 3), (151, 2)], (150, 3)),
+        ([(199, 198)], (199, 198)),
+    ], ids=["upper-first", "lower-only", "last-block"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan], ids=["domain", "non-finite"])
+    def test_first_bad_entry_in_row_major_order_is_named(self, bad, named, value):
+        # The grid is checked by 64-row blocks, both triangles of each block
+        # at once, so the entry named is the first in row-major order, as a
+        # whole-grid scan names it, although no pair reads the lower triangle.
+        n = 200
+        grid = np.ones((n, n))
+        np.fill_diagonal(grid, np.nan)  # the diagonal is never read
+        for j, l in bad:
+            grid[j, l] = value
+        g = WeightedGraph(np.zeros((n, n)))
+        message = rf"grid entry \({named[0]},{named[1]}\) = {value:g} outside the poisson"
+        with pytest.raises(DomainError, match=message):
+            sample_from_grids(POISSON, grid, seed=0)
+        with pytest.raises(DomainError, match=message):
+            log_likelihood(POISSON, grid, g)
+
+    def test_pair_parameters_hold_no_grid_sized_mask(self):
+        # The rates (4 n^2 bytes at n = 600) and one row block's check and
+        # gather; an n x n mask of bad entries and its np.isfinite temporary
+        # made it 6.0.
+        n = 600
+        grid = dot_product_grid(draw_vectors(poisson_model(AxisNoise(3, 0.01), n), seed=0))
+        _pair_parameters(POISSON, grid, clamp=False)
+        tracemalloc.start()
+        try:
+            _pair_parameters(POISSON, grid, clamp=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * n * n
 
     def test_domain_check_covers_both_triangles(self):
         # only the upper triangle is sampled, but every off-diagonal entry is checked
