@@ -88,11 +88,12 @@ class NullEnsembleReport:
         return float(np.mean(np.asarray(self.samples) <= self.observed))
 
     def to_json(self) -> str:
+        """The report as JSON; an observed log-likelihood of -inf is null."""
         return json.dumps(
             {
                 "statistic": self.statistic,
                 "null": self.null_kind,
-                "observed": self.observed,
+                "observed": None if self.observed == -np.inf else self.observed,
                 "null_mean": self.null_mean,
                 "null_std": self.null_std,
                 "quantile": self.quantile,
@@ -101,6 +102,7 @@ class NullEnsembleReport:
                 "samples": list(self.samples),
             },
             indent=2,
+            allow_nan=False,
         )
 
 

@@ -114,7 +114,7 @@ class _RunFiles:
         self.save(name, write)
 
     def save_json(self, name, doc):
-        self.save_lines(name, [json.dumps(doc, indent=2), "\n"])
+        self.save_lines(name, [json.dumps(doc, indent=2, allow_nan=False), "\n"])
 
     def save_matrix(self, name, m):
         self.save(name, lambda path: graph._write_csv_matrix(path, m))
@@ -134,12 +134,6 @@ class _RunFiles:
             "duration_seconds": time.perf_counter() - started,
         }
         self.save_json("manifest.json", manifest)
-
-
-def _load_graph_arg(args, files) -> graph.WeightedGraph:
-    """The --graph file, as one-byte counts when its weights are integers in
-    0..255: its float64 matrix is freed before any command's work starts."""
-    return graph._as_counts(graph.load_graph(files.read(args.graph), args.format))
 
 
 def _load_embedding_csv(path) -> np.ndarray:
@@ -251,7 +245,7 @@ def _save_embedding(files, emb: embedding.Embedding):
 
 
 def cmd_embed(args, files):
-    g = _load_graph_arg(args, files)
+    g = graph.load_graph(files.read(args.graph), args.format)
     _require_dims([args.d], g, "--d")
     emb = embedding.embed(g, args.d, _solver_config(args))
     _check_convergence(emb, args.strict)
@@ -260,7 +254,7 @@ def cmd_embed(args, files):
 
 
 def cmd_cluster(args, files):
-    g = _load_graph_arg(args, files)
+    g = graph.load_graph(files.read(args.graph), args.format)
     _require_dims([args.d], g, "--d")
     k = args.d if args.k is None else args.k
     _require_dims([k], g, "--k")
@@ -293,7 +287,7 @@ def cmd_sweep(args, files):
     ds = _parse_d_range(args.d_range)
     if (args.l1 is None) != (args.l2 is None):
         raise UsageError("--l1 and --l2 go together: give both for penalized stress")
-    g = _load_graph_arg(args, files)
+    g = graph.load_graph(files.read(args.graph), args.format)
     _require_dims(ds, g, "every --d-range value")
     penalty = None if args.l1 is None else (args.l1, args.l2)
     report = community.dimension_sweep(
@@ -333,7 +327,7 @@ def cmd_null(args, files):
         raise UsageError("--null dot_product requires --embedding <csv>")
     if args.null != "dot_product" and args.embedding:
         raise UsageError(f"--embedding is not read by --null {args.null}")
-    g = _load_graph_arg(args, files)
+    g = graph.load_graph(files.read(args.graph), args.format)
     x = _load_embedding_csv(files.read(args.embedding)) if args.embedding else None
     report = analysis.null_compare(
         g, null=args.null, statistic=args.statistic,
@@ -343,7 +337,7 @@ def cmd_null(args, files):
 
 
 def cmd_likelihood(args, files):
-    g = _load_graph_arg(args, files)
+    g = graph.load_graph(files.read(args.graph), args.format)
     x = _load_embedding_csv(files.read(args.embedding))
     value = analysis.evaluate_null_likelihood(g, x, family=args.family, clamp=args.clamp)
     if value == -np.inf:
@@ -351,7 +345,9 @@ def cmd_likelihood(args, files):
               file=sys.stderr)
     print(value)
     if args.out:
-        files.save_json("likelihood.json", {"family": args.family, "log_likelihood": value})
+        # JSON has no -inf: a zero-probability weight is written as null.
+        files.save_json("likelihood.json", {"family": args.family,
+                                            "log_likelihood": None if value == -np.inf else value})
 
 
 # ---------------------------------------------------------------------------

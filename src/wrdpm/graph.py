@@ -12,12 +12,13 @@ import numpy as np
 # Largest asymmetry |A - A^T| accepted and averaged away, relative to max |A|.
 SYMMETRY_TOL = 1e-12
 # Largest node count a graph file may declare or reference. Graphs are held
-# as dense n x n float64 matrices: at this size one takes 3.2 GB, and embed
-# works on about three of them. The edge-list parser refuses larger graphs
-# before it allocates anything.
+# as dense n x n matrices: at this size one of one-byte counts takes 400 MB
+# and a float64 one 3.2 GB, and embed works on about three float64 n x n
+# arrays. The edge-list parser refuses larger graphs before it allocates
+# anything.
 MAX_NODES = 20_000
-# Rows of the upper triangle that `_upper_blocks` walks at a time, of w * (A^2)
-# that `_clustering_sums` forms and of the grid `dot_product_grid` mirrors.
+# Rows of the upper triangle that `_upper_blocks` walks at a time and of
+# w * (A^2) that `_clustering_sums` forms.
 _ROW_BLOCK = 64
 
 
@@ -93,10 +94,10 @@ class WeightedGraph:
 
         The caller guarantees a square float64 or uint8 matrix of at least
         one node that is finite, nonnegative, symmetric and zero on its
-        diagonal; uint8 holds a null draw's counts or `_as_counts`' copy of a
-        loaded graph. On counts, every reader in this module gives the bits of
-        the same counts in float64. The graph sees every later write to
-        ``weights``: it holds until its caller refills them.
+        diagonal; uint8 holds a null draw's counts or a loaded graph's
+        (`_weight_dtype`). On counts, every reader in this module gives the
+        bits of the same counts in float64. The graph sees every later write
+        to ``weights``: it holds until its caller refills them.
         """
         g = object.__new__(cls)
         view = weights.view()
@@ -152,19 +153,18 @@ def total_weight(g: WeightedGraph) -> float:
     return total
 
 
-def _as_counts(g: WeightedGraph) -> WeightedGraph:
-    """g over one-byte counts (`WeightedGraph._wrap`) when its weights are
-    integers in 0..255, else g itself.
+def _weight_dtype(w: np.ndarray) -> type:
+    """The dtype a loaded graph with the finite, nonnegative weights ``w`` is
+    held in: uint8 when each is an integer in 0..255 (or there is none),
+    else float64.
 
     Every reader of this module gives a count graph the bits of its float64
-    graph, so a caller that lets g go holds n^2 bytes where it held 8 n^2.
+    graph, so a graph of counts takes n^2 bytes where it would take 8 n^2.
     """
-    w = g.weights
     # Checked before the cast, which wraps past 255 and warns on 1e308.
-    if w.max() > 255:
-        return g
-    counts = w.astype(np.uint8)
-    return WeightedGraph._wrap(counts) if np.array_equal(counts, w) else g
+    if w.size == 0 or (w.max() <= 255 and np.array_equal(w.astype(np.uint8), w)):
+        return np.uint8
+    return np.float64
 
 
 def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
@@ -254,7 +254,8 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
     ``surrogateescape``, so a byte that is not UTF-8 is named by its line.
     The matrix meets the contract of `WeightedGraph._wrap`: non-finite,
     negative, self-loop, duplicate and oversized input is refused, and each
-    edge is written to both triangles of a zeroed matrix."""
+    edge is written to both triangles of a zeroed matrix of the weights'
+    `_weight_dtype`."""
     declared_n = None
     edges = {}
     max_node = -1
@@ -303,7 +304,7 @@ def _parse_edge_list(lines: Sequence[str]) -> np.ndarray:
     n = max_node + 1 if declared_n is None else declared_n
     if n <= max_node:
         raise GraphFormatError(f"declared n={n} but edge references node {max_node}")
-    weights = np.zeros((n, n))
+    weights = np.zeros((n, n), _weight_dtype(np.fromiter(edges.values(), float, len(edges))))
     for (u, v), w in edges.items():
         weights[u, v] = weights[v, u] = w
     return weights
@@ -321,8 +322,8 @@ def _parse_edge_array(path) -> np.ndarray | None:
     ``str``; if that line is an ``n=`` header, `_read_header` reads it (and
     raises what the line parser would raise first). numpy's text parser
     reads the rows after it straight from the file. On every file the
-    grammar accepts, both parsers give the same matrix, and it meets the
-    contract of `WeightedGraph._wrap` for the same reasons.
+    grammar accepts, both parsers give the same matrix in the same dtype,
+    and it meets the contract of `WeightedGraph._wrap` for the same reasons.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -344,7 +345,7 @@ def _parse_edge_array(path) -> np.ndarray | None:
         except ValueError:
             return None
     if rows.size == 0:
-        return np.zeros((declared_n, declared_n))
+        return np.zeros((declared_n, declared_n), np.uint8)
     u, v, w = rows["u"], rows["v"], rows["w"]
     top = int(max(u.max(), v.max()))
     n = top + 1 if declared_n is None else declared_n
@@ -358,7 +359,7 @@ def _parse_edge_array(path) -> np.ndarray | None:
     if (keys[1:] == keys[:-1]).any():
         return None
     del keys
-    weights = np.zeros((n, n))
+    weights = np.zeros((n, n), _weight_dtype(w))
     # -0 reads as +0.0, the zero a save and a load give back.
     w += 0.0
     weights[u, v] = weights[v, u] = w
@@ -395,7 +396,10 @@ def load_graph(path, format: str = "edge-list") -> WeightedGraph:
 
     Every edge list the grammar accepts (README, File formats) is parsed
     by numpy's text parser, straight from the file; a file it refuses is
-    read again line by line, to name its first bad line.
+    read again line by line, to name its first bad line. The graph is held
+    as one-byte counts (uint8) when its weights are integers in 0..255, else
+    as float64 (`_weight_dtype`); widen the weights before doing arithmetic
+    on them, as uint8 arithmetic wraps.
     """
     if format == "edge-list":
         weights = _parse_edge_array(path)
@@ -405,7 +409,9 @@ def load_graph(path, format: str = "edge-list") -> WeightedGraph:
         # Both parsers meet `_wrap`'s contract: no copy and no second scan.
         return WeightedGraph._wrap(weights)
     if format == "dense":
-        return WeightedGraph(_read_csv_matrix(path, "dense matrix"))
+        # np.loadtxt hands the matrix over as float64 only.
+        w = WeightedGraph(_read_csv_matrix(path, "dense matrix")).weights
+        return WeightedGraph._wrap(w.astype(_weight_dtype(w), copy=False))
     raise ValueError(f"unknown graph format {format!r}")
 
 

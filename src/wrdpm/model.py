@@ -15,8 +15,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .graph import (_ROW_BLOCK, MAX_NODES, WeightedGraph, _pair_weights, _require_finite,
-                    _upper_blocks)
+from .graph import MAX_NODES, WeightedGraph, _pair_weights, _require_finite, _upper_blocks
 
 PROB_SUM_TOL = 1e-12
 
@@ -446,19 +445,13 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
     """Pairwise dot products of the rows of x; diagonal = squared norms.
 
     A product past the float range is inf or nan, for ``_pair_parameters``
-    to refuse. The halved grid h becomes h + h^T in place, by row blocks:
-    each block reads only entries no earlier block wrote, and float addition
-    commutes, so the grid has the bits of h + h^T with no second n x n array.
+    to refuse. numpy computes ``x @ x.T`` as a symmetric rank-k update and
+    mirrors its triangle (or, on strides BLAS cannot take, sums each entry
+    in one order), so the grid is exactly symmetric as it is made.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = x @ x.T
-        # Halved first, so that entries near the float maximum cannot overflow.
-        np.multiply(grid, 0.5, out=grid)
-        for r0 in range(0, len(grid), _ROW_BLOCK):
-            upper, lower = grid[r0:r0 + _ROW_BLOCK, r0:], grid[r0:, r0:r0 + _ROW_BLOCK].T
-            upper[...] = lower[...] = upper + lower
-    return grid
+        return x @ x.T
 
 
 def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):

@@ -17,14 +17,16 @@ from wrdpm import (
     dot_product_grid,
     draw_vectors,
     evaluate_null_likelihood,
+    load_graph,
     log_likelihood,
     null_compare,
     sample_from_grids,
     sample_network,
+    save_graph,
     total_weight,
     weighted_clustering,
 )
-from wrdpm import analysis, graph, model
+from wrdpm import analysis, model
 from wrdpm.graph import _pair_weights
 from wrdpm.model import NULL_SAMPLE, derive_seed
 from conftest import disjoint_cliques, random_integer_graph
@@ -439,16 +441,17 @@ class TestNullCompare:
 
     @pytest.mark.parametrize("statistic", analysis.STATISTICS)
     @pytest.mark.parametrize("null", analysis.NULL_KINDS)
-    def test_count_graph_report_is_bitwise_its_float64_graph(self, null, statistic):
-        # The CLI scores a loaded graph of small integer weights as one-byte
-        # counts (graph._as_counts): the observed value and every sample keep
-        # the float64 graph's bits, under both nulls. n = 130 spans three row
+    def test_count_graph_report_is_bitwise_its_float64_graph(self, tmp_path, null, statistic):
+        # A loaded graph of small integer weights is held as one-byte counts
+        # (graph._weight_dtype): the observed value and every sample keep the
+        # float64 graph's bits, under both nulls. n = 130 spans three row
         # blocks.
         m = LatentModel(EdgeDistribution("poisson"), 130, AxisNoise(3, 0.01))
         x = draw_vectors(m, seed=2)
-        g = sample_network(m, x, seed=3)
-        counts = graph._as_counts(g)
+        save_graph(sample_network(m, x, seed=3), tmp_path / "g.edgelist")
+        counts = load_graph(tmp_path / "g.edgelist")
         assert counts.weights.dtype == np.uint8
+        g = WeightedGraph._wrap(counts.weights.astype(float))
         reports = [null_compare(h, null=null, statistic=statistic, n_samples=4, seed=6, x=x)
                    for h in (g, counts)]
         assert reports[0].to_json() == reports[1].to_json()

@@ -623,8 +623,8 @@ def poisson_600_path(tmp_path_factory):
     (["cluster", "--d", "8"], 17),
 ], ids=["null", "cluster"])
 def test_command_holds_the_loaded_graph_as_counts(tmp_path, poisson_600_path, argv, bound):
-    # The loader's peak (11 n^2) comes before the command's work, and its
-    # float64 matrix is freed once the counts are made.
+    # The loader's peak (4.9 n^2) comes before the command's work, and it
+    # builds the graph as counts from the start.
     n = 600
     argv = [*argv, "--graph", str(poisson_600_path)]
     assert run(*argv, "--out", str(tmp_path / "warm")) == 0  # imports are not counted
@@ -669,6 +669,26 @@ class TestLikelihood:
         assert captured.out == "-inf\n"
         assert "warning: an observed weight has zero probability" in captured.err
         assert not recwarn.list
+
+    def test_minus_infinity_is_written_as_json_null(self, tmp_path):
+        # JSON (RFC 8259) has no -Infinity: jq and JSON.parse refuse it.
+        path, emb = tmp_path / "g.edgelist", tmp_path / "emb.csv"
+        path.write_text("n=3\n0 1 1\n1 2 3\n")
+        emb.write_text("0\n0\n0\n")
+        common = ["--graph", str(path), "--embedding", str(emb)]
+        assert run("likelihood", *common, "--clamp", "--out", str(tmp_path / "lik")) == 0
+        assert run("null", "--null", "dot_product", "--statistic", "log_likelihood", *common,
+                   "--out", str(tmp_path / "null")) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        docs = {p.relative_to(tmp_path).as_posix(): json.loads(p.read_text(), parse_constant=refuse)
+                for p in tmp_path.glob("*/*.json")}
+        assert len(docs) == 4  # two data files and two manifests
+        assert docs["lik/likelihood.json"]["log_likelihood"] is None
+        assert docs["null/null.json"]["observed"] is None
+        assert docs["null/null.json"]["quantile"] == 0.0
 
     def test_bernoulli_needs_zero_one_weights(self, tmp_path, capsys):
         path, emb = tmp_path / "g.edgelist", tmp_path / "emb.csv"

@@ -130,9 +130,12 @@ class TestLoadEdgeList:
         with pytest.raises(GraphFormatError, match=f"^{message}"):
             load_graph(path)
 
+    @pytest.mark.parametrize("other, dtype", [("2", np.uint8), ("2.5", np.float64)])
     @pytest.mark.parametrize("weight", ["-0", "-1e-400", "-0.0"])
-    def test_negative_zero_weight_round_trips_as_zero(self, tmp_path, weight):
-        g = load_graph(write(tmp_path, f"n=3\n0 1 {weight}\n1 2 2\n"))
+    def test_negative_zero_weight_round_trips_as_zero(self, tmp_path, weight, other, dtype):
+        # In one-byte counts and in float64 alike.
+        g = load_graph(write(tmp_path, f"n=3\n0 1 {weight}\n1 2 {other}\n"))
+        assert g.weights.dtype == dtype
         assert not np.signbit(g.weights).any()
         save_graph(g, tmp_path / "again.edgelist")
         assert load_graph(tmp_path / "again.edgelist").weights.tobytes() == g.weights.tobytes()
@@ -257,10 +260,11 @@ class TestArrayParser:
 
     @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
     def test_array_parser_holds_the_rows_and_the_weights(self, tmp_path, header):
-        # At n = 600 and density 0.34 the load holds the weights (8 n^2
-        # bytes) and the parsed rows (int32 ids and a weight, 16 bytes per
-        # edge); the sorted pair keys are let go before the weights exist.
-        # int64 ids with per-edge lo, hi, key and sorted-key arrays take 17.5.
+        # At n = 600 and density 0.34 the load holds the weights as one-byte
+        # counts (n^2 bytes) and the parsed rows (int32 ids and a weight, 16
+        # bytes per edge); the sorted pair keys are let go before the weights
+        # exist. Built as float64 and then cast, the weights took 11.1 n^2;
+        # int64 ids with per-edge lo, hi, key and sorted-key arrays, 17.5.
         n = 600
         m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
         g = sample_network(m, draw_vectors(m, seed=0), seed=1)
@@ -275,8 +279,9 @@ class TestArrayParser:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert loaded.weights.tobytes() == g.weights[:loaded.n, :loaded.n].tobytes()
-        assert peak < 12 * n * n
+        assert loaded.weights.dtype == np.uint8
+        assert loaded.weights.tobytes() == g.weights[:loaded.n, :loaded.n].astype(np.uint8).tobytes()
+        assert peak < 6 * n * n
 
 
 class TestDense:
@@ -410,50 +415,57 @@ class TestSaveBytes:
         assert peak < 4 * n * n
 
 
-def poisson_graph_and_counts(n, seed=0):
-    """A Poisson AxisNoise (d = 3) graph and `graph._as_counts` of it."""
+def poisson_graph_and_counts(tmp_path, n, seed=0):
+    """A Poisson AxisNoise (d = 3) graph loaded from its saved edge list, as
+    one-byte counts, and the same counts as a float64 graph, first."""
     m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
-    g = sample_network(m, draw_vectors(m, seed), seed + 1)
-    counts = graph._as_counts(g)
-    assert g.weights.dtype == np.float64 and counts.weights.dtype == np.uint8
-    return g, counts
+    save_graph(sample_network(m, draw_vectors(m, seed), seed + 1), tmp_path / "g.edgelist")
+    counts = load_graph(tmp_path / "g.edgelist")
+    assert counts.weights.dtype == np.uint8
+    return WeightedGraph._wrap(counts.weights.astype(float)), counts
 
 
 class TestCountGraphs:
     """A loaded graph of integer weights in 0..255 is held as one-byte counts
-    (`graph._as_counts`), and every reader gives it its float64 graph's bits."""
+    (`graph._weight_dtype`), and every reader gives it its float64 graph's
+    bits."""
 
+    @pytest.mark.parametrize("fmt", ["edge-list", "dense"])
     @pytest.mark.parametrize("weight", [255.5, 256.0, 1e308, 2.5])
-    def test_weights_past_one_byte_stay_float64(self, weight):
+    def test_weights_past_one_byte_stay_float64(self, tmp_path, weight, fmt):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = weight
         w[1, 2] = w[2, 1] = 3.0
-        g = WeightedGraph(w)
+        save_graph(WeightedGraph(w), tmp_path / "g", fmt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the cast of 1e308 warns
-            assert graph._as_counts(g) is g
+            g = load_graph(tmp_path / "g", fmt)
+        assert g.weights.dtype == np.float64
+        assert g.weights.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("fmt", ["edge-list", "dense"])
     @pytest.mark.parametrize("n", [1, 5, 70])
-    def test_integers_up_to_255_become_one_byte(self, rng, n):
-        for top in (0, 1, 255):  # top 0: an edgeless graph
+    def test_integers_up_to_255_become_one_byte(self, tmp_path, rng, n, fmt):
+        for top in (0, 1, 255):  # top 0: an edgeless graph, a bare header as an edge list
             g = random_integer_graph(rng, n, max_weight=top)
-            counts = graph._as_counts(g)
+            save_graph(g, tmp_path / "g", fmt)
+            counts = load_graph(tmp_path / "g", fmt)
             assert counts.weights.dtype == np.uint8 and not counts.weights.flags.writeable
             assert np.array_equal(counts.weights, g.weights)
         assert counts.n == n
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     @pytest.mark.parametrize("n", [150, 300], ids=["eigh-start", "arpack-start"])
-    def test_embed_is_bitwise(self, n, d):
+    def test_embed_is_bitwise(self, tmp_path, n, d):
         assert embedding._takes_eigh(n, d) == (n == 150)
-        g, counts = poisson_graph_and_counts(n)
+        g, counts = poisson_graph_and_counts(tmp_path, n)
         fits = [embedding.embed(h, d) for h in (g, counts)]
         assert fits[0].X.tobytes() == fits[1].X.tobytes()
         assert fits[0].residual_history == fits[1].residual_history
         assert fits[0].stop_reason == fits[1].stop_reason
 
-    def test_sweep_records_are_bitwise(self):
-        g, counts = poisson_graph_and_counts(150)
+    def test_sweep_records_are_bitwise(self, tmp_path):
+        g, counts = poisson_graph_and_counts(tmp_path, 150)
         reports = [dimension_sweep(h, range(2, 6), seed=3, penalty=(1.0, 0.5))
                    for h in (g, counts)]
         assert reports[0].selected_d == reports[1].selected_d
@@ -465,7 +477,7 @@ class TestCountGraphs:
 
     @pytest.mark.parametrize("fmt", ["edge-list", "dense"])
     def test_save_graph_is_bitwise(self, tmp_path, fmt):
-        g, counts = poisson_graph_and_counts(130)
+        g, counts = poisson_graph_and_counts(tmp_path, 130)
         save_graph(g, tmp_path / "floats", fmt)
         save_graph(counts, tmp_path / "counts", fmt)
         assert (tmp_path / "counts").read_bytes() == (tmp_path / "floats").read_bytes()

@@ -113,13 +113,28 @@ class TestDotProductGrid:
         expected = np.outer(w, w) / w.sum()
         assert np.allclose(grid, expected, atol=1e-14)
 
-    def test_symmetry_exact(self, rng):
-        x = rng.normal(size=(20, 4))
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "reversed"])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 65, 600])
+    def test_symmetry_exact(self, rng, n, d, layout):
+        # numpy runs x @ x.T as a symmetric rank-k update and mirrors it, or,
+        # on strides BLAS cannot take, sums each entry in one order; at
+        # n = 600 OpenBLAS threads the product.
+        x = {"C": lambda: rng.normal(size=(n, d)),
+             "F": lambda: np.asfortranarray(rng.normal(size=(n, d))),
+             "strided": lambda: rng.normal(size=(2 * n, 2 * d))[::2, ::2],
+             "reversed": lambda: rng.normal(size=(n, d))[::-1, ::-1]}[layout]()
         grid = dot_product_grid(x)
         assert np.array_equal(grid, grid.T)
 
+    def test_odd_subnormal_product_is_kept(self):
+        # The product 2^-1074 is the smallest subnormal; halved and doubled,
+        # as the grid was once symmetrized, it rounded to 0.
+        grid = dot_product_grid(np.array([[2.0 ** -537], [2.0 ** -537]]))
+        assert grid[0, 1] == grid[1, 0] == 5e-324
+
     def test_rows_near_the_root_of_the_float_maximum(self):
-        # Summed before halving, these entries would overflow to inf.
+        # Each product is just below the float maximum and stays finite.
         assert np.all(dot_product_grid(np.full((3, 1), 1e154)) == 1e308)
 
     def test_equals_the_mean_of_the_product_and_its_transpose(self, rng):
@@ -277,8 +292,8 @@ class TestSampleNetwork:
     def test_network_draw_frees_the_grid_before_the_weights(self):
         # sample_network passes its grid on as a temporary, which
         # sample_from_grids lets go before it allocates the weights: the
-        # grid's own symmetrization (two n x n arrays) is the peak, where
-        # holding the grid through the draw would add the weights to it.
+        # peak is the draw (13.75 n^2 bytes), where holding the grid through
+        # the draw would add the grid's 8 n^2 to it.
         n = 600
         m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
         vecs = draw_vectors(m, seed=0)
@@ -292,9 +307,9 @@ class TestSampleNetwork:
         assert peak < 18 * n * n
 
     def test_network_draw_holds_one_grid(self):
-        # dot_product_grid makes its halved grid symmetric in place, so the
-        # draw's peak is the grid with its pair rates and masks (14.0 n^2
-        # bytes at n = 600); a second grid for h + h^T would make it 16.2.
+        # dot_product_grid makes one n x n array, so the draw's peak is its
+        # pair rates and weights with one row block's temporaries (13.75 n^2
+        # bytes at n = 600); a second grid for h + h^T made it 16.2.
         n = 600
         m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
         vecs = draw_vectors(m, seed=0)
@@ -309,9 +324,9 @@ class TestSampleNetwork:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
     def test_grid_is_the_halved_products_plus_their_transpose(self, n):
-        # Symmetrized in place by row blocks, the grid keeps the bits of
-        # h + h^T, h the halved products, at and across block edges, and
-        # where a product overflows.
+        # The grid is exactly symmetric, so it has the bits of h + h^T, h the
+        # halved products, at and across 64-row block edges, and where a
+        # product overflows; the two part only on a subnormal product.
         x = np.random.default_rng(n).normal(0.0, 1.0, (n, 3))
         x[n // 2] = 1e200
         with np.errstate(over="ignore"):
