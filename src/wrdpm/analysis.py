@@ -17,6 +17,7 @@ from .graph import WeightedGraph, _clustering_sums, _clustering_workspace, _pair
 from .model import (
     NULL_SAMPLE,
     EdgeDistribution,
+    _draw_buffer,
     _pair_parameters,
     _sample_pairs,
     derive_seed,
@@ -27,11 +28,6 @@ from .specialize import _poisson_er_rate
 
 STATISTICS = ("avg_weighted_clustering", "total_weight", "log_likelihood")
 NULL_KINDS = ("poisson_er", "dot_product")
-# Largest null rate whose draws go to one-byte count buffers. A uint8 holds
-# counts up to 255, and for a rate lambda <= 16 the Chernoff bound gives
-# P(Poisson(lambda) >= 256) <= e^-lambda (e lambda / 256)^256 < 1e-200 per
-# pair; `model._sample_pairs` still refuses a count its buffer cannot hold.
-_BYTE_COUNT_RATE_MAX = 16.0
 
 
 def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
@@ -140,13 +136,9 @@ def null_compare(
     ensembles of different seeds are independent.
 
     The ensemble holds the null as its clamped pair rates only, or as one
-    rate under the Erdos-Renyi null, built once, with two n x n count
-    buffers and, under the clustering statistic, that statistic's buffers.
-    The buffers are one-byte (uint8) when the largest rate is at most
-    `_BYTE_COUNT_RATE_MAX`, and float64 above it. Either holds every count
-    the sampler accepts, and each draw is a graph over its buffer, whose
-    statistics `graph` computes in float64: the results are bit for bit
-    those of float64 draws. Each draw samples into a buffer while one worker
+    rate under the Erdos-Renyi null, built once, with two n x n
+    `model._draw_buffer`s and, under the clustering statistic, that
+    statistic's buffers. Each draw samples into a buffer while one worker
     thread scores the draw before it in the other, so an ensemble uses two
     cores even with one BLAS thread. The results are those of drawing and
     scoring in turn, bit for bit, and an error is the first that order
@@ -186,8 +178,7 @@ def null_compare(
     # Draw i is sampled into buffers[i % 2] while the worker scores draw i - 1
     # in the other buffer; the score of draw i - 2, the last to read
     # buffers[i % 2], has been taken by then.
-    dtype = np.uint8 if np.max(rates, initial=0.0) <= _BYTE_COUNT_RATE_MAX else float
-    buffers = np.zeros((g.n, g.n), dtype), np.zeros((g.n, g.n), dtype)
+    buffers = _draw_buffer(g.n, rates), _draw_buffer(g.n, rates)
     with ThreadPoolExecutor(1) as worker:
         pending, results = worker.submit(score, g), []
         for i in range(n_samples):

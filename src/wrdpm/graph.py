@@ -59,32 +59,39 @@ def _symmetrize(m: np.ndarray) -> float | None:
     return None
 
 
+def _checked(w: np.ndarray) -> np.ndarray:
+    """Check ``w``, a float64 matrix its caller owns, in place as a graph's
+    weights (averaging an asymmetry within `SYMMETRY_TOL`); return it in its `_weight_dtype`."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise GraphFormatError(f"weight matrix must be square, got shape {w.shape}")
+    if w.shape[0] < 1:
+        raise GraphFormatError("graph must have at least one node")
+    if not np.isfinite(w).all():
+        raise GraphFormatError("edge weights must be finite")
+    asym = _symmetrize(w)
+    if asym is not None:
+        raise GraphFormatError(f"weight matrix asymmetric (max |A - A^T| = {asym:g})")
+    if np.any(np.diag(w) != 0):
+        raise GraphFormatError("diagonal entries must all be zero")
+    if np.any(w < 0):
+        raise GraphFormatError("negative edge weight")
+    return w.astype(_weight_dtype(w), copy=False)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Symmetric, nonnegative, zero-diagonal weighted adjacency matrix.
 
-    The weight matrix is stored dense and read-only; only this module reads
-    it. The constructor copies and checks its input; `_wrap` builds a graph
-    over a matrix that its caller guarantees, with neither.
+    The weight matrix is stored dense and read-only, in its `_weight_dtype`:
+    widen it before doing arithmetic on it, as uint8 arithmetic wraps. The
+    constructor copies and checks its input (`_checked`); `_wrap` builds a
+    graph over a matrix that its caller guarantees, with neither.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise GraphFormatError(f"weight matrix must be square, got shape {w.shape}")
-        if w.shape[0] < 1:
-            raise GraphFormatError("graph must have at least one node")
-        if not np.isfinite(w).all():
-            raise GraphFormatError("edge weights must be finite")
-        asym = _symmetrize(w)
-        if asym is not None:
-            raise GraphFormatError(f"weight matrix asymmetric (max |A - A^T| = {asym:g})")
-        if np.any(np.diag(w) != 0):
-            raise GraphFormatError("diagonal entries must all be zero")
-        if np.any(w < 0):
-            raise GraphFormatError("negative edge weight")
+        w = _checked(np.array(self.weights, dtype=float))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -94,10 +101,9 @@ class WeightedGraph:
 
         The caller guarantees a square float64 or uint8 matrix of at least
         one node that is finite, nonnegative, symmetric and zero on its
-        diagonal; uint8 holds a null draw's counts or a loaded graph's
-        (`_weight_dtype`). On counts, every reader in this module gives the
-        bits of the same counts in float64. The graph sees every later write
-        to ``weights``: it holds until its caller refills them.
+        diagonal: a checked matrix in its `_weight_dtype`, or a draw into a
+        `model._draw_buffer`. The graph sees every later write to
+        ``weights``: it holds until its caller refills them.
         """
         g = object.__new__(cls)
         view = weights.view()
@@ -129,18 +135,12 @@ def _upper_blocks(n: int):
         yield slice(r0, r1), strip[:r1 - r0, n - r0:2 * n - r0], slice(first, end)
 
 
-def _upper_values(m: np.ndarray) -> np.ndarray:
-    """The j < l entries of the square matrix ``m``, in row-major order."""
-    n = len(m)
-    out = np.empty(n * (n - 1) // 2, m.dtype)
-    for rows, mask, pairs in _upper_blocks(n):
-        out[pairs] = m[rows][mask]
-    return out
-
-
 def _pair_weights(g: WeightedGraph) -> np.ndarray:
     """The weights of g's j < l pairs, in row-major order, in g's dtype."""
-    return _upper_values(g.weights)
+    out = np.empty(g.n * (g.n - 1) // 2, g.weights.dtype)
+    for rows, mask, pairs in _upper_blocks(g.n):
+        out[pairs] = g.weights[rows][mask]
+    return out
 
 
 def total_weight(g: WeightedGraph) -> float:
@@ -154,9 +154,9 @@ def total_weight(g: WeightedGraph) -> float:
 
 
 def _weight_dtype(w: np.ndarray) -> type:
-    """The dtype a loaded graph with the finite, nonnegative weights ``w`` is
-    held in: uint8 when each is an integer in 0..255 (or there is none),
-    else float64.
+    """The dtype a graph with the finite, nonnegative weights ``w`` is held
+    in: uint8 when each is an integer in 0..255 (or there is none), else
+    float64.
 
     Every reader of this module gives a count graph the bits of its float64
     graph, so a graph of counts takes n^2 bytes where it would take 8 n^2.
@@ -345,7 +345,7 @@ def _parse_edge_array(path) -> np.ndarray | None:
         except ValueError:
             return None
     if rows.size == 0:
-        return np.zeros((declared_n, declared_n), np.uint8)
+        return np.zeros((declared_n, declared_n), _weight_dtype(rows["w"]))
     u, v, w = rows["u"], rows["v"], rows["w"]
     top = int(max(u.max(), v.max()))
     n = top + 1 if declared_n is None else declared_n
@@ -397,9 +397,7 @@ def load_graph(path, format: str = "edge-list") -> WeightedGraph:
     Every edge list the grammar accepts (README, File formats) is parsed
     by numpy's text parser, straight from the file; a file it refuses is
     read again line by line, to name its first bad line. The graph is held
-    as one-byte counts (uint8) when its weights are integers in 0..255, else
-    as float64 (`_weight_dtype`); widen the weights before doing arithmetic
-    on them, as uint8 arithmetic wraps.
+    in its weights' `_weight_dtype`, as `WeightedGraph` holds every graph.
     """
     if format == "edge-list":
         weights = _parse_edge_array(path)
@@ -409,9 +407,8 @@ def load_graph(path, format: str = "edge-list") -> WeightedGraph:
         # Both parsers meet `_wrap`'s contract: no copy and no second scan.
         return WeightedGraph._wrap(weights)
     if format == "dense":
-        # np.loadtxt hands the matrix over as float64 only.
-        w = WeightedGraph(_read_csv_matrix(path, "dense matrix")).weights
-        return WeightedGraph._wrap(w.astype(_weight_dtype(w), copy=False))
+        # np.loadtxt hands over a fresh float64 matrix, which `_checked` may write.
+        return WeightedGraph._wrap(_checked(_read_csv_matrix(path, "dense matrix")))
     raise ValueError(f"unknown graph format {format!r}")
 
 

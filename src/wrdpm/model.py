@@ -18,6 +18,11 @@ import numpy as np
 from .graph import MAX_NODES, WeightedGraph, _pair_weights, _require_finite, _upper_blocks
 
 PROB_SUM_TOL = 1e-12
+# Largest parameter whose draws go to one-byte count buffers. A uint8 holds
+# counts up to 255, and for a rate lambda <= 16 the Chernoff bound gives
+# P(Poisson(lambda) >= 256) <= e^-lambda (e lambda / 256)^256 < 1e-200 per
+# pair; `_sample_pairs` still refuses a count its buffer cannot hold.
+_BYTE_COUNT_RATE_MAX = 16.0
 
 
 class DomainError(ValueError):
@@ -484,6 +489,13 @@ def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bo
     return distribution.clamp(params) if clamp else params
 
 
+def _draw_buffer(n: int, params) -> np.ndarray:
+    """The zeroed n x n matrix that `_sample_pairs` draws with ``params`` into: uint8 when
+    the largest is at most `_BYTE_COUNT_RATE_MAX` (every Bernoulli one is), else float64."""
+    dtype = np.uint8 if np.max(params, initial=0.0) <= _BYTE_COUNT_RATE_MAX else np.float64
+    return np.zeros((n, n), dtype)
+
+
 def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
                   out: np.ndarray) -> WeightedGraph:
     """Draw one network into ``out``, a float64 or uint8 n x n matrix with a
@@ -534,14 +546,14 @@ def sample_from_grids(
     """Draw one weighted network with per-edge parameters from the grid.
 
     The grid is let go once its pair parameters are gathered, before the
-    n x n weights are allocated: a grid passed as a temporary, as
+    weights' `_draw_buffer` is allocated: a grid passed as a temporary, as
     `sample_network` passes its own, is freed by then.
     """
     params = _pair_parameters(distribution, grid, clamp)
     n = len(grid)
     # CPython hands a temporary argument's one reference to this frame.
     del grid
-    return _sample_pairs(distribution, params, seed, np.zeros((n, n)))
+    return _sample_pairs(distribution, params, seed, _draw_buffer(n, params))
 
 
 def sample_network(

@@ -205,7 +205,7 @@ def test_criterion_10_weighted_clustering_oracle():
         g = WeightedGraph(a + a.T)
         per_node, _ = weighted_clustering(g)
         brute = np.zeros(n)
-        w = g.weights
+        w = g.weights.astype(float)  # uint8 sums wrap past 255
         for j in range(n):
             nbrs = [l for l in range(n) if w[j, l] > 0]
             if len(nbrs) < 2:

@@ -34,6 +34,7 @@ from conftest import disjoint_cliques, random_integer_graph
 
 def barrat_reference(w):
     """Brute-force per-node weighted clustering by triangle enumeration."""
+    w = np.asarray(w, dtype=float)  # uint8 sums wrap past 255
     n = w.shape[0]
     out = np.zeros(n)
     for j in range(n):
@@ -54,7 +55,7 @@ def barrat_reference(w):
 def matmul_reference(g):
     """Per-node weighted clustering with the common-neighbor counts from a
     float64 ``A @ A``; every other step as in ``weighted_clustering``."""
-    w = g.weights
+    w = g.weights.astype(float)
     a = (w > 0).astype(float)
     degree = a.sum(axis=1)
     numer = (w * (a @ a)).sum(axis=1)
@@ -147,7 +148,7 @@ class TestWeightedClustering:
         c = np.triu(rng.poisson(2.0, (n, n)), 1).astype(np.uint8)
         c[0, -1] = 255
         counts = WeightedGraph._wrap(c + c.T)
-        floats = WeightedGraph(counts.weights)
+        floats = WeightedGraph._wrap(counts.weights.astype(float))
         assert counts.weights.dtype == np.uint8 and floats.weights.dtype == np.float64
         assert total_weight(counts).hex() == total_weight(floats).hex()
         (per_count, avg_count), (per_float, avg_float) = map(weighted_clustering, (counts, floats))
@@ -482,18 +483,37 @@ class TestEvaluateNullLikelihood:
 
     def test_lets_go_of_its_grid_once_it_has_the_rates(self):
         # The grid (8 n^2 bytes) is freed once the pair rates (4) are
-        # gathered, before the gathered weights (4) and the kernel's terms
-        # and log-factorial buffers (4 + 4): 16.0 n^2 at n = 600. Held through
-        # the kernel, as a local of its caller, it made 24.0.
+        # gathered, before the gathered weights, widened to float64 (4), and
+        # the kernel's terms and log-factorial buffers (4 + 4): 16.0 n^2 at
+        # n = 600, for drawn counts as for a float64 graph. Held through the
+        # kernel, as a local of its caller, it made 24.0 for both.
         n = 600
-        m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
-        x = draw_vectors(m, seed=0)
-        g = sample_network(m, x, seed=1)
-        evaluate_null_likelihood(g, x)  # imports scipy.special
-        tracemalloc.start()
-        try:
-            evaluate_null_likelihood(g, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 17 * n * n
+        g, x = drawn_counts_and_vectors(n)
+        assert null_likelihood_peak(g, x) < 17 * n * n
+
+    def test_lets_go_of_its_grid_for_a_float64_graph(self):
+        n = 600
+        g, x = drawn_counts_and_vectors(n)
+        g = WeightedGraph._wrap(g.weights.astype(float))
+        assert null_likelihood_peak(g, x) < 17 * n * n
+
+
+def drawn_counts_and_vectors(n):
+    """A Poisson AxisNoise (d = 3) network of n nodes, drawn as one-byte
+    counts, and the vectors it was drawn from."""
+    m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
+    x = draw_vectors(m, seed=0)
+    g = sample_network(m, x, seed=1)
+    assert g.weights.dtype == np.uint8
+    return g, x
+
+
+def null_likelihood_peak(g, x):
+    """The traced peak of a warm `evaluate_null_likelihood` of g and x."""
+    evaluate_null_likelihood(g, x)  # imports scipy.special
+    tracemalloc.start()
+    try:
+        evaluate_null_likelihood(g, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -400,19 +400,33 @@ class TestSaveBytes:
 
     @pytest.mark.parametrize("rate", [0.05, 0.7])
     def test_writes_without_an_n_by_n_copy(self, tmp_path, rate):
-        # A Poisson graph at density about 0.05 (rate 0.05) or 0.5 (rate 0.7)
-        # is written by row blocks. An n x n float64 copy alone would take
-        # 8 n^2 bytes; the write's traced peak stays below 4 n^2.
+        # A float64 Poisson graph at density about 0.05 (rate 0.05) or 0.5
+        # (rate 0.7) is written by row blocks. An n x n float64 copy alone
+        # would take 8 n^2 bytes; the write's traced peak stays below 4 n^2
+        # (2.24 at rate 0.7).
         n = 1200
-        w = np.triu(np.random.default_rng(0).poisson(rate, (n, n)), 1).astype(float)
-        g = WeightedGraph(w + w.T)
-        tracemalloc.start()
-        try:
-            save_graph(g, tmp_path / "g.edgelist")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * n * n
+        assert write_peak(tmp_path, n, rate, np.float64) < 4 * n * n
+
+    @pytest.mark.parametrize("rate", [0.05, 0.7])
+    def test_writes_counts_without_an_n_by_n_copy(self, tmp_path, rate):
+        # The same graphs held as one-byte counts. np.triu of the counts
+        # would take 2 n^2 bytes with its mask; the write's traced peak stays
+        # below 1.9 n^2 (1.73 at rate 0.7).
+        n = 1200
+        assert write_peak(tmp_path, n, rate, np.uint8) < 1.9 * n * n
+
+
+def write_peak(tmp_path, n, rate, dtype):
+    """The traced peak of saving, as an edge list, an n-node Poisson graph of
+    rate ``rate`` whose weights are held in ``dtype``."""
+    w = np.triu(np.random.default_rng(0).poisson(rate, (n, n)), 1)
+    g = WeightedGraph._wrap((w + w.T).astype(dtype))
+    tracemalloc.start()
+    try:
+        save_graph(g, tmp_path / "g.edgelist")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def poisson_graph_and_counts(tmp_path, n, seed=0):
@@ -425,33 +439,41 @@ def poisson_graph_and_counts(tmp_path, n, seed=0):
     return WeightedGraph._wrap(counts.weights.astype(float)), counts
 
 
-class TestCountGraphs:
-    """A loaded graph of integer weights in 0..255 is held as one-byte counts
-    (`graph._weight_dtype`), and every reader gives it its float64 graph's
-    bits."""
+def constructed_or_loaded(w, tmp_path, source):
+    """The graph of the weights ``w``, constructed, or saved in the format
+    ``source`` and loaded back; a float64 copy of ``w`` is saved, so both
+    formats write a float64 graph's bytes."""
+    if source == "constructed":
+        return WeightedGraph(w)
+    save_graph(WeightedGraph._wrap(w.astype(float)), tmp_path / "g", source)
+    return load_graph(tmp_path / "g", source)
 
-    @pytest.mark.parametrize("fmt", ["edge-list", "dense"])
+
+class TestCountGraphs:
+    """A graph of integer weights in 0..255, constructed or loaded, is held as
+    one-byte counts (`graph._weight_dtype`), and every reader gives it its
+    float64 graph's bits."""
+
+    @pytest.mark.parametrize("source", ["constructed", "edge-list", "dense"])
     @pytest.mark.parametrize("weight", [255.5, 256.0, 1e308, 2.5])
-    def test_weights_past_one_byte_stay_float64(self, tmp_path, weight, fmt):
+    def test_weights_past_one_byte_stay_float64(self, tmp_path, weight, source):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = weight
         w[1, 2] = w[2, 1] = 3.0
-        save_graph(WeightedGraph(w), tmp_path / "g", fmt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the cast of 1e308 warns
-            g = load_graph(tmp_path / "g", fmt)
+            g = constructed_or_loaded(w, tmp_path, source)
         assert g.weights.dtype == np.float64
         assert g.weights.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("fmt", ["edge-list", "dense"])
+    @pytest.mark.parametrize("source", ["constructed", "edge-list", "dense"])
     @pytest.mark.parametrize("n", [1, 5, 70])
-    def test_integers_up_to_255_become_one_byte(self, tmp_path, rng, n, fmt):
+    def test_integers_up_to_255_become_one_byte(self, tmp_path, rng, n, source):
         for top in (0, 1, 255):  # top 0: an edgeless graph, a bare header as an edge list
-            g = random_integer_graph(rng, n, max_weight=top)
-            save_graph(g, tmp_path / "g", fmt)
-            counts = load_graph(tmp_path / "g", fmt)
+            w = np.triu(rng.integers(0, top + 1, (n, n)) * (rng.random((n, n)) < 0.5), 1)
+            counts = constructed_or_loaded(w + w.T, tmp_path, source)
             assert counts.weights.dtype == np.uint8 and not counts.weights.flags.writeable
-            assert np.array_equal(counts.weights, g.weights)
+            assert counts.weights.tobytes() == (w + w.T).astype(np.uint8).tobytes()
         assert counts.n == n
 
     @pytest.mark.parametrize("d", [1, 3, 8])
@@ -512,9 +534,14 @@ class TestInvariants:
     def test_symmetry_tolerance_is_relative_to_the_weights(self, rng):
         w = random_integer_graph(rng, 8).weights * 1e6
         noisy = w + rng.uniform(-1e-9, 1e-9, w.shape) * (w > 0)
+        before = noisy.tobytes()
         for matrix in (WeightedGraph(noisy).weights, BlockModelSpec(noisy, (1,) * 8).B):
             assert np.array_equal(matrix, matrix.T)
             assert np.abs(matrix - w).max() <= 1e-9
+            # the constructor averages its own copy: the caller's array is
+            # neither written, nor frozen, nor aliased
+            assert not np.shares_memory(matrix, noisy)
+        assert noisy.tobytes() == before and noisy.flags.writeable
 
     def test_unit_scale_asymmetry_rejected(self):
         w = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])

@@ -1,7 +1,7 @@
 """Memory bounds per call: the traced peak of a warm call, in n^2 bytes.
 
 Every row runs on one Poisson AxisNoise (d = 3) graph at n = 600 (density
-about 0.34), as float64 or loaded from its edge list as one-byte counts.
+about 0.34), as float64 or as one-byte counts, as it is drawn and loaded.
 The peak does not count the inputs a call is handed. Bounds on other
 calls sit beside the tests of their behaviour: `save_graph` (test_graph),
 `sample_network`, `_pair_parameters` (test_model), `null_compare`,
@@ -18,6 +18,7 @@ from wrdpm import (
     AxisNoise,
     EdgeDistribution,
     LatentModel,
+    WeightedGraph,
     angular_kmeans,
     dot_product_grid,
     draw_vectors,
@@ -36,11 +37,14 @@ N = 600
 def inputs(tmp_path_factory):
     m = LatentModel(EdgeDistribution("poisson"), N, AxisNoise(3, 0.01))
     x = draw_vectors(m, seed=0)
-    floats = sample_network(m, x, seed=1)
+    drawn = sample_network(m, x, seed=1)
     path = tmp_path_factory.mktemp("memory") / "g.edgelist"
-    save_graph(floats, path)
+    save_graph(drawn, path)
+    save_graph(drawn, path.with_suffix(".csv"), "dense")
     counts = load_graph(path)
-    assert floats.weights.dtype == np.float64 and counts.weights.dtype == np.uint8
+    assert drawn.weights.dtype == counts.weights.dtype == np.uint8
+    assert counts.weights.tobytes() == drawn.weights.tobytes()
+    floats = WeightedGraph._wrap(counts.weights.astype(float))
     return SimpleNamespace(x=x, path=path, floats=floats, counts=counts,
                            fit=embed(counts, 8).X)
 
@@ -49,6 +53,10 @@ def inputs(tmp_path_factory):
     # The counts (1) and the parsed rows (16 bytes per edge): 4.9. Built as
     # float64 and then cast to counts, the weights took 11.1.
     pytest.param(lambda s: load_graph(s.path), 6, id="load_graph"),
+    # np.loadtxt's float64 matrix (8), checked in place, and the counts (1):
+    # 10.2. Copied again by the constructor before the check, it took 17.2.
+    pytest.param(lambda s: load_graph(s.path.with_suffix(".csv"), "dense"), 10.5,
+                 id="load_graph-dense"),
     # The grid (8). Halved and mirrored by row blocks, it took 9.1.
     pytest.param(lambda s: dot_product_grid(s.x), 8.5, id="dot_product_grid-d3"),
     # The scaled float64 copy (8) and the ARPACK start: 12.9.

@@ -23,7 +23,7 @@ from wrdpm import (
     sample_network,
     total_weight,
 )
-from wrdpm.graph import _upper_values
+from wrdpm.graph import _pair_weights
 from wrdpm.model import NETWORK, _pair_parameters, _sample_pairs, derive_seed
 
 POISSON = EdgeDistribution("poisson")
@@ -266,9 +266,9 @@ class TestSampleNetwork:
             expected = np.zeros((n, n))
             expected[upper] = once
             expected.T[upper] = once
-            w = _sample_pairs(dist, rates, seed, np.zeros((n, n))).weights
-            assert w.tobytes() == expected.tobytes()
-            assert np.array_equal(_upper_values(w), once)
+            drawn = _sample_pairs(dist, rates, seed, np.zeros((n, n)))
+            assert drawn.weights.tobytes() == expected.tobytes()
+            assert _pair_weights(drawn).tobytes() == expected[upper].tobytes()
 
     def test_sampled_graph_is_read_only(self):
         out = np.zeros((5, 5))
@@ -280,20 +280,33 @@ class TestSampleNetwork:
 
     def test_one_byte_buffer_holds_the_draw_or_names_the_count_it_cannot(self):
         # An integer buffer gets the float64 buffer's counts; a count past its
-        # dtype is refused, never wrapped.
+        # dtype is refused, never wrapped. sample_from_grids draws into a
+        # one-byte buffer up to a largest rate of 16, as on every Bernoulli
+        # grid, and into a float64 one just past it: each draw has the bits
+        # of the float64 draw of its seed.
         n = 70
         for rate in (0.7, 16.0):
             counts = _sample_pairs(POISSON, rate, 3, np.zeros((n, n), np.uint8)).weights
             floats = _sample_pairs(POISSON, rate, 3, np.zeros((n, n))).weights
             assert counts.dtype == np.uint8 and np.array_equal(counts, floats)
+        for dist, top, dtype in [(POISSON, 16.0, np.uint8), (BERNOULLI, 0.99, np.uint8),
+                                 (POISSON, np.nextafter(16.0, 17.0), np.float64)]:
+            grid = np.random.default_rng(4).uniform(0.0, top, (n, n))
+            grid[0, 1] = top
+            drawn = sample_from_grids(dist, grid, seed=3).weights
+            floats = _sample_pairs(dist, _pair_parameters(dist, grid, clamp=False), 3,
+                                   np.zeros((n, n))).weights
+            assert drawn.dtype == dtype and not drawn.flags.writeable
+            assert drawn.astype(float).tobytes() == floats.tobytes()
         with pytest.raises(DomainError, match=r"count \d+ does not fit the uint8 draw buffer"):
             _sample_pairs(POISSON, 1000.0, 3, np.zeros((n, n), np.uint8))
 
     def test_network_draw_frees_the_grid_before_the_weights(self):
         # sample_network passes its grid on as a temporary, which
         # sample_from_grids lets go before it allocates the weights: the
-        # peak is the draw (13.75 n^2 bytes), where holding the grid through
-        # the draw would add the grid's 8 n^2 to it.
+        # peak is the grid's check (13.1 n^2 bytes). Holding the grid through
+        # the draw would put its 8 n^2 beside the pair rates and the one-byte
+        # weights, 14.75 n^2; with float64 weights the draw alone took 13.75.
         n = 600
         m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
         vecs = draw_vectors(m, seed=0)
@@ -303,13 +316,14 @@ class TestSampleNetwork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g.weights.dtype == np.float64
-        assert peak < 18 * n * n
+        assert g.weights.dtype == np.uint8
+        assert peak < 14 * n * n
 
     def test_network_draw_holds_one_grid(self):
-        # dot_product_grid makes one n x n array, so the draw's peak is its
-        # pair rates and weights with one row block's temporaries (13.75 n^2
-        # bytes at n = 600); a second grid for h + h^T made it 16.2.
+        # dot_product_grid makes one n x n array, so the peak is the grid and
+        # its pair rates with one row block's check (13.1 n^2 bytes at
+        # n = 600); a second grid for h + h^T made it 16.2, and float64
+        # weights, with a float64 cast of each block's int64 draw, 13.75.
         n = 600
         m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
         vecs = draw_vectors(m, seed=0)
@@ -320,7 +334,7 @@ class TestSampleNetwork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 15 * n * n
+        assert peak < 13.4 * n * n
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
     def test_grid_is_the_halved_products_plus_their_transpose(self, n):
