@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import WeightedGraph, _clustering_sums, _clustering_workspace, _pair_weights, total_weight
+from .graph import WeightedGraph, _clustering, _clustering_workspace, _pair_weights, total_weight
 from .model import (
     NULL_SAMPLE,
     EdgeDistribution,
@@ -40,20 +40,6 @@ def weighted_clustering(g: WeightedGraph) -> tuple[np.ndarray, float]:
     """
     per_node = _clustering(g, _clustering_workspace(g.n))
     return per_node, float(per_node.mean())
-
-
-def _clustering(g: WeightedGraph, work) -> np.ndarray:
-    """Per-node weighted clustering of g, as `weighted_clustering` defines it,
-    with ``work`` a `graph._clustering_workspace`, which it overwrites."""
-    # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
-    # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.
-    numer, strength, degree = _clustering_sums(g, work)
-    with np.errstate(over="ignore"):
-        denom = strength * (degree - 1)
-    if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
-        raise ValueError("node strengths overflow the float range; "
-                         "no weighted clustering coefficient is defined")
-    return np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 @dataclass(frozen=True)

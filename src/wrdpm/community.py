@@ -22,7 +22,7 @@ _KMEANS_MAX_ITER = 100  # Lloyd steps per restart
 _KMEANS_RESTARTS = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Assignment of n nodes to k communities."""
 

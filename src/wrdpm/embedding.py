@@ -31,7 +31,7 @@ class SolverConfig:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """n x d latent vectors with the fit diagnostics of the solve."""
 

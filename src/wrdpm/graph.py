@@ -18,7 +18,7 @@ SYMMETRY_TOL = 1e-12
 # anything.
 MAX_NODES = 20_000
 # Rows of the upper triangle that `_upper_blocks` walks at a time and of
-# w * (A^2) that `_clustering_sums` forms.
+# w * (A^2) that `_clustering` forms.
 _ROW_BLOCK = 64
 
 
@@ -78,7 +78,7 @@ def _checked(w: np.ndarray) -> np.ndarray:
     return w.astype(_weight_dtype(w), copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Symmetric, nonnegative, zero-diagonal weighted adjacency matrix.
 
@@ -186,14 +186,13 @@ def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
 
 
 def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffers `_clustering_sums` fills at n nodes: the float32 A and A^2."""
+    """The buffers `_clustering` fills at n nodes: the float32 A and A^2."""
     return np.empty((n, n), np.float32), np.empty((n, n), np.float32)
 
 
-def _clustering_sums(g: WeightedGraph, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per node j of g, in float64: sum_l w_jl (A^2)_jl, the strength and the
-    binary degree, with ``work`` a `_clustering_workspace`, which it
-    overwrites. A sum past the float range is inf, for the caller to refuse.
+def _clustering(g: WeightedGraph, work) -> np.ndarray:
+    """Per-node weighted clustering of g, as `analysis.weighted_clustering`
+    defines it, with ``work`` a `_clustering_workspace`, which it overwrites.
 
     The 0/1 adjacency A is held in float32, and A^2 formed as A^T A, which
     numpy computes as a symmetric rank-k update (one triangle, mirrored).
@@ -205,15 +204,20 @@ def _clustering_sums(g: WeightedGraph, work) -> tuple[np.ndarray, np.ndarray, np
     a, c = work
     np.greater(w, 0, out=a, casting="unsafe")
     np.matmul(a.T, a, out=c)
+    # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
+    # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.
     numer = np.empty(g.n)
     with np.errstate(over="ignore"):
         for r0 in range(0, g.n, _ROW_BLOCK):
             r = slice(r0, r0 + _ROW_BLOCK)
             # A float32 product would round: uint8 x float32 promotes to float32.
             numer[r] = np.multiply(w[r], c[r], dtype=float).sum(axis=1)
-        strength = w.sum(axis=1, dtype=float)
-    # (A^T A)_jj counts j's neighbors, an exact integer like every count.
-    return numer, strength, c.diagonal().astype(float)
+        # (A^T A)_jj counts j's neighbors, an exact integer like every count.
+        denom = w.sum(axis=1, dtype=float) * (c.diagonal().astype(float) - 1)
+    if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
+        raise ValueError("node strengths overflow the float range; "
+                         "no weighted clustering coefficient is defined")
+    return np.where(denom > 0, numer / np.where(denom > 0, denom, 1.0), 0.0)
 
 
 def _number(token: str, kind):

@@ -169,7 +169,7 @@ def _finite_array(value, name: str, ndim: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constant:
     """Every node receives the same vector."""
 
@@ -183,7 +183,7 @@ class Constant:
         return np.tile(self.vector, (n, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSupport:
     """Distribution over a finite set of vectors.
 
@@ -288,7 +288,7 @@ class MultiresolutionAxis:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ray:
     """Vectors along a fixed direction with nonnegative magnitudes.
 

@@ -122,7 +122,7 @@ def fit_poisson_er(g: WeightedGraph) -> LatentModel:
     return make_er(g.n, "poisson", _poisson_er_rate(g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockModelSpec:
     """b x b symmetric parameter matrix plus per-community sizes."""
 
@@ -184,7 +184,7 @@ def make_sbm(
     return LatentModel(dist, spec.n, src)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChungLuSpec:
     """Per-node expected-strength weights."""
 

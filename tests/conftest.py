@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -69,6 +70,17 @@ def assert_clean_exit(code, message, caught, made, codes=(0, 1, 2, 3)):
     else:
         assert message.startswith(("error: ", "numerical failure: ")), message
         assert not made
+
+
+def traced_peak(call):
+    """The peak bytes that `tracemalloc` traces while ``call()`` runs; a
+    caller that does not count first-call allocations warms ``call`` first."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ import json
 import math
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,9 +121,11 @@ class TestWeightedClustering:
             per_node, _ = weighted_clustering(g)
             assert np.allclose(per_node, barrat_reference(g.weights))
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 300, 600])
     @pytest.mark.parametrize("weights", ["integer", "real"])
     def test_bitwise_equal_to_matmul_reference(self, rng, n, weights):
+        # At n = 600 OpenBLAS threads A^T A; the kernel keeps these bits.
         for _ in range(3):
             if weights == "integer":
                 g = random_integer_graph(rng, n, max_weight=4, density=0.5)
@@ -140,6 +141,7 @@ class TestWeightedClustering:
                 assert per_node.tobytes() == ref.tobytes()
                 assert avg == float(ref.mean())
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("n", [2, 65, 600])
     def test_count_graph_is_bitwise_its_float64_graph(self, rng, n):
         # The null ensemble scores its one-byte draws as graphs: each statistic
@@ -173,6 +175,11 @@ def simple_community_graph(seed, n=60):
 
 
 class TestNullCompare:
+    """The ensemble scores each draw on a worker thread while the caller
+    samples the next; in the tests marked `blas_threads`, its samples, and
+    the error it raises first, must be those of drawing and scoring in turn
+    at any BLAS thread count."""
+
     def test_deterministic_report(self):
         g = simple_community_graph(0)
         a = null_compare(g, n_samples=20, seed=5)
@@ -215,6 +222,7 @@ class TestNullCompare:
         report = null_compare(null_draw, n_samples=100, seed=11)
         assert 0.01 < report.quantile < 0.99
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("null", ["poisson_er", "dot_product"])
     @pytest.mark.parametrize("statistic", ["avg_weighted_clustering", "total_weight",
                                            "log_likelihood"])
@@ -252,6 +260,7 @@ class TestNullCompare:
                         for i in range(4)]
             assert report.samples == tuple(expected)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("null, weights, counts", [
         ("dot_product", [4.0, 4.0], np.uint8),
         ("dot_product", [4.0, np.nextafter(4.0, 5.0)], np.float64),
@@ -277,26 +286,7 @@ class TestNullCompare:
         null_compare(g, null=null, statistic="total_weight", n_samples=3, seed=0, x=x)
         assert dtypes == [np.dtype(counts)] * 3
 
-    @pytest.mark.parametrize("null, bound", [("poisson_er", 16), ("dot_product", 20)])
-    def test_draws_of_sample_hold_the_ensemble_to_its_buffers(self, null, bound):
-        # Under the clustering statistic at n = 600 the ensemble holds the
-        # float32 A and A^2 (8 n^2 bytes) and two one-byte count buffers
-        # (2 n^2); the dot-product null adds its pair rates (4 n^2). With two
-        # float64 buffers the peaks are 26.8 and 30.9 n^2 bytes.
-        n = 600
-        m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
-        x = draw_vectors(m, seed=0)
-        g = sample_network(m, x, seed=1)
-        # imports and the worker thread's first start are not counted
-        null_compare(simple_community_graph(0), null=null, n_samples=1, x=x[:60])
-        tracemalloc.start()
-        try:
-            null_compare(g, null=null, n_samples=3, seed=0, x=x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * n * n
-
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("failing_call", [1, 3], ids=["observed", "draw"])
     def test_worker_error_reaches_the_caller(self, monkeypatch, failing_call):
         # The observed graph (call 1) and the draws are scored on a worker
@@ -318,6 +308,7 @@ class TestNullCompare:
         assert caught.value is error
         assert threading.active_count() == threads
 
+    @pytest.mark.blas_threads
     def test_slow_worker_scores_each_draw_before_it_is_overwritten(self, monkeypatch):
         # The caller draws into the one weights buffer; it must wait for the
         # worker's score of the previous draw, however slow, before it writes.
@@ -332,6 +323,7 @@ class TestNullCompare:
         monkeypatch.setattr(analysis, "_clustering", slow)
         assert null_compare(g, n_samples=4, seed=3) == expected
 
+    @pytest.mark.blas_threads
     def test_worker_a_buffer_behind_scores_each_draw_before_it_is_overwritten(
             self, monkeypatch):
         # Every other score is slow, so the caller samples a buffer ahead of a
@@ -351,6 +343,7 @@ class TestNullCompare:
         monkeypatch.setattr(analysis, "_clustering", slow_every_other)
         assert null_compare(g, n_samples=7, seed=4) == expected
 
+    @pytest.mark.blas_threads
     def test_first_of_several_worker_errors_wins(self, monkeypatch):
         # Every score fails with an error of its own; the observed graph's,
         # first in sequence, is raised, however far the caller has run ahead.
@@ -369,6 +362,7 @@ class TestNullCompare:
         assert caught.value is errors[0]
         assert threading.active_count() == threads
 
+    @pytest.mark.blas_threads
     def test_worker_error_wins_over_a_later_draw_error(self, monkeypatch):
         # In sequence the observed graph is scored before the first draw, so
         # its error is the one raised, though the draw fails first in time.
@@ -440,6 +434,7 @@ class TestNullCompare:
             null_compare(WeightedGraph(w), null=null, statistic="log_likelihood",
                          n_samples=2, x=np.ones((3, 1)))
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("statistic", analysis.STATISTICS)
     @pytest.mark.parametrize("null", analysis.NULL_KINDS)
     def test_count_graph_report_is_bitwise_its_float64_graph(self, tmp_path, null, statistic):
@@ -480,40 +475,3 @@ class TestEvaluateNullLikelihood:
         x = np.full((3, 1), np.sqrt(0.5))
         expected = 3 * math.log(0.5)
         assert evaluate_null_likelihood(g, x, family="bernoulli") == pytest.approx(expected)
-
-    def test_lets_go_of_its_grid_once_it_has_the_rates(self):
-        # The grid (8 n^2 bytes) is freed once the pair rates (4) are
-        # gathered, before the gathered weights, widened to float64 (4), and
-        # the kernel's terms and log-factorial buffers (4 + 4): 16.0 n^2 at
-        # n = 600, for drawn counts as for a float64 graph. Held through the
-        # kernel, as a local of its caller, it made 24.0 for both.
-        n = 600
-        g, x = drawn_counts_and_vectors(n)
-        assert null_likelihood_peak(g, x) < 17 * n * n
-
-    def test_lets_go_of_its_grid_for_a_float64_graph(self):
-        n = 600
-        g, x = drawn_counts_and_vectors(n)
-        g = WeightedGraph._wrap(g.weights.astype(float))
-        assert null_likelihood_peak(g, x) < 17 * n * n
-
-
-def drawn_counts_and_vectors(n):
-    """A Poisson AxisNoise (d = 3) network of n nodes, drawn as one-byte
-    counts, and the vectors it was drawn from."""
-    m = LatentModel(EdgeDistribution("poisson"), n, AxisNoise(3, 0.01))
-    x = draw_vectors(m, seed=0)
-    g = sample_network(m, x, seed=1)
-    assert g.weights.dtype == np.uint8
-    return g, x
-
-
-def null_likelihood_peak(g, x):
-    """The traced peak of a warm `evaluate_null_likelihood` of g and x."""
-    evaluate_null_likelihood(g, x)  # imports scipy.special
-    tracemalloc.start()
-    try:
-        evaluate_null_likelihood(g, x)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()

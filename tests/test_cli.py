@@ -4,14 +4,12 @@ import os
 import resource
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wrdpm import (AxisNoise, EdgeDistribution, LatentModel, WeightedGraph, draw_vectors,
-                   load_graph, sample_network, save_graph, total_weight)
+from wrdpm import WeightedGraph, load_graph, save_graph, total_weight
 from wrdpm.cli import build_parser, main
 from conftest import assert_clean_exit, disjoint_cliques, run_cli
 
@@ -604,39 +602,6 @@ class TestNull:
         assert doc["observed"] == 30.0
 
 
-@pytest.fixture(scope="module")
-def poisson_600_path(tmp_path_factory):
-    """A Poisson AxisNoise (d = 3) graph at n = 600, saved as an edge list."""
-    m = LatentModel(EdgeDistribution("poisson"), 600, AxisNoise(3, 0.01))
-    path = tmp_path_factory.mktemp("poisson") / "g.edgelist"
-    save_graph(sample_network(m, draw_vectors(m, seed=0), seed=1), path)
-    return path
-
-
-@pytest.mark.parametrize("argv, bound", [
-    # The ensemble's float32 A and A^2 (8 n^2 bytes), its two one-byte count
-    # buffers (2) and the observed graph as counts (1); as float64 (8) it made
-    # 21.0 n^2.
-    (["null", "--samples", "3"], 15),
-    # embed's scaled copy and its start (13) beside the graph as counts (1);
-    # as float64 it made 21.1 n^2.
-    (["cluster", "--d", "8"], 17),
-], ids=["null", "cluster"])
-def test_command_holds_the_loaded_graph_as_counts(tmp_path, poisson_600_path, argv, bound):
-    # The loader's peak (4.9 n^2) comes before the command's work, and it
-    # builds the graph as counts from the start.
-    n = 600
-    argv = [*argv, "--graph", str(poisson_600_path)]
-    assert run(*argv, "--out", str(tmp_path / "warm")) == 0  # imports are not counted
-    tracemalloc.start()
-    try:
-        assert run(*argv, "--out", str(tmp_path / "run")) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound * n * n
-
-
 class TestLikelihood:
     def test_prints_value(self, tmp_path, clique_path, capsys):
         emb_out = tmp_path / "emb"
@@ -709,6 +674,9 @@ class TestLikelihood:
         assert captured.out == ""
 
 
+# This test and the next run the null ensemble's worker beside BLAS threads:
+# the error must be the one that drawing and scoring in turn meets first.
+@pytest.mark.blas_threads
 @pytest.mark.parametrize("command, message", [
     (["null", "--null", "dot_product"], "node strengths overflow the float range"),
     (["null", "--null", "dot_product", "--statistic", "total_weight"],
@@ -730,6 +698,7 @@ def test_overflowing_embedding_grid_is_data_error(tmp_path, capsys, recwarn, com
     assert not recwarn.list, [str(w.message) for w in recwarn]
 
 
+@pytest.mark.blas_threads
 def test_rate_too_large_to_sample_is_data_error(tmp_path, clique_path, capsys):
     emb, out = tmp_path / "emb.csv", tmp_path / "x"
     np.savetxt(emb, np.full((15, 1), 1e10))

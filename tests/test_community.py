@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from wrdpm import (
     stress,
 )
 from wrdpm.model import SWEEP_DIMENSION, derive_seed
-from conftest import bridge_graph, disjoint_cliques
+from conftest import bridge_graph, disjoint_cliques, traced_peak
 
 
 def repeated_basis(k, reps):
@@ -202,13 +201,8 @@ class TestStressClosedForm:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(n, d))
         p = Partition(rng.integers(0, d, n), d)
-        tracemalloc.start()
-        try:
-            for normalize_rows in (True, False):
-                stress(x, p, normalize_rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: [stress(x, p, normalize_rows)
+                                    for normalize_rows in (True, False)])
         assert peak < 16 * n * d * 8
 
 
@@ -393,7 +387,11 @@ def straddling_graph():
     return fig9_graph(4, size=100)
 
 
+@pytest.mark.blas_threads
 class TestSweepSharesTheStart:
+    """A sweep's records have the bits of each d run alone, on the shared eigh
+    start and on ARPACK starts, at any BLAS thread count."""
+
     @pytest.mark.parametrize("graph, ds", [
         (lambda: fig9_graph(3), range(2, 9)),
         (lambda: disjoint_cliques([5, 5, 5]), range(1, 8)),

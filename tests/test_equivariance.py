@@ -1,7 +1,8 @@
 """Property tests: embed respects the symmetries of the dot-product model.
 
 X is defined only up to an orthogonal map, so the tests compare Gram
-matrices X X^T, which that map leaves unchanged.
+matrices X X^T, which that map leaves unchanged. They must hold, on the
+ARPACK start too, at any BLAS thread count.
 """
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wrdpm import WeightedGraph, embed, embedding
+
+pytestmark = pytest.mark.blas_threads
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 

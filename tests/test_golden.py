@@ -21,6 +21,8 @@ from wrdpm import dot_product_grid, save_graph
 from wrdpm.cli import main
 from conftest import disjoint_cliques
 
+pytestmark = pytest.mark.blas_threads
+
 GOLDEN = {
     "generate": {
         "graph.edgelist":

@@ -1,6 +1,5 @@
 import ast
 import inspect
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from wrdpm import (
     specialize,
     total_weight,
 )
-from conftest import disjoint_cliques, random_integer_graph
+from conftest import disjoint_cliques, random_integer_graph, traced_peak
 
 
 def write(tmp_path, text, name="g.edgelist"):
@@ -272,13 +271,8 @@ class TestArrayParser:
         save_graph(g, path)
         if not header:
             path.write_text(path.read_text().split("\n", 1)[1])
-        load_graph(path)  # first-call allocations are not counted
-        tracemalloc.start()
-        try:
-            loaded = load_graph(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded = load_graph(path)  # first-call allocations are not counted
+        peak = traced_peak(lambda: load_graph(path))
         assert loaded.weights.dtype == np.uint8
         assert loaded.weights.tobytes() == g.weights[:loaded.n, :loaded.n].astype(np.uint8).tobytes()
         assert peak < 6 * n * n
@@ -421,12 +415,7 @@ def write_peak(tmp_path, n, rate, dtype):
     rate ``rate`` whose weights are held in ``dtype``."""
     w = np.triu(np.random.default_rng(0).poisson(rate, (n, n)), 1)
     g = WeightedGraph._wrap((w + w.T).astype(dtype))
-    tracemalloc.start()
-    try:
-        save_graph(g, tmp_path / "g.edgelist")
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: save_graph(g, tmp_path / "g.edgelist"))
 
 
 def poisson_graph_and_counts(tmp_path, n, seed=0):
@@ -452,7 +441,7 @@ def constructed_or_loaded(w, tmp_path, source):
 class TestCountGraphs:
     """A graph of integer weights in 0..255, constructed or loaded, is held as
     one-byte counts (`graph._weight_dtype`), and every reader gives it its
-    float64 graph's bits."""
+    float64 graph's bits, at any BLAS thread count."""
 
     @pytest.mark.parametrize("source", ["constructed", "edge-list", "dense"])
     @pytest.mark.parametrize("weight", [255.5, 256.0, 1e308, 2.5])
@@ -476,6 +465,7 @@ class TestCountGraphs:
             assert counts.weights.tobytes() == (w + w.T).astype(np.uint8).tobytes()
         assert counts.n == n
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("d", [1, 3, 8])
     @pytest.mark.parametrize("n", [150, 300], ids=["eigh-start", "arpack-start"])
     def test_embed_is_bitwise(self, tmp_path, n, d):
@@ -486,6 +476,7 @@ class TestCountGraphs:
         assert fits[0].residual_history == fits[1].residual_history
         assert fits[0].stop_reason == fits[1].stop_reason
 
+    @pytest.mark.blas_threads
     def test_sweep_records_are_bitwise(self, tmp_path):
         g, counts = poisson_graph_and_counts(tmp_path, 150)
         reports = [dimension_sweep(h, range(2, 6), seed=3, penalty=(1.0, 0.5))
@@ -497,6 +488,7 @@ class TestCountGraphs:
             assert a.embedding.X.tobytes() == b.embedding.X.tobytes()
             assert a.embedding.residual_history == b.embedding.residual_history
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("fmt", ["edge-list", "dense"])
     def test_save_graph_is_bitwise(self, tmp_path, fmt):
         g, counts = poisson_graph_and_counts(tmp_path, 130)

