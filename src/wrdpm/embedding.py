@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import WeightedGraph, _scaled
+from .graph import WeightedGraph, _FitMatrix
 from .specialize import _eigentruncate, canonical_orientation
 
 
@@ -73,16 +73,17 @@ def _takes_eigh(n: int, d: int) -> bool:
     return n < _ARPACK_MIN_N or d > n // _ARPACK_MAX_D_SHARE
 
 
-def _truncated_factor(dense, product, n: int, d: int) -> np.ndarray:
-    """Best rank-d PSD factor of the symmetric matrix ``dense()`` builds.
+def _truncated_factor(fit: _FitMatrix, c, d: int, y=None) -> np.ndarray:
+    """Best rank-d PSD factor of A - y y^T + diag(c), A the matrix of ``fit``.
 
-    Large ones need only their top d eigenpairs, from ARPACK on ``product``.
+    Large ones need only their top d eigenpairs, from ARPACK on its products.
     One Krylov space holds one vector per eigenspace, so ARPACK can miss a
     copy of a repeated eigenvalue; a Lanczos run with the found eigenvectors
     projected out finds it, and then, or if ARPACK fails, eigh stands in.
     """
+    n = len(c)
     if _takes_eigh(n, d):
-        return _eigentruncate(dense(), d)[0]
+        return _eigentruncate(fit.dense(c, y), d)[0]
     # Imported here: a module-level import costs every small run start-up
     # time and memory.
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -90,6 +91,11 @@ def _truncated_factor(dense, product, n: int, d: int) -> np.ndarray:
     # ARPACK draws a new start vector when its Krylov space becomes invariant;
     # a fixed generator keeps that draw, and so X, a function of the matrix.
     rng = np.random.default_rng(0)
+
+    def product(v):
+        v_out = fit @ v + (c * v.T).T
+        return v_out if y is None else v_out - y @ (y.T @ v)
+
     op = LinearOperator((n, n), matvec=product, matmat=product, dtype=float)
     try:
         eigvals, eigvecs = eigsh(op, k=d, which="LA", tol=0, v0=np.ones(n), rng=rng)
@@ -105,11 +111,11 @@ def _truncated_factor(dense, product, n: int, d: int) -> np.ndarray:
             tol=0.1, v0=rng.standard_normal(n), rng=rng, return_eigenvectors=False,
         )[0]
     except ArpackError:
-        return _eigentruncate(dense(), d)[0]
+        return _eigentruncate(fit.dense(c, y), d)[0]
     # eigvals is ascending. An eigenvalue of the rest above the smallest one
     # found, and above zero, where the clip makes ties harmless, was missed.
     if rest_top > max(eigvals[0], 0.0) + 1e-9 * np.abs(eigvals).max():
-        return _eigentruncate(dense(), d)[0]
+        return _eigentruncate(fit.dense(c, y), d)[0]
     eigvals = np.clip(eigvals[::-1], 0.0, None)
     return eigvecs[:, ::-1] * np.sqrt(eigvals)
 
@@ -150,8 +156,8 @@ def _shared_start(g: WeightedGraph, d_max: int) -> np.ndarray | None:
     """
     if not _takes_eigh(g.n, d_max):
         return None
-    a, _, _, start = _scaled(g)
-    return _eigentruncate(a + np.diag(start), d_max)[0]
+    fit = _FitMatrix(g)
+    return _eigentruncate(fit.dense(fit.degree_mean), d_max)[0]
 
 
 def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
@@ -162,10 +168,9 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     - 2 tr(X^T A X) + ||A||_F^2 and grad f = 4 (X X^T X - A X - diag(r) X):
     O(n^2 d) and no n x n matrix, until f falls below _DIRECT_SHARE of
     ||A||_F^2 and is summed directly. The start is the rank-d eigentruncation
-    of A + diag(degree mean). The fit runs on A / 4^m (4^m near
-    max |A|) over its norm: the power of two is exact, so embed(4 A).X is
-    2 embed(A).X bit for bit, and the norm makes the path scale-free. X is
-    returned on its principal axes, canonically oriented.
+    of A + diag(degree mean). The fit runs on A scaled by `graph._FitMatrix`,
+    so embed(4 A).X is 2 embed(A).X bit for bit. X is returned on its
+    principal axes, canonically oriented.
 
     Each L-BFGS run works on Z = X diag(s), s the column norms of the X it
     starts from, floored at _FLOOR of the largest. That X is on its
@@ -197,13 +202,12 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     # Imported here for the reason given in _truncated_factor.
     from scipy.optimize import minimize
 
-    a, m, scale, start = _scaled(g)
-    a_sq = np.einsum("ij,ij->", a, a)
+    fit = _FitMatrix(g)
+    a_sq = fit.sq_norm
     if _start is not None and _takes_eigh(n, d):
         x = _start[:, :d]
     else:
-        x = _truncated_factor(lambda: a + np.diag(start),
-                              lambda v: a @ v + (start * v.T).T, n, d)
+        x = _truncated_factor(fit, fit.degree_mean, d)
     # A directly summed f is accurate to its own size, so the rounding floor
     # of the gradient falls with sqrt(f) there.
     tight = config.tolerance * np.sqrt(_DIRECT_SHARE)
@@ -213,13 +217,12 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     def evaluate(flat):
         nonlocal last
         x = flat.reshape(n, d)
-        ax, gram, r = a @ x, x.T @ x, np.einsum("ij,ij->i", x, x)
+        ax, gram, r = fit @ x, x.T @ x, np.einsum("ij,ij->i", x, x)
         f = np.einsum("ij,ij->", gram, gram) - r @ r - 2.0 * np.einsum("ij,ij->", x, ax) + a_sq
         if f >= _DIRECT_SHARE * a_sq:
             grad = x @ gram - ax - r[:, None] * x
         else:
-            diff = x @ x.T - a
-            np.fill_diagonal(diff, 0.0)
+            diff = fit.offdiag_residual(x)
             f, grad = np.einsum("ij,ij->", diff, diff), diff @ x
         last = (flat.copy(), f, 4.0 * grad.ravel(), r.max())
         return last[1], last[2]
@@ -256,8 +259,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
         y = x @ vt.T
         y[:, null] = 0.0
         r = np.einsum("ij,ij->i", y, y)
-        u = _truncated_factor(lambda: a - y @ y.T + np.diag(r),
-                              lambda v: a @ v + (r * v.T).T - y @ (y.T @ v), n, 1)
+        u = _truncated_factor(fit, r, 1, y)
         lam = np.einsum("ij,ij->", u, u)
         if lam <= config.tolerance:
             return False
@@ -288,9 +290,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     x = canonical_orientation(x @ np.linalg.svd(x, full_matrices=False)[2].T) + 0.0
     # Scaled back, the vectors or the residual of weights near the float
     # maximum can pass it: no finite fit exists then.
-    with np.errstate(over="ignore"):
-        history = tuple(float(np.ldexp(np.sqrt(max(f, 0.0)) * scale, 2 * m)) for f in history)
-        x = np.ldexp(x * np.sqrt(scale), m)
+    x, history = fit.scaled_back(x, history)
     if not (np.isfinite(x).all() and np.isfinite(history).all()):
         raise ValueError(f"the fit at d={d} overflows the float range: the latent vectors "
                          "or the residual of these weights pass the float maximum")

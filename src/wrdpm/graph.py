@@ -60,7 +60,7 @@ def _symmetrize(m: np.ndarray) -> float | None:
 
 
 def _checked(w: np.ndarray) -> np.ndarray:
-    """Check ``w``, a float64 matrix its caller owns, in place as a graph's
+    """Check ``w``, a float64 or uint8 matrix its caller owns, in place as a graph's
     weights (averaging an asymmetry within `SYMMETRY_TOL`); return it in its `_weight_dtype`."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GraphFormatError(f"weight matrix must be square, got shape {w.shape}")
@@ -84,14 +84,16 @@ class WeightedGraph:
 
     The weight matrix is stored dense and read-only, in its `_weight_dtype`:
     widen it before doing arithmetic on it, as uint8 arithmetic wraps. The
-    constructor copies and checks its input (`_checked`); `_wrap` builds a
-    graph over a matrix that its caller guarantees, with neither.
+    constructor copies its input, uint8 as uint8 and any other as float64,
+    and checks it (`_checked`); `_wrap` builds a graph over a matrix that its
+    caller guarantees, with neither.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _checked(np.array(self.weights, dtype=float))
+        counts = getattr(self.weights, "dtype", None) == np.uint8
+        w = _checked(np.array(self.weights, dtype=np.uint8 if counts else float))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -167,22 +169,47 @@ def _weight_dtype(w: np.ndarray) -> type:
     return np.float64
 
 
-def _scaled(g: WeightedGraph) -> tuple[np.ndarray, int, float, np.ndarray]:
-    """The float64 matrix `embedding.embed` runs on, A / 4^m over its norm,
-    with m and the norm, and the degree means that fill its diagonal for the
-    start.
+class _FitMatrix:
+    """The matrix `embedding.embed` fits, A / 4^m over its norm (4^m near
+    max |A|), and the operations the fit reads it through.
 
     A / 4^m is exact and cannot overflow; over its norm, ||A||_F = 1. The
-    weights are nonnegative, so their largest is max |A|, without a copy.
-    Both are taken in float64 whatever g's dtype: numpy's `frexp` and `ldexp`
-    of uint8 counts give float16.
+    power of two is exact, so embed(4 A).X is 2 embed(A).X bit for bit, and
+    the norm makes the fit scale-free. The matrix is held as one float64
+    copy, taken whatever g's dtype: numpy's `frexp` and `ldexp` of uint8
+    counts give float16. The weights are nonnegative, so their largest is
+    max |A|, without a copy.
     """
-    m = int(np.frexp(float(g.weights.max()))[1]) // 2
-    a = np.ldexp(g.weights, -2 * m, dtype=float)
-    scale = np.linalg.norm(a)
-    if scale:
-        a /= scale
-    return a, m, scale, a.sum(axis=1) / max(g.n - 1, 1)
+
+    def __init__(self, g: WeightedGraph):
+        self._m = int(np.frexp(float(g.weights.max()))[1]) // 2
+        self._a = np.ldexp(g.weights, -2 * self._m, dtype=float)
+        self._scale = np.linalg.norm(self._a)
+        if self._scale:
+            self._a /= self._scale
+        self.sq_norm = np.einsum("ij,ij->", self._a, self._a)
+        self.degree_mean = self._a.sum(axis=1) / max(g.n - 1, 1)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self._a @ v
+
+    def dense(self, c: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        """A - y y^T + diag(c) as a new n x n array; A + diag(c) without y."""
+        return self._a + np.diag(c) if y is None else self._a - y @ y.T + np.diag(c)
+
+    def offdiag_residual(self, x: np.ndarray) -> np.ndarray:
+        """offdiag(X X^T - A) as a new n x n array."""
+        diff = x @ x.T - self._a
+        np.fill_diagonal(diff, 0.0)
+        return diff
+
+    def scaled_back(self, x: np.ndarray, fs) -> tuple[np.ndarray, tuple[float, ...]]:
+        """A fit X of this matrix and its residuals sqrt(f), one per f in
+        ``fs``, as those of A; past the float maximum they are inf."""
+        with np.errstate(over="ignore"):
+            return (np.ldexp(x * np.sqrt(self._scale), self._m),
+                    tuple(float(np.ldexp(np.sqrt(max(f, 0.0)) * self._scale, 2 * self._m))
+                          for f in fs))
 
 
 def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -450,11 +450,12 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
     """Pairwise dot products of the rows of x; diagonal = squared norms.
 
     A product past the float range is inf or nan, for ``_pair_parameters``
-    to refuse. numpy computes ``x @ x.T`` as a symmetric rank-k update and
-    mirrors its triangle (or, on strides BLAS cannot take, sums each entry
-    in one order), so the grid is exactly symmetric as it is made.
+    to refuse. numpy computes ``x @ x.T`` of a C-contiguous x as a symmetric
+    rank-k update and mirrors its triangle, so the grid is exactly symmetric
+    as it is made; an x of another layout is copied first, as the general
+    product of some BLAS kernels rounds its two triangles apart.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         return x @ x.T
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from wrdpm import SolverConfig, WeightedGraph, dimension_sweep, embed, embedding
+from wrdpm import SolverConfig, WeightedGraph, dimension_sweep, embed, embedding, graph
 from conftest import bridge_graph, disjoint_cliques, random_integer_graph
 
 
@@ -241,6 +241,20 @@ def poisson_graph(seed, n, mean=0.5):
     return WeightedGraph(w + w.T)
 
 
+class Unscaled:
+    """A stand-in for `graph._FitMatrix` that holds the matrix m as it is."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __matmul__(self, v):
+        return self.m @ v
+
+    def dense(self, c, y=None):
+        assert y is None
+        return self.m + np.diag(c)
+
+
 @pytest.fixture
 def start_solver(monkeypatch):
     """Label of the eigensolves embed ran since the fixture was set up or
@@ -317,7 +331,7 @@ class TestLargeGraphPath:
         # the second copy.
         g = disjoint_cliques([100, 100, 60])
         m = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
-        x = embedding._truncated_factor(lambda: m, lambda v: m @ v, g.n, 3)
+        x = embedding._truncated_factor(Unscaled(m), np.zeros(g.n), 3)
         assert start_solver() == "arpack+dense-fallback"
         exact = embedding._eigentruncate(m, 3)[0]
         np.testing.assert_allclose(x @ x.T, exact @ exact.T, atol=1e-9)
@@ -332,8 +346,28 @@ class TestLargeGraphPath:
         g = poisson_graph(1, 300)
         m = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
         assert not embedding._takes_eigh(g.n, 3)
-        x = embedding._truncated_factor(lambda: m, lambda v: m @ v, g.n, 3)
+        x = embedding._truncated_factor(Unscaled(m), np.zeros(g.n), 3)
         assert x.tobytes() == embedding._eigentruncate(m, 3)[0].tobytes()
+
+    def test_start_reads_the_matrix_only_through_products(self, start_solver):
+        # Where ARPACK misses nothing, the start forms no n x n matrix, so a
+        # fit operator need not hold one to serve it.
+        fit = graph._FitMatrix(poisson_graph(1, 300))
+        calls = []
+
+        class Spy:
+            def __matmul__(self, v):
+                calls.append("@")
+                return fit @ v
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(fit, name)
+
+        x = embedding._truncated_factor(Spy(), fit.degree_mean, 3)
+        assert start_solver() == "arpack"
+        assert set(calls) == {"@"}
+        assert x.tobytes() == embedding._truncated_factor(fit, fit.degree_mean, 3).tobytes()
 
     @pytest.mark.parametrize("sizes, solver", [([100, 100, 60], "arpack"),
                                                 ([129, 129, 83], "arpack+dense-fallback")])

@@ -77,6 +77,9 @@ def command(s, *argv):
     # 10.2. Copied again by the constructor before the check, it took 17.2.
     pytest.param(lambda s: load_graph(s.path.with_suffix(".csv"), "dense"), 10.5,
                  id="load_graph-dense"),
+    # The uint8 copy (1) and the check's temporaries: 3.0. Copied as float64
+    # before the check, it took 10.2.
+    pytest.param(lambda s: WeightedGraph(s.counts.weights), 4, id="WeightedGraph-counts"),
     # The grid (8). Halved and mirrored by row blocks, it took 9.1.
     pytest.param(lambda s: dot_product_grid(s.x), 8.5, id="dot_product_grid-d3"),
     # dot_product_grid makes one n x n array, so the peak is the grid and its

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +136,21 @@ class TestDotProductGrid:
              "reversed": lambda: rng.normal(size=(n, d))[::-1, ::-1]}[layout]()
         grid = dot_product_grid(x)
         assert np.array_equal(grid, grid.T)
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="OpenBLAS's Haswell kernel runs on x86-64 only")
+    def test_symmetry_exact_under_the_haswell_kernel(self):
+        # OpenBLAS picks its kernel from the CPU, and an AVX2 machine gets
+        # Haswell's, which rounds the two triangles of a general x @ x.T
+        # apart on these layouts. The kernel is set for a new process only.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(root / "src"))
+        test = f"{__file__}::TestDotProductGrid::test_symmetry_exact"
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{test}[65-8-strided]", f"{test}[65-8-reversed]"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stdout
 
     def test_odd_subnormal_product_is_kept(self):
         # The product 2^-1074 is the smallest subnormal; halved and doubled,
