@@ -124,7 +124,7 @@ def null_compare(
     The ensemble holds the null as its clamped pair rates only, or as one
     rate under the Erdos-Renyi null, built once, with two n x n
     `model._draw_buffer`s and, under the clustering statistic, that
-    statistic's buffers. Each draw samples into a buffer while one worker
+    statistic's workspace. Each draw samples into a buffer while one worker
     thread scores the draw before it in the other, so an ensemble uses two
     cores even with one BLAS thread. The results are those of drawing and
     scoring in turn, bit for bit, and an error is the first that order

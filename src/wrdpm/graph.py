@@ -13,13 +13,16 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 # Largest node count a graph file may declare or reference. Graphs are held
 # as dense n x n matrices: at this size one of one-byte counts takes 400 MB
-# and a float64 one 3.2 GB, and embed works on about three float64 n x n
-# arrays. The edge-list parser refuses larger graphs before it allocates
-# anything.
+# and a float64 one 3.2 GB. generate holds little beyond its draw, the null
+# ensemble adds a 1.6 GB float32 clustering workspace and two draw buffers,
+# and embed works on about three float64 n x n arrays. The edge-list parser
+# refuses larger graphs before it allocates anything.
 MAX_NODES = 20_000
 # Rows of the upper triangle that `_upper_blocks` walks at a time and of
-# w * (A^2) that `_clustering` forms.
+# w * (A^2) that `_clustering` sums.
 _ROW_BLOCK = 64
+# Rows of A^2 that `_clustering` forms at a time, inside A's buffer.
+_CLUSTERING_TILE = 256
 
 
 class GraphFormatError(ValueError):
@@ -66,7 +69,7 @@ def _checked(w: np.ndarray) -> np.ndarray:
         raise GraphFormatError(f"weight matrix must be square, got shape {w.shape}")
     if w.shape[0] < 1:
         raise GraphFormatError("graph must have at least one node")
-    if not np.isfinite(w).all():
+    if w.dtype.kind == "f" and not np.isfinite(w).all():
         raise GraphFormatError("edge weights must be finite")
     asym = _symmetrize(w)
     if asym is not None:
@@ -164,7 +167,8 @@ def _weight_dtype(w: np.ndarray) -> type:
     graph, so a graph of counts takes n^2 bytes where it would take 8 n^2.
     """
     # Checked before the cast, which wraps past 255 and warns on 1e308.
-    if w.size == 0 or (w.max() <= 255 and np.array_equal(w.astype(np.uint8), w)):
+    if w.dtype == np.uint8 or w.size == 0 or (
+            w.max() <= 255 and np.array_equal(w.astype(np.uint8), w)):
         return np.uint8
     return np.float64
 
@@ -212,25 +216,38 @@ class _FitMatrix:
                           for f in fs))
 
 
-def _clustering_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The buffers `_clustering` fills at n nodes: the float32 A and A^2."""
-    return np.empty((n, n), np.float32), np.empty((n, n), np.float32)
+def _clustering_workspace(n: int) -> np.ndarray:
+    """The buffer `_clustering` fills at n nodes: one float32 n x n array,
+    which holds A and then, tile by tile, A^2."""
+    return np.empty((n, n), np.float32)
 
 
 def _clustering(g: WeightedGraph, work) -> np.ndarray:
     """Per-node weighted clustering of g, as `analysis.weighted_clustering`
     defines it, with ``work`` a `_clustering_workspace`, which it overwrites.
 
-    The 0/1 adjacency A is held in float32, and A^2 formed as A^T A, which
-    numpy computes as a symmetric rank-k update (one triangle, mirrored).
-    That is exact: every entry and partial sum counts common neighbors, an
-    integer at most n < 2^24. Each row of w * (A^2) is summed whole, so the
-    result matches a float64 ``A @ A`` bit for bit.
+    The 0/1 adjacency A is held in float32, and A^2 formed inside A's own
+    buffer, `_CLUSTERING_TILE` rows r0:r1 at a time. The tile's rows of A
+    are copied out, and A being symmetric, their products with themselves
+    and with the rows from r1 on, which still hold A, are its A^2 entries
+    from column r0 on; those left of r0 are the transpose of the A^2 rows
+    above. That is exact: every entry and partial sum counts common
+    neighbors, an integer at most n < 2^24, so A^2 has the bits of any order
+    of summing. Each row of w * (A^2) is summed whole, so the result matches
+    a float64 ``A @ A`` bit for bit.
     """
     w = g.weights
-    a, c = work
+    a = work
     np.greater(w, 0, out=a, casting="unsafe")
-    np.matmul(a.T, a, out=c)
+    tile = np.empty((min(_CLUSTERING_TILE, g.n), g.n), np.float32)
+    for r0 in range(0, g.n, _CLUSTERING_TILE):
+        r1 = min(r0 + _CLUSTERING_TILE, g.n)
+        t = tile[:r1 - r0]
+        np.copyto(t, a[r0:r1])
+        np.matmul(t, t.T, out=a[r0:r1, r0:r1])
+        np.matmul(t, a[r1:].T, out=a[r0:r1, r1:])
+        a[r0:r1, :r0] = a[:r0, r0:r1].T
+    del tile, t
     # Ordered neighbor pairs (l,h): sum_l w_jl a_jl (A^2)_jl counts each
     # unordered pair twice, matching the (w_jl + w_jh)/2 symmetrization.
     numer = np.empty(g.n)
@@ -238,9 +255,9 @@ def _clustering(g: WeightedGraph, work) -> np.ndarray:
         for r0 in range(0, g.n, _ROW_BLOCK):
             r = slice(r0, r0 + _ROW_BLOCK)
             # A float32 product would round: uint8 x float32 promotes to float32.
-            numer[r] = np.multiply(w[r], c[r], dtype=float).sum(axis=1)
-        # (A^T A)_jj counts j's neighbors, an exact integer like every count.
-        denom = w.sum(axis=1, dtype=float) * (c.diagonal().astype(float) - 1)
+            numer[r] = np.multiply(w[r], a[r], dtype=float).sum(axis=1)
+        # (A^2)_jj counts j's neighbors, an exact integer like every count.
+        denom = w.sum(axis=1, dtype=float) * (a.diagonal().astype(float) - 1)
     if not (np.isfinite(denom).all() and np.isfinite(numer).all()):
         raise ValueError("node strengths overflow the float range; "
                          "no weighted clustering coefficient is defined")

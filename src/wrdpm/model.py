@@ -3,8 +3,8 @@
 A model couples an edge-weight distribution family (Bernoulli or Poisson,
 each with one parameter) with one latent vector source. Sampling proceeds
 by drawing one latent vector per node from the source, forming the pairwise
-dot-product grid, and drawing each edge weight from the distribution
-parametrized by the corresponding grid entry.
+dot-product grid row block by row block, and drawing each edge weight from
+the distribution parametrized by the corresponding grid entry.
 """
 
 from __future__ import annotations
@@ -460,52 +460,73 @@ def dot_product_grid(x: np.ndarray) -> np.ndarray:
         return x @ x.T
 
 
-def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
-    """The parameters of the j < l pairs of a square grid, in row-major order.
+def _parameter_blocks(distribution: EdgeDistribution, n: int, block_of, clamp: bool):
+    """The one walk over a network's pair parameters: yields ``(rows, mask,
+    pairs, params)`` for each block of `graph._upper_blocks`, with ``params``
+    the block's j < l pair parameters, gathered from ``block_of(rows)``, the
+    block's rows of the n x n parameter grid.
 
-    Every off-diagonal grid entry must be finite, below the diagonal too,
-    although no pair reads it. With ``clamp`` the parameters are clamped
-    into the domain; otherwise each entry must lie in it. The entries are
-    checked and the pairs gathered one `graph._upper_blocks` row block at a
-    time, so the first bad entry in row-major order is named with no n x n
-    or pair-sized mask.
+    Every off-diagonal entry of a block must be finite, below the diagonal
+    too, although no pair reads it. With ``clamp`` the parameters are
+    clamped into the domain; otherwise each entry must lie in it. A block is
+    checked as it is made, so the first bad entry in row-major order is
+    named with no n x n or pair-sized mask.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise ModelError(f"parameter grid must be square, got shape {grid.shape}")
-    n = len(grid)
-    params = np.empty(n * (n - 1) // 2)
     for rows, mask, pairs in _upper_blocks(n):
-        block = grid[rows]
+        block = block_of(rows)
         bad = ~np.isfinite(block)
         if not clamp:
             bad |= distribution.domain_violations(block)
         np.fill_diagonal(bad[:, rows], False)
         if bad.any():
             i, l = np.argwhere(bad)[0]
-            j = rows.start + i
-            raise DomainError(f"grid entry ({j},{l}) = {grid[j, l]:g} outside "
+            raise DomainError(f"grid entry ({rows.start + i},{l}) = {block[i, l]:g} outside "
                               f"the {distribution.family} domain")
-        params[pairs] = block[mask]
-    return distribution.clamp(params) if clamp else params
+        params = block[mask]
+        # Each block's arrays are let go before the next block is made.
+        del block, bad
+        yield rows, mask, pairs, distribution.clamp(params) if clamp else params
+        del params
+
+
+def _square_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, or a ModelError unless it is square."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
+        raise ModelError(f"parameter grid must be square, got shape {grid.shape}")
+    return grid
+
+
+def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
+    """The parameters of the j < l pairs of a square grid, in row-major order,
+    checked (and with ``clamp`` clamped) by `_parameter_blocks`."""
+    grid = _square_grid(grid)
+    n = len(grid)
+    params = np.empty(n * (n - 1) // 2)
+    for _, _, pairs, block in _parameter_blocks(distribution, n, grid.__getitem__, clamp):
+        params[pairs] = block
+        del block  # before the next block is checked
+    return params
 
 
 def _draw_buffer(n: int, params) -> np.ndarray:
-    """The zeroed n x n matrix that `_sample_pairs` draws with ``params`` into: uint8 when
+    """The zeroed n x n matrix that `_draw_blocks` draws with ``params`` into: uint8 when
     the largest is at most `_BYTE_COUNT_RATE_MAX` (every Bernoulli one is), else float64."""
     dtype = np.uint8 if np.max(params, initial=0.0) <= _BYTE_COUNT_RATE_MAX else np.float64
     return np.zeros((n, n), dtype)
 
 
-def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
-                  out: np.ndarray) -> WeightedGraph:
+def _draw_blocks(distribution: EdgeDistribution, blocks, largest: float, seed: int,
+                 out: np.ndarray) -> WeightedGraph:
     """Draw one network into ``out``, a float64 or uint8 n x n matrix with a
     zero diagonal, and return the graph over it (`WeightedGraph._wrap`).
 
-    ``params`` holds one in-domain parameter per j < l pair, in row-major
-    order, or one for every pair; both draw the same weights from the same
-    seed. The weights are drawn by the blocks of `graph._upper_blocks`
-    straight into ``out``'s upper triangle, and each block is mirrored into
+    ``blocks`` yields ``(rows, mask, pairs, params)`` for each block of
+    `graph._upper_blocks` in turn, ``params`` holding one in-domain
+    parameter per j < l pair of the block, in row-major order, or one for
+    every pair; both draw the same weights from the same seed. ``largest``
+    is the largest parameter of the network, which a refusal names. Each
+    block is drawn straight into ``out``'s upper triangle and mirrored into
     the lower one as soon as it is drawn (the rows above it are complete by
     then), so no pair vector or pair mask of the whole network is formed.
     ``sample`` consumes the stream one pair at a time, so the blocks draw
@@ -517,25 +538,45 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
     dtype, so the weights meet `_wrap`'s contract. A count past an integer
     ``out``'s maximum is a DomainError, never a wrapped value.
     """
-    n = len(out)
     rng = np.random.default_rng(derive_seed(seed, NETWORK))
-    per_pair = np.ndim(params) > 0
     limit = np.iinfo(out.dtype).max if out.dtype.kind in "iu" else None
-    for rows, mask, pairs in _upper_blocks(n):
+    for rows, mask, pairs, params in blocks:
         try:
-            drawn = distribution.sample(params[pairs] if per_pair else params, rng,
-                                        pairs.stop - pairs.start)
+            drawn = distribution.sample(params, rng, pairs.stop - pairs.start)
         except ValueError:
             # numpy refuses Poisson rates past about 9.2e18, where int64 counts
             # end; the error names the network's largest rate, not this block's.
-            raise DomainError(f"Poisson rate {np.max(params):g} is too large to sample") from None
+            raise DomainError(f"Poisson rate {largest:g} is too large to sample") from None
         if limit is not None and drawn.max(initial=0) > limit:
             raise DomainError(f"count {drawn.max()} does not fit the {out.dtype} draw buffer")
         out[rows][mask] = drawn
         out[rows, :rows.start] = out[:rows.start, rows].T
         square = out[rows, rows]
         np.copyto(square, square.T, where=mask[:, rows].T)
+        del params, drawn  # before the next block is made
     return WeightedGraph._wrap(out)
+
+
+def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
+                  out: np.ndarray) -> WeightedGraph:
+    """Draw one network into ``out`` by `_draw_blocks`, with ``params`` one
+    in-domain parameter per j < l pair, in row-major order, or one for every
+    pair, as the null ensemble holds its rates."""
+    per_pair = np.ndim(params) > 0
+    blocks = ((rows, mask, pairs, params[pairs] if per_pair else params)
+              for rows, mask, pairs in _upper_blocks(len(out)))
+    return _draw_blocks(distribution, blocks, np.max(params, initial=0.0), seed, out)
+
+
+def _sample_grid_rows(distribution: EdgeDistribution, n: int, block_of, seed: int,
+                      clamp: bool) -> WeightedGraph:
+    """Draw one network from the grid rows that ``block_of(rows)`` makes, in
+    two walks: one to check and take the largest parameter, one to draw."""
+    largest = max((np.max(params, initial=0.0)
+                   for *_, params in _parameter_blocks(distribution, n, block_of, clamp)),
+                  default=0.0)
+    return _draw_blocks(distribution, _parameter_blocks(distribution, n, block_of, clamp),
+                        largest, seed, _draw_buffer(n, largest))
 
 
 def sample_from_grids(
@@ -546,15 +587,11 @@ def sample_from_grids(
 ) -> WeightedGraph:
     """Draw one weighted network with per-edge parameters from the grid.
 
-    The grid is let go once its pair parameters are gathered, before the
-    weights' `_draw_buffer` is allocated: a grid passed as a temporary, as
-    `sample_network` passes its own, is freed by then.
+    The grid is read by row blocks, twice, as `sample_network` makes its
+    own, so the draw adds only its weights and one block to the grid.
     """
-    params = _pair_parameters(distribution, grid, clamp)
-    n = len(grid)
-    # CPython hands a temporary argument's one reference to this frame.
-    del grid
-    return _sample_pairs(distribution, params, seed, _draw_buffer(n, params))
+    grid = _square_grid(grid)
+    return _sample_grid_rows(distribution, len(grid), grid.__getitem__, seed, clamp)
 
 
 def sample_network(
@@ -563,11 +600,28 @@ def sample_network(
     seed: int,
     clamp: bool = False,
 ) -> WeightedGraph:
-    """Draw one weighted network from the dot-product grid of ``vectors``,
-    passed on as a temporary that `sample_from_grids` frees before the draw."""
-    if vectors.shape[0] != model.n:
-        raise ModelError(f"vectors for {vectors.shape[0]} nodes, model has n={model.n}")
-    return sample_from_grids(model.distribution, dot_product_grid(vectors), seed, clamp)
+    """Draw one weighted network from the dot products of ``vectors``.
+
+    The grid is made one `graph._upper_blocks` row block at a time, as
+    ``x[rows] @ x.T``, and never whole: a first pass checks every block and
+    takes the largest parameter, which picks the weights' `_draw_buffer`,
+    and a second pass makes each block again and draws it. So the draw holds
+    its weights and one block, with no n x n grid and no pair parameters.
+    A row block's products can differ from `dot_product_grid`'s in the last
+    bit, so a grid rebuilt from the vectors need not hold these exact rates.
+    """
+    x = np.ascontiguousarray(vectors, dtype=float)
+    if x.ndim != 2:
+        raise ModelError(f"vectors must be an n x d matrix, got shape {x.shape}")
+    if len(x) != model.n:
+        raise ModelError(f"vectors for {len(x)} nodes, model has n={model.n}")
+
+    def products(rows: slice) -> np.ndarray:
+        # A product past the float range is inf or nan, for the walk to refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x[rows] @ x.T
+
+    return _sample_grid_rows(model.distribution, model.n, products, seed, clamp)
 
 
 def log_likelihood(
@@ -580,9 +634,9 @@ def log_likelihood(
 
     Returns -inf, silently, when any observed edge weight has zero
     probability under its grid entry; the caller decides how to report it.
-    The grid is let go once its pair parameters are gathered, as in
-    `sample_from_grids`: a grid passed as a temporary is freed before the
-    likelihood's pair-sized buffers are allocated.
+    The grid is let go once its pair parameters are gathered: a grid passed
+    as a temporary is freed before the likelihood's pair-sized buffers are
+    allocated.
     """
     if np.shape(grid) != (g.n, g.n):
         raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")

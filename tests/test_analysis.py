@@ -122,10 +122,12 @@ class TestWeightedClustering:
             assert np.allclose(per_node, barrat_reference(g.weights))
 
     @pytest.mark.blas_threads
-    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 300, 600])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 257, 300, 600])
     @pytest.mark.parametrize("weights", ["integer", "real"])
     def test_bitwise_equal_to_matmul_reference(self, rng, n, weights):
-        # At n = 600 OpenBLAS threads A^T A; the kernel keeps these bits.
+        # A^2 is formed in tiles of 256 rows, so n = 257 ends on a one-row
+        # tile; at n = 600 OpenBLAS threads the tiles' products. The kernel
+        # keeps these bits.
         for _ in range(3):
             if weights == "integer":
                 g = random_integer_graph(rng, n, max_weight=4, density=0.5)
@@ -146,7 +148,7 @@ class TestWeightedClustering:
     def test_count_graph_is_bitwise_its_float64_graph(self, rng, n):
         # The null ensemble scores its one-byte draws as graphs: each statistic
         # must give the bits of the same counts held as float64. n = 65 spans
-        # two row blocks; at n = 600 OpenBLAS threads A^T A.
+        # two row blocks; at n = 600 OpenBLAS threads the products of A^2.
         c = np.triu(rng.poisson(2.0, (n, n)), 1).astype(np.uint8)
         c[0, -1] = 255
         counts = WeightedGraph._wrap(c + c.T)

@@ -723,10 +723,12 @@ def test_non_finite_embedding_is_data_error(tmp_path, clique_path, capsys, comma
     assert not out.exists()
 
 
-def _limit_address_space():
-    # 2.5 GB, for the child process only: the 3.2 GB float64 matrix of a
-    # 20 000-node graph does not fit, and everything else does.
-    resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+def _limit_address_space(limit=2_500_000_000):
+    # 2.5 GB by default, for the child process only: embed's 3.2 GB float64
+    # copy of a 20 000-node graph does not fit, nor the null's 1.6 GB float32
+    # workspace beside the 400 MB graph and two 400 MB count buffers, and
+    # the start-up does.
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize("argv", [
@@ -738,9 +740,12 @@ def test_out_of_memory_is_data_error(tmp_path, argv):
     graph = tmp_path / "big.edgelist"
     graph.write_text("n=20000\n0 1 1\n")
     out = tmp_path / "out"
+    # generate holds only its draw, and took about 550 MB in all at this
+    # size: its 400 MB buffer of one-byte counts alone fills 400 MB.
+    limit = 400_000_000 if argv[0] == "generate" else 2_500_000_000
     argv = [a.format(graph=graph) for a in argv]
     proc = fresh_python("-m", "wrdpm.cli", *argv, "--out", str(out),
-                        preexec_fn=_limit_address_space)
+                        preexec_fn=lambda: _limit_address_space(limit))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: out of memory"), proc.stderr
     assert "Traceback" not in proc.stderr

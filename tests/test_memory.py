@@ -77,16 +77,15 @@ def command(s, *argv):
     # 10.2. Copied again by the constructor before the check, it took 17.2.
     pytest.param(lambda s: load_graph(s.path.with_suffix(".csv"), "dense"), 10.5,
                  id="load_graph-dense"),
-    # The uint8 copy (1) and the check's temporaries: 3.0. Copied as float64
-    # before the check, it took 10.2.
-    pytest.param(lambda s: WeightedGraph(s.counts.weights), 4, id="WeightedGraph-counts"),
+    # The uint8 copy (1) and the symmetry check's n^2 bool (1): 2.0. Cast to
+    # uint8 again and scanned by np.isfinite, it took 3.0; copied as float64
+    # before the check, 10.2.
+    pytest.param(lambda s: WeightedGraph(s.counts.weights), 2.5, id="WeightedGraph-counts"),
     # The grid (8). Halved and mirrored by row blocks, it took 9.1.
     pytest.param(lambda s: dot_product_grid(s.x), 8.5, id="dot_product_grid-d3"),
-    # dot_product_grid makes one n x n array, so the peak is the grid and its
-    # pair rates with one row block's check (13.1); a second grid for
-    # h + h^T made it 16.2, and float64 weights, with a float64 cast of each
-    # block's int64 draw, 13.75.
-    pytest.param(lambda s: sample_network(s.m, s.x, seed=1), 13.4, id="sample_network"),
+    # The one-byte weights (1) and one 64-row block's products, check and
+    # draw: 3.0. Drawn from the whole grid and its pair rates, it took 13.1.
+    pytest.param(lambda s: sample_network(s.m, s.x, seed=1), 3.5, id="sample_network"),
     # The rates (4) and one row block's check and gather; an n x n mask of
     # bad entries and its np.isfinite temporary made it 6.0.
     pytest.param(lambda s: _pair_parameters(POISSON, s.grid, clamp=False), 5.5,
@@ -99,18 +98,22 @@ def command(s, *argv):
                  id="evaluate_null_likelihood-counts"),
     pytest.param(lambda s: evaluate_null_likelihood(s.floats, s.x), 17,
                  id="evaluate_null_likelihood-float64"),
-    # Under the clustering statistic the ensemble holds the float32 A and A^2
-    # (8) and two one-byte count buffers (2); the dot-product null adds its
-    # pair rates (4). With two float64 buffers the peaks are 26.8 and 30.9.
+    # Under the clustering statistic the ensemble holds the float32 buffer of
+    # A and A^2 (4) with one 256-row tile's product (1.7 at n = 600), two
+    # one-byte count buffers (2) and a draw's block: 7.9-8.8, as the draw
+    # and the score overlap. The dot-product null peaks earlier, at its grid
+    # (8), pair rates (4) and one block's check: 13.1. With A^2 in a second
+    # buffer the peaks were 12.3 and 16.7; with two float64 buffers as well,
+    # 26.8 and 30.9.
     pytest.param(lambda s: null_compare(s.counts, null="poisson_er", n_samples=3, seed=0, x=s.x),
-                 16, id="null_compare-poisson_er", marks=pytest.mark.blas_threads),
+                 9.5, id="null_compare-poisson_er", marks=pytest.mark.blas_threads),
     pytest.param(lambda s: null_compare(s.counts, null="dot_product", n_samples=3, seed=0, x=s.x),
-                 20, id="null_compare-dot_product", marks=pytest.mark.blas_threads),
+                 13.5, id="null_compare-dot_product", marks=pytest.mark.blas_threads),
     # The loader's peak (4.9) comes before the command's work, and it builds
-    # the graph as counts from the start. The ensemble's float32 A and A^2
-    # (8), its two one-byte count buffers (2) and the observed graph as
-    # counts (1); as float64 (8) it made 21.0.
-    pytest.param(lambda s: command(s, "null", "--samples", "3"), 15, id="cli-null"),
+    # the graph as counts from the start. The ensemble's peak above beside
+    # the observed graph as counts (1): 9.5-10.0. With A^2 in a second
+    # buffer it made 14.2, and with the graph as float64 (8) 21.0.
+    pytest.param(lambda s: command(s, "null", "--samples", "3"), 10.5, id="cli-null"),
     # embed's scaled copy and its start (13) beside the graph as counts (1);
     # as float64 it made 21.1.
     pytest.param(lambda s: command(s, "cluster", "--d", "8"), 17, id="cli-cluster"),
@@ -119,8 +122,9 @@ def command(s, *argv):
     # The np.triu copy (1 on counts, 8 on float64) and its bool mask (1).
     pytest.param(lambda s: total_weight(s.counts), 2.5, id="total_weight-counts"),
     pytest.param(lambda s: total_weight(s.floats), 9.5, id="total_weight-float64"),
-    # The float32 A and A^2 (8), by design: 9.2.
-    pytest.param(lambda s: weighted_clustering(s.counts), 9.5, id="weighted_clustering-counts"),
+    # The float32 buffer of A and A^2 (4) and one 256-row tile's product
+    # (1.7 at n = 600): 5.7. With A^2 in a second buffer it took 9.2.
+    pytest.param(lambda s: weighted_clustering(s.counts), 6, id="weighted_clustering-counts"),
     # Of an n x 8 fit, k = 8: 0.6.
     pytest.param(lambda s: angular_kmeans(s.fit, 8), 1, id="angular_kmeans-d8-k8"),
 ])

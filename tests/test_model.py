@@ -326,18 +326,31 @@ class TestSampleNetwork:
         with pytest.raises(DomainError, match=r"count \d+ does not fit the uint8 draw buffer"):
             _sample_pairs(POISSON, 1000.0, 3, np.zeros((n, n), np.uint8))
 
-    def test_network_draw_frees_the_grid_before_the_weights(self):
-        # sample_network passes its grid on as a temporary, which
-        # sample_from_grids lets go before it allocates the weights: the
-        # peak is the grid's check (13.1 n^2 bytes). Holding the grid through
-        # the draw would put its 8 n^2 beside the pair rates and the one-byte
-        # weights, 14.75 n^2; with float64 weights the draw alone took 13.75.
+    def test_network_draw_builds_no_grid(self):
+        # sample_network makes the grid one row block at a time, twice, and
+        # never whole: its first call peaks at the one-byte weights and one
+        # block's products, check and draw (3.0 n^2 bytes). Built whole, the
+        # grid and its pair rates took 13.1.
         n = 600
         m = LatentModel(POISSON, n, AxisNoise(3, 0.01))
         vecs = draw_vectors(m, seed=0)
         peak = traced_peak(lambda: sample_network(m, vecs, seed=1))
         assert sample_network(m, vecs, seed=1).weights.dtype == np.uint8
-        assert peak < 14 * n * n
+        assert peak < 3.5 * n * n
+
+    @pytest.mark.blas_threads
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("n", [65, 300, 1000])
+    def test_network_draw_equals_the_draw_from_the_grid(self, n, d):
+        # A row block's products x[rows] @ x.T can differ from the whole
+        # grid's in the last bit (a few hundred of these 11.5 M rates do), and no such
+        # change moves a count here: the draws are those of the grid.
+        x = np.random.default_rng(10 * n + d).uniform(0.0, 1.5 / np.sqrt(d), (n, d))
+        m = LatentModel(POISSON, n, Constant(np.zeros(d)))
+        grid = dot_product_grid(x)
+        for seed in range(3):
+            drawn = sample_network(m, x, seed).weights
+            assert drawn.tobytes() == sample_from_grids(POISSON, grid, seed).weights.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
     def test_grid_is_the_halved_products_plus_their_transpose(self, n):
