@@ -35,8 +35,6 @@ from .model import (
     Ray,
     dot_product_grid,
     draw_vectors,
-    log_likelihood,
-    sample_from_grids,
     sample_network,
 )
 from .specialize import (

@@ -1,7 +1,7 @@
 """Null-model ensembles and weighted summary statistics.
 
 Compares an observed network against draws from a fitted Poisson
-Erdos-Renyi null or a fixed dot-product-grid null, using the weighted
+Erdos-Renyi null or a fixed dot-product null, using the weighted
 clustering coefficient, total weight, or model log-likelihood.
 """
 
@@ -14,16 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .graph import WeightedGraph, _clustering, _clustering_workspace, _pair_weights, total_weight
-from .model import (
-    NULL_SAMPLE,
-    EdgeDistribution,
-    _draw_buffer,
-    _pair_parameters,
-    _sample_pairs,
-    derive_seed,
-    dot_product_grid,
-    log_likelihood,
-)
+from .model import (NULL_SAMPLE, EdgeDistribution, _draw_buffer, _pair_parameters, _sample_pairs,
+                    derive_seed)
 from .specialize import _poisson_er_rate
 
 STATISTICS = ("avg_weighted_clustering", "total_weight", "log_likelihood")
@@ -99,10 +91,13 @@ def _node_vectors(x: np.ndarray, g: WeightedGraph) -> np.ndarray:
 def evaluate_null_likelihood(
     g: WeightedGraph, x: np.ndarray, family: str = "poisson", clamp: bool = False
 ) -> float:
-    """Log-likelihood of g under the dot-product grid of the vectors x, passed
-    on as a temporary that `model.log_likelihood` frees once it has the rates."""
-    return log_likelihood(EdgeDistribution(family), dot_product_grid(_node_vectors(x, g)), g,
-                          clamp=clamp)
+    """Log-likelihood of g's weights at the dot products of the vectors x, its
+    pair rates gathered by row blocks (`model._pair_parameters`), no n x n grid
+    made. Returns -inf, silently, when a weight has zero probability under its
+    rate; the caller decides how to report it."""
+    dist = EdgeDistribution(family)
+    return dist.log_likelihood(_pair_parameters(dist, _node_vectors(x, g), clamp),
+                               _pair_weights(g))
 
 
 def null_compare(
@@ -115,7 +110,7 @@ def null_compare(
 ) -> NullEnsembleReport:
     """Draw an ensemble from the fitted null and score g against it.
 
-    The dot-product null preserves the pairwise grid of the supplied
+    The dot-product null preserves the pairwise dot products of the supplied
     vectors (clamped into the Poisson domain); the Poisson Erdos-Renyi
     null preserves only the expected total weight. Sample i draws from
     derive_seed(seed, NULL_SAMPLE, i), so reports are reproducible and
@@ -128,10 +123,12 @@ def null_compare(
     thread scores the draw before it in the other, so an ensemble uses two
     cores even with one BLAS thread. The results are those of drawing and
     scoring in turn, bit for bit, and an error is the first that order
-    would meet. Sample i is the graph that
-    ``sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
-    draws. The Erdos-Renyi null draws every pair at total/C(n,2) itself, not
-    at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled vector model.
+    would meet. Under the dot-product null, sample i is the graph that
+    ``sample_network(model, x, derive_seed(seed, NULL_SAMPLE, i), clamp=True)``
+    draws, for a Poisson model of g.n nodes: its rates come from the same
+    row-block walk. The Erdos-Renyi null draws every pair at total/C(n,2)
+    itself, not at the fl(sqrt(theta))^2 of `fit_poisson_er`'s sampled
+    vector model.
     """
     if n_samples < 1:
         raise ValueError("need at least one null sample")
@@ -146,7 +143,7 @@ def null_compare(
     elif x is None:
         raise ValueError("dot_product null requires embedding vectors")
     else:
-        rates = _pair_parameters(dist, dot_product_grid(_node_vectors(x, g)), clamp=True)
+        rates = _pair_parameters(dist, _node_vectors(x, g), clamp=True)
 
     work = _clustering_workspace(g.n) if statistic == "avg_weighted_clustering" else None
 

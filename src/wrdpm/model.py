@@ -15,13 +15,13 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .graph import MAX_NODES, WeightedGraph, _pair_weights, _require_finite, _upper_blocks
+from .graph import MAX_NODES, WeightedGraph, _require_finite, _upper_blocks
 
 PROB_SUM_TOL = 1e-12
 # Largest parameter whose draws go to one-byte count buffers. A uint8 holds
 # counts up to 255, and for a rate lambda <= 16 the Chernoff bound gives
 # P(Poisson(lambda) >= 256) <= e^-lambda (e lambda / 256)^256 < 1e-200 per
-# pair; `_sample_pairs` still refuses a count its buffer cannot hold.
+# pair; `_draw_blocks` still refuses a count its buffer cannot hold.
 _BYTE_COUNT_RATE_MAX = 16.0
 
 
@@ -54,8 +54,8 @@ class EdgeDistribution:
         return params < 0
 
     def clamp(self, params: np.ndarray) -> np.ndarray:
-        """The float array ``params`` clamped into the domain, in place: a null's
-        pair rates are gathered and clamped once, with no second copy."""
+        """The float array ``params`` clamped into the domain, in place: a
+        block's pair rates are clamped where they are made, with no copy."""
         if self.family == "bernoulli":
             return np.clip(params, 0.0, 1.0, out=params)
         return np.maximum(params, 0.0, out=params)
@@ -421,8 +421,7 @@ def derive_seed(seed: int, *labels: int) -> int:
     a fixed first label per drawing site:
 
     - ``VECTORS``: the vectors of ``draw_vectors``;
-    - ``NETWORK``: the weights of ``sample_network``, ``sample_from_grids``
-      and each null draw;
+    - ``NETWORK``: the weights of ``sample_network`` and of each null draw;
     - ``KMEANS_RESTART, r``: restart r of ``angular_kmeans``;
     - ``SWEEP_DIMENSION, d``: the k-means seed of dimension d in
       ``dimension_sweep``;
@@ -449,31 +448,43 @@ def draw_vectors(model: LatentModel, seed: int) -> np.ndarray:
 def dot_product_grid(x: np.ndarray) -> np.ndarray:
     """Pairwise dot products of the rows of x; diagonal = squared norms.
 
-    A product past the float range is inf or nan, for ``_pair_parameters``
-    to refuse. numpy computes ``x @ x.T`` of a C-contiguous x as a symmetric
-    rank-k update and mirrors its triangle, so the grid is exactly symmetric
-    as it is made; an x of another layout is copied first, as the general
-    product of some BLAS kernels rounds its two triangles apart.
+    The whole grid, for a reader who wants it: the sampler and the
+    likelihood make theirs by row blocks (`_parameter_blocks`), whose rates
+    can differ from these in the last bit. A product past the float range
+    is inf or nan. numpy computes ``x @ x.T`` of a C-contiguous x as a
+    symmetric rank-k update and mirrors its triangle, so the grid is exactly
+    symmetric as it is made; an x of another layout is copied first, as the
+    general product of some BLAS kernels rounds its two triangles apart.
     """
     x = np.ascontiguousarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         return x @ x.T
 
 
-def _parameter_blocks(distribution: EdgeDistribution, n: int, block_of, clamp: bool):
-    """The one walk over a network's pair parameters: yields ``(rows, mask,
-    pairs, params)`` for each block of `graph._upper_blocks`, with ``params``
-    the block's j < l pair parameters, gathered from ``block_of(rows)``, the
-    block's rows of the n x n parameter grid.
+def _parameter_blocks(distribution: EdgeDistribution, x: np.ndarray, clamp: bool):
+    """The one walk over a network's pair parameters, the dot products of the
+    rows of the n x d matrix ``x``: yields ``(rows, mask, pairs, params)``
+    for each block of `graph._upper_blocks`, with ``params`` the block's
+    j < l pair parameters, in row-major order, taken from its products
+    ``x[rows] @ x.T``.
 
+    ``x`` is taken C-contiguous, so the products are a function of its
+    values; they can differ from `dot_product_grid`'s in the last bit.
     Every off-diagonal entry of a block must be finite, below the diagonal
     too, although no pair reads it. With ``clamp`` the parameters are
     clamped into the domain; otherwise each entry must lie in it. A block is
     checked as it is made, so the first bad entry in row-major order is
-    named with no n x n or pair-sized mask.
+    named with no n x n or pair-sized mask. The pairs (j, l > j) of row j
+    end its row, so each row's are moved in turn to the front of the
+    block's own buffer, and ``params`` is a view of it: a block's pairs are
+    never copied out, and a consumer holds one block at a time.
     """
+    x = np.ascontiguousarray(x, dtype=float)
+    n = len(x)
     for rows, mask, pairs in _upper_blocks(n):
-        block = block_of(rows)
+        # A product past the float range is inf or nan, for the check to refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = x[rows] @ x.T
         bad = ~np.isfinite(block)
         if not clamp:
             bad |= distribution.domain_violations(block)
@@ -482,30 +493,25 @@ def _parameter_blocks(distribution: EdgeDistribution, n: int, block_of, clamp: b
             i, l = np.argwhere(bad)[0]
             raise DomainError(f"grid entry ({rows.start + i},{l}) = {block[i, l]:g} outside "
                               f"the {distribution.family} domain")
-        params = block[mask]
-        # Each block's arrays are let go before the next block is made.
-        del block, bad
+        del bad
+        params = block.reshape(-1)
+        first = 0
+        for i, j in enumerate(range(rows.start, rows.stop)):
+            params[first:first + n - 1 - j] = block[i, j + 1:]
+            first += n - 1 - j
+        params = params[:first]
         yield rows, mask, pairs, distribution.clamp(params) if clamp else params
-        del params
+        del block, params  # before the next block is made
 
 
-def _square_grid(grid) -> np.ndarray:
-    """``grid`` as a float array, or a ModelError unless it is square."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise ModelError(f"parameter grid must be square, got shape {grid.shape}")
-    return grid
-
-
-def _pair_parameters(distribution: EdgeDistribution, grid: np.ndarray, clamp: bool):
-    """The parameters of the j < l pairs of a square grid, in row-major order,
-    checked (and with ``clamp`` clamped) by `_parameter_blocks`."""
-    grid = _square_grid(grid)
-    n = len(grid)
+def _pair_parameters(distribution: EdgeDistribution, x: np.ndarray, clamp: bool):
+    """The parameters of the j < l pairs of the rows of ``x``, in row-major
+    order, checked (and with ``clamp`` clamped) by `_parameter_blocks`."""
+    n = len(x)
     params = np.empty(n * (n - 1) // 2)
-    for _, _, pairs, block in _parameter_blocks(distribution, n, grid.__getitem__, clamp):
+    for _, _, pairs, block in _parameter_blocks(distribution, x, clamp):
         params[pairs] = block
-        del block  # before the next block is checked
+        del block  # before the next block is made
     return params
 
 
@@ -568,32 +574,6 @@ def _sample_pairs(distribution: EdgeDistribution, params, seed: int,
     return _draw_blocks(distribution, blocks, np.max(params, initial=0.0), seed, out)
 
 
-def _sample_grid_rows(distribution: EdgeDistribution, n: int, block_of, seed: int,
-                      clamp: bool) -> WeightedGraph:
-    """Draw one network from the grid rows that ``block_of(rows)`` makes, in
-    two walks: one to check and take the largest parameter, one to draw."""
-    largest = max((np.max(params, initial=0.0)
-                   for *_, params in _parameter_blocks(distribution, n, block_of, clamp)),
-                  default=0.0)
-    return _draw_blocks(distribution, _parameter_blocks(distribution, n, block_of, clamp),
-                        largest, seed, _draw_buffer(n, largest))
-
-
-def sample_from_grids(
-    distribution: EdgeDistribution,
-    grid: np.ndarray,
-    seed: int,
-    clamp: bool = False,
-) -> WeightedGraph:
-    """Draw one weighted network with per-edge parameters from the grid.
-
-    The grid is read by row blocks, twice, as `sample_network` makes its
-    own, so the draw adds only its weights and one block to the grid.
-    """
-    grid = _square_grid(grid)
-    return _sample_grid_rows(distribution, len(grid), grid.__getitem__, seed, clamp)
-
-
 def sample_network(
     model: LatentModel,
     vectors: np.ndarray,
@@ -602,44 +582,19 @@ def sample_network(
 ) -> WeightedGraph:
     """Draw one weighted network from the dot products of ``vectors``.
 
-    The grid is made one `graph._upper_blocks` row block at a time, as
-    ``x[rows] @ x.T``, and never whole: a first pass checks every block and
-    takes the largest parameter, which picks the weights' `_draw_buffer`,
-    and a second pass makes each block again and draws it. So the draw holds
-    its weights and one block, with no n x n grid and no pair parameters.
-    A row block's products can differ from `dot_product_grid`'s in the last
-    bit, so a grid rebuilt from the vectors need not hold these exact rates.
+    The pair parameters are made one `_parameter_blocks` row block at a
+    time, twice, and never whole: a first walk checks every block and takes
+    the largest parameter, which picks the weights' `_draw_buffer`, and a
+    second walk makes each block again and draws it. So the draw holds its
+    weights and one block, with no n x n grid and no pair parameters.
     """
     x = np.ascontiguousarray(vectors, dtype=float)
     if x.ndim != 2:
         raise ModelError(f"vectors must be an n x d matrix, got shape {x.shape}")
     if len(x) != model.n:
         raise ModelError(f"vectors for {len(x)} nodes, model has n={model.n}")
-
-    def products(rows: slice) -> np.ndarray:
-        # A product past the float range is inf or nan, for the walk to refuse.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return x[rows] @ x.T
-
-    return _sample_grid_rows(model.distribution, model.n, products, seed, clamp)
-
-
-def log_likelihood(
-    distribution: EdgeDistribution,
-    grid: np.ndarray,
-    g: WeightedGraph,
-    clamp: bool = False,
-) -> float:
-    """Log probability of the observed weights under the g.n x g.n parameter grid.
-
-    Returns -inf, silently, when any observed edge weight has zero
-    probability under its grid entry; the caller decides how to report it.
-    The grid is let go once its pair parameters are gathered: a grid passed
-    as a temporary is freed before the likelihood's pair-sized buffers are
-    allocated.
-    """
-    if np.shape(grid) != (g.n, g.n):
-        raise ModelError(f"parameter grid of shape {np.shape(grid)} for a {g.n}-node graph")
-    params = _pair_parameters(distribution, grid, clamp)
-    del grid
-    return distribution.log_likelihood(params, _pair_weights(g))
+    dist = model.distribution
+    largest = max((np.max(params, initial=0.0)
+                   for *_, params in _parameter_blocks(dist, x, clamp)), default=0.0)
+    return _draw_blocks(dist, _parameter_blocks(dist, x, clamp), largest, seed,
+                        _draw_buffer(model.n, largest))

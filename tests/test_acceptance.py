@@ -27,13 +27,12 @@ from wrdpm import (
     dot_product_grid,
     draw_vectors,
     embed,
+    evaluate_null_likelihood,
     factor_psd,
     fit_poisson_er,
-    log_likelihood,
     make_chung_lu,
     make_sbm,
     null_compare,
-    sample_from_grids,
     sample_network,
     stress,
     total_weight,
@@ -225,13 +224,13 @@ def test_criterion_11_likelihood_sanity():
     dist = EdgeDistribution("poisson")
     model = LatentModel(dist, 50, AxisNoise(3, 0.01))
     vectors = draw_vectors(model, seed=11)
-    grid = dot_product_grid(vectors)
     wins = 0
     for seed in range(200):
-        g = sample_from_grids(dist, grid, seed=seed, clamp=True)
-        base = log_likelihood(dist, grid, g)
-        if (base > log_likelihood(dist, grid * 1.25, g)
-                and base > log_likelihood(dist, grid * 0.75, g)):
+        g = sample_network(model, vectors, seed=seed, clamp=True)
+        base = evaluate_null_likelihood(g, vectors)
+        # vectors scaled by sqrt(s) scale every rate by s
+        if (base > evaluate_null_likelihood(g, vectors * np.sqrt(1.25))
+                and base > evaluate_null_likelihood(g, vectors * np.sqrt(0.75))):
             wins += 1
     report(11, "likelihood sanity", wins >= 190)
 

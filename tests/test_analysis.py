@@ -9,6 +9,7 @@ import pytest
 
 from wrdpm import (
     AxisNoise,
+    Constant,
     EdgeDistribution,
     LatentModel,
     ModelError,
@@ -17,9 +18,7 @@ from wrdpm import (
     draw_vectors,
     evaluate_null_likelihood,
     load_graph,
-    log_likelihood,
     null_compare,
-    sample_from_grids,
     sample_network,
     save_graph,
     total_weight,
@@ -27,7 +26,7 @@ from wrdpm import (
 )
 from wrdpm import analysis, model
 from wrdpm.graph import _pair_weights
-from wrdpm.model import NULL_SAMPLE, derive_seed
+from wrdpm.model import NETWORK, NULL_SAMPLE, derive_seed
 from conftest import disjoint_cliques, random_integer_graph
 
 
@@ -219,8 +218,9 @@ class TestNullCompare:
     def test_observed_in_sample_range_self_consistency(self):
         # scoring a graph that *is* a null draw should land mid-ensemble
         g = simple_community_graph(2)
-        grid = np.full((g.n, g.n), total_weight(g) / math.comb(g.n, 2))
-        null_draw = sample_from_grids(EdgeDistribution("poisson"), grid, seed=99, clamp=True)
+        rate = total_weight(g) / math.comb(g.n, 2)
+        m = LatentModel(EdgeDistribution("poisson"), g.n, Constant(np.array([np.sqrt(rate)])))
+        null_draw = sample_network(m, draw_vectors(m, 0), seed=99)
         report = null_compare(null_draw, n_samples=100, seed=11)
         assert 0.01 < report.quantile < 0.99
 
@@ -229,38 +229,64 @@ class TestNullCompare:
     @pytest.mark.parametrize("statistic", ["avg_weighted_clustering", "total_weight",
                                            "log_likelihood"])
     @pytest.mark.parametrize("n, scale", [(2, 1.0), (3, 1.0), (60, 1.0), (150, 1.0),
-                                          (3, 4.0), (150, 4.0)],
-                             ids=["2", "3", "60", "150", "3-rates-past-16", "150-rates-past-16"])
-    def test_samples_are_the_draws_of_sample_from_grids(self, rng, null, statistic, n, scale):
+                                          (300, 1.0), (3, 4.0), (150, 4.0)],
+                             ids=["2", "3", "60", "150", "300", "3-rates-past-16",
+                                  "150-rates-past-16"])
+    def test_samples_are_the_draws_of_sample_network(self, monkeypatch, rng, null, statistic,
+                                                     n, scale):
         # the ensemble gathers its rates once and reuses two count buffers and
-        # one clustering workspace; its draws must not change for it. n = 150
-        # spans more than one 64-row block of the clustering kernel. At scale
-        # 1 every rate is at most 16 (analysis._BYTE_COUNT_RATE_MAX), so the
-        # draws fill one-byte buffers; at scale 4 the dot-product rates pass
-        # it, so that null's draws fill float64 ones.
+        # one clustering workspace; its draws and scores must not change for
+        # it. Sample i of the dot-product null is, bit for bit, the draw of
+        # sample_network from the vectors, whose rates come from the same
+        # row-block walk; n = 150 and 300 span several 64-row blocks. The Erdos-Renyi null's reference is
+        # built here: every pair drawn at total/C(n,2) from the sample's
+        # stream. At scale 1 every rate is at most 16
+        # (model._BYTE_COUNT_RATE_MAX), so the draws fill one-byte buffers;
+        # at scale 4 the dot-product rates pass it, so that null's draws fill
+        # float64 ones.
         dist = EdgeDistribution("poisson")
-        x = scale * rng.normal(0.5, 1.0, (n, 2))  # negative grid entries are clamped to 0
+        m = LatentModel(dist, n, Constant(np.zeros(2)))
+        x = scale * rng.normal(0.5, 1.0, (n, 2))  # negative products are clamped to 0
         assert (np.max(dot_product_grid(x)[np.triu_indices(n, 1)]) > 16) == (scale > 1)
         # a draw of the dot-product null itself, so its likelihood is finite
-        g = sample_from_grids(dist, dot_product_grid(x), seed=n, clamp=True)
+        g = sample_network(m, x, seed=n, clamp=True)
+        rate = total_weight(g) / math.comb(n, 2)
+        upper = np.triu_indices(n, 1)
+
+        def erdos_renyi(seed):
+            w = np.zeros((n, n))
+            stream = np.random.default_rng(derive_seed(seed, NETWORK))
+            w[upper] = stream.poisson(rate, len(upper[0]))
+            return WeightedGraph(w + w.T)
+
+        def direct(graph):
+            return {
+                "avg_weighted_clustering": lambda: weighted_clustering(graph)[1],
+                "total_weight": lambda: total_weight(graph),
+                "log_likelihood": lambda: (dist.log_likelihood(rate, _pair_weights(graph))
+                                           if null == "poisson_er"
+                                           else evaluate_null_likelihood(graph, x, clamp=True)),
+            }[statistic]()
+
+        drawn = []
+
+        def sample_pairs(*args):
+            h = model._sample_pairs(*args)
+            drawn.append(h.weights.astype(float))  # before the buffer is drawn into again
+            return h
+
+        monkeypatch.setattr(analysis, "_sample_pairs", sample_pairs)
         for seed in (0, 7, 1211):
+            drawn.clear()
             report = null_compare(g, null=null, statistic=statistic, n_samples=4,
                                   seed=seed, x=x)
-            grid = (np.full((n, n), total_weight(g) / math.comb(n, 2)) if null == "poisson_er"
-                    else dot_product_grid(x))
-
-            def direct(graph):
-                return {
-                    "avg_weighted_clustering": lambda: weighted_clustering(graph)[1],
-                    "total_weight": lambda: total_weight(graph),
-                    "log_likelihood": lambda: log_likelihood(dist, grid, graph, clamp=True),
-                }[statistic]()
-
             assert report.observed == direct(g)
-            expected = [direct(sample_from_grids(dist, grid, derive_seed(seed, NULL_SAMPLE, i),
-                                                 clamp=True))
-                        for i in range(4)]
-            assert report.samples == tuple(expected)
+            seeds = [derive_seed(seed, NULL_SAMPLE, i) for i in range(4)]
+            draws = [erdos_renyi(s) if null == "poisson_er"
+                     else sample_network(m, x, s, clamp=True) for s in seeds]
+            assert [w.tobytes() for w in drawn] == [h.weights.astype(float).tobytes()
+                                                    for h in draws]
+            assert report.samples == tuple(direct(h) for h in draws)
 
     @pytest.mark.blas_threads
     @pytest.mark.parametrize("null, weights, counts", [
@@ -457,9 +483,8 @@ class TestNullCompare:
     def test_log_likelihood_statistic_matches_direct(self):
         g = simple_community_graph(5)
         report = null_compare(g, statistic="log_likelihood", n_samples=5, seed=1)
-        grid = np.full((g.n, g.n), total_weight(g) / math.comb(g.n, 2))
-        direct = log_likelihood(EdgeDistribution("poisson"), grid, g, clamp=True)
-        assert report.observed == direct
+        rate = total_weight(g) / math.comb(g.n, 2)
+        assert report.observed == EdgeDistribution("poisson").log_likelihood(rate, _pair_weights(g))
 
 
 class TestEvaluateNullLikelihood:

@@ -369,17 +369,40 @@ class TestLargeGraphPath:
         assert set(calls) == {"@"}
         assert x.tobytes() == embedding._truncated_factor(fit, fit.degree_mean, 3).tobytes()
 
-    @pytest.mark.parametrize("sizes, solver", [([100, 100, 60], "arpack"),
-                                                ([129, 129, 83], "arpack+dense-fallback")])
-    def test_cliques_with_a_repeated_top_eigenvalue_fit_exactly(self, start_solver, sizes,
-                                                                 solver):
-        # Equal cliques repeat the top eigenvalue. On the second graph ARPACK
-        # misses a copy in embed's own start; descent from that start alone
-        # stops at a saddle point with residual 128.7, so eigh must stand in.
+    @pytest.mark.parametrize("sizes", [[100, 100, 60], [129, 129, 83]])
+    def test_cliques_with_a_repeated_top_eigenvalue_fit_exactly(self, start_solver, sizes):
+        # Equal cliques repeat the top eigenvalue. Whether ARPACK misses a
+        # copy in embed's own start depends on the BLAS kernel: on the second
+        # graph it does under SkylakeX and not under Haswell. Descent from
+        # the start that misses one alone stops at a saddle point with
+        # residual 128.7, so eigh must stand in; either way the fit is exact.
         emb = embed(disjoint_cliques(sizes), 3)
         assert emb.converged
         assert emb.residual < 1e-6
-        assert start_solver() == solver
+        assert start_solver() in ("arpack", "arpack+dense-fallback")
+
+    @pytest.mark.parametrize("sizes", [[100, 100, 60], [129, 129, 83]])
+    def test_a_missed_copy_is_detected_and_eigh_stands_in(self, monkeypatch, start_solver,
+                                                          sizes):
+        # ARPACK's first solve is made to miss the top eigenpair on every
+        # kernel: it solves for one pair more and drops the largest. The
+        # deflation check must see the miss, and the fit from eigh's start
+        # must still be exact.
+        import scipy.sparse.linalg
+
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def missing_top(op, k, **kwargs):
+            if not kwargs.get("return_eigenvectors", True):
+                return eigsh(op, k, **kwargs)
+            values, vectors = eigsh(op, k + 1, **kwargs)  # ascending
+            return values[:-1], vectors[:, :-1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", missing_top)
+        emb = embed(disjoint_cliques(sizes), 3)
+        assert start_solver() == "arpack+dense-fallback"
+        assert emb.converged
+        assert emb.residual < 1e-6
 
     @pytest.mark.parametrize("graph", [poisson_graph(2, 300), disjoint_cliques([100] * 4)])
     def test_reruns_are_bit_identical(self, start_solver, graph):

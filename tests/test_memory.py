@@ -59,7 +59,7 @@ def inputs(tmp_path_factory):
     assert drawn.weights.dtype == counts.weights.dtype == np.uint8
     assert counts.weights.tobytes() == drawn.weights.tobytes()
     floats = WeightedGraph._wrap(counts.weights.astype(float))
-    return SimpleNamespace(m=m, x=x, grid=dot_product_grid(x), path=path, floats=floats,
+    return SimpleNamespace(m=m, x=x, path=path, floats=floats,
                            counts=counts, fit=embed(counts, 8).X, tmp=tmp, runs=itertools.count())
 
 
@@ -84,16 +84,18 @@ def command(s, *argv):
     # The grid (8). Halved and mirrored by row blocks, it took 9.1.
     pytest.param(lambda s: dot_product_grid(s.x), 8.5, id="dot_product_grid-d3"),
     # The one-byte weights (1) and one 64-row block's products, check and
-    # draw: 3.0. Drawn from the whole grid and its pair rates, it took 13.1.
+    # draw: 2.9. Drawn from the whole grid and its pair rates, it took 13.1;
+    # with each block's pairs gathered out of its products, 3.0.
     pytest.param(lambda s: sample_network(s.m, s.x, seed=1), 3.5, id="sample_network"),
-    # The rates (4) and one row block's check and gather; an n x n mask of
-    # bad entries and its np.isfinite temporary made it 6.0.
-    pytest.param(lambda s: _pair_parameters(POISSON, s.grid, clamp=False), 5.5,
+    # The rates (4) and one row block's products and check, its pairs moved
+    # within the block: 5.3. Gathered out of the block, they made 6.0; read
+    # from a whole grid that is not counted, 5.1.
+    pytest.param(lambda s: _pair_parameters(POISSON, s.x, clamp=False), 5.5,
                  id="_pair_parameters"),
-    # The grid (8) is freed once the pair rates (4) are gathered, before the
-    # gathered weights, widened to float64 (4), and the kernel's terms and
-    # log-factorial buffers (4 + 4): 16.0, for counts as for float64. Held
-    # through the kernel, as a local of its caller, it made 24.0 for both.
+    # The pair rates (4), made by row blocks with no grid, the gathered
+    # weights, widened to float64 (4), and the kernel's terms and
+    # log-factorial buffers (4 + 4): 16.0, for counts as for float64. With
+    # the whole grid (8) held through the kernel, it made 24.0 for both.
     pytest.param(lambda s: evaluate_null_likelihood(s.counts, s.x), 17,
                  id="evaluate_null_likelihood-counts"),
     pytest.param(lambda s: evaluate_null_likelihood(s.floats, s.x), 17,
@@ -101,14 +103,14 @@ def command(s, *argv):
     # Under the clustering statistic the ensemble holds the float32 buffer of
     # A and A^2 (4) with one 256-row tile's product (1.7 at n = 600), two
     # one-byte count buffers (2) and a draw's block: 7.9-8.8, as the draw
-    # and the score overlap. The dot-product null peaks earlier, at its grid
-    # (8), pair rates (4) and one block's check: 13.1. With A^2 in a second
-    # buffer the peaks were 12.3 and 16.7; with two float64 buffers as well,
-    # 26.8 and 30.9.
+    # and the score overlap. The dot-product null holds its pair rates (4) as
+    # well: 11.7-12.8. Gathered from its whole grid (8), they made it peak
+    # at 13.1. With A^2 in a second buffer the peaks were 12.3 and 16.7;
+    # with two float64 buffers as well, 26.8 and 30.9.
     pytest.param(lambda s: null_compare(s.counts, null="poisson_er", n_samples=3, seed=0, x=s.x),
                  9.5, id="null_compare-poisson_er", marks=pytest.mark.blas_threads),
     pytest.param(lambda s: null_compare(s.counts, null="dot_product", n_samples=3, seed=0, x=s.x),
-                 13.5, id="null_compare-dot_product", marks=pytest.mark.blas_threads),
+                 13, id="null_compare-dot_product", marks=pytest.mark.blas_threads),
     # The loader's peak (4.9) comes before the command's work, and it builds
     # the graph as counts from the start. The ensemble's peak above beside
     # the observed graph as counts (1): 9.5-10.0. With A^2 in a second

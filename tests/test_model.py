@@ -26,13 +26,12 @@ from wrdpm import (
     WeightedGraph,
     dot_product_grid,
     draw_vectors,
-    log_likelihood,
-    sample_from_grids,
+    evaluate_null_likelihood,
     sample_network,
     total_weight,
 )
 from wrdpm.graph import _pair_weights
-from wrdpm.model import NETWORK, _pair_parameters, _sample_pairs, derive_seed
+from wrdpm.model import NETWORK, _draw_buffer, _pair_parameters, _sample_pairs, derive_seed
 from conftest import traced_peak
 
 POISSON = EdgeDistribution("poisson")
@@ -41,6 +40,13 @@ BERNOULLI = EdgeDistribution("bernoulli")
 
 def poisson_model(source, n):
     return LatentModel(POISSON, n, source)
+
+
+def draw(dist, x, seed, clamp=False):
+    """The network that ``sample_network`` draws from the rows of ``x``."""
+    x = np.asarray(x, dtype=float)
+    model = LatentModel(dist, len(x), Constant(np.zeros(x.shape[1])))
+    return sample_network(model, x, seed, clamp=clamp)
 
 
 class TestDrawVectors:
@@ -230,24 +236,20 @@ class TestSampleNetwork:
 
     def test_clamp_recovers_from_negative_rates(self):
         x = np.array([[1.0], [-1.0], [0.5]])
-        g = sample_from_grids(POISSON, x @ x.T, seed=3, clamp=True)
+        g = draw(POISSON, x, seed=3, clamp=True)
         assert g.weights[0, 1] == 0  # rate clamped to zero
-
-    @pytest.mark.parametrize("clamp", [False, True])
-    def test_non_square_grid_rejected(self, clamp):
-        with pytest.raises(ModelError, match=r"must be square, got shape \(3, 5\)"):
-            sample_from_grids(POISSON, np.ones((3, 5)), seed=0, clamp=clamp)
 
     @pytest.mark.parametrize("dist, high", [(POISSON, 3.0), (BERNOULLI, 1.0)])
     @pytest.mark.parametrize("n", [1, 2, 5, 70])
     def test_draw_is_symmetric_with_zero_diagonal(self, dist, high, n):
-        grid = dot_product_grid(np.random.default_rng(n).uniform(0.0, high, (n, 1)))
+        # With d = 1 each rate is one product, rounded once however it is summed.
+        x = np.random.default_rng(n).uniform(-0.2, high, (n, 1))
         for seed in range(3):
-            w = sample_from_grids(dist, grid, seed, clamp=True).weights
+            w = draw(dist, x, seed, clamp=True).weights
             assert np.array_equal(w, w.T)
             assert not np.diag(w).any()
             # the j < l weights, in row-major order, are the stream's draws
-            params = dist.clamp(grid[np.triu_indices(n, 1)])
+            params = dist.clamp(np.outer(x, x)[np.triu_indices(n, 1)])
             rng = np.random.default_rng(derive_seed(seed, NETWORK))
             draws = rng.random(params.size) < params if dist is BERNOULLI else rng.poisson(params)
             assert np.array_equal(w[np.triu_indices(n, 1)], draws)
@@ -255,9 +257,10 @@ class TestSampleNetwork:
     @pytest.mark.parametrize("dist, rate", [(POISSON, 0.7), (BERNOULLI, 0.3)])
     def test_one_rate_for_all_pairs_draws_the_per_pair_graph(self, dist, rate):
         n = 40
+        root = np.sqrt(rate)
         for seed in range(3):
-            one = _sample_pairs(dist, rate, seed, np.zeros((n, n))).weights
-            per_pair = sample_from_grids(dist, np.full((n, n), rate), seed)
+            one = _sample_pairs(dist, root * root, seed, np.zeros((n, n))).weights
+            per_pair = draw(dist, np.full((n, 1), root), seed)
             assert np.array_equal(one, per_pair.weights)
 
     @pytest.mark.parametrize("dist, rate", [(POISSON, 0.7), (BERNOULLI, 0.3)])
@@ -298,28 +301,30 @@ class TestSampleNetwork:
     def test_sampled_graph_is_read_only(self):
         out = np.zeros((5, 5))
         for w in (_sample_pairs(POISSON, 2.0, 0, out).weights,
-                  sample_from_grids(POISSON, np.full((5, 5), 2.0), seed=0).weights):
+                  draw(POISSON, np.ones((5, 2)), seed=0).weights):
             assert not w.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 w[0, 1] = 1.0
 
     def test_one_byte_buffer_holds_the_draw_or_names_the_count_it_cannot(self):
         # An integer buffer gets the float64 buffer's counts; a count past its
-        # dtype is refused, never wrapped. sample_from_grids draws into a
+        # dtype is refused, never wrapped. sample_network draws into a
         # one-byte buffer up to a largest rate of 16, as on every Bernoulli
-        # grid, and into a float64 one just past it: each draw has the bits
-        # of the float64 draw of its seed.
+        # network, and into a float64 one just past it: each draw has the
+        # bits of the float64 draw of its seed.
         n = 70
         for rate in (0.7, 16.0):
             counts = _sample_pairs(POISSON, rate, 3, np.zeros((n, n), np.uint8)).weights
             floats = _sample_pairs(POISSON, rate, 3, np.zeros((n, n))).weights
             assert counts.dtype == np.uint8 and np.array_equal(counts, floats)
-        for dist, top, dtype in [(POISSON, 16.0, np.uint8), (BERNOULLI, 0.99, np.uint8),
-                                 (POISSON, np.nextafter(16.0, 17.0), np.float64)]:
-            grid = np.random.default_rng(4).uniform(0.0, top, (n, n))
-            grid[0, 1] = top
-            drawn = sample_from_grids(dist, grid, seed=3).weights
-            floats = _sample_pairs(dist, _pair_parameters(dist, grid, clamp=False), 3,
+        # The pair (0, 1) takes the largest rate, 4 x 4 = 16 or 4 x 4(1 + 2^-52).
+        for dist, high, top, dtype in [(POISSON, 4.0, 4.0, np.uint8),
+                                       (BERNOULLI, 0.99, 0.99, np.uint8),
+                                       (POISSON, 4.0, np.nextafter(4.0, 5.0), np.float64)]:
+            x = np.random.default_rng(4).uniform(0.01, high, (n, 1))
+            x[:2] = [[high], [top]]
+            drawn = draw(dist, x, seed=3).weights
+            floats = _sample_pairs(dist, _pair_parameters(dist, x, clamp=False), 3,
                                    np.zeros((n, n))).weights
             assert drawn.dtype == dtype and not drawn.flags.writeable
             assert drawn.astype(float).tobytes() == floats.tobytes()
@@ -346,11 +351,10 @@ class TestSampleNetwork:
         # grid's in the last bit (a few hundred of these 11.5 M rates do), and no such
         # change moves a count here: the draws are those of the grid.
         x = np.random.default_rng(10 * n + d).uniform(0.0, 1.5 / np.sqrt(d), (n, d))
-        m = LatentModel(POISSON, n, Constant(np.zeros(d)))
-        grid = dot_product_grid(x)
+        rates = dot_product_grid(x)[np.triu_indices(n, 1)]
         for seed in range(3):
-            drawn = sample_network(m, x, seed).weights
-            assert drawn.tobytes() == sample_from_grids(POISSON, grid, seed).weights.tobytes()
+            whole = _sample_pairs(POISSON, rates, seed, _draw_buffer(n, rates)).weights
+            assert draw(POISSON, x, seed).weights.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
     def test_grid_is_the_halved_products_plus_their_transpose(self, n):
@@ -364,45 +368,39 @@ class TestSampleNetwork:
         assert dot_product_grid(x).tobytes() == (h + h.T).tobytes()
 
     @pytest.mark.parametrize("bad, named", [
-        ([(70, 130), (150, 3)], (70, 130)),
-        ([(150, 3), (151, 2)], (150, 3)),
-        ([(199, 198)], (199, 198)),
-    ], ids=["upper-first", "lower-only", "last-block"])
-    @pytest.mark.parametrize("value", [-1.0, np.nan], ids=["domain", "non-finite"])
+        ([(150, 160), (70, 130)], (70, 130)),
+        ([(198, 199)], (198, 199)),
+    ], ids=["earlier-block-first", "last-block"])
+    @pytest.mark.parametrize("value", [-1.0, np.inf], ids=["domain", "non-finite"])
     def test_first_bad_entry_in_row_major_order_is_named(self, bad, named, value):
-        # The grid is checked by 64-row blocks, both triangles of each block
-        # at once, so the entry named is the first in row-major order, as a
-        # whole-grid scan names it, although no pair reads the lower triangle.
+        # The products are checked by 64-row blocks as they are made, so the
+        # entry named is the first in row-major order, as a whole-grid scan
+        # names it. Every product is 1 but those of the bad pairs, each set
+        # by a column of its own: 1 + 1 * -2 = -1, or 1 + 1e300 * 1e300,
+        # which overflows. A node's own product, on the diagonal, is never read.
         n = 200
-        grid = np.ones((n, n))
-        np.fill_diagonal(grid, np.nan)  # the diagonal is never read
-        for j, l in bad:
-            grid[j, l] = value
+        x = np.zeros((n, 1 + len(bad)))
+        x[:, 0] = 1.0
+        for k, (j, l) in enumerate(bad, start=1):
+            x[j, k], x[l, k] = (1.0, -2.0) if value == -1 else (1e300, 1e300)
         g = WeightedGraph(np.zeros((n, n)))
         message = rf"grid entry \({named[0]},{named[1]}\) = {value:g} outside the poisson"
         with pytest.raises(DomainError, match=message):
-            sample_from_grids(POISSON, grid, seed=0)
+            draw(POISSON, x, seed=0)
         with pytest.raises(DomainError, match=message):
-            log_likelihood(POISSON, grid, g)
-
-    def test_domain_check_covers_both_triangles(self):
-        # only the upper triangle is sampled, but every off-diagonal entry is checked
-        grid = np.ones((3, 3))
-        grid[2, 1] = -1.0
-        with pytest.raises(DomainError, match=r"\(2,1\) = -1 outside the poisson"):
-            sample_from_grids(POISSON, grid, seed=0)
+            evaluate_null_likelihood(g, x)
 
 
 @pytest.mark.parametrize("clamp", [False, True])
 def test_grid_entry_past_the_float_range_is_named(clamp):
-    grid = dot_product_grid(np.array([[1e300], [1e300], [0.0]]))
+    x = np.array([[1e300], [1e300], [0.0]])
     with pytest.raises(DomainError, match=r"grid entry \(0,1\) = inf outside the poisson"):
-        sample_from_grids(POISSON, grid, seed=0, clamp=clamp)
+        draw(POISSON, x, seed=0, clamp=clamp)
 
 
 def test_rate_too_large_to_sample_is_named():
     with pytest.raises(DomainError, match="Poisson rate 1e[+]20 is too large to sample"):
-        sample_from_grids(POISSON, np.full((3, 3), 1e20), seed=0)
+        draw(POISSON, np.full((3, 1), 1e10), seed=0)
 
 
 def test_rate_too_large_to_sample_names_the_largest_rate_of_the_network():
@@ -416,36 +414,38 @@ def test_rate_too_large_to_sample_names_the_largest_rate_of_the_network():
 
 
 class TestLogLikelihood:
+    """The likelihood kernel, and `evaluate_null_likelihood`, which scores a
+    graph at the dot products of its vectors through it."""
+
     def test_uniform_coin(self):
         n = 6
         w = np.zeros((n, n))
         w[0, 1] = w[1, 0] = 1
         g = WeightedGraph(w)
-        grid = np.full((n, n), 0.5)
+        x = np.full((n, 1), np.sqrt(0.5))
         expected = math.comb(n, 2) * math.log(0.5)
-        assert log_likelihood(BERNOULLI, grid, g) == pytest.approx(expected)
+        assert evaluate_null_likelihood(g, x, "bernoulli") == pytest.approx(expected)
 
     def test_poisson_zero_weight_unit_rate(self):
         g = WeightedGraph(np.zeros((2, 2)))
-        grid = np.ones((2, 2))
-        assert log_likelihood(POISSON, grid, g) == pytest.approx(-1.0)
+        assert evaluate_null_likelihood(g, np.ones((2, 1))) == pytest.approx(-1.0)
 
     def test_poisson_weight_three_rate_two(self):
         w = np.array([[0.0, 3.0], [3.0, 0.0]])
-        grid = np.full((2, 2), 2.0)
         expected = math.log(4 / 3) - 2  # ln(2^3 e^-2 / 3!)
-        assert log_likelihood(POISSON, grid, WeightedGraph(w)) == pytest.approx(expected)
+        g = WeightedGraph(w)
+        assert evaluate_null_likelihood(g, np.ones((2, 2))) == pytest.approx(expected)
 
     def test_impossible_observation_is_neg_inf(self):
         w = np.array([[0.0, 2.0], [2.0, 0.0]])
-        grid = np.zeros((2, 2))
-        assert log_likelihood(POISSON, grid, WeightedGraph(w), clamp=True) == -np.inf
+        x = np.array([[1.0], [-1.0]])  # rate -1, clamped to 0
+        assert evaluate_null_likelihood(WeightedGraph(w), x, clamp=True) == -np.inf
 
     def test_overflowing_term_is_named(self):
         w = np.array([[0.0, 1e308], [1e308, 0.0]])
         with pytest.raises(DomainError, match="weight 1e[+]308 at Poisson rate 1e[+]308 "
                                               "overflows the float range"):
-            log_likelihood(POISSON, np.full((2, 2), 1e308), WeightedGraph(w))
+            evaluate_null_likelihood(WeightedGraph(w), np.full((2, 1), 1e154))
         # one rate for every pair, as the Erdos-Renyi null passes it
         with pytest.raises(DomainError, match="weight 1e[+]308 at Poisson rate 1e[+]308 "
                                               "overflows the float range"):
@@ -469,46 +469,46 @@ class TestLogLikelihood:
 
     def test_sum_past_the_float_range_is_named(self):
         w = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0]])
-        grid = np.full((3, 3), 1e308)
         with pytest.raises(DomainError, match="terms sum past the float range"):
-            log_likelihood(POISSON, grid, WeightedGraph(w))
+            evaluate_null_likelihood(WeightedGraph(w), np.full((3, 1), 1e154))
 
-    @pytest.mark.parametrize("shape", [(4, 4), (3, 4)])
-    def test_grid_must_match_graph(self, shape):
-        with pytest.raises(ModelError, match="for a 3-node graph"):
-            log_likelihood(POISSON, np.ones(shape), WeightedGraph(np.zeros((3, 3))))
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_vectors_must_match_graph(self, rows):
+        with pytest.raises(ValueError, match=f"embedding has {rows} rows for a 3-node graph"):
+            evaluate_null_likelihood(WeightedGraph(np.zeros((3, 3))), np.ones((rows, 1)))
 
     def test_non_integer_weights_rejected(self):
         w = np.array([[0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ModelError, match="poisson likelihood needs integer weights"):
-            log_likelihood(POISSON, np.ones((2, 2)), WeightedGraph(w))
+            evaluate_null_likelihood(WeightedGraph(w), np.ones((2, 1)))
 
     def test_bernoulli_weight_above_one_rejected(self):
         w = np.array([[0.0, 2.0], [2.0, 0.0]])
         with pytest.raises(ModelError, match="bernoulli likelihood needs 0/1 weights"):
-            log_likelihood(BERNOULLI, np.full((2, 2), 0.5), WeightedGraph(w))
+            evaluate_null_likelihood(WeightedGraph(w), np.full((2, 1), 0.7), "bernoulli")
 
     @pytest.mark.parametrize("dist, rate", [(POISSON, 0.7), (POISSON, 0.0), (BERNOULLI, 0.3)])
     def test_one_parameter_for_all_pairs_scores_as_one_per_pair(self, dist, rate):
         n = 40
-        grid = np.full((n, n), rate)
-        g = sample_from_grids(dist, grid, seed=2)
+        x = np.full((n, 1), np.sqrt(rate))
+        g = draw(dist, x, seed=2)
         observed = g.weights[np.triu_indices(n, 1)]
+        rate = x[0, 0] * x[0, 0]  # the rate the vectors give, fl(sqrt(rate))^2
         per_pair = dist.log_likelihood(np.full(observed.size, rate), observed)
-        assert dist.log_likelihood(rate, observed) == per_pair == log_likelihood(dist, grid, g)
+        assert (dist.log_likelihood(rate, observed) == per_pair
+                == evaluate_null_likelihood(g, x, dist.family))
 
     def test_mle_consistency_one_parameter_family(self):
         # average log-likelihood is maximized near the sampling rate
         lam = 1.5
         m = poisson_model(Constant(np.array([np.sqrt(lam)])), 30)
         vecs = draw_vectors(m, seed=0)
-        grid = dot_product_grid(vecs)
         diffs = {scale: 0.0 for scale in (0.6, 0.8, 1.25, 1.6)}
         for seed in range(50):
             g = sample_network(m, vecs, seed)
-            base = log_likelihood(POISSON, grid, g)
+            base = evaluate_null_likelihood(g, vecs)
             for scale in diffs:
-                diffs[scale] += base - log_likelihood(POISSON, grid * scale, g)
+                diffs[scale] += base - evaluate_null_likelihood(g, vecs * np.sqrt(scale))
         assert all(total > 0 for total in diffs.values())
 
 
