@@ -470,14 +470,15 @@ def _parameter_blocks(distribution: EdgeDistribution, x: np.ndarray, clamp: bool
 
     ``x`` is taken C-contiguous, so the products are a function of its
     values; they can differ from `dot_product_grid`'s in the last bit.
-    Every off-diagonal entry of a block must be finite, below the diagonal
-    too, although no pair reads it. With ``clamp`` the parameters are
-    clamped into the domain; otherwise each entry must lie in it. A block is
-    checked as it is made, so the first bad entry in row-major order is
-    named with no n x n or pair-sized mask. The pairs (j, l > j) of row j
-    end its row, so each row's are moved in turn to the front of the
-    block's own buffer, and ``params`` is a view of it: a block's pairs are
-    never copied out, and a consumer holds one block at a time.
+    Each entry that a pair reads must be finite. With ``clamp`` the
+    parameters are clamped into the domain; otherwise each such entry must
+    lie in it. A block is checked as it is made, so the first bad entry in
+    row-major order is named with no n x n or pair-sized mask. Each row's
+    pairs are moved in turn to the front of the block's own buffer, and
+    ``params`` is a view of it, so a consumer holds one block at a time.
+    ``block[mask]`` would copy the pairs out beside the block, and
+    `_pair_parameters` would then peak at 5.9 n^2 bytes at n = 600, past
+    the 5.5 that tests/test_memory.py holds it to; the row moves keep it at 5.3.
     """
     x = np.ascontiguousarray(x, dtype=float)
     n = len(x)
@@ -488,17 +489,17 @@ def _parameter_blocks(distribution: EdgeDistribution, x: np.ndarray, clamp: bool
         bad = ~np.isfinite(block)
         if not clamp:
             bad |= distribution.domain_violations(block)
-        np.fill_diagonal(bad[:, rows], False)
+        bad &= mask
         if bad.any():
             i, l = np.argwhere(bad)[0]
             raise DomainError(f"grid entry ({rows.start + i},{l}) = {block[i, l]:g} outside "
                               f"the {distribution.family} domain")
         del bad
-        params = block.reshape(-1)
-        first = 0
-        for i, j in enumerate(range(rows.start, rows.stop)):
-            params[first:first + n - 1 - j] = block[i, j + 1:]
-            first += n - 1 - j
+        params, first = block.reshape(-1), 0
+        for i, keep in enumerate(mask):
+            row = block[i, keep]
+            params[first:first + len(row)] = row
+            first += len(row)
         params = params[:first]
         yield rows, mask, pairs, distribution.clamp(params) if clamp else params
         del block, params  # before the next block is made

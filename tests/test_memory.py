@@ -88,7 +88,7 @@ def command(s, *argv):
     # with each block's pairs gathered out of its products, 3.0.
     pytest.param(lambda s: sample_network(s.m, s.x, seed=1), 3.5, id="sample_network"),
     # The rates (4) and one row block's products and check, its pairs moved
-    # within the block: 5.3. Gathered out of the block, they made 6.0; read
+    # within the block: 5.3. Gathered out of the block (`block[mask]`), they made 5.9; read
     # from a whole grid that is not counted, 5.1.
     pytest.param(lambda s: _pair_parameters(POISSON, s.x, clamp=False), 5.5,
                  id="_pair_parameters"),

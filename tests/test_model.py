@@ -392,10 +392,19 @@ class TestSampleNetwork:
 
 
 @pytest.mark.parametrize("clamp", [False, True])
-def test_grid_entry_past_the_float_range_is_named(clamp):
-    x = np.array([[1e300], [1e300], [0.0]])
-    with pytest.raises(DomainError, match=r"grid entry \(0,1\) = inf outside the poisson"):
+@pytest.mark.parametrize("x, value", [
+    ([[1e300], [1e300], [0.0]], "inf"),
+    ([[1.0], [np.nan], [1.0]], "nan"),
+], ids=["inf", "nan"])
+def test_non_finite_grid_entry_is_named(x, value, clamp):
+    # A NaN product lies in no domain (NaN < 0 is false), so only the
+    # finiteness check refuses it; clamped, it would otherwise reach the
+    # sampler, whose refusal reads as a rate too large to sample.
+    message = rf"grid entry \(0,1\) = {value} outside the poisson"
+    with pytest.raises(DomainError, match=message):
         draw(POISSON, x, seed=0, clamp=clamp)
+    with pytest.raises(DomainError, match=message):
+        evaluate_null_likelihood(WeightedGraph(np.zeros((3, 3))), np.array(x), clamp=clamp)
 
 
 def test_rate_too_large_to_sample_is_named():
