@@ -61,63 +61,131 @@ class Embedding:
         return self.stop_reason == "tolerance"
 
 
-# Crossover measured per solve with one OpenBLAS thread on a 2-vCPU x86 VM:
-# ARPACK loses to a full eigh at n = 150 (4.7 vs 3.6 ms) and at d = n / 16
-# (192 vs 168 ms at n = 800), and wins at n = 256, d = 8 and at d = n / 32.
-_ARPACK_MIN_N = 256
-_ARPACK_MAX_D_SHARE = 32
+# Crossover measured per start with one OpenBLAS thread on a 2-vCPU x86 VM,
+# on 8-block Poisson graphs: the Lanczos start beats a full eigh at n = 256,
+# d = 8 (1.8 vs 5.3 ms), ties it at d = n / 32 (81 vs 93 ms at n = 800, 0.56
+# vs 0.55 s at n = 1500) and loses at d = n / 16 (167 vs 99 ms at n = 800).
+# The bound on n was set for ARPACK, which lost at n = 150 (4.7 vs 3.6 ms).
+_LANCZOS_MIN_N = 256
+_LANCZOS_MAX_D_SHARE = 32
+# A Lanczos run stops when every wanted Ritz pair's residual bound is at most
+# this share of the largest |Ritz value|. Over 147 starts (n = 400-1500,
+# d = 2-12) 1e-3 sent two, at relative eigengaps of 2.9e-3 and 4.6e-3, to
+# eigh, and 1e-4, 1e-6 and 1e-10 none, in 5685, 6680, 7815 and 9590
+# products. A loose start leaves a gap a few times the tolerance unresolved,
+# so 1e-6 keeps that to near-ties.
+_LANCZOS_TOL = 1e-6
+# A Lanczos run gives up, and eigh stands in, after n / this many steps: a
+# step costs a product, and an eigh about n / 2 of them (0.55 s against
+# 0.7 ms at n = 1500, 95 against 0.18 ms at n = 800). The top 46 of an
+# 8-block Poisson graph at n = 1500 took 438 steps and 0.55 s, ARPACK 0.42 s.
+_LANCZOS_STEP_SHARE = 2
+# A Lanczos step whose new vector is below this share of the largest product
+# has found an invariant subspace: two orthogonalization passes leave
+# rounding of about 1e-16 there.
+_VANISHED = 1e-12
+# Ritz values are taken every _RITZ_EVERY steps, or every m / _RITZ_SHARE
+# after m steps where that is more, and at a breakdown: an eigh of the
+# m x m T costs about m^3, so a long run takes them less often.
+_RITZ_EVERY = 5
+_RITZ_SHARE = 8
+_BASIS_ROWS = 16
 
 
 def _takes_eigh(n: int, d: int) -> bool:
     """Whether a rank-d factor of an n x n matrix comes from a full eigh."""
-    return n < _ARPACK_MIN_N or d > n // _ARPACK_MAX_D_SHARE
+    return n < _LANCZOS_MIN_N or d > n // _LANCZOS_MAX_D_SHARE
+
+
+def _lanczos(product, v: np.ndarray, k: int, tol: float, rng: np.random.Generator):
+    """Top k eigenpairs of the symmetric operator ``product`` by Lanczos from v.
+
+    Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
+    Computations, 4th ed., section 10.1): each new vector is orthogonalized
+    against the whole basis twice, so the Ritz pairs of the tridiagonal T
+    are those of the basis. With beta the step's last coupling and s_i an
+    eigenvector of T, |beta s_i[-1]| bounds the residual of the i-th Ritz
+    pair; the run stops when the top k bounds are at most ``tol`` times the
+    largest |Ritz value|. Where the Krylov space becomes invariant (beta
+    vanishes) before that, the run goes on from a vector drawn from ``rng``,
+    orthogonalized against the basis. Returns the k values,
+    descending, and their n x k vectors, or None after n / _LANCZOS_STEP_SHARE
+    steps.
+    The basis starts with room for _BASIS_ROWS vectors and doubles as it fills.
+    """
+    n = len(v)
+    basis, alphas, betas = np.empty((_BASIS_ROWS, n)), [], []
+    scale = 0.0  # largest |product(q)| so far
+
+    def orthogonalize(w, m):
+        for _ in range(2):
+            w -= basis[:m].T @ (basis[:m] @ w)
+        return w
+
+    q = v / np.linalg.norm(v)
+    check = -(-k // _RITZ_EVERY) * _RITZ_EVERY  # the first multiple of _RITZ_EVERY >= k
+    for m in range(1, n // _LANCZOS_STEP_SHARE + 1):
+        if m > len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[m - 1] = q
+        w = product(q)
+        scale = max(scale, np.linalg.norm(w))
+        alphas.append(q @ w)
+        beta = np.linalg.norm(orthogonalize(w, m))
+        vanished = beta <= _VANISHED * scale
+        if m >= check or (vanished and m >= k):
+            check = m + max(_RITZ_EVERY, m // _RITZ_SHARE)
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta, s = np.linalg.eigh(t)
+            if (np.abs(beta * s[-1, -k:]) <= tol * np.abs(theta).max()).all():
+                return theta[:-k - 1:-1], basis[:m].T @ s[:, :-k - 1:-1]
+        if vanished:  # before k steps; after them a vanished beta passes the test above
+            w = orthogonalize(rng.standard_normal(n), m)
+            beta = 0.0
+            q = w / np.linalg.norm(w)
+        else:
+            q = w / beta
+        betas.append(beta)
+    return None
 
 
 def _truncated_factor(fit: _FitMatrix, c, d: int, y=None) -> np.ndarray:
     """Best rank-d PSD factor of A - y y^T + diag(c), A the matrix of ``fit``.
 
-    Large ones need only their top d eigenpairs, from ARPACK on its products.
-    One Krylov space holds one vector per eigenspace, so ARPACK can miss a
-    copy of a repeated eigenvalue; a Lanczos run with the found eigenvectors
-    projected out finds it, and then, or if ARPACK fails, eigh stands in.
+    Large ones need only their top d eigenpairs, from a Lanczos run on its
+    products from the permutation-invariant ones / sqrt(n). One Krylov space
+    holds one vector per eigenspace, so the run can miss a copy of a repeated
+    eigenvalue; a second, loose run with the found eigenvectors projected out
+    finds it, and then, or if a run does not converge, eigh stands in.
     """
     n = len(c)
     if _takes_eigh(n, d):
         return _eigentruncate(fit.dense(c, y), d)[0]
-    # Imported here: a module-level import costs every small run start-up
-    # time and memory.
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    # ARPACK draws a new start vector when its Krylov space becomes invariant;
-    # a fixed generator keeps that draw, and so X, a function of the matrix.
-    rng = np.random.default_rng(0)
 
     def product(v):
-        v_out = fit @ v + (c * v.T).T
+        v_out = fit @ v + c * v
         return v_out if y is None else v_out - y @ (y.T @ v)
 
-    op = LinearOperator((n, n), matvec=product, matmat=product, dtype=float)
-    try:
-        eigvals, eigvecs = eigsh(op, k=d, which="LA", tol=0, v0=np.ones(n), rng=rng)
-
-        def deflated(v):
-            v = product(v - eigvecs @ (eigvecs.T @ v))
-            return v - eigvecs @ (eigvecs.T @ v)
-
-        # Ritz values never exceed the top eigenvalue, so a loose tolerance
-        # cannot report a miss that is not there.
-        rest_top = eigsh(
-            LinearOperator((n, n), matvec=deflated, dtype=float), k=1, which="LA",
-            tol=0.1, v0=rng.standard_normal(n), rng=rng, return_eigenvectors=False,
-        )[0]
-    except ArpackError:
+    # A fixed generator keeps the restarts' and the check's draws, and so X,
+    # a function of the matrix.
+    rng = np.random.default_rng(0)
+    found = _lanczos(product, np.ones(n), d, _LANCZOS_TOL, rng)
+    if found is None:
         return _eigentruncate(fit.dense(c, y), d)[0]
-    # eigvals is ascending. An eigenvalue of the rest above the smallest one
-    # found, and above zero, where the clip makes ties harmless, was missed.
-    if rest_top > max(eigvals[0], 0.0) + 1e-9 * np.abs(eigvals).max():
+    eigvals, eigvecs = found
+
+    def deflated(v):
+        v = product(v - eigvecs @ (eigvecs.T @ v))
+        return v - eigvecs @ (eigvecs.T @ v)
+
+    # Ritz values never exceed the top eigenvalue, so a loose tolerance
+    # cannot report a miss that is not there.
+    rest = _lanczos(deflated, rng.standard_normal(n), 1, 0.1, rng)
+    # An eigenvalue of the rest above the smallest one found, and above zero,
+    # where the clip makes ties harmless, was missed.
+    if rest is None or rest[0][0] > max(eigvals[-1], 0.0) + 1e-9 * np.abs(eigvals).max():
         return _eigentruncate(fit.dense(c, y), d)[0]
-    eigvals = np.clip(eigvals[::-1], 0.0, None)
-    return eigvecs[:, ::-1] * np.sqrt(eigvals)
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
 # Below this share of ||A||_F^2, f is summed from the n x n difference: the
@@ -192,7 +260,7 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
 
     ``_start`` is a factor from ``_shared_start``: where the start is a full
     eigh, its first d columns are the start, so that a sweep over d runs
-    one eigendecomposition. ARPACK starts are computed per d.
+    one eigendecomposition. Lanczos starts are computed per d.
     """
     if config is None:
         config = SolverConfig()

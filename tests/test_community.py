@@ -383,21 +383,21 @@ def sweep_alone(g, ds, seed):
 
 
 def straddling_graph():
-    # n = 300 starts d <= 9 from ARPACK and d >= 10 from a full eigh.
+    # n = 300 starts d <= 9 from a Lanczos run and d >= 10 from a full eigh.
     return fig9_graph(4, size=100)
 
 
 @pytest.mark.blas_threads
 class TestSweepSharesTheStart:
     """A sweep's records have the bits of each d run alone, on the shared eigh
-    start and on ARPACK starts, at any BLAS thread count."""
+    start and on Lanczos starts, at any BLAS thread count."""
 
     @pytest.mark.parametrize("graph, ds", [
         (lambda: fig9_graph(3), range(2, 9)),
         (lambda: disjoint_cliques([5, 5, 5]), range(1, 8)),
         (straddling_graph, range(6, 13)),
         (straddling_graph, range(6, 10)),
-    ], ids=["sbm-150", "cliques", "arpack-and-eigh", "arpack-only"])
+    ], ids=["sbm-150", "cliques", "lanczos-and-eigh", "lanczos-only"])
     def test_records_equal_each_d_run_alone(self, graph, ds):
         g = graph()
         report = dimension_sweep(g, ds, seed=11)
@@ -417,7 +417,7 @@ class TestSweepSharesTheStart:
         (lambda: fig9_graph(3), range(2, 9), [8]),
         (straddling_graph, range(6, 13), [12]),
         (straddling_graph, range(6, 10), []),
-    ], ids=["sbm-150", "arpack-and-eigh", "arpack-only"])
+    ], ids=["sbm-150", "lanczos-and-eigh", "lanczos-only"])
     def test_one_eigendecomposition_per_sweep(self, monkeypatch, graph, ds, eigh_at):
         g = graph()
         calls = []

@@ -258,10 +258,8 @@ class Unscaled:
 @pytest.fixture
 def start_solver(monkeypatch):
     """Label of the eigensolves embed ran since the fixture was set up or
-    the label was last read: "dense", "arpack", or "arpack+dense-fallback"
-    when ARPACK ran and a full eigendecomposition stood in."""
-    import scipy.sparse.linalg
-
+    the label was last read: "dense", "lanczos", or "lanczos+dense-fallback"
+    when a Lanczos run was made and a full eigendecomposition stood in."""
     calls = set()
 
     def spy(name, func):
@@ -271,13 +269,13 @@ def start_solver(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(embedding, "_eigentruncate", spy("dense", embedding._eigentruncate))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy("arpack", scipy.sparse.linalg.eigsh))
+    monkeypatch.setattr(embedding, "_lanczos", spy("lanczos", embedding._lanczos))
 
     def label():
-        if "arpack" not in calls:
+        if "lanczos" not in calls:
             name = "dense"
         else:
-            name = "arpack+dense-fallback" if "dense" in calls else "arpack"
+            name = "lanczos+dense-fallback" if "dense" in calls else "lanczos"
         calls.clear()
         return name
 
@@ -285,7 +283,7 @@ def start_solver(monkeypatch):
 
 
 class TestLargeGraphPath:
-    """Graphs above the size crossover, where embed starts from ARPACK's top d."""
+    """Graphs above the size crossover, where embed starts from a Lanczos run's top d."""
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_matches_dense_path(self, monkeypatch, start_solver, d):
@@ -293,65 +291,83 @@ class TestLargeGraphPath:
         # the minimum reached may not.
         g = poisson_graph(1, 300)
         fast = embed(g, d)
-        assert start_solver() == "arpack"
-        monkeypatch.setattr(embedding, "_ARPACK_MIN_N", 10**9)
+        assert start_solver() == "lanczos"
+        monkeypatch.setattr(embedding, "_LANCZOS_MIN_N", 10**9)
         full = embed(g, d)
         assert start_solver() == "dense"
         assert fast.converged and full.converged
         assert fast.residual == pytest.approx(full.residual, rel=1e-9)
 
-    @pytest.mark.parametrize("sizes, d, solvers", [
-        ([100] * 4, 4, {"arpack"}),
-        ([100] * 8, 8, {"arpack"}),
-        ([100, 100, 60], 3, {"arpack"}),
+    @pytest.mark.parametrize("sizes, d, solver", [
+        ([100] * 4, 4, "lanczos+dense-fallback"),
+        ([100] * 8, 8, "lanczos+dense-fallback"),
+        ([100, 100, 60], 3, "lanczos"),
     ])
     def test_repeated_top_eigenvalue_matches_dense_path(self, monkeypatch, start_solver,
-                                                        sizes, d, solvers):
+                                                        sizes, d, solver):
         # Equal cliques repeat the top eigenvalue; a single Krylov space holds
-        # one vector of that eigenspace, so ARPACK alone can miss copies. The
-        # normalized, matrix-free start finds every copy on these graphs; the
-        # fallback is checked where ARPACK does miss, in the test below.
+        # one vector of that eigenspace. The run's restarts, where ones / sqrt(n)
+        # spans an invariant subspace, find the second copy on the third graph
+        # and not every copy on the others, where the check sees the miss.
         g = disjoint_cliques(sizes)
         a_hat = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
         top = np.linalg.eigvalsh(a_hat)[-2:]
         assert top[1] - top[0] < 1e-9 * top[1]
         fast = embed(g, d)
-        assert start_solver() in solvers
-        monkeypatch.setattr(embedding, "_ARPACK_MIN_N", 10**9)
+        assert start_solver() == solver
+        monkeypatch.setattr(embedding, "_LANCZOS_MIN_N", 10**9)
         full = embed(g, d)
         assert start_solver() == "dense"
         assert fast.converged and full.converged
         scale = np.linalg.norm(g.weights)
         assert abs(fast.residual - full.residual) < 1e-9 * scale
 
-    def test_missed_eigenvalue_falls_back_to_the_full_eigendecomposition(self, start_solver):
-        # Equal cliques repeat the top eigenvalue, and a single Krylov space
-        # holds one vector of that eigenspace: on this matrix ARPACK alone
-        # returns one copy of the top eigenvalue and the third one instead of
-        # the second copy.
+    def test_an_invariant_start_space_is_left_by_a_fixed_restart(self, start_solver):
+        # On cliques of 100, 100 and 60 the Krylov space of ones is invariant
+        # after two steps and holds one copy of the top eigenvalue. The run
+        # goes on from a fixed random vector and finds the second copy itself.
         g = disjoint_cliques([100, 100, 60])
         m = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
-        x = embedding._truncated_factor(Unscaled(m), np.zeros(g.n), 3)
-        assert start_solver() == "arpack+dense-fallback"
+        products = []
+
+        class Counting(Unscaled):
+            def __matmul__(self, v):
+                products.append(v)
+                return self.m @ v
+
+        x = embedding._truncated_factor(Counting(m), np.zeros(g.n), 3)
+        assert start_solver() == "lanczos"
         exact = embedding._eigentruncate(m, 3)[0]
         np.testing.assert_allclose(x @ x.T, exact @ exact.T, atol=1e-9)
+        # The third product is the restart: orthogonal to the first two.
+        basis = np.array(products[:3])
+        np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-12)
+        assert not np.allclose(products[2], products[2][0])
 
-    def test_arpack_failure_falls_back_to_the_full_eigendecomposition(self, monkeypatch):
-        import scipy.sparse.linalg
+    def test_missed_eigenvalue_falls_back_to_the_full_eigendecomposition(self, start_solver):
+        # Four equal cliques repeat the top eigenvalue four times. Each restart
+        # adds one copy and one vector of the next eigenvalue, so the run ends
+        # with three copies and the fourth value in place of the fourth copy.
+        g = disjoint_cliques([100] * 4)
+        m = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
+        x = embedding._truncated_factor(Unscaled(m), np.zeros(g.n), 4)
+        assert start_solver() == "lanczos+dense-fallback"
+        exact = embedding._eigentruncate(m, 4)[0]
+        np.testing.assert_allclose(x @ x.T, exact @ exact.T, atol=1e-9)
 
-        def fail(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackError(-9999)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    def test_unconverged_lanczos_falls_back_to_the_full_eigendecomposition(
+            self, monkeypatch, start_solver):
+        monkeypatch.setattr(embedding, "_LANCZOS_STEP_SHARE", 100)  # 3 steps at n = 300
         g = poisson_graph(1, 300)
         m = g.weights + np.diag(g.weights.sum(axis=1) / (g.n - 1))
         assert not embedding._takes_eigh(g.n, 3)
         x = embedding._truncated_factor(Unscaled(m), np.zeros(g.n), 3)
+        assert start_solver() == "lanczos+dense-fallback"
         assert x.tobytes() == embedding._eigentruncate(m, 3)[0].tobytes()
 
     def test_start_reads_the_matrix_only_through_products(self, start_solver):
-        # Where ARPACK misses nothing, the start forms no n x n matrix, so a
-        # fit operator need not hold one to serve it.
+        # Where the Lanczos run misses nothing, the start forms no n x n
+        # matrix, so a fit operator need not hold one to serve it.
         fit = graph._FitMatrix(poisson_graph(1, 300))
         calls = []
 
@@ -365,42 +381,39 @@ class TestLargeGraphPath:
                 return getattr(fit, name)
 
         x = embedding._truncated_factor(Spy(), fit.degree_mean, 3)
-        assert start_solver() == "arpack"
+        assert start_solver() == "lanczos"
         assert set(calls) == {"@"}
         assert x.tobytes() == embedding._truncated_factor(fit, fit.degree_mean, 3).tobytes()
 
     @pytest.mark.parametrize("sizes", [[100, 100, 60], [129, 129, 83]])
     def test_cliques_with_a_repeated_top_eigenvalue_fit_exactly(self, start_solver, sizes):
-        # Equal cliques repeat the top eigenvalue. Whether ARPACK misses a
-        # copy in embed's own start depends on the BLAS kernel: on the second
-        # graph it does under SkylakeX and not under Haswell. Descent from
-        # the start that misses one alone stops at a saddle point with
-        # residual 128.7, so eigh must stand in; either way the fit is exact.
+        # Equal cliques repeat the top eigenvalue. Descent from a start that
+        # misses a copy stops at a saddle point with residual 128.7 on the
+        # second graph. The run's restart finds the copy itself, under the
+        # SkylakeX and Haswell kernels alike, and the fit is exact.
         emb = embed(disjoint_cliques(sizes), 3)
         assert emb.converged
         assert emb.residual < 1e-6
-        assert start_solver() in ("arpack", "arpack+dense-fallback")
+        assert start_solver() == "lanczos"
 
     @pytest.mark.parametrize("sizes", [[100, 100, 60], [129, 129, 83]])
     def test_a_missed_copy_is_detected_and_eigh_stands_in(self, monkeypatch, start_solver,
                                                           sizes):
-        # ARPACK's first solve is made to miss the top eigenpair on every
+        # The first Lanczos run is made to miss the top eigenpair on every
         # kernel: it solves for one pair more and drops the largest. The
         # deflation check must see the miss, and the fit from eigh's start
         # must still be exact.
-        import scipy.sparse.linalg
+        lanczos = embedding._lanczos
 
-        eigsh = scipy.sparse.linalg.eigsh
+        def missing_top(product, v, k, tol, rng):
+            if k == 1:  # the check
+                return lanczos(product, v, k, tol, rng)
+            values, vectors = lanczos(product, v, k + 1, tol, rng)  # descending
+            return values[1:], vectors[:, 1:]
 
-        def missing_top(op, k, **kwargs):
-            if not kwargs.get("return_eigenvectors", True):
-                return eigsh(op, k, **kwargs)
-            values, vectors = eigsh(op, k + 1, **kwargs)  # ascending
-            return values[:-1], vectors[:, :-1]
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", missing_top)
+        monkeypatch.setattr(embedding, "_lanczos", missing_top)
         emb = embed(disjoint_cliques(sizes), 3)
-        assert start_solver() == "arpack+dense-fallback"
+        assert start_solver() == "lanczos+dense-fallback"
         assert emb.converged
         assert emb.residual < 1e-6
 
@@ -408,7 +421,7 @@ class TestLargeGraphPath:
     def test_reruns_are_bit_identical(self, start_solver, graph):
         a = embed(graph, 4)
         b = embed(graph, 4)
-        assert start_solver().startswith("arpack")
+        assert start_solver().startswith("lanczos")
         assert np.array_equal(a.X, b.X)
         assert a.residual_history == b.residual_history
 

@@ -2,7 +2,7 @@
 
 X is defined only up to an orthogonal map, so the tests compare Gram
 matrices X X^T, which that map leaves unchanged. They must hold, on the
-ARPACK start too, at any BLAS thread count.
+Lanczos start too, at any BLAS thread count.
 """
 
 import numpy as np
@@ -97,8 +97,8 @@ def four_block_poisson_graph(seed, n=400):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_arpack_start_keeps_both_equivariances(seed):
-    # n = 400 and d = 6 start from ARPACK's top d, which the small graphs
+def test_lanczos_start_keeps_both_equivariances(seed):
+    # n = 400 and d = 6 start from a Lanczos run's top d, which the small graphs
     # above never reach.
     g, d = four_block_poisson_graph(seed), 6
     assert not embedding._takes_eigh(g.n, d)

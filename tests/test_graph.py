@@ -467,7 +467,7 @@ class TestCountGraphs:
 
     @pytest.mark.blas_threads
     @pytest.mark.parametrize("d", [1, 3, 8])
-    @pytest.mark.parametrize("n", [150, 300], ids=["eigh-start", "arpack-start"])
+    @pytest.mark.parametrize("n", [150, 300], ids=["eigh-start", "lanczos-start"])
     def test_embed_is_bitwise(self, tmp_path, n, d):
         assert embedding._takes_eigh(n, d) == (n == 150)
         g, counts = poisson_graph_and_counts(tmp_path, n)

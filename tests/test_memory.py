@@ -119,7 +119,7 @@ def command(s, *argv):
     # embed's scaled copy and its start (13) beside the graph as counts (1);
     # as float64 it made 21.1.
     pytest.param(lambda s: command(s, "cluster", "--d", "8"), 17, id="cli-cluster"),
-    # The scaled float64 copy (8) and the ARPACK start: 12.9.
+    # The scaled float64 copy (8) and the Lanczos start: 12.9.
     pytest.param(lambda s: embed(s.counts, 8), 13.5, id="embed-d8-counts"),
     # The np.triu copy (1 on counts, 8 on float64) and its bool mask (1).
     pytest.param(lambda s: total_weight(s.counts), 2.5, id="total_weight-counts"),
