@@ -23,6 +23,9 @@ MAX_NODES = 20_000
 _ROW_BLOCK = 64
 # Rows of A^2 that `_clustering` forms at a time, inside A's buffer.
 _CLUSTERING_TILE = 256
+# Values that `_write_csv_matrix` formats at a time, whole rows at least: at
+# 1024 to 16384 a 1500 x 8 matrix took the same 5.5 ms (np.savetxt 7.9 ms).
+_CSV_BLOCK = 4096
 
 
 class GraphFormatError(ValueError):
@@ -435,8 +438,19 @@ def _read_csv_matrix(path, what: str) -> np.ndarray:
 
 
 def _write_csv_matrix(path, m) -> None:
-    """Write ``m`` (a vector as one row) as `_read_csv_matrix` reads it, exactly."""
-    np.savetxt(path, np.atleast_2d(m), delimiter=",", fmt="%.17g")
+    """Write ``m`` (a vector as one row) as `_read_csv_matrix` reads it, exactly.
+
+    The bytes are np.savetxt(path, m, delimiter=",", fmt="%.17g")'s, but each
+    block of `_CSV_BLOCK` values is formatted by one % of its rows' format,
+    where savetxt makes one Python call per row.
+    """
+    m = np.atleast_2d(m)
+    rows = max(1, _CSV_BLOCK // max(m.shape[1], 1))
+    row = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    with open(path, "wb") as f:
+        for r0 in range(0, len(m), rows):
+            block = m[r0:r0 + rows]
+            f.write((row * len(block) % tuple(block.ravel().tolist())).encode())
 
 
 def load_graph(path, format: str = "edge-list") -> WeightedGraph:
