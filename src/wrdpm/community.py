@@ -110,8 +110,8 @@ def _lloyd_spherical(
         # Summed in row order and divided by the sizes, as mean() does; the
         # batched 1 x d @ d x 1 products are the dot of np.linalg.norm, so each
         # centroid is the one a per-cluster mean and norm give, bit for bit.
-        means = np.zeros_like(centroids)
-        np.add.at(means, assignment, xn)
+        means = np.stack([np.bincount(assignment, weights=col, minlength=k) for col in xn.T],
+                         axis=1)
         means /= sizes[:, None]
         norms = np.sqrt((means[:, None, :] @ means[:, :, None]).ravel())
         moved = norms > 0
