@@ -240,7 +240,7 @@ def dimension_sweep(
     argmin go to the smallest d. Every record equals embed(g, d) and its
     clustering run alone: the dimensions whose start is a full
     eigendecomposition share one, taken at the sweep's largest d, and each
-    ARPACK start is computed for its own d.
+    Lanczos start is computed for its own d.
     """
     ds = sorted(set(int(d) for d in d_values))
     if not ds:

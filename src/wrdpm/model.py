@@ -431,9 +431,10 @@ def derive_seed(seed: int, *labels: int) -> int:
     coincide. The labels are a SeedSequence spawn key, which is appended
     after the seed's entropy is padded: no labels give back the stream of
     ``default_rng(seed)``, as the list seed ``[seed, 0]`` does. The one
-    generator not derived here is the fixed ``default_rng(0)`` of the ARPACK
-    start vector in ``embedding._truncated_factor``, which keeps the fit a
-    function of the matrix alone.
+    generator not derived here is the fixed ``default_rng(0)`` of the
+    Lanczos start's restart and check vectors in
+    ``embedding._truncated_factor``, which keeps the fit a function of the
+    matrix alone.
     """
     return int(np.random.SeedSequence(seed, spawn_key=labels).generate_state(1, np.uint64)[0])
 
