@@ -108,10 +108,10 @@ def _lanczos(product, v: np.ndarray, k: int, tol: float, rng: np.random.Generato
     pair; the run stops when the top k bounds are at most ``tol`` times the
     largest |Ritz value|. Where the Krylov space becomes invariant (beta
     vanishes) before that, the run goes on from a vector drawn from ``rng``,
-    orthogonalized against the basis. Returns the k values,
+    orthogonalized against the basis. The basis starts with room for
+    _BASIS_ROWS vectors and doubles as it fills. Returns the k values,
     descending, and their n x k vectors, or None after n / _LANCZOS_STEP_SHARE
     steps.
-    The basis starts with room for _BASIS_ROWS vectors and doubles as it fills.
     """
     n = len(v)
     basis, alphas, betas = np.empty((_BASIS_ROWS, n)), [], []
@@ -267,7 +267,8 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     n = g.n
     if not 1 <= d <= n:
         raise ValueError(f"embedding dimension d={d} outside [1, {n}]")
-    # Imported here for the reason given in _truncated_factor.
+    # Imported here: a module-level import costs every small run start-up
+    # time and memory.
     from scipy.optimize import minimize
 
     fit = _FitMatrix(g)
