@@ -47,15 +47,65 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _version() -> str:
+def _version(package: str = "wrdpm") -> str:
+    """The installed version of ``package``, read without importing it."""
     # Imported here, as hashlib in _sha256: importlib.metadata pulls in email
     # and socket, and the two cost about 30 ms of every CLI start-up.
     from importlib import metadata
 
     try:
-        return metadata.version("wrdpm")
+        return metadata.version(package)
     except metadata.PackageNotFoundError:
         return "unknown"
+
+
+def _openblas():
+    """The OpenBLAS library that numpy's wheels bundle, through ctypes, or
+    None where numpy has none: its wheels put it in numpy.libs (Linux,
+    Windows) or .dylibs (macOS)."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    for where in (os.path.join(root, os.pardir, "numpy.libs"), os.path.join(root, ".dylibs")):
+        for path in sorted(glob.glob(os.path.join(where, "libscipy_openblas64_*"))):
+            try:
+                return ctypes.CDLL(path)
+            except OSError:
+                pass
+    return None
+
+
+def _environment() -> dict:
+    """What a run's data bytes may depend on beyond its inputs, flags and
+    seed: the python, numpy and scipy versions, numpy's BLAS, and the thread
+    count and core name (the kernel it picked for this CPU) of `_openblas`;
+    "unknown" where one cannot be read."""
+    import ctypes
+    import platform
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    threads = core = "unknown"
+    lib = _openblas()
+    try:
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        get_core = lib.scipy_openblas_get_corename64_
+    except AttributeError:  # no library, or not this one
+        pass
+    else:
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+        threads, core = get_threads(), get_core().decode("ascii", "replace")
+    # A run that imported scipy reads its version from it: the package
+    # metadata takes about 4 ms to find.
+    scipy = sys.modules.get("scipy")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": _version("scipy") if scipy is None else scipy.__version__, "blas": blas,
+            "openblas_threads": threads, "openblas_core": core}
 
 
 def _default_seed(value):
@@ -131,6 +181,7 @@ class _RunFiles:
             # A copy: the manifest is not one of its own outputs.
             "outputs": list(self.outputs),
             "version": _version(),
+            "env": _environment(),
             "duration_seconds": time.perf_counter() - started,
         }
         self.save_json("manifest.json", manifest)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrdpm import WeightedGraph, load_graph, save_graph, total_weight
+from wrdpm import WeightedGraph, cli, load_graph, save_graph, total_weight
 from wrdpm.cli import build_parser, main
 from conftest import assert_clean_exit, disjoint_cliques, run_cli
 
@@ -849,6 +850,31 @@ class TestManifest:
             "n": 10, "d": 2, "family": "bernoulli", "param": 0.3, "sigma2": None,
             "exp_mean": None, "spec": None, "clamp": False,
         }
+
+    @pytest.mark.parametrize("imported", [True, False], ids=["scipy-imported", "scipy-metadata"])
+    def test_env_records_versions_blas_and_openblas(self, tmp_path, clique_path, monkeypatch,
+                                                    imported):
+        import scipy
+
+        if not imported:  # as in a null run, which imports no scipy
+            monkeypatch.delitem(sys.modules, "scipy")
+        out = tmp_path / "run"
+        assert run("null", "--samples", "2", "--graph", str(clique_path), "--out", str(out)) == 0
+        assert ("scipy" in sys.modules) == imported
+        env = json.loads((out / "manifest.json").read_text())["env"]
+        assert sorted(env) == ["blas", "numpy", "openblas_core", "openblas_threads",
+                               "python", "scipy"]
+        assert env["python"] == platform.python_version()
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["blas"] and env["blas"] != "unknown"
+        if cli._openblas() is not None:
+            assert isinstance(env["openblas_threads"], int) and env["openblas_threads"] >= 1
+            assert env["openblas_core"] and env["openblas_core"] != "unknown"
+
+    def test_env_without_a_bundled_openblas(self, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        env = cli._environment()
+        assert env["openblas_threads"] == env["openblas_core"] == "unknown"
 
     def test_outputs_are_the_data_files(self, tmp_path, clique_path):
         out = tmp_path / "run"
