@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import WeightedGraph, _FitMatrix
+from .graph import WeightedGraph, _FitMatrix, _worker
 from .specialize import _eigentruncate, canonical_orientation
 
 
@@ -66,6 +66,11 @@ class Embedding:
 # d = 8 (1.8 vs 5.3 ms), ties it at d = n / 32 (81 vs 93 ms at n = 800, 0.56
 # vs 0.55 s at n = 1500) and loses at d = n / 16 (167 vs 99 ms at n = 800).
 # The bound on n was set for ARPACK, which lost at n = 150 (4.7 vs 3.6 ms).
+# From `graph._SPLIT_MIN_N` nodes on the start's products run in two row
+# halves at once and eigh runs whole. Re-measured so at d = n / 32 in
+# another session: 0.55-0.58 vs 0.72-0.76 s at n = 1500 (0.65-0.70 s
+# unsplit) and 0.25-0.28 vs 0.28-0.30 s at n = 1100 (0.27-0.29 s unsplit).
+# The bounds are kept: eigh ran 30 % slower there than in the session above.
 _LANCZOS_MIN_N = 256
 _LANCZOS_MAX_D_SHARE = 32
 # A Lanczos run stops when every wanted Ritz pair's residual bound is at most
@@ -237,8 +242,11 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     O(n^2 d) and no n x n matrix, until f falls below _DIRECT_SHARE of
     ||A||_F^2 and is summed directly. The start is the rank-d eigentruncation
     of A + diag(degree mean). The fit runs on A scaled by `graph._FitMatrix`,
-    so embed(4 A).X is 2 embed(A).X bit for bit. X is returned on its
-    principal axes, canonically oriented.
+    so embed(4 A).X is 2 embed(A).X bit for bit. From `graph._SPLIT_MIN_N`
+    nodes on, its build and products take a second core through a worker
+    thread that lives for this call; with one OpenBLAS thread, X has the
+    bits of whole calls. X is returned on its principal axes, canonically
+    oriented.
 
     Each L-BFGS run works on Z = X diag(s), s the column norms of the X it
     starts from, floored at _FLOOR of the largest. That X is on its
@@ -271,89 +279,90 @@ def embed(g: WeightedGraph, d: int, config: SolverConfig | None = None, *,
     # time and memory.
     from scipy.optimize import minimize
 
-    fit = _FitMatrix(g)
-    a_sq = fit.sq_norm
-    if _start is not None and _takes_eigh(n, d):
-        x = _start[:, :d]
-    else:
-        x = _truncated_factor(fit, fit.degree_mean, d)
-    # A directly summed f is accurate to its own size, so the rounding floor
-    # of the gradient falls with sqrt(f) there.
-    tight = config.tolerance * np.sqrt(_DIRECT_SHARE)
-    last, done = None, False  # last: (x, f, gradient, largest squared row norm)
-    history, row_max = [], []  # one entry at the start and one per step
-
-    def evaluate(flat):
-        nonlocal last
-        x = flat.reshape(n, d)
-        ax, gram, r = fit @ x, x.T @ x, np.einsum("ij,ij->i", x, x)
-        f = np.einsum("ij,ij->", gram, gram) - r @ r - 2.0 * np.einsum("ij,ij->", x, ax) + a_sq
-        if f >= _DIRECT_SHARE * a_sq:
-            grad = x @ gram - ax - r[:, None] * x
+    with _worker(n) as worker:
+        fit = _FitMatrix(g, worker)
+        a_sq = fit.sq_norm
+        if _start is not None and _takes_eigh(n, d):
+            x = _start[:, :d]
         else:
-            diff = fit.offdiag_residual(x)
-            f, grad = np.einsum("ij,ij->", diff, diff), diff @ x
-        last = (flat.copy(), f, 4.0 * grad.ravel(), r.max())
-        return last[1], last[2]
+            x = _truncated_factor(fit, fit.degree_mean, d)
+        # A directly summed f is accurate to its own size, so the rounding floor
+        # of the gradient falls with sqrt(f) there.
+        tight = config.tolerance * np.sqrt(_DIRECT_SHARE)
+        last, done = None, False  # last: (x, f, gradient, largest squared row norm)
+        history, row_max = [], []  # one entry at the start and one per step
 
-    def accept():
-        """Take the last evaluation as the iterate x; set done if it converged."""
-        nonlocal x, done
-        flat, f, grad, r_max = last
-        x = flat.reshape(n, d)
-        history.append(f)
-        row_max.append(r_max)
-        tol = config.tolerance if f >= _DIRECT_SHARE * a_sq else tight
-        done = np.linalg.norm(grad) <= tol * np.linalg.norm(flat)
+        def evaluate(flat):
+            nonlocal last
+            x = flat.reshape(n, d)
+            ax, gram, r = fit @ x, x.T @ x, np.einsum("ij,ij->i", x, x)
+            f = np.einsum("ij,ij->", gram, gram) - r @ r - 2.0 * np.einsum("ij,ij->", x, ax) + a_sq
+            if f >= _DIRECT_SHARE * a_sq:
+                grad = x @ gram - ax - r[:, None] * x
+            else:
+                diff = fit.offdiag_residual(x)
+                f, grad = np.einsum("ij,ij->", diff, diff), diff @ x
+            last = (flat.copy(), f, 4.0 * grad.ravel(), r.max())
+            return last[1], last[2]
 
-    def evaluate_z(z):
-        """f and its gradient at Z = X diag(s), for L-BFGS on Z."""
-        f, grad = evaluate((z.reshape(n, d) / s).ravel())
-        return f, (grad.reshape(n, d) / s).ravel()
+        def accept():
+            """Take the last evaluation as the iterate x; set done if it converged."""
+            nonlocal x, done
+            flat, f, grad, r_max = last
+            x = flat.reshape(n, d)
+            history.append(f)
+            row_max.append(r_max)
+            tol = config.tolerance if f >= _DIRECT_SHARE * a_sq else tight
+            done = np.linalg.norm(grad) <= tol * np.linalg.norm(flat)
 
-    def step(intermediate_result):
-        # L-BFGS evaluates each iterate it accepts last, so that is ``last``.
+        def evaluate_z(z):
+            """f and its gradient at Z = X diag(s), for L-BFGS on Z."""
+            f, grad = evaluate((z.reshape(n, d) / s).ravel())
+            return f, (grad.reshape(n, d) / s).ravel()
+
+        def step(intermediate_result):
+            # L-BFGS evaluates each iterate it accepts last, so that is ``last``.
+            accept()
+            if done:
+                raise StopIteration
+
+        def fill():
+            """Fill a null column of x along which f falls, as one step; False if none."""
+            _, sing, vt = np.linalg.svd(x, full_matrices=False)
+            null = sing**2 <= _NULL_SHARE * sing[0] ** 2
+            if not null.any():
+                return False
+            # Along u in a null column on the principal axes, f(t) = f + 2 t u^T D u
+            # + t^2 ||offdiag(u u^T)||^2 with t = eps^2 and D = offdiag(X X^T - A).
+            y = x @ vt.T
+            y[:, null] = 0.0
+            r = np.einsum("ij,ij->i", y, y)
+            u = _truncated_factor(fit, r, 1, y)
+            lam = np.einsum("ij,ij->", u, u)
+            if lam <= config.tolerance:
+                return False
+            y[:, np.argmax(null)] = u[:, 0] / np.sqrt(1.0 - np.sum(u**4) / lam**2)
+            evaluate(y.ravel())
+            accept()
+            return True
+
+        evaluate(x.ravel())
         accept()
-        if done:
-            raise StopIteration
-
-    def fill():
-        """Fill a null column of x along which f falls, as one step; False if none."""
-        _, sing, vt = np.linalg.svd(x, full_matrices=False)
-        null = sing**2 <= _NULL_SHARE * sing[0] ** 2
-        if not null.any():
-            return False
-        # Along u in a null column on the principal axes, f(t) = f + 2 t u^T D u
-        # + t^2 ||offdiag(u u^T)||^2 with t = eps^2 and D = offdiag(X X^T - A).
-        y = x @ vt.T
-        y[:, null] = 0.0
-        r = np.einsum("ij,ij->i", y, y)
-        u = _truncated_factor(fit, r, 1, y)
-        lam = np.einsum("ij,ij->", u, u)
-        if lam <= config.tolerance:
-            return False
-        y[:, np.argmax(null)] = u[:, 0] / np.sqrt(1.0 - np.sum(u**4) / lam**2)
-        evaluate(y.ravel())
-        accept()
-        return True
-
-    evaluate(x.ravel())
-    accept()
-    while len(history) - 1 < config.max_iterations:
-        if fill():
-            continue
-        if done:
-            break
-        s = np.linalg.norm(x, axis=0)  # x is on its principal axes here
-        s = np.maximum(s, _FLOOR * s.max())
-        minimize(
-            evaluate_z, (x * s).ravel(), jac=True, method="L-BFGS-B", callback=step,
-            # maxfun never binds: an iteration makes at most maxls + 1 calls.
-            options={"maxiter": config.max_iterations + 1 - len(history), "maxcor": _MEMORY,
-                     "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},
-        )
-        if not done:  # the cap, or a line search that found no lower f
-            break
+        while len(history) - 1 < config.max_iterations:
+            if fill():
+                continue
+            if done:
+                break
+            s = np.linalg.norm(x, axis=0)  # x is on its principal axes here
+            s = np.maximum(s, _FLOOR * s.max())
+            minimize(
+                evaluate_z, (x * s).ravel(), jac=True, method="L-BFGS-B", callback=step,
+                # maxfun never binds: an iteration makes at most maxls + 1 calls.
+                options={"maxiter": config.max_iterations + 1 - len(history), "maxcor": _MEMORY,
+                         "gtol": 0.0, "ftol": 0.0, "maxfun": 21 * config.max_iterations},
+            )
+            if not done:  # the cap, or a line search that found no lower f
+                break
 
     # Adding 0.0 turns the -0.0 of rotated exact zeros into 0.0.
     x = canonical_orientation(x @ np.linalg.svd(x, full_matrices=False)[2].T) + 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,6 +27,15 @@ _CLUSTERING_TILE = 256
 # Values that `_write_csv_matrix` formats at a time, whole rows at least: at
 # 1024 to 16384 a 1500 x 8 matrix took the same 5.5 ms (np.savetxt 7.9 ms).
 _CSV_BLOCK = 4096
+# From this many nodes a `_FitMatrix`'s build and products, and an edge
+# list's writes to the two triangles, run in two parts at once, one on a
+# worker thread (`_worker`). Medians with one OpenBLAS thread on a 2-vCPU
+# x86 VM, split against whole: a matvec took 0.202 against 0.186 ms at
+# n = 768, 0.222 against 0.325 at 1024 and 0.518 against 0.736 at 1500; an
+# n x 8 product 0.301 against 0.468, 0.520 against 0.864 and 1.521 against
+# 3.102 ms. A Lanczos start makes mostly matvecs. At n = 1500 the two
+# triangles of 282 735 edges took 3.4 ms at once against 4.3 ms in turn.
+_SPLIT_MIN_N = 1024
 
 
 class GraphFormatError(ValueError):
@@ -176,6 +186,57 @@ def _weight_dtype(w: np.ndarray) -> type:
     return np.float64
 
 
+def _worker(n: int):
+    """A context manager giving the worker thread that `_at_once` runs the
+    second part of an n-node job on: a one-thread ThreadPoolExecutor from
+    `_SPLIT_MIN_N` nodes on, else None. Its thread starts with its first job
+    and is joined on exit."""
+    if n < _SPLIT_MIN_N:
+        return contextlib.nullcontext()
+    # Imported here: importing concurrent.futures adds about 6 ms to the
+    # start-up of every CLI run.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1)
+
+
+def _at_once(worker, first, second) -> None:
+    """Run ``first()`` on the calling thread while ``second()`` runs on
+    ``worker``, or the two in turn where ``worker`` is None.
+
+    Both have ended when it returns or raises, so neither writes on after
+    it. An error of either reaches the caller; where both raise, it is the
+    error of ``first()``, as when they run in turn.
+    """
+    if worker is None:
+        first()
+        second()
+        return
+    pending = worker.submit(second)
+    try:
+        first()
+    except BaseException:
+        pending.exception()  # waits for the worker's part; its error, if any, is dropped
+        raise
+    pending.result()
+
+
+def _by_halves(worker, n: int, job) -> None:
+    """``job(rows)`` on all n rows at once, or, with a `_worker`, on rows
+    :h and h: at once, h a multiple of 64 near n / 2.
+
+    A row block of a float64 product with one OpenBLAS thread has the bits
+    of the same rows of the whole product where it starts at a multiple of
+    64 (checked under the SkylakeX, Haswell and Zen kernels; at row 750 a
+    matvec's did not); an elementwise job keeps its bits at any split.
+    """
+    if worker is None:
+        job(slice(None))
+        return
+    h = (n + 64) // 128 * 64
+    _at_once(worker, lambda: job(slice(None, h)), lambda: job(slice(h, None)))
+
+
 class _FitMatrix:
     """The matrix `embedding.embed` fits, A / 4^m over its norm (4^m near
     max |A|), and the operations the fit reads it through.
@@ -186,19 +247,31 @@ class _FitMatrix:
     copy, taken whatever g's dtype: numpy's `frexp` and `ldexp` of uint8
     counts give float16. The weights are nonnegative, so their largest is
     max |A|, without a copy.
+
+    With a `_worker` (from `_SPLIT_MIN_N` nodes on) the copy's scaling and
+    each product run by `_by_halves`, with the bits of the whole call; the
+    norms are taken whole. The caller owns the worker, and its thread ends
+    when the caller's ``with`` block does.
     """
 
-    def __init__(self, g: WeightedGraph):
+    def __init__(self, g: WeightedGraph, worker=None):
+        self._worker = worker
         self._m = int(np.frexp(float(g.weights.max()))[1]) // 2
-        self._a = np.ldexp(g.weights, -2 * self._m, dtype=float)
-        self._scale = np.linalg.norm(self._a)
+        a = self._a = np.empty((g.n, g.n))
+        _by_halves(worker, g.n, lambda rows: np.ldexp(g.weights[rows], -2 * self._m,
+                                                      dtype=float, out=a[rows]))
+        self._scale = np.linalg.norm(a)
         if self._scale:
-            self._a /= self._scale
-        self.sq_norm = np.einsum("ij,ij->", self._a, self._a)
-        self.degree_mean = self._a.sum(axis=1) / max(g.n - 1, 1)
+            _by_halves(worker, g.n, lambda rows: np.divide(a[rows], self._scale, out=a[rows]))
+        self.sq_norm = np.einsum("ij,ij->", a, a)
+        self.degree_mean = a.sum(axis=1) / max(g.n - 1, 1)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self._a @ v
+        """A v as a new C-ordered array."""
+        out = np.empty(self._a.shape[:1] + v.shape[1:])
+        _by_halves(self._worker, len(out),
+                   lambda rows: np.matmul(self._a[rows], v, out=out[rows]))
+        return out
 
     def dense(self, c: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         """A - y y^T + diag(c) as a new n x n array; A + diag(c) without y."""
@@ -413,7 +486,11 @@ def _parse_edge_array(path) -> np.ndarray | None:
     weights = np.zeros((n, n), _weight_dtype(w))
     # -0 reads as +0.0, the zero a save and a load give back.
     w += 0.0
-    weights[u, v] = weights[v, u] = w
+    # The checks above leave no entry that both triangles' writes reach, so
+    # they run at once: numpy's fancy-index assignment releases the GIL.
+    with _worker(n) as worker:
+        _at_once(worker, lambda: weights.__setitem__((u, v), w),
+                 lambda: weights.__setitem__((v, u), w))
     return weights
 
 
