@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _version(package: str = "wrdpm") -> str:
+def _version(package: str) -> str:
     """The installed version of ``package``, read without importing it."""
     # Imported here, as hashlib in _sha256: importlib.metadata pulls in email
     # and socket, and the two cost about 30 ms of every CLI start-up.
@@ -180,7 +180,7 @@ class _RunFiles:
             "input_sha256": {path: _sha256(path) for path in self.inputs},
             # A copy: the manifest is not one of its own outputs.
             "outputs": list(self.outputs),
-            "version": _version(),
+            "version": _version("wrdpm"),
             "env": _environment(),
             "duration_seconds": time.perf_counter() - started,
         }
