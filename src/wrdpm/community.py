@@ -84,6 +84,11 @@ def _farthest_point_init(
     return xn[centers].copy()
 
 
+def _community_sums(x: np.ndarray, assignment: np.ndarray, k: int) -> np.ndarray:
+    """Each of the k communities' sum of x's rows, added in row order from 0.0."""
+    return np.stack([np.bincount(assignment, weights=col, minlength=k) for col in x.T], axis=1)
+
+
 def _lloyd_spherical(
     xn: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -110,8 +115,7 @@ def _lloyd_spherical(
         # Summed in row order and divided by the sizes, as mean() does; the
         # batched 1 x d @ d x 1 products are the dot of np.linalg.norm, so each
         # centroid is the one a per-cluster mean and norm give, bit for bit.
-        means = np.stack([np.bincount(assignment, weights=col, minlength=k) for col in xn.T],
-                         axis=1)
+        means = _community_sums(xn, assignment, k)
         means /= sizes[:, None]
         norms = np.sqrt((means[:, None, :] @ means[:, :, None]).ravel())
         moved = norms > 0
@@ -173,8 +177,7 @@ def stress(x: np.ndarray, p: Partition, normalize_rows: bool = True) -> float:
     if p.n != x.shape[0]:
         raise ValueError("partition does not cover the rows of x")
     xn = _normalize_rows(x)[0] if normalize_rows else x
-    sums = np.zeros((p.k, x.shape[1]))
-    np.add.at(sums, p.assignment, xn)
+    sums = _community_sums(xn, p.assignment, p.k)
     total = sums.sum(axis=0)
     ideal = sum(comb(int(z), 2) for z in p.sizes)
     # Raw rows near sqrt of the float maximum overflow the dot sums; the

@@ -27,14 +27,15 @@ _CLUSTERING_TILE = 256
 # Values that `_write_csv_matrix` formats at a time, whole rows at least: at
 # 1024 to 16384 a 1500 x 8 matrix took the same 5.5 ms (np.savetxt 7.9 ms).
 _CSV_BLOCK = 4096
-# From this many nodes a `_FitMatrix`'s build and products, and an edge
-# list's writes to the two triangles, run in two parts at once, one on a
-# worker thread (`_worker`). Medians with one OpenBLAS thread on a 2-vCPU
-# x86 VM, split against whole: a matvec took 0.202 against 0.186 ms at
-# n = 768, 0.222 against 0.325 at 1024 and 0.518 against 0.736 at 1500; an
-# n x 8 product 0.301 against 0.468, 0.520 against 0.864 and 1.521 against
-# 3.102 ms. A Lanczos start makes mostly matvecs. At n = 1500 the two
-# triangles of 282 735 edges took 3.4 ms at once against 4.3 ms in turn.
+# From this many nodes a `_FitMatrix`'s build and products run in two row
+# halves at once, and an edge list's writes in two halves of its edges, one
+# half on a worker thread (`_worker`, `_by_halves`). Medians with one
+# OpenBLAS thread on a 2-vCPU x86 VM, split against whole: a matvec took
+# 0.202 against 0.186 ms at n = 768, 0.222 against 0.325 at 1024 and 0.518
+# against 0.736 at 1500; an n x 8 product 0.301 against 0.468, 0.520
+# against 0.864 and 1.521 against 3.102 ms. A Lanczos start makes mostly
+# matvecs. At n = 1500 the writes of 379 850 edges to both triangles took
+# 2.9 ms in two halves against 6.0 ms whole.
 _SPLIT_MIN_N = 1024
 
 
@@ -187,7 +188,7 @@ def _weight_dtype(w: np.ndarray) -> type:
 
 
 def _worker(n: int):
-    """A context manager giving the worker thread that `_at_once` runs the
+    """A context manager giving the worker thread that `_by_halves` runs the
     second part of an n-node job on: a one-thread ThreadPoolExecutor from
     `_SPLIT_MIN_N` nodes on, else None. Its thread starts with its first job
     and is joined on exit."""
@@ -200,41 +201,30 @@ def _worker(n: int):
     return ThreadPoolExecutor(1)
 
 
-def _at_once(worker, first, second) -> None:
-    """Run ``first()`` on the calling thread while ``second()`` runs on
-    ``worker``, or the two in turn where ``worker`` is None.
-
-    Both have ended when it returns or raises, so neither writes on after
-    it. An error of either reaches the caller; where both raise, it is the
-    error of ``first()``, as when they run in turn.
-    """
-    if worker is None:
-        first()
-        second()
-        return
-    pending = worker.submit(second)
-    try:
-        first()
-    except BaseException:
-        pending.exception()  # waits for the worker's part; its error, if any, is dropped
-        raise
-    pending.result()
-
-
 def _by_halves(worker, n: int, job) -> None:
-    """``job(rows)`` on all n rows at once, or, with a `_worker`, on rows
-    :h and h: at once, h a multiple of 64 near n / 2.
+    """``job(slice(None))`` where ``worker`` is None; with a `_worker`,
+    ``job(slice(None, h))`` on the calling thread while ``job(slice(h, None))``
+    runs on the worker, h a multiple of 64 near n / 2.
 
-    A row block of a float64 product with one OpenBLAS thread has the bits
-    of the same rows of the whole product where it starts at a multiple of
-    64 (checked under the SkylakeX, Haswell and Zen kernels; at row 750 a
-    matvec's did not); an elementwise job keeps its bits at any split.
+    Both parts have ended when it returns or raises, so neither writes on
+    after it. An error of either reaches the caller; where both raise, it is
+    the calling thread's. A row block of a float64 product with one
+    OpenBLAS thread has the bits of the same rows of the whole product where
+    it starts at a multiple of 64 (checked under the SkylakeX, Haswell and
+    Zen kernels; at row 750 a matvec's did not); an elementwise job keeps
+    its bits at any split.
     """
     if worker is None:
         job(slice(None))
         return
     h = (n + 64) // 128 * 64
-    _at_once(worker, lambda: job(slice(None, h)), lambda: job(slice(h, None)))
+    pending = worker.submit(job, slice(h, None))
+    try:
+        job(slice(None, h))
+    except BaseException:
+        pending.exception()  # waits for the worker's part; its error, if any, is dropped
+        raise
+    pending.result()
 
 
 class _FitMatrix:
@@ -486,11 +476,15 @@ def _parse_edge_array(path) -> np.ndarray | None:
     weights = np.zeros((n, n), _weight_dtype(w))
     # -0 reads as +0.0, the zero a save and a load give back.
     w += 0.0
-    # The checks above leave no entry that both triangles' writes reach, so
-    # they run at once: numpy's fancy-index assignment releases the GIL.
+
+    def write(edges):
+        weights[u[edges], v[edges]] = weights[v[edges], u[edges]] = w[edges]
+
+    # The checks above leave no entry that two edges' writes reach, so the
+    # two halves of the edges run at once: numpy's fancy-index assignment
+    # releases the GIL.
     with _worker(n) as worker:
-        _at_once(worker, lambda: weights.__setitem__((u, v), w),
-                 lambda: weights.__setitem__((v, u), w))
+        _by_halves(worker, len(w), write)
     return weights
 
 

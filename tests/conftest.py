@@ -1,15 +1,70 @@
 import contextlib
+import ctypes
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wrdpm import WeightedGraph
-from wrdpm.cli import main
+from wrdpm.cli import _openblas, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def openblas_threads():
+    """The getter and setter of the thread count of numpy's bundled
+    OpenBLAS (`cli._openblas`), or None where numpy bundles none."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread(request, monkeypatch, openblas_threads):
+    """Run a test not marked `blas_threads` with one OpenBLAS thread, and the
+    processes it starts too; a marked test keeps the environment's count.
+
+    Yields whether the test runs with one thread: where numpy bundles no
+    OpenBLAS whose count can be set, only if the environment set one. Small
+    eigensolves with two threads can be 100x slower, and a product split in
+    row halves has the whole product's bits with one thread only.
+    """
+    pinned = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+    if request.node.get_closest_marker("blas_threads"):
+        yield pinned
+        return
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    if openblas_threads is None:
+        yield pinned
+        return
+    get, put = openblas_threads
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
+
+
+def fresh_python(*argv, env=None, timeout=120, **kwargs):
+    """Run ``python *argv`` in a new interpreter that imports wrdpm from this
+    checkout's ``src``, with the variables ``env`` added to this process's;
+    the finished process, with its text output."""
+    env = dict(os.environ, **(env or {}), PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=timeout, **kwargs)
 
 
 def disjoint_cliques(sizes, weight=1.0):

@@ -3,28 +3,18 @@ import json
 import os
 import platform
 import resource
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wrdpm import WeightedGraph, cli, load_graph, save_graph, total_weight
 from wrdpm.cli import build_parser, main
-from conftest import assert_clean_exit, disjoint_cliques, run_cli
+from conftest import assert_clean_exit, disjoint_cliques, fresh_python, run_cli
 
 
 def run(*argv):
     return main(list(argv))
-
-
-def fresh_python(*argv, **kwargs):
-    """Run ``python *argv`` in a new interpreter that imports wrdpm from this
-    checkout's ``src``; the finished process, with its text output."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
-                          timeout=120, **kwargs)
 
 
 def data_files(out_dir):
@@ -875,6 +865,26 @@ class TestManifest:
         monkeypatch.setattr(cli, "_openblas", lambda: None)
         env = cli._environment()
         assert env["openblas_threads"] == env["openblas_core"] == "unknown"
+
+    def test_an_unmarked_test_and_its_children_run_with_one_openblas_thread(self):
+        # conftest's `one_blas_thread`, whatever OPENBLAS_NUM_THREADS says.
+        proc = fresh_python("-c", "import os; print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+        if cli._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        assert cli._environment()["openblas_threads"] == 1
+
+    @pytest.mark.blas_threads
+    def test_a_marked_test_runs_with_the_environments_openblas_threads(self):
+        # The count a new process takes from this environment, after the
+        # unmarked tests before this one set one thread and restored it.
+        if cli._openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS")
+        proc = fresh_python("-c", "from wrdpm import cli; "
+                                  "print(cli._environment()['openblas_threads'])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{cli._environment()['openblas_threads']}\n"
 
     def test_outputs_are_the_data_files(self, tmp_path, clique_path):
         out = tmp_path / "run"

@@ -6,8 +6,9 @@ likelihood on three disjoint 5-cliques; seed 5) must keep writing exactly
 these bytes. ``manifest.json`` is left out: it records a duration.
 
 Recorded with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31, identical
-with OPENBLAS_NUM_THREADS=1 and 2. Every run here is below the ARPACK
-crossover (n < 256), so the eigensolves are full LAPACK ``eigh`` calls.
+with OPENBLAS_NUM_THREADS=1 and 2. Every run here is below
+``embedding._LANCZOS_MIN_N`` (n < 256), so each fit starts from a full
+LAPACK ``eigh``.
 """
 
 import contextlib

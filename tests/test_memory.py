@@ -151,8 +151,8 @@ def large(tmp_path_factory):
 
 
 @pytest.mark.parametrize("call, bound", [
-    # The counts and the parsed rows, the two triangles written at once:
-    # 4.8, as written in turn. Sorting the pair keys for the duplicate check
+    # The counts and the parsed rows, the two halves of the edges written
+    # at once: 4.8, as written whole. Sorting the pair keys for the duplicate check
     # while the matrix is written would hold both.
     pytest.param(lambda s: load_graph(s.path), 6, id="load_graph"),
     # The scaled float64 copy, built and multiplied in row halves into

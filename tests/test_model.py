@@ -1,10 +1,6 @@
 import json
 import math
-import os
 import platform
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +28,7 @@ from wrdpm import (
 )
 from wrdpm.graph import _pair_weights
 from wrdpm.model import NETWORK, _draw_buffer, _pair_parameters, _sample_pairs, derive_seed
-from conftest import traced_peak
+from conftest import ROOT, fresh_python, traced_peak
 
 POISSON = EdgeDistribution("poisson")
 BERNOULLI = EdgeDistribution("bernoulli")
@@ -149,13 +145,10 @@ class TestDotProductGrid:
         # OpenBLAS picks its kernel from the CPU, and an AVX2 machine gets
         # Haswell's, which rounds the two triangles of a general x @ x.T
         # apart on these layouts. The kernel is set for a new process only.
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=str(root / "src"))
         test = f"{__file__}::TestDotProductGrid::test_symmetry_exact"
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{test}[65-8-strided]", f"{test}[65-8-reversed]"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        run = fresh_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{test}[65-8-strided]", f"{test}[65-8-reversed]",
+                           env={"OPENBLAS_CORETYPE": "Haswell"}, cwd=ROOT)
         assert run.returncode == 0, run.stdout
 
     def test_odd_subnormal_product_is_kept(self):

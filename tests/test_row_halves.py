@@ -1,22 +1,18 @@
-"""Row halves on two threads, from `graph._SPLIT_MIN_N` nodes on: the fit
-operator's build and products and an edge list's writes to its two
-triangles run in two parts at once, one on a worker thread that lives for
-one `embed` call or one load.
+"""Halves on two threads, from `graph._SPLIT_MIN_N` nodes on: the fit
+operator's build and products run in two row halves at once, and an edge
+list's writes in two halves of its edges, one half on a worker thread that
+lives for one `embed` call or one load (`graph._by_halves`).
 
 With one OpenBLAS thread every split call has the bits of the whole call;
 with two, a split product's bits differ from the whole product's. So the
-tests of the bits run under `one_blas_thread` and are not marked
-`blas_threads`.
+tests of the bits are not marked `blas_threads`: conftest's
+`one_blas_thread` runs them with one thread, and they skip where it cannot.
 """
 
-import ctypes
-import os
 import platform
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,29 +29,14 @@ from wrdpm import (
     sample_network,
     save_graph,
 )
-from wrdpm.cli import _openblas
+from conftest import ROOT, fresh_python
 
 N = 1100  # above the floor, and a fit in a few steps
 
 
-@pytest.fixture
-def one_blas_thread():
-    """Run the test with one OpenBLAS thread, whatever the environment sets."""
-    lib = _openblas()
-    if lib is None:
-        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-            pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
-        yield
-        return
-    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+def skip_without_one_thread(one_blas_thread):
+    if not one_blas_thread:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
 
 
 def planted(n, seed):
@@ -71,29 +52,36 @@ def g():
 
 @pytest.fixture(scope="module")
 def saved(g, tmp_path_factory):
-    """g as an edge list, and g's weights times 0.375 (float64) as another."""
+    """Edge lists of N nodes: g; g's weights times 0.375 (float64); g's edges
+    shuffled, every other one written ``v u``; and a single edge."""
     tmp = tmp_path_factory.mktemp("halves")
     save_graph(g, tmp / "counts.edgelist")
     save_graph(WeightedGraph(g.weights * 0.375), tmp / "floats.edgelist")
-    return tmp / "counts.edgelist", tmp / "floats.edgelist"
+    header, *edges = (tmp / "counts.edgelist").read_text().splitlines()
+    edges = [edges[k] for k in np.random.default_rng(0).permutation(len(edges))]
+    edges[::2] = [f"{v} {u} {w}" for u, v, w in map(str.split, edges[::2])]
+    (tmp / "shuffled.edgelist").write_text("\n".join([header, *edges]) + "\n")
+    (tmp / "one-edge.edgelist").write_text(f"n={N}\n5 1099 3\n")
+    return [tmp / f"{name}.edgelist" for name in ("counts", "floats", "shuffled", "one-edge")]
 
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Whether each `graph._at_once` call since the fixture was set up had a worker."""
+    """Whether each `graph._by_halves` call since the fixture was set up had a worker."""
     seen = []
-    at_once = graph._at_once
+    by_halves = graph._by_halves
 
-    def spy(worker, first, second):
+    def spy(worker, n, job):
         seen.append(worker is not None)
-        return at_once(worker, first, second)
+        return by_halves(worker, n, job)
 
-    monkeypatch.setattr(graph, "_at_once", spy)
+    monkeypatch.setattr(graph, "_by_halves", spy)
     return seen
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1031, 1537])
 def test_products_have_the_whole_products_bits(one_blas_thread, n):
+    skip_without_one_thread(one_blas_thread)
     w = np.triu(np.random.default_rng(n).poisson(0.5, (n, n)), 1).astype(np.uint8)
     h = WeightedGraph(w + w.T)
     rng = np.random.default_rng(0)
@@ -114,36 +102,36 @@ def test_products_have_the_whole_products_bits(one_blas_thread, n):
 @pytest.mark.parametrize("core", ["Haswell", "Zen"])
 def test_products_have_the_whole_products_bits_under_other_kernels(core):
     # OpenBLAS picks its kernel from the CPU; it is set for a new process only.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=str(root / "src"))
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{__file__}::test_products_have_the_whole_products_bits"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    run = fresh_python("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       f"{__file__}::test_products_have_the_whole_products_bits",
+                       env={"OPENBLAS_CORETYPE": core}, cwd=ROOT, timeout=300)
     assert run.returncode == 0, run.stdout
     assert "4 passed" in run.stdout, run.stdout
 
 
 def test_embed_has_the_bits_of_the_whole_calls(one_blas_thread, g, splits, monkeypatch):
+    skip_without_one_thread(one_blas_thread)
     split = embed(g, 8)
     assert splits and all(splits)
     splits.clear()
     monkeypatch.setattr(graph, "_SPLIT_MIN_N", g.n + 1)
     whole = embed(g, 8)
-    assert not splits
+    assert splits and not any(splits)
     assert split.converged
     assert split.X.tobytes() == whole.X.tobytes()
     assert split.residual_history == whole.residual_history
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["counts", "floats"])
-def test_load_has_the_bits_of_the_serial_writes(saved, splits, monkeypatch, which):
+@pytest.mark.parametrize("which, dtype", [(0, np.uint8), (1, np.float64), (2, np.uint8),
+                                           (3, np.uint8)],
+                         ids=["counts", "floats", "shuffled", "one-edge"])
+def test_load_has_the_bits_of_the_serial_writes(saved, splits, monkeypatch, which, dtype):
     split = load_graph(saved[which])
     assert splits == [True]
     monkeypatch.setattr(graph, "_SPLIT_MIN_N", N + 1)
     serial = load_graph(saved[which])
     assert splits == [True, False]
-    assert split.weights.dtype == serial.weights.dtype == (np.uint8, np.float64)[which]
+    assert split.weights.dtype == serial.weights.dtype == dtype
     assert split.weights.tobytes() == serial.weights.tobytes()
 
 
@@ -162,22 +150,21 @@ def test_one_worker_starts_per_call_and_none_below_the_floor(g, saved, tmp_path,
 
 
 def fail_in(half, error, ran):
-    """An `_at_once` that raises ``error`` from ``half`` ("first" or
-    "second") of each call, after the real part has run; each part that
-    ended appends its thread to ``ran``."""
-    at_once = graph._at_once
+    """A `_by_halves` that raises ``error`` from ``half`` ("first", the
+    caller's part, or "second", the worker's) of each call, after the real
+    part has run; each part that ended appends its thread to ``ran``."""
+    by_halves = graph._by_halves
 
-    def failing(worker, first, second):
-        def part(name, job):
-            def run():
-                if name == "second":
-                    time.sleep(0.02)  # the caller's part ends first
-                job()
-                ran.append(threading.current_thread())
-                if name == half:
-                    raise error
-            return run
-        return at_once(worker, part("first", first), part("second", second))
+    def failing(worker, n, job):
+        def part(rows):
+            name = "first" if rows.start is None else "second"
+            if name == "second":
+                time.sleep(0.02)  # the caller's part ends first
+            job(rows)
+            ran.append(threading.current_thread())
+            if name == half:
+                raise error
+        return by_halves(worker, n, part)
 
     return failing
 
@@ -194,7 +181,7 @@ def test_an_error_in_either_half_reaches_the_caller_after_both_end(
         g, saved, monkeypatch, call, half):
     error = RuntimeError(f"the {half} half failed")
     ran = []
-    monkeypatch.setattr(graph, "_at_once", fail_in(half, error, ran))
+    monkeypatch.setattr(graph, "_by_halves", fail_in(half, error, ran))
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as caught:
         call(g, saved)
@@ -205,32 +192,35 @@ def test_an_error_in_either_half_reaches_the_caller_after_both_end(
 
 
 def test_the_callers_error_wins_where_both_halves_raise():
-    # As in turn: the first part's error, raised once the second has ended.
+    # The caller's part's error, raised once the worker's part has ended.
     from concurrent.futures import ThreadPoolExecutor
 
     first_error, second_error = ValueError("first"), ValueError("second")
     ended = []
 
-    def first():
-        raise first_error
-
-    def second():
+    def job(rows):
+        if rows.start is None:  # the caller's part, or the whole
+            ended.append(rows)
+            raise first_error
         time.sleep(0.05)
-        ended.append(True)
+        ended.append(rows)
         raise second_error
 
     with pytest.raises(ValueError) as caught:
-        graph._at_once(None, first, second)
+        graph._by_halves(None, N, job)
     assert caught.value is first_error
-    assert ended == []  # in turn, second never starts
+    assert ended == [slice(None)]  # without a worker, one part: the whole
+    ended.clear()
     with ThreadPoolExecutor(1) as worker:
         with pytest.raises(ValueError) as caught:
-            graph._at_once(worker, first, second)
+            graph._by_halves(worker, N, job)
         assert caught.value is first_error
-        assert ended == [True]  # before the executor's exit joins its thread
+        # Both parts, before the executor's exit joins its thread.
+        assert ended == [slice(None, 576), slice(576, None)]
 
 
 def test_four_callers_each_fit_their_own_graph(one_blas_thread):
+    skip_without_one_thread(one_blas_thread)
     # Four fits at once, each with its own worker, on two cores, with the
     # interpreter switching threads as often as it can: each X is its
     # serial fit's, and every thread has ended.
